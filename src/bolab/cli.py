@@ -247,21 +247,17 @@ def run_verify_normal_form(config: dict, outdir: str, seed: int,
     lines = ["k,N,trial,residual,scale,relative,pass"]
     failed = False
 
-    if inject_symbol_bug:
-        # test fixture: perturb one branch table by a relative 1e-3
-        original = pseudoproduct.nf_branch_symbol
+    # test fixture: perturb the "++-" branch of B_k by a relative 1e-3
+    original = pseudoproduct._branches
 
-        def buggy(k, order, branch, cutoffs=None, ll_factor=100.0):
-            sym = original(k, order, branch,
-                           cutoffs if cutoffs is not None else pseudoproduct.DEFAULT_CUTOFFS,
-                           ll_factor)
-            if branch == "++-":
-                inner = sym.fn
-                sym.fn = lambda xi, eta: 1.001 * inner(xi, eta)
-            return sym
-        pseudoproduct.nf_branch_symbol = buggy
-        pseudoproduct._branch_cache.clear()
+    def buggy(*args):
+        branches = original(*args)
+        branches["++-"] = 1.001 * branches["++-"]
+        return branches
+
     try:
+        if inject_symbol_bug:
+            pseudoproduct._branches = buggy
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for k in config["bands"]:
@@ -279,9 +275,7 @@ def run_verify_normal_form(config: dict, outdir: str, seed: int,
                             f"{k},{order},{trial},{resid!r},{scale!r},{rel!r},{int(ok)}"
                         )
     finally:
-        if inject_symbol_bug:
-            pseudoproduct.nf_branch_symbol = original
-            pseudoproduct._branch_cache.clear()
+        pseudoproduct._branches = original
 
     path = os.path.join(outdir, "normal_form_residuals.csv")
     atomic_write_text(path, "\n".join(lines) + "\n")

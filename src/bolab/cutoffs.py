@@ -20,11 +20,12 @@ Every other member is derived by dyadic rescaling and differences:
     lesssim(j, y) = le(j+10, y)
     gtrsim(j, y)  = ge(j+10, y)
 
-Symmetric (both-sign) and negative-half variants evaluate the half-line
-member at |y| and -y respectively.  The very-low-pass member used by the
-gauge transformation is ``ll(k, N, y, factor)`` = le(k - factor*N, |y|); the
-default factor is 100 and experiments may relax it (the tested property is
-support separation from the 2^k band, which callers assert).
+Symmetric (both-sign) variants evaluate the half-line member at |y|; a
+negative-half cutoff is the half-line member evaluated at -y.  The
+very-low-pass member used by the gauge transformation is
+``ll(k, N, y, factor)`` = le(k - factor*N, |y|); the default factor is 100
+and experiments may relax it (the tested property is support separation
+from the 2^k band, which callers assert).
 
 Indices may be any real number: members are continuous functions of 2^-j y.
 
@@ -121,18 +122,7 @@ class CutoffFamily:
         """chi^+_{>~ j} = chi^+_{>= j+10}."""
         return self.ge(j + 10, y)
 
-    # -- signed / symmetric members --
-
-    def shell_signed(self, j: float, y, sign: str) -> np.ndarray:
-        """chi^+_j, chi^-_j (reflected) or chi_j (of |y|) depending on sign."""
-        y = np.asarray(y, dtype=float)
-        if sign == "+":
-            return self.shell(j, y)
-        if sign == "-":
-            return self.shell(j, -y)
-        if sign == "both":
-            return self.shell(j, np.abs(y))
-        raise ValueError(f"unknown sign {sign!r}")
+    # -- symmetric members --
 
     def le_abs(self, j: float, y) -> np.ndarray:
         """chi_{<=j}(y) = chi^+_{<=j}(|y|); equals 1 at y = 0."""

@@ -138,9 +138,3 @@ class Spectrum:
     def l2_norm(self) -> float:
         """Spectral-side L2 norm: sqrt(dxi * sum |c|^2); equals the field norm."""
         return float(np.sqrt(self.grid.dxi * np.sum(np.abs(self.coefficients) ** 2)))
-
-
-def as_complex(f: Field | ComplexField) -> ComplexField:
-    if isinstance(f, ComplexField):
-        return f
-    return ComplexField(f.grid, f.samples.astype(complex))

@@ -10,16 +10,30 @@ exactly for band-limited inputs).  Frequencies outside the grid range are
 treated as zero (no circular wrap); callers are expected to keep inputs
 inside the dealiasing margins (1/2 Nyquist bilinear, 1/3 cubic, 1/4 quartic).
 
-The normal-form branch symbols implement the closed forms of the quadratic
-cancellation.  Two conventions here were derived from scratch and verified numerically to
-machine precision:
+The normal-form branch symbols (``nf_branch_symbol``) implement the closed
+forms of the quadratic cancellation, with the smooth pieces written as
+difference quotients (chi_k^+(xi) - chi_k^+(xi-eta)) / (2 eta) evaluated by a
+mean-value switch near the removable singularity.  With ``bilinear_apply``
+they are the dense O(n^2) oracle for ``assemble_B``.
 
-  * the smooth pieces are difference quotients (chi_k^+(xi) - chi_k^+(xi-eta))
-    / (2 eta) etc., evaluated by a mean-value switch near the removable
-    singularity;
-  * the assembled operator carries the overall normalization -1/sqrt(2 pi)
-    forced by the symmetric transform convention (pointwise products carry
-    1/sqrt(2 pi) relative to pseudoproduct symbols).
+``assemble_B`` evaluates no symbol table.  The input half-line projections
+keep eta = 0 off the lattice, the ll * chi(xi) / (2 eta) pieces of the
+branch symbols cancel, and what is left is the half kernel
+
+    chi(xi) / (2 eta) - ll(eta) chi(xi - eta) / (2 eta)
+
+(chi = chi_k^+, ll = chi_{<<k}).  With half(a, b) its lattice sum against
+a(xi - eta) b(eta), the branches are "+++" = half(P+f, P+g) + half(P+g, P+f),
+"++-" = half(P+f, P-g) and "+-+" = half(P+g, P-f), and each half() separates
+into two paraproducts
+
+    half(a, b) = chi * conv(a, b / (2 xi)) - conv(chi * a, ll * b / (2 xi)).
+
+The convolutions are linear ones zero-padded to 2n, which reproduces the
+zero extension of the lattice sum exactly.  The assembled operator carries
+the overall normalization -1/sqrt(2 pi) forced by the symmetric transform
+convention (pointwise products carry 1/sqrt(2 pi) relative to pseudoproduct
+symbols).
 
 With these, the quadratic generator assembled in ``nf_generator_terms`` sums
 to zero at roundoff level, which is the decisive acceptance oracle.
@@ -350,36 +364,45 @@ def nf_branch_symbol(
     return BilinearSymbol(fn=fn, xi_support=xi_support, tag=branch, k=k, order=order)
 
 
-# cached branch value tables, keyed by everything the values depend on
-_branch_cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+def _lattice_conv(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
+    """sum_eta a(xi - eta) b(eta) * dxi on the grid frequencies.
 
-
-def _branch_table(grid: Grid, k: float, order: int, branch: str, ll_factor: float,
-                  cutoffs: CutoffFamily):
-    """(rows, cols, values) of a branch symbol on its pruned lattice window.
-
-    Row pruning uses the xi support hint intersected with xi > 0 (the output
-    half-line projection); column pruning uses the sign of eta demanded by the
-    branch plus the reachability constraint through the projected first input.
+    A linear convolution zero-padded to 2n, so frequencies outside the grid
+    range are zero (the lattice's zero extension, no circular wrap).
     """
-    key = (grid.n_points, grid.box_length, k, order, branch, ll_factor, cutoffs.version)
-    if key in _branch_cache:
-        return _branch_cache[key]
-    sym = nf_branch_symbol(k, order, branch, cutoffs, ll_factor)
-    lo, hi = sym.xi_support
-    rows = np.nonzero((grid.xi > 0) & (grid.xi >= lo) & (grid.xi <= hi))[0]
-    if branch == "+++":
-        # eta > 0 and xi - eta > 0 jointly force eta < max xi
-        cols = np.nonzero((grid.xi > 0) & (grid.xi < hi))[0]
-    elif branch == "+-+":
-        # xi - eta < 0 allows eta above the band; zero-extension of the first
-        # input handles the upper range
-        cols = np.nonzero(grid.xi > 0)[0]
-    else:  # "++-"
-        cols = np.nonzero(grid.xi < 0)[0]
-    values = sym(grid.xi[rows][:, None], grid.xi[cols][None, :])
-    _branch_cache[key] = (rows, cols, values)
-    return _branch_cache[key]
+    n = grid.n_points
+    full = np.fft.ifft(np.fft.fft(a, 2 * n) * np.fft.fft(b, 2 * n))
+    return full[n // 2 : n // 2 + n] * grid.dxi
+
+
+def _branches(
+    k: float,
+    order: int,
+    fc: np.ndarray,
+    gc: np.ndarray,
+    grid: Grid,
+    ll_factor: float,
+    cutoffs: CutoffFamily,
+) -> dict[str, np.ndarray]:
+    """Coefficients of the three nonzero branches of B_k(f, g), before the
+    output mask and the normalization; ``half`` is the separated half
+    kernel of the module docstring."""
+    chi = cutoffs.shell(k, grid.xi)
+    low = cutoffs.ll(k, order, grid.xi, ll_factor)
+    inv2xi = np.divide(0.5, grid.xi, out=np.zeros(grid.n_points), where=grid.xi != 0)
+
+    def half(a, b):
+        b = b * inv2xi
+        return chi * _lattice_conv(a, b, grid) - _lattice_conv(chi * a, low * b, grid)
+
+    plus = half_projector_values(grid, "+")
+    minus = half_projector_values(grid, "-")
+    fp, fm, gp, gm = plus * fc, minus * fc, plus * gc, minus * gc
+    return {
+        "+++": half(fp, gp) + half(gp, fp),
+        "++-": half(fp, gm),
+        "+-+": half(gp, fm),  # eta -> xi - eta of "++-"
+    }
 
 
 def assemble_B(
@@ -390,33 +413,22 @@ def assemble_B(
     ll_factor: float = 100.0,
     cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
 ) -> ComplexField:
-    """The quadratic normal-form correction B_k(f, g).
+    """The quadratic normal-form correction B_k(f, g), in O(n log n) time
+    and O(n) memory.
 
-    Sums the three nonzero branches with half-line projections on the inputs
-    and on the (positive-frequency) output, scaled by ``NF_NORMALIZATION``.
+    Sums the three nonzero branches, each computed as separated
+    paraproducts: Fourier multipliers around linear convolutions of the
+    half-line projected inputs, zero-padded to 2n (see the module
+    docstring).  The output is kept on xi > 0 inside the branch xi-support
+    and scaled by ``NF_NORMALIZATION``.  ``bilinear_apply`` of the
+    ``nf_branch_symbol`` branches is the dense oracle it matches to roundoff.
     """
     grid = require_same_grid(f, g)
-    plus_f = half_projector_values(grid, "+")
-    minus_f = half_projector_values(grid, "-")
     fc = coeffs_of(np.asarray(f.samples), grid)
     gc = coeffs_of(np.asarray(g.samples), grid)
-    out = np.zeros(grid.n_points, dtype=complex)
-    inputs = {"+++": (plus_f, plus_f), "++-": (plus_f, minus_f), "+-+": (minus_f, plus_f)}
-    n = grid.n_points
-    for branch in NONZERO_BRANCHES:
-        rows, cols, values = _branch_table(grid, k, order, branch, ll_factor, cutoffs)
-        pf, pg = inputs[branch]
-        fcp = pf * fc
-        gcp = pg * gc
-        live = np.abs(gcp[cols]) > 0.0
-        if not np.any(live):
-            continue
-        c = cols[live]
-        shift = rows[:, None] - c[None, :] + n // 2
-        valid = (shift >= 0) & (shift < n)
-        fv = np.where(valid, fcp[np.clip(shift, 0, n - 1)], 0.0)
-        out[rows] += (values[:, live] * fv) @ gcp[c] * grid.dxi
-    # output rows are already restricted to xi > 0: P^+ is built in
+    out = sum(_branches(k, order, fc, gc, grid, ll_factor, cutoffs).values())
+    lo, hi = nf_branch_symbol(k, order, "+++", cutoffs, ll_factor).xi_support
+    out[(grid.xi <= 0) | (grid.xi < lo) | (grid.xi > hi)] = 0.0
     return ComplexField(grid, samples_of(NF_NORMALIZATION * out, grid))
 
 

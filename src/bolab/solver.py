@@ -191,7 +191,7 @@ def evolve(
     """Advance to t_final, returning snapshots every ``snapshot_stride`` steps.
 
     The initial state is included.  Aborts with SolverInstabilityError when
-    the sup norm grows tenfold between consecutive snapshots.
+    the sup norm grows tenfold between consecutive snapshots or is not finite.
     """
     n_steps = int(round(t_final / state.dt))
     if abs(n_steps * state.dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
@@ -207,6 +207,8 @@ def evolve(
         current = _advance(current, todo)
         done += todo
         sup = current.w.sup_norm()
+        if not np.isfinite(sup):
+            raise SolverInstabilityError(f"sup norm is {sup} at t = {current.t:.4g}")
         if sup > 10.0 * prev_sup and sup > 1e-8:
             raise SolverInstabilityError(
                 f"sup norm grew from {prev_sup:.3e} to {sup:.3e} at t = {current.t:.4g}"

@@ -184,16 +184,6 @@ def low_pass(
     return ComplexField(grid, _apply_values(values, np.asarray(f.samples), grid))
 
 
-def dealias_truncate(f: Field | ComplexField, fraction: float) -> Field | ComplexField:
-    """Hard-truncate the spectrum to |xi| <= fraction * Nyquist."""
-    grid = f.grid
-    mask = (np.abs(grid.xi) <= fraction * grid.nyquist).astype(float)
-    out = _apply_values(mask, np.asarray(f.samples), grid)
-    if isinstance(f, Field):
-        return Field(grid, out.real)
-    return ComplexField(grid, out)
-
-
 def lp_partition_bounds(grid: Grid) -> tuple[int, int]:
     """Integer band range (k_min, k_max) covering all nonzero grid frequencies.
 

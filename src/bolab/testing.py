@@ -40,18 +40,6 @@ def random_band_limited(
     return Field(grid, samples_of(coeffs, grid).real)
 
 
-def random_complex_band_limited(
-    grid: Grid, rng: np.random.Generator, band_fraction: float = 0.5
-) -> ComplexField:
-    """Complex field with spectrum supported in 0 < |xi| <= fraction * Nyquist."""
-    n = grid.n_points
-    coeffs = np.zeros(n, dtype=complex)
-    live = (np.abs(grid.xi) <= band_fraction * grid.nyquist) & (np.abs(grid.xi) > 0)
-    coeffs[live] = rng.normal(size=live.sum()) + 1j * rng.normal(size=live.sum())
-    coeffs[0] = 0.0
-    return ComplexField(grid, samples_of(coeffs, grid))
-
-
 def random_compact_bump(
     grid: Grid,
     rng: np.random.Generator,

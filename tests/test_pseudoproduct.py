@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from bolab.pseudoproduct import (
     quartic_apply,
     verify_nf_cancellation,
 )
+from bolab.solver import soliton
 from bolab.spectral import low_pass, lp_project, multiply
 from bolab.testing import random_band_limited
 
@@ -320,18 +323,52 @@ def test_assemble_B_output_support(grid_medium, rng):
 
 def test_assemble_B_equals_symmetrized_kernel(grid_small, rng):
     # the branch assembly realizes the symmetric solution of the quadratic form
+    def direct(k, order, factor, u):
+        sym = BilinearSymbol(
+            fn=lambda xi, eta: 0.5
+            * (
+                _total_symbol(k, order, factor, xi, eta)
+                + _total_symbol(k, order, factor, xi, xi - eta)
+            )
+        )
+        return bilinear_apply(sym, u, u)
+
     k, order, factor = 2.0, 2, 3.0
     u = random_band_limited(grid_small, rng, 0.25)
     via_branches = assemble_B(k, order, u, u, ll_factor=factor)
-    sym = BilinearSymbol(
-        fn=lambda xi, eta: 0.5
-        * (
-            _total_symbol(k, order, factor, xi, eta)
-            + _total_symbol(k, order, factor, xi, xi - eta)
-        )
-    )
-    direct = bilinear_apply(sym, u, u)
-    assert np.max(np.abs(via_branches.samples - direct.samples)) < 1e-12
+    assert np.max(np.abs(via_branches.samples - direct(k, order, factor, u).samples)) < 1e-12
+    # ll nonzero on 319 lattice modes, and a full-spectrum input whose
+    # products leave the grid range (zero extension, no wrap-around)
+    wide = Grid(1024, 2000.0)
+    for k, order, factor, u in [
+        (0.0, 1, 2.0, random_band_limited(wide, rng, 0.5)),
+        (2.0, 2, 3.0, Field(grid_small, rng.normal(size=256))),
+    ]:
+        oracle = direct(k, order, factor, u)
+        via_branches = assemble_B(k, order, u, u, ll_factor=factor)
+        assert np.max(np.abs(via_branches.samples - oracle.samples)) < 1e-12 * oracle.sup_norm()
+
+
+def test_assemble_B_memory_is_flat():
+    # O(n) work arrays only, and nothing kept between calls
+    import bolab.pseudoproduct as pp
+
+    grid = Grid(16384, 400.0)
+    u = soliton(1.0, 0.0, grid)
+    namespace = dict(vars(pp))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assemble_B(3.0, 4, u, u, 3.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        assemble_B(3.0, 4, u, u, 3.0)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert retained < 2**20
+    assert vars(pp).keys() == namespace.keys()
+    assert all(vars(pp)[name] is value for name, value in namespace.items())
 
 
 # ---------------------------------------------------------------------------

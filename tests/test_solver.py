@@ -175,6 +175,16 @@ def test_instability_detector():
         evolve(st, 5.0, snapshot_stride=1, record_ledger=False)
 
 
+def test_instability_detector_catches_nan():
+    # NaN compares False against the growth bound, so it needs its own check
+    g = Grid(256, 25.0)
+    w0 = np.exp(-g.x**2)
+    w0[100] = np.nan
+    st = SolverState(w=Field(g, w0), frame="lab", dt=1e-3)
+    with pytest.raises(SolverInstabilityError, match="nan"):
+        evolve(st, 2e-3, snapshot_stride=1, record_ledger=False)
+
+
 def test_frame_equivalence():
     g = Grid(1024, 100.0)
     s = soliton(1.0, 0.0, g)
