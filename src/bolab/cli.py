@@ -76,6 +76,36 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
     return config
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def merge_config(defaults: dict, config: dict, where: str = "") -> dict:
+    """``config`` merged over ``defaults``, which also serve as the schema:
+    an unknown key, or a value not of its default's kind (object, non-empty
+    list of numbers, integer, number), raises ConfigError."""
+    out = json.loads(json.dumps(defaults))
+    for key, value in config.items():
+        name = where + key
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {name!r}")
+        default = defaults[key]
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name} must be an object, got {value!r}")
+            value = merge_config(default, value, name + ".")
+        elif isinstance(default, list):
+            if not (isinstance(value, list) and value and all(map(_number, value))):
+                raise ConfigError(f"{name} must be a non-empty list of numbers, got {value!r}")
+        elif isinstance(default, int):
+            if not (_number(value) and isinstance(value, int)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        elif not _number(value):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        out[key] = value
+    return out
+
+
 def config_hash(config: dict) -> str:
     return hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()
@@ -247,13 +277,12 @@ def run_verify_normal_form(config: dict, outdir: str, seed: int,
     lines = ["k,N,trial,residual,scale,relative,pass"]
     failed = False
 
-    # test fixture: perturb the "++-" branch of B_k by a relative 1e-3
+    # test fixture: perturb one half of B_k by a relative 1e-3
     original = pseudoproduct._branches
 
     def buggy(*args):
-        branches = original(*args)
-        branches["++-"] = 1.001 * branches["++-"]
-        return branches
+        first, second = original(*args)
+        return 1.001 * first, second
 
     try:
         if inject_symbol_bug:
@@ -342,14 +371,11 @@ def run_verify_kernels(config: dict, outdir: str, seed: int) -> list[str]:
     bo = KernelSpec(variant="dyadic-left", j=3.0, t=2.0, a=0, k=1.0, quad_tol=1e-12)
     sch = KernelSpec(variant="schro-left", j=3.0, t=2.0, a=0, k=1.0, quad_tol=1e-12)
     cut = lambda xi: bo.cutoffs.shell(1.0, xi)
-    worst = 0.0
     npts = config["schro_points"]
-    for x in np.linspace(4.0, 16.0, npts):
-        for y in np.linspace(-4.0, 2.0 ** (3 - 9), npts):
-            v1 = phase_integral(bo, float(x), float(y), cutoff_override=cut,
-                                range_override=(0.5, 4.0)).value
-            v2 = phase_integral(sch, float(x), float(y)).value
-            worst = max(worst, abs(v1 - v2))
+    xs, ys = np.meshgrid(np.linspace(4.0, 16.0, npts), np.linspace(-4.0, 2.0 ** (3 - 9), npts))
+    v1 = phase_integral(bo, xs, ys, cutoff_override=cut, range_override=(0.5, 4.0)).value
+    v2 = phase_integral(sch, xs, ys).value
+    worst = float(np.max(np.abs(v1 - v2), initial=0.0))
     results.append(("schro_reduction_max_diff", worst, config["schro_tol"],
                     worst <= config["schro_tol"]))
 
@@ -475,6 +501,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config, _DEFAULTS[args.command])
         config = apply_overrides(config, args.override)
+        if args.command == "verify-kernels":
+            config = merge_config(KERNEL_DEFAULTS, config)
         if args.command == "report" and args.input is not None:
             config["input"] = args.input
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))

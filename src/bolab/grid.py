@@ -110,11 +110,14 @@ class ComplexField:
         return float(np.max(np.abs(self.samples.imag)))
 
     def real_field(self, tol: float = 1e-10) -> Field:
-        """Drop the imaginary part, which must be below tol * (1 + |f|)."""
+        """Drop the imaginary part, which must be below tol * (1 + |f|);
+        a non-finite residue or scale fails the check."""
         resid = self.max_imag()
         scale = 1.0 + self.sup_norm()
-        if resid > tol * scale:
-            raise ValueError(f"imaginary residue {resid:.3e} exceeds {tol:.1e} * scale")
+        if not resid <= tol * scale:
+            raise ValueError(
+                f"imaginary residue {resid:.3e} is not within {tol:.1e} * scale {scale:.3e}"
+            )
         return Field(self.grid, self.samples.real.copy())
 
 

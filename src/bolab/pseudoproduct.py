@@ -24,8 +24,10 @@ branch symbols cancel, and what is left is the half kernel
 
 (chi = chi_k^+, ll = chi_{<<k}).  With half(a, b) its lattice sum against
 a(xi - eta) b(eta), the branches are "+++" = half(P+f, P+g) + half(P+g, P+f),
-"++-" = half(P+f, P-g) and "+-+" = half(P+g, P-f), and each half() separates
-into two paraproducts
+"++-" = half(P+f, P-g) and "+-+" = half(P+g, P-f).  half() is linear in b,
+so their sum is half(P+f, Pg) + half(P+g, Pf) with P = P+ + P- (the identity
+apart from xi = 0 and the Nyquist mode), and each half() separates into two
+paraproducts
 
     half(a, b) = chi * conv(a, b / (2 xi)) - conv(chi * a, ll * b / (2 xi)).
 
@@ -383,10 +385,11 @@ def _branches(
     grid: Grid,
     ll_factor: float,
     cutoffs: CutoffFamily,
-) -> dict[str, np.ndarray]:
-    """Coefficients of the three nonzero branches of B_k(f, g), before the
-    output mask and the normalization; ``half`` is the separated half
-    kernel of the module docstring."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of half(P+f, Pg) and half(P+g, Pf), whose sum is the sum
+    of the three nonzero branches of B_k(f, g) before the output mask and the
+    normalization; ``half`` is the separated half kernel of the module
+    docstring."""
     chi = cutoffs.shell(k, grid.xi)
     low = cutoffs.ll(k, order, grid.xi, ll_factor)
     inv2xi = np.divide(0.5, grid.xi, out=np.zeros(grid.n_points), where=grid.xi != 0)
@@ -396,13 +399,8 @@ def _branches(
         return chi * _lattice_conv(a, b, grid) - _lattice_conv(chi * a, low * b, grid)
 
     plus = half_projector_values(grid, "+")
-    minus = half_projector_values(grid, "-")
-    fp, fm, gp, gm = plus * fc, minus * fc, plus * gc, minus * gc
-    return {
-        "+++": half(fp, gp) + half(gp, fp),
-        "++-": half(fp, gm),
-        "+-+": half(gp, fm),  # eta -> xi - eta of "++-"
-    }
+    both = plus + half_projector_values(grid, "-")
+    return half(plus * fc, both * gc), half(plus * gc, both * fc)
 
 
 def assemble_B(
@@ -416,9 +414,9 @@ def assemble_B(
     """The quadratic normal-form correction B_k(f, g), in O(n log n) time
     and O(n) memory.
 
-    Sums the three nonzero branches, each computed as separated
-    paraproducts: Fourier multipliers around linear convolutions of the
-    half-line projected inputs, zero-padded to 2n (see the module
+    Sums the three nonzero branches, computed as two half kernels of
+    separated paraproducts: Fourier multipliers around linear convolutions
+    of the half-line projected inputs, zero-padded to 2n (see the module
     docstring).  The output is kept on xi > 0 inside the branch xi-support
     and scaled by ``NF_NORMALIZATION``.  ``bilinear_apply`` of the
     ``nf_branch_symbol`` branches is the dense oracle it matches to roundoff.
@@ -426,7 +424,8 @@ def assemble_B(
     grid = require_same_grid(f, g)
     fc = coeffs_of(np.asarray(f.samples), grid)
     gc = coeffs_of(np.asarray(g.samples), grid)
-    out = sum(_branches(k, order, fc, gc, grid, ll_factor, cutoffs).values())
+    first, second = _branches(k, order, fc, gc, grid, ll_factor, cutoffs)
+    out = first + second
     lo, hi = nf_branch_symbol(k, order, "+++", cutoffs, ll_factor).xi_support
     out[(grid.xi <= 0) | (grid.xi < lo) | (grid.xi > hi)] = 0.0
     return ComplexField(grid, samples_of(NF_NORMALIZATION * out, grid))

@@ -133,3 +133,31 @@ def test_report_missing_input_exits_2(tmp_path):
 
 def test_config_hash_key_order_invariant():
     assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
+
+
+def test_verify_kernels_default_run_passes(tmp_path):
+    out = tmp_path / "kern"
+    assert main(["verify-kernels", "--output-dir", str(out)]) == 0
+    sweeps = (out / "kernel_sweeps.csv").read_text().strip().split("\n")
+    assert sweeps[0] == "variant,j,k,a,ell,t,sup,quad_flag"
+    assert len(sweeps) == 1 + 8 + 6 + 5
+    assert all(line.endswith(",0") for line in sweeps[1:])
+    summary = (out / "kernel_summary.csv").read_text().strip().split("\n")
+    assert len(summary) == 5 and all(line.endswith(",1") for line in summary[1:])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["right_sweep"]["M"] == 6
+
+
+@pytest.mark.parametrize("override, message", [
+    ("t_sweep=3", "t_sweep must be an object"),
+    ("t_sweep.times=3", "t_sweep.times must be a non-empty list"),
+    ("j_sweep.shells=[3, \"4\"]", "j_sweep.shells must be a non-empty list"),
+    ("right_sweep.a=1.5", "right_sweep.a must be an integer"),
+    ("mystery=1", "unknown config key 'mystery'"),
+    ("right_sweep.mystery=1", "unknown config key 'right_sweep.mystery'"),
+])
+def test_verify_kernels_rejects_bad_config(tmp_path, capsys, override, message):
+    code = main(["verify-kernels", "--output-dir", str(tmp_path), "--override", override])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "kernel_sweeps.csv").exists()

@@ -1,7 +1,11 @@
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
-from bolab.errors import DegenerateSeriesError, KernelDomainError
+from bolab.errors import DegenerateSeriesError, KernelDomainError, QuadratureWarning
 from bolab.kernels import (
     KernelSpec,
     fit_decay,
@@ -115,6 +119,85 @@ def test_schroedinger_reduction_identity():
         v_bo = phase_integral(bo, x, y, cutoff_override=cut, range_override=(0.5, 4.0))
         v_sch = phase_integral(sch, x, y)
         assert abs(v_bo.value - v_sch.value) < 1e-10
+
+
+def _quad_oracle(spec, x, y, epsabs):
+    """Adaptive Gauss-Kronrod (scipy quad) on each side of xi = 0, real and
+    imaginary parts separately, with a per-point Python integrand."""
+    from scipy.integrate import quad
+
+    cut = spec.frequency_cutoff()
+    lo, hi = spec.frequency_range()
+    pieces = [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
+
+    def f(xi):
+        return np.exp(1j * spec.phase(xi, x, y)) * float(cut(np.asarray(xi))) * xi**spec.a
+
+    total = 0.0j
+    for a_, b_ in pieces:
+        for part, unit in ((lambda xi: f(xi).real, 1.0), (lambda xi: f(xi).imag, 1j)):
+            total += unit * quad(part, a_, b_, epsabs=epsabs, epsrel=0.0, limit=20000)[0]
+    return total
+
+
+def _integrand_scale(spec):
+    lo, hi = spec.frequency_range()
+    xi = np.linspace(lo, hi, 257)
+    return float(np.max(np.abs(spec.frequency_cutoff()(xi) * xi**spec.a)) * (hi - lo))
+
+
+@pytest.mark.parametrize("spec, points", [
+    (KernelSpec(variant="lowfreq-left", j=0.0, t=16.0, a=1, quad_tol=1e-12),
+     [(0.5, -2.0), (2.0, 2.0**-9), (1.25, -1.0)]),
+    (KernelSpec(variant="lowfreq-left", j=0.0, t=2048.0, a=1, quad_tol=1e-12),
+     [(2.0, 2.0**-9)]),
+    (KernelSpec(variant="lowfreq-left", j=5.0, t=4.0, a=1, quad_tol=1e-12),
+     [(40.0, 2.0**-4)]),
+    (KernelSpec(variant="dyadic-right", j=2.0, t=233.0, a=1, k=0.0, ell=-4.0,
+                quad_tol=1e-12), [(2.0, 0.125), (8.0, 0.03125)]),
+    (KernelSpec(variant="schro-left", j=3.0, t=2.0, a=0, k=1.0, quad_tol=1e-12),
+     [(16.0, -4.0)]),
+])
+def test_batched_rule_matches_quad_oracle(spec, points):
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    res = phase_integral(spec, xs, ys)
+    assert res.converged and res.value.shape == xs.shape
+    tol = spec.quad_tol * _integrand_scale(spec)
+    for value, (x, y) in zip(res.value, points):
+        assert abs(value - _quad_oracle(spec, x, y, 0.1 * tol)) <= tol
+
+
+def test_nonconvergence_is_flagged():
+    spec = KernelSpec(variant="lowfreq-left", j=0.0, t=2048.0, a=1, quad_tol=1e-12,
+                      quad_limit=8)
+    with pytest.warns(QuadratureWarning, match="did not converge"):
+        res = phase_integral(spec, np.array([0.5, 2.0]), np.array([-2.0, 0.0]))
+    assert res.converged is False
+    with pytest.warns(QuadratureWarning):
+        rows = sweep_t(spec, [1024.0, 2048.0], nx=3, ny=3)
+    assert [r["quad_flag"] for r in rows] == [1, 1]
+    # one panel leaves no coarser rule to estimate the error against
+    with pytest.raises(KernelDomainError):
+        KernelSpec(variant="lowfreq-left", j=0.0, t=2048.0, quad_limit=1)
+
+
+def test_scalar_kernel_value_matches_batched_sup():
+    spec = KernelSpec(variant="dyadic-right", j=2.0, t=69.0, a=1, k=0.0, ell=-4.0,
+                      quad_tol=1e-12)
+    sup = kernel_sup(spec, nx=5, ny=5)
+    single = kernel_value(spec, sup.arg_x, sup.arg_y)
+    assert sup.all_converged and single.converged
+    assert isinstance(single.value, complex) and isinstance(single.error, float)
+    assert abs(abs(single.value) - sup.sup) <= 1e-12 * _integrand_scale(spec)
+
+
+def test_kernel_modules_do_not_import_scipy_integrate():
+    code = ("import sys, bolab.cli, bolab.decay, bolab.kernels; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

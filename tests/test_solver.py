@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from bolab.errors import SolverInstabilityError
-from bolab.grid import Field, Grid
+from bolab.grid import ComplexField, Field, Grid
 from bolab.solver import (
     SolverState,
     SpongeConfig,
@@ -183,6 +183,17 @@ def test_instability_detector_catches_nan():
     st = SolverState(w=Field(g, w0), frame="lab", dt=1e-3)
     with pytest.raises(SolverInstabilityError, match="nan"):
         evolve(st, 2e-3, snapshot_stride=1, record_ledger=False)
+
+
+def test_real_field_rejects_nan_imaginary_part():
+    # NaN compares False against the residue bound, so 1 + nan*i must not
+    # come back as the finite sample 1.0
+    g = Grid(16, 1.0)
+    z = np.ones(16, dtype=complex)
+    z[3] = complex(1.0, np.nan)
+    with pytest.raises(ValueError, match="nan"):
+        ComplexField(g, z).real_field()
+    assert ComplexField(g, np.ones(16) + 1e-14j).real_field().samples[3] == 1.0
 
 
 def test_frame_equivalence():
