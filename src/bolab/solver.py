@@ -150,9 +150,11 @@ def step(state: SolverState) -> SolverState:
 def _advance(state: SolverState, n_steps: int) -> SolverState:
     """n_steps RK4 steps in preallocated buffers.
 
-    The stages run on the raw FFT-order coefficients v = fft(samples): the
-    transform scale and the (-1)^m phase of ``coeffs_of`` are diagonal, so
-    they commute with every stage and cancel in the final inverse transform.
+    The stages run on the raw FFT-order coefficients v = fft(samples).  The
+    coefficients of ``coeffs_of`` are c = scale * (-1)^m * fftshift(v) and
+    ``samples_of(c)`` is ifft(v), so each stage in v is the stage in c
+    without the shifts, the scale and the phase; the diagonal factors are
+    only reordered into FFT order.
     """
     grid = state.w.grid
     dt = state.dt
