@@ -375,7 +375,7 @@ def run_verify_kernels(config: dict, outdir: str, seed: int) -> list[str]:
     xs, ys = np.meshgrid(np.linspace(4.0, 16.0, npts), np.linspace(-4.0, 2.0 ** (3 - 9), npts))
     v1 = phase_integral(bo, xs, ys, cutoff_override=cut, range_override=(0.5, 4.0)).value
     v2 = phase_integral(sch, xs, ys).value
-    worst = float(np.max(np.abs(v1 - v2), initial=0.0))
+    worst = float(np.max(np.abs(v1 - v2)))
     results.append(("schro_reduction_max_diff", worst, config["schro_tol"],
                     worst <= config["schro_tol"]))
 
@@ -503,6 +503,8 @@ def main(argv: list[str] | None = None) -> int:
         config = apply_overrides(config, args.override)
         if args.command == "verify-kernels":
             config = merge_config(KERNEL_DEFAULTS, config)
+            if config["schro_points"] < 1:
+                raise ConfigError(f"schro_points must be at least 1, got {config['schro_points']!r}")
         if args.command == "report" and args.input is not None:
             config["input"] = args.input
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))

@@ -155,6 +155,8 @@ def test_verify_kernels_default_run_passes(tmp_path):
     ("right_sweep.a=1.5", "right_sweep.a must be an integer"),
     ("mystery=1", "unknown config key 'mystery'"),
     ("right_sweep.mystery=1", "unknown config key 'right_sweep.mystery'"),
+    ("schro_points=0", "schro_points must be at least 1"),
+    ("schro_points=-2", "schro_points must be at least 1"),
 ])
 def test_verify_kernels_rejects_bad_config(tmp_path, capsys, override, message):
     code = main(["verify-kernels", "--output-dir", str(tmp_path), "--override", override])
