@@ -11,7 +11,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
 acceptance failure.  Every run writes a manifest (config hash, package and
-library versions, seed, thread count, output hashes).  All artifacts are
+library versions, seed, output hashes).  All artifacts are
 written atomically (temp file + rename).
 
 Configs are JSON key/value trees; ``--override path.to.key=value`` patches
@@ -135,7 +135,7 @@ def file_sha256(path: str) -> str:
 
 
 def write_manifest(outdir: str, command: str, config: dict, seed: int,
-                   threads: int, outputs: list[str]) -> str:
+                   outputs: list[str]) -> str:
     import scipy
 
     manifest = {
@@ -146,7 +146,6 @@ def write_manifest(outdir: str, command: str, config: dict, seed: int,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
         "seed": seed,
-        "threads": threads,
         "outputs": {os.path.basename(p): file_sha256(p) for p in outputs},
     }
     path = os.path.join(outdir, "manifest.json")
@@ -485,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE", help="patch a config entry")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1,
-                       help="recorded in the manifest; computation is single-process")
         if name == "verify-normal-form":
             p.add_argument("--inject-symbol-bug", action="store_true",
                            help="test fixture: corrupt one branch symbol")
@@ -499,12 +496,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config, _DEFAULTS[args.command])
-        config = apply_overrides(config, args.override)
-        if args.command == "verify-kernels":
-            config = merge_config(KERNEL_DEFAULTS, config)
-            if config["schro_points"] < 1:
-                raise ConfigError(f"schro_points must be at least 1, got {config['schro_points']!r}")
+        defaults = _DEFAULTS[args.command]
+        config = apply_overrides(load_config(args.config, defaults), args.override)
+        if defaults:  # the verify-* commands; the others validate their own
+            config = merge_config(defaults, config)
+        if args.command == "verify-kernels" and config["schro_points"] < 1:
+            raise ConfigError(f"schro_points must be at least 1, got {config['schro_points']!r}")
         if args.command == "report" and args.input is not None:
             config["input"] = args.input
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
@@ -527,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
             outputs = run_measure_decay(config, outdir)
         else:
             outputs = run_report(config, outdir)
-        write_manifest(outdir, args.command, config, seed, args.threads, outputs)
+        write_manifest(outdir, args.command, config, seed, outputs)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -57,6 +57,16 @@ _CONFIG_KEYS = {
 _INITIAL_KEYS = {"kind", "c", "x0", "bump_amplitude", "bump_width", "bump_center", "path"}
 _GAUGE_KEYS = {"enabled", "order", "ll_factor", "bands"}
 _SPONGE_KEYS = {"enabled", "width_fraction", "strength"}
+
+
+def _of_kind(value, kind: str) -> bool:
+    """Whether a config value fits a field annotation: int, float (any number),
+    list (non-empty, of numbers), dict, or one of these | None."""
+    if value is None or isinstance(value, bool):
+        return value is None and kind.endswith("| None")
+    if kind == "list":
+        return isinstance(value, list) and bool(value) and all(_of_kind(v, "float") for v in value)
+    return isinstance(value, {"int": int, "float": (int, float)}.get(kind.split()[0], dict))
 
 
 @dataclass
@@ -97,6 +107,10 @@ class ExperimentConfig:
         unknown = set(data) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        kinds = {f.name: f.type for f in fields(cls)}
+        for key, value in data.items():
+            if not _of_kind(value, kinds[key]):
+                raise ConfigError(f"{key} must be of kind {kinds[key]}, got {value!r}")
         return cls(**data)
 
     def to_dict(self) -> dict:

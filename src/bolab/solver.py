@@ -6,7 +6,7 @@
 on the periodic grid, by an integrating-factor RK4: the stiff linear symbol
 theta(xi) = c xi + |xi| xi is solved exactly by phase multiplication and the
 dealiased quadratic nonlinearity by classical four-stage Runge-Kutta in the
-transformed variable.
+transformed variable, stored as the half spectrum rfft(w) of the real field.
 
 An optional sponge multiplies the field by a smooth damping -sigma(x) w
 supported on the leftmost fraction of the box, absorbing the strictly
@@ -26,7 +26,7 @@ import numpy as np
 
 from .cutoffs import smoothstep
 from .errors import SolverInstabilityError
-from .grid import ComplexField, Field, Grid
+from .grid import Field, Grid
 from .spectral import coeffs_of, hilbert, derivative, samples_of
 
 SNAPSHOT_MAGIC = b"BOSNAP01"
@@ -111,35 +111,48 @@ def rhs(state: SolverState, nonlinear: bool | None = None) -> Field:
     """Full right-hand side w_t in the state's frame (diagnostic form).
 
     The quadratic term is dealiased by the 2/3 rule; the sponge contributes
-    -sigma(x) w when enabled.
+    -sigma(x) w when enabled, with or without the quadratic term.
     """
     if nonlinear is None:
         nonlinear = state.nonlinear
     grid = state.w.grid
-    c = coeffs_of(state.w.samples, grid)
-    theta = linear_symbol(grid, state.drift())
-    out = samples_of(1j * theta * c, grid)
-    if nonlinear:
-        out = out + _nonlinear_samples(
-            state.w.samples.astype(complex),
-            grid,
-            _dealias_mask(grid),
-            state.sponge.profile(grid),
-        )
-    return Field(grid, out.real)
+    theta = _half_spectrum(linear_symbol(grid, state.drift()))
+    v = np.fft.rfft(state.w.samples)
+    out = _nonlinearity(grid, state.sponge.profile(grid), nonlinear)(v, np.empty_like(v))
+    out += 1j * theta * v
+    return Field(grid, np.fft.irfft(out, grid.n_points))
 
 
-def _dealias_mask(grid: Grid) -> np.ndarray:
-    return (np.abs(grid.xi) <= (2.0 / 3.0) * grid.nyquist).astype(float)
+def _half_spectrum(a: np.ndarray) -> np.ndarray:
+    """A math-order multiplier on the rfft entries m = 0 .. n/2 (FFT order)."""
+    return np.fft.ifftshift(a)[: a.size // 2 + 1]
 
 
-def _nonlinear_samples(w: np.ndarray, grid: Grid, mask: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """-(w^2)_x with 2/3-rule masking, minus the sponge damping."""
-    sq = coeffs_of(w * w, grid)
-    xi = grid.xi
-    dsq = (1j * xi) * (mask * sq)
-    dsq[0] = 0.0
-    return -samples_of(dsq, grid) - sigma * w
+def _nonlinearity(grid: Grid, sigma: np.ndarray, nonlinear: bool):
+    """The stage nonlinearity on half spectra v = rfft(w): nl(v, out) writes
+    the rfft of -(w^2)_x, with 2/3-rule masking, minus sigma w into out, using
+    work buffers allocated once here."""
+    n = grid.n_points
+    mask = np.abs(grid.xi) <= (2.0 / 3.0) * grid.nyquist  # also drops Nyquist
+    dxi = _half_spectrum(-(1j * grid.xi) * mask)
+    sponge = bool(np.any(sigma))
+    w, prod, tmp = np.empty(n), np.empty(n), np.empty(n // 2 + 1, dtype=complex)
+
+    def nl(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if nonlinear or sponge:
+            np.fft.irfft(v, n, out=w)
+        if nonlinear:
+            np.multiply(w, w, out=prod)
+            np.fft.rfft(prod, out=out)
+            out *= dxi
+        else:
+            out.fill(0.0)
+        if sponge:
+            np.multiply(sigma, w, out=prod)
+            out -= np.fft.rfft(prod, out=tmp)
+        return out
+
+    return nl
 
 
 def step(state: SolverState) -> SolverState:
@@ -148,47 +161,24 @@ def step(state: SolverState) -> SolverState:
 
 
 def _advance(state: SolverState, n_steps: int) -> SolverState:
-    """n_steps RK4 steps in preallocated buffers.
+    """n_steps RK4 steps on the half spectrum v = rfft(samples), m = 0 .. n/2.
 
-    The stages run on the raw FFT-order coefficients v = fft(samples).  The
-    coefficients of ``coeffs_of`` are c = scale * (-1)^m * fftshift(v) and
-    ``samples_of(c)`` is ifft(v), so each stage in v is the stage in c
-    without the shifts, the scale and the phase; the diagonal factors are
-    only reordered into FFT order.
+    ``coeffs_of`` gives c = scale * (-1)^m * fftshift(fft(w)), so each stage
+    in v is the stage in c without the shifts, the scale and the phase, and
+    stays real by construction.  A stage is one irfft and one rfft, plus one
+    rfft for the sponge, in preallocated buffers.
     """
     grid = state.w.grid
     dt = state.dt
-    theta = np.fft.ifftshift(linear_symbol(grid, state.drift()))
+    theta = _half_spectrum(linear_symbol(grid, state.drift()))
     half = np.exp(1j * theta * dt / 2.0)
     full = half * half
     dt_half = dt * half
     two_half = 2.0 * half
-    dxi = -(1j * grid.xi) * _dealias_mask(grid)
-    dxi[0] = 0.0  # unpaired Nyquist mode
-    dxi = np.fft.ifftshift(dxi)
-    sigma = state.sponge.profile(grid)
-    sponge = bool(np.any(sigma))
-    nonlinear = state.nonlinear
+    nl = _nonlinearity(grid, state.sponge.profile(grid), state.nonlinear)
 
-    v = np.fft.fft(state.w.samples.astype(complex))
-    k1, k2, k3, k4, stage, tmp, w, prod = (np.empty_like(v) for _ in range(8))
-
-    def nl(c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """-(w^2)_x with 2/3-rule masking, minus the sponge damping, of the
-        field with coefficients c; written into out."""
-        if nonlinear or sponge:
-            np.fft.ifft(c, out=w)
-        if nonlinear:
-            np.multiply(w, w, out=prod)
-            np.fft.fft(prod, out=out)
-            out *= dxi
-        else:
-            out.fill(0.0)
-        if sponge:
-            np.multiply(sigma, w, out=prod)
-            out -= np.fft.fft(prod, out=tmp)
-        return out
-
+    v = np.fft.rfft(state.w.samples)
+    k1, k2, k3, k4, stage, tmp = (np.empty_like(v) for _ in range(6))
     for _ in range(n_steps):
         nl(v, k1)
         np.multiply(k1, dt / 2.0, out=stage)
@@ -210,12 +200,11 @@ def _advance(state: SolverState, n_steps: int) -> SolverState:
         v *= full
         v += k1
     t = state.t + n_steps * dt
-    samples = np.fft.ifft(v)
+    samples = np.fft.irfft(v, grid.n_points)
     sup = float(np.max(np.abs(samples)))
     if not np.isfinite(sup):
         raise SolverInstabilityError(f"sup norm is {sup} at t = {t:.4g}")
-    w_new = ComplexField(grid, samples).real_field(tol=1e-10)
-    return replace(state, w=w_new, t=t, ledger=list(state.ledger))
+    return replace(state, w=Field(grid, samples), t=t, ledger=list(state.ledger))
 
 
 def evolve(

@@ -163,3 +163,53 @@ def test_verify_kernels_rejects_bad_config(tmp_path, capsys, override, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "kernel_sweeps.csv").exists()
+
+
+@pytest.mark.parametrize("command, output", [
+    ("verify-operators", "operator_suite.csv"),
+    ("verify-normal-form", "normal_form_residuals.csv"),
+])
+def test_verify_empty_config_runs_defaults(tmp_path, command, output):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text("{}")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--output-dir", str(out)]) == 0
+    assert (out / output).exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["n_points"] == 1024
+    assert "threads" not in manifest
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-kernels", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, override, message", [
+    ("verify-operators", "mystery=1", "unknown config key 'mystery'"),
+    ("verify-operators", "commutator.n_fields=2.5", "commutator.n_fields must be an integer"),
+    ("verify-operators", "n_points=\"abc\"", "n_points must be an integer"),
+    ("verify-normal-form", "commutator=1", "unknown config key 'commutator'"),
+    ("verify-normal-form", "bands=2", "bands must be a non-empty list"),
+    ("verify-normal-form", "threshold=\"tight\"", "threshold must be a number"),
+])
+def test_verify_rejects_bad_config(tmp_path, capsys, command, override, message):
+    code = main([command, "--output-dir", str(tmp_path), "--override", override])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("override, message", [
+    ("n_points=abc", "n_points must be of kind int"),
+    ("dt=[1]", "dt must be of kind float"),
+    ("shells=[]", "shells must be of kind list"),
+    ("sponge=true", "sponge must be of kind dict"),
+])
+def test_measure_decay_rejects_value_of_wrong_kind(tmp_path, capsys, override, message):
+    code = main(["measure-decay", "--output-dir", str(tmp_path), "--override", override])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "decay_report.json").exists()

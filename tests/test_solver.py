@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +12,12 @@ from bolab.grid import ComplexField, Field, Grid
 from bolab.solver import (
     SolverState,
     SpongeConfig,
+    _advance,
     conserved,
     dump_snapshot,
     evolve,
     ledger_to_csv,
+    linear_symbol,
     load_snapshot,
     reflect,
     rhs,
@@ -96,6 +100,17 @@ def test_rhs_moving_frame_soliton_stationary():
     assert rhs(st).sup_norm() < 1e-4
 
 
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_rhs_matches_step_difference_with_sponge(nonlinear):
+    # the soliton sits in the sponge layer, so rhs must carry -sigma w with
+    # or without the quadratic term, as the stepper does
+    g = Grid(1024, 100.0)
+    st = SolverState(w=soliton(1.0, -45.0, g), frame="lab", dt=1e-5,
+                     sponge=SpongeConfig(enabled=True), nonlinear=nonlinear)
+    centred = (step(st).w.samples - step(replace(st, dt=-st.dt)).w.samples) / (2 * st.dt)
+    assert np.max(np.abs(rhs(st).samples - centred)) < 1e-3
+
+
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
@@ -135,6 +150,59 @@ def test_rk4_order_by_self_convergence():
         errs.append(np.max(np.abs(w.samples - ref.samples)))
     ratio = errs[0] / errs[1]
     assert 12.0 < ratio < 20.0
+
+
+def _complex_fft_advance(state, n_steps):
+    """Oracle: the IF-RK4 loop on the full complex spectrum v = fft(samples),
+    in FFT order, as the solver ran before it moved to the half spectrum."""
+    grid = state.w.grid
+    dt = state.dt
+    theta = np.fft.ifftshift(linear_symbol(grid, state.drift()))
+    half = np.exp(1j * theta * dt / 2.0)
+    full = half * half
+    mask = (np.abs(grid.xi) <= (2.0 / 3.0) * grid.nyquist).astype(float)
+    dxi = -(1j * grid.xi) * mask
+    dxi[0] = 0.0  # unpaired Nyquist mode
+    dxi = np.fft.ifftshift(dxi)
+    sigma = state.sponge.profile(grid)
+
+    def nl(c):
+        w = np.fft.ifft(c)
+        out = dxi * np.fft.fft(w * w) if state.nonlinear else np.zeros_like(c)
+        return out - np.fft.fft(sigma * w)
+
+    v = np.fft.fft(state.w.samples.astype(complex))
+    for _ in range(n_steps):
+        k1 = nl(v)
+        k2 = nl(half * (v + 0.5 * dt * k1))
+        k3 = nl(half * v + 0.5 * dt * k2)
+        k4 = nl(full * v + dt * half * k3)
+        v = full * v + dt / 6.0 * (full * k1 + 2.0 * half * (k2 + k3) + k4)
+    return ComplexField(grid, np.fft.ifft(v)).real_field(tol=1e-10)
+
+
+@pytest.mark.parametrize("sponge", [False, True])
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_advance_matches_complex_fft_oracle(rng, sponge, nonlinear):
+    g = Grid(1024, 100.0)
+    w0 = Field(g, soliton(1.0, -40.0, g).samples + 0.3 * random_band_limited(g, rng, 0.3).samples)
+    st = SolverState(w=w0, frame="moving", speed=1.0, dt=2e-3,
+                     sponge=SpongeConfig(enabled=sponge, strength=2.0), nonlinear=nonlinear)
+    out = _advance(st, 200)
+    ref = _complex_fft_advance(st, 200)
+    assert out.t == st.t + 200 * st.dt
+    assert np.max(np.abs(out.w.samples - ref.samples)) <= 1e-13
+    # the sponge and the quadratic term each move the field well beyond that
+    assert np.max(np.abs(out.w.samples - w0.samples)) > 1e-3
+
+
+def test_solver_import_leaves_out_scipy_fft():
+    # numpy.fft drives the solver; importing scipy.fft would add to start-up
+    code = ("import sys, bolab.cli, bolab.decay, bolab.solver; "
+            "print('scipy.fft' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_conserved_zero_field():
