@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
 acceptance failure.  Every run writes a manifest (config hash, package and
-library versions, seed, output hashes).  All artifacts are
-written atomically (temp file + rename).
+library versions, seed, output hashes).  All artifacts are written
+atomically (temp file + rename).
 
 Configs are JSON key/value trees; ``--override path.to.key=value`` patches
 individual entries (values parsed as JSON when possible).  Unknown keys are
@@ -134,8 +134,7 @@ def file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(outdir: str, command: str, config: dict, seed: int,
-                   outputs: list[str]) -> str:
+def write_manifest(outdir: str, command: str, config: dict, seed: int, outputs: list[str]) -> str:
     import scipy
 
     manifest = {

@@ -63,10 +63,11 @@ def _of_kind(value, kind: str) -> bool:
     """Whether a config value fits a field annotation: int, float (any number),
     list (non-empty, of numbers), dict, or one of these | None."""
     if value is None or isinstance(value, bool):
-        return value is None and kind.endswith("| None")
+        return value is None and kind.endswith(" | None")
+    kind = kind.removesuffix(" | None")
     if kind == "list":
         return isinstance(value, list) and bool(value) and all(_of_kind(v, "float") for v in value)
-    return isinstance(value, {"int": int, "float": (int, float)}.get(kind.split()[0], dict))
+    return isinstance(value, {"int": int, "float": (int, float), "dict": dict}[kind])
 
 
 @dataclass
@@ -107,10 +108,9 @@ class ExperimentConfig:
         unknown = set(data) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kinds = {f.name: f.type for f in fields(cls)}
-        for key, value in data.items():
-            if not _of_kind(value, kinds[key]):
-                raise ConfigError(f"{key} must be of kind {kinds[key]}, got {value!r}")
+        for f in fields(cls):
+            if f.name in data and not _of_kind(data[f.name], f.type):
+                raise ConfigError(f"{f.name} must be of kind {f.type}, got {data[f.name]!r}")
         return cls(**data)
 
     def to_dict(self) -> dict:
