@@ -165,84 +165,49 @@ OPERATOR_DEFAULTS = {
 }
 
 
+def _write_checks(path: str, rows: list[tuple], extra: list[str] = ()) -> bool:
+    """Write (measurement, value, threshold) rows and their pass flags, then
+    ``extra`` lines, as one CSV; True when every row passes."""
+    lines = ["measurement,value,threshold,pass"]
+    passed = True
+    for name, value, thresh in rows:
+        ok = value <= thresh
+        passed = passed and ok
+        lines.append(f"{name},{value!r},{thresh!r},{int(ok)}")
+    atomic_write_text(path, "\n".join([*lines, *extra]) + "\n")
+    return passed
+
+
 def run_verify_operators(config: dict, outdir: str, seed: int) -> list[str]:
     from .grid import Grid
     from .pseudoproduct import BilinearSymbol, leibnitz_check
-    from .spectral import (
-        analyze,
-        hilbert,
-        lp_partition_bounds,
-        lp_project,
-        spatial_cutoff,
-    )
-    from .testing import random_band_limited, random_compact_bump
+    from .testing import commutator_constants, operator_identity_errors, random_band_limited
 
     rng = np.random.default_rng(seed)
     grid = Grid(config["n_points"], config["box_length"])
-    rows = []
-    worst = {"parseval": 0.0, "hh": 0.0, "partition": 0.0, "leibnitz": 0.0}
-    k_min, k_max = lp_partition_bounds(grid)
     one = BilinearSymbol(fn=lambda xi, eta: np.ones(np.broadcast(xi, eta).shape))
+    ccfg = config["commutator"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for _ in range(config["n_fields"]):
-            f = random_band_limited(grid, rng, 0.45)
-            s = analyze(f)
-            worst["parseval"] = max(
-                worst["parseval"], abs(f.l2_norm() - s.l2_norm()) / f.l2_norm()
-            )
-            hh = hilbert(hilbert(f))
-            worst["hh"] = max(
-                worst["hh"],
-                float(np.max(np.abs(hh.samples + f.samples))) / f.sup_norm(),
-            )
-            total = lp_project(f, k_min, "leq").samples.copy()
-            for k in range(k_min + 1, k_max + 1):
-                total += lp_project(f, k, "full").samples
-            worst["partition"] = max(
-                worst["partition"],
-                float(np.max(np.abs(total - f.samples))) / f.sup_norm(),
-            )
+        errors = operator_identity_errors(grid, rng, config["n_fields"])
         g2 = random_band_limited(grid, rng, 0.25)
         f2 = random_band_limited(grid, rng, 0.25)
-        worst["leibnitz"] = leibnitz_check(one, f2, g2) / max(
-            f2.sup_norm() * g2.sup_norm(), 1e-300
+        leibnitz = leibnitz_check(one, f2, g2) / max(f2.sup_norm() * g2.sup_norm(), 1e-300)
+        consts = commutator_constants(
+            Grid(ccfg["n_points"], ccfg["box_length"]), rng, ccfg["n_fields"]
         )
 
-        # Hilbert commutator constants over shells
-        cgrid = Grid(config["commutator"]["n_points"], config["commutator"]["box_length"])
-        comm_rows = []
-        for j in range(3, 9):
-            cj = 0.0
-            for _ in range(config["commutator"]["n_fields"]):
-                f = random_compact_bump(cgrid, rng)
-                l1 = cgrid.dx * float(np.sum(np.abs(f.samples)))
-                chi_f = spatial_cutoff(f, j, "+", "exact")
-                comm = (
-                    spatial_cutoff(hilbert(f), j, "+", "exact").samples
-                    - hilbert(chi_f).samples
-                )
-                cj = max(cj, float(np.max(np.abs(comm))) * 2.0**j / l1)
-            comm_rows.append((j, cj))
-
-    rows.append(("parseval_rel", worst["parseval"], 1e-10))
-    rows.append(("hilbert_squared_rel", worst["hh"], 1e-10))
-    rows.append(("lp_partition_rel", worst["partition"], 1e-10))
-    rows.append(("leibnitz_rel", worst["leibnitz"], 1e-10))
-    cs = [c for _, c in comm_rows]
-    rows.append(("commutator_constant_spread", max(cs) / min(cs), 3.0))
-
+    spread = {n: max(c.values()) / min(c.values()) for n, c in consts.items()}
+    rows = [(f"{name}_rel", value, 1e-10) for name, value in errors.items()]
+    rows += [
+        ("leibnitz_rel", leibnitz, 1e-10),
+        ("commutator_constant_spread", spread[0], 3.0),
+        ("commutator_d1_spread", spread[1], 10.0),
+        ("commutator_d2_spread", spread[2], 10.0),
+    ]
     path = os.path.join(outdir, "operator_suite.csv")
-    lines = ["measurement,value,threshold,pass"]
-    failed = False
-    for name, value, thresh in rows:
-        ok = value <= thresh
-        failed = failed or not ok
-        lines.append(f"{name},{value!r},{thresh!r},{int(ok)}")
-    for j, c in comm_rows:
-        lines.append(f"commutator_constant_j{j},{c!r},,")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    if failed:
+    extra = [f"commutator_constant_j{j},{c!r},," for j, c in consts[0].items()]
+    if not _write_checks(path, rows, extra):
         raise AcceptanceFailure("operator suite exceeded a threshold; see CSV")
     return [path]
 
@@ -267,13 +232,10 @@ def run_verify_normal_form(config: dict, outdir: str, seed: int,
                            inject_symbol_bug: bool = False) -> list[str]:
     from .grid import Grid
     from . import pseudoproduct
-    from .pseudoproduct import nf_cancellation_scale, nf_generator_terms
-    from .testing import random_band_limited
+    from .testing import nf_cancellation_sweep
 
     rng = np.random.default_rng(seed)
     grid = Grid(config["n_points"], config["box_length"])
-    lines = ["k,N,trial,residual,scale,relative,pass"]
-    failed = False
 
     # test fixture: perturb one half of B_k by a relative 1e-3
     original = pseudoproduct._branches
@@ -287,23 +249,18 @@ def run_verify_normal_form(config: dict, outdir: str, seed: int,
             pseudoproduct._branches = buggy
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for k in config["bands"]:
-                for order in config["orders"]:
-                    for trial in range(config["trials_per_case"]):
-                        u = random_band_limited(grid, rng, 0.25)
-                        terms = nf_generator_terms(u, k, order, config["ll_factor"])
-                        total = sum(t.samples for t in terms.values())
-                        resid = float(np.max(np.abs(total)))
-                        scale = nf_cancellation_scale(terms)
-                        rel = resid / max(scale, 1e-300)
-                        ok = rel <= config["threshold"]
-                        failed = failed or not ok
-                        lines.append(
-                            f"{k},{order},{trial},{resid!r},{scale!r},{rel!r},{int(ok)}"
-                        )
+            cases = nf_cancellation_sweep(grid, rng, config["bands"], config["orders"],
+                                          config["trials_per_case"], config["ll_factor"])
     finally:
         pseudoproduct._branches = original
 
+    lines = ["k,N,trial,residual,scale,relative,pass"]
+    failed = False
+    for k, order, trial, resid, scale in cases:
+        rel = resid / max(scale, 1e-300)
+        ok = rel <= config["threshold"]
+        failed = failed or not ok
+        lines.append(f"{k},{order},{trial},{resid!r},{scale!r},{rel!r},{int(ok)}")
     path = os.path.join(outdir, "normal_form_residuals.csv")
     atomic_write_text(path, "\n".join(lines) + "\n")
     if failed:
@@ -331,63 +288,22 @@ KERNEL_DEFAULTS = {
 
 
 def run_verify_kernels(config: dict, outdir: str, seed: int) -> list[str]:
-    from .kernels import KernelSpec, fit_decay, phase_integral, rows_to_csv, sweep_j, sweep_t
+    from .kernels import rows_to_csv
+    from .testing import kernel_exponents
 
-    eps = config["epsilon"]
-    all_rows = []
-    results = []
-
-    tcfg = config["t_sweep"]
-    spec = KernelSpec(variant="lowfreq-left", j=tcfg["j"], t=tcfg["times"][0],
-                      a=tcfg["a"], epsilon=eps, quad_tol=1e-12)
-    rows = sweep_t(spec, tcfg["times"], nx=5, ny=5)
-    all_rows += rows
-    fit = fit_decay([(np.log2(r["t"]), r["sup"]) for r in rows])
-    results.append(("lowfreq_left_t_slope", fit.slope, tcfg["slope_max"],
-                    fit.slope <= tcfg["slope_max"]))
-
-    jcfg = config["j_sweep"]
-    spec = KernelSpec(variant="lowfreq-left", j=jcfg["shells"][0], t=jcfg["t"],
-                      a=jcfg["a"], epsilon=eps, quad_tol=1e-12)
-    rows = sweep_j(spec, jcfg["shells"], nx=5, ny=5)
-    all_rows += rows
-    fit = fit_decay([(r["j"], r["sup"]) for r in rows])
-    results.append(("lowfreq_left_j_slope", fit.slope, jcfg["slope_max"],
-                    fit.slope <= jcfg["slope_max"]))
-
-    rcfg = config["right_sweep"]
-    spec = KernelSpec(variant="dyadic-right", j=rcfg["j"], t=rcfg["times"][0],
-                      a=rcfg["a"], k=rcfg["k"], ell=rcfg["ell"], M=rcfg["M"],
-                      quad_tol=1e-12)
-    rows = sweep_t(spec, rcfg["times"], nx=5, ny=5)
-    all_rows += rows
-    fit = fit_decay([(np.log2(r["t"]), r["sup"]) for r in rows])
-    results.append(("dyadic_right_t_slope", fit.slope, rcfg["slope_max"],
-                    fit.slope <= rcfg["slope_max"]))
-
-    # Schroedinger reduction on the positive half-line band
-    bo = KernelSpec(variant="dyadic-left", j=3.0, t=2.0, a=0, k=1.0, quad_tol=1e-12)
-    sch = KernelSpec(variant="schro-left", j=3.0, t=2.0, a=0, k=1.0, quad_tol=1e-12)
-    cut = lambda xi: bo.cutoffs.shell(1.0, xi)
-    npts = config["schro_points"]
-    xs, ys = np.meshgrid(np.linspace(4.0, 16.0, npts), np.linspace(-4.0, 2.0 ** (3 - 9), npts))
-    v1 = phase_integral(bo, xs, ys, cutoff_override=cut, range_override=(0.5, 4.0)).value
-    v2 = phase_integral(sch, xs, ys).value
-    worst = float(np.max(np.abs(v1 - v2)))
-    results.append(("schro_reduction_max_diff", worst, config["schro_tol"],
-                    worst <= config["schro_tol"]))
-
+    rows, exponents = kernel_exponents(config["epsilon"], config["t_sweep"], config["j_sweep"],
+                                       config["right_sweep"], config["schro_points"])
+    limits = {
+        "lowfreq_left_t_slope": config["t_sweep"]["slope_max"],
+        "lowfreq_left_j_slope": config["j_sweep"]["slope_max"],
+        "dyadic_right_t_slope": config["right_sweep"]["slope_max"],
+        "schro_reduction_max_diff": config["schro_tol"],
+    }
     sweep_path = os.path.join(outdir, "kernel_sweeps.csv")
-    rows_to_csv(all_rows, sweep_path + ".tmp")
+    rows_to_csv(rows, sweep_path + ".tmp")
     os.replace(sweep_path + ".tmp", sweep_path)
     summary_path = os.path.join(outdir, "kernel_summary.csv")
-    lines = ["measurement,value,threshold,pass"]
-    failed = False
-    for name, value, thresh, ok in results:
-        failed = failed or not ok
-        lines.append(f"{name},{value!r},{thresh!r},{int(ok)}")
-    atomic_write_text(summary_path, "\n".join(lines) + "\n")
-    if failed:
+    if not _write_checks(summary_path, [(n, v, limits[n]) for n, v in exponents.items()]):
         raise AcceptanceFailure("kernel exponent check failed; see summary CSV")
     return [sweep_path, summary_path]
 

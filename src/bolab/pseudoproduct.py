@@ -501,14 +501,10 @@ def verify_nf_cancellation(
     order: int,
     ll_factor: float = 100.0,
     cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
-) -> float:
-    """Sup norm of the assembled quadratic generator; zero when the branch
-    symbols solve the cancellation equation."""
+) -> tuple[float, float]:
+    """(residual, scale): the sup norm of the assembled quadratic generator,
+    zero when the branch symbols solve the cancellation equation, and the
+    largest sup norm of a single generator term, its reference scale."""
     terms = nf_generator_terms(u, k, order, ll_factor, cutoffs)
     total = sum(t.samples for t in terms.values())
-    return float(np.max(np.abs(total)))
-
-
-def nf_cancellation_scale(terms: dict[str, ComplexField]) -> float:
-    """Reference scale for the cancellation residual: the largest single term."""
-    return max(t.sup_norm() for t in terms.values())
+    return float(np.max(np.abs(total))), max(t.sup_norm() for t in terms.values())

@@ -1,9 +1,10 @@
-"""Deterministic random-field builders shared by the test suite and the
-CLI verification commands.
+"""Deterministic random-field builders and the verification measurements
+shared by the test suite and the CLI verification commands.
 
 All generators work in frequency space so fields are exactly band-limited,
 mean-zero and Nyquist-free (the conventions every projector assumes), with
-Hermitian coefficients so samples are real.
+Hermitian coefficients so samples are real.  The measurements return plain
+lists and dicts; callers keep their own sizes, seeds and thresholds.
 """
 
 from __future__ import annotations
@@ -11,7 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import ComplexField, Field, Grid
-from .spectral import samples_of
+from .kernels import KernelSpec, fit_decay, phase_integral, sweep_j, sweep_t
+from .pseudoproduct import verify_nf_cancellation
+from .spectral import (analyze, apply_multiplier, derivative, hilbert, lp_partition_bounds,
+                       lp_project, samples_of, spatial_cutoff)
+
+#: dyadic shells j of the Hilbert commutator constants
+COMMUTATOR_SHELLS = range(3, 9)
 
 
 def random_band_limited(
@@ -56,6 +63,100 @@ def random_compact_bump(
     return Field(grid, samples)
 
 
-def single_mode(grid: Grid, m: int, amplitude: complex = 1.0) -> ComplexField:
-    """The complex exponential exp(i xi_m x) scaled by ``amplitude``."""
-    return ComplexField(grid, amplitude * np.exp(1j * grid.xi[m + grid.n_points // 2] * grid.x))
+def _sup(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values)))
+
+
+def operator_identity_errors(grid: Grid, rng: np.random.Generator, n_fields: int) -> dict:
+    """Worst relative errors over ``n_fields`` random band-limited fields of
+    four exact lattice identities: Parseval, the multiplier composition
+    m1(D) m2(D) = (m1 m2)(D), H^2 = -1 and the Littlewood-Paley partition
+    P_{<=k_min} + sum_k P_k = 1."""
+    k_min, k_max = lp_partition_bounds(grid)
+    m1 = lambda xi: np.exp(-(xi**2) / 50.0)
+    m2 = lambda xi: 1j * np.tanh(xi) + np.cos(xi)
+    worst = dict.fromkeys(("parseval", "composition", "hilbert_squared", "lp_partition"), 0.0)
+    for _ in range(n_fields):
+        f = random_band_limited(grid, rng, 0.45)
+        once = apply_multiplier(lambda xi: m1(xi) * m2(xi), f)
+        twice = apply_multiplier(m1, apply_multiplier(m2, f))
+        total = lp_project(f, k_min, "leq").samples.copy()
+        for k in range(k_min + 1, k_max + 1):
+            total += lp_project(f, k, "full").samples
+        errors = {
+            "parseval": abs(f.l2_norm() - analyze(f).l2_norm()) / f.l2_norm(),
+            "composition": _sup(once.samples - twice.samples) / once.sup_norm(),
+            "hilbert_squared": _sup(hilbert(hilbert(f)).samples + f.samples) / f.sup_norm(),
+            "lp_partition": _sup(total - f.samples) / f.sup_norm(),
+        }
+        for name, value in errors.items():
+            worst[name] = max(worst[name], value)
+    return worst
+
+
+def commutator_constants(grid: Grid, rng: np.random.Generator, n_fields: int) -> dict:
+    """``{n: {j: C}}`` for n = 0, 1, 2 and j in COMMUTATOR_SHELLS, where C is
+    the worst over ``n_fields`` compact bumps f (drawn shell by shell) of
+    2^((n+1) j) |d^n [chi_j^+, H] f|_sup / |f|_L1."""
+    consts = {n: dict.fromkeys(COMMUTATOR_SHELLS, 0.0) for n in (0, 1, 2)}
+    for j in COMMUTATOR_SHELLS:
+        for _ in range(n_fields):
+            f = random_compact_bump(grid, rng)
+            l1 = grid.dx * float(np.sum(np.abs(f.samples)))
+            comm = ComplexField(
+                grid,
+                spatial_cutoff(hilbert(f), j, "+", "exact").samples
+                - hilbert(spatial_cutoff(f, j, "+", "exact")).samples,
+            )
+            for n, dn in ((0, comm), (1, derivative(comm, 1)), (2, derivative(comm, 2))):
+                consts[n][j] = max(consts[n][j], dn.sup_norm() * 2.0 ** ((n + 1) * j) / l1)
+    return consts
+
+
+def nf_cancellation_sweep(
+    grid: Grid, rng: np.random.Generator, bands: list, orders: list, trials: int, ll_factor: float
+) -> list[tuple]:
+    """``(k, N, trial, residual, scale)`` of the normal-form cancellation for
+    ``trials`` random band-limited fields per band k and order N."""
+    return [
+        (k, order, trial,
+         *verify_nf_cancellation(random_band_limited(grid, rng, 0.25), k, order, ll_factor))
+        for k in bands for order in orders for trial in range(trials)
+    ]
+
+
+def kernel_exponents(
+    epsilon: float, t_sweep: dict, j_sweep: dict, right_sweep: dict, schro_points: int
+) -> tuple[list[dict], dict]:
+    """Sweep rows and exponents: the fitted slopes of the low-frequency left
+    kernel in log2 t and in j and of the dyadic right kernel in log2 t, and the
+    largest dyadic-left minus Schroedinger kernel difference on a
+    schro_points^2 grid.  The sweep dicts are those of the verify-kernels
+    config; their ``slope_max`` is not read."""
+    spec = KernelSpec(variant="lowfreq-left", j=t_sweep["j"], t=t_sweep["times"][0],
+                      a=t_sweep["a"], epsilon=epsilon, quad_tol=1e-12)
+    t_rows = sweep_t(spec, t_sweep["times"], nx=5, ny=5)
+    spec = KernelSpec(variant="lowfreq-left", j=j_sweep["shells"][0], t=j_sweep["t"],
+                      a=j_sweep["a"], epsilon=epsilon, quad_tol=1e-12)
+    j_rows = sweep_j(spec, j_sweep["shells"], nx=5, ny=5)
+    spec = KernelSpec(variant="dyadic-right", j=right_sweep["j"], t=right_sweep["times"][0],
+                      a=right_sweep["a"], k=right_sweep["k"], ell=right_sweep["ell"],
+                      M=right_sweep["M"], quad_tol=1e-12)
+    r_rows = sweep_t(spec, right_sweep["times"], nx=5, ny=5)
+
+    # Schroedinger reduction on the positive half-line band
+    bo = KernelSpec(variant="dyadic-left", j=3.0, t=2.0, a=0, k=1.0, quad_tol=1e-12)
+    sch = KernelSpec(variant="schro-left", j=3.0, t=2.0, a=0, k=1.0, quad_tol=1e-12)
+    cut = lambda xi: bo.cutoffs.shell(1.0, xi)
+    xs, ys = np.meshgrid(np.linspace(4.0, 16.0, schro_points),
+                         np.linspace(-4.0, 2.0 ** (3 - 9), schro_points))
+    v1 = phase_integral(bo, xs, ys, cutoff_override=cut, range_override=(0.5, 4.0)).value
+    v2 = phase_integral(sch, xs, ys).value
+
+    exponents = {
+        "lowfreq_left_t_slope": fit_decay([(np.log2(r["t"]), r["sup"]) for r in t_rows]).slope,
+        "lowfreq_left_j_slope": fit_decay([(r["j"], r["sup"]) for r in j_rows]).slope,
+        "dyadic_right_t_slope": fit_decay([(np.log2(r["t"]), r["sup"]) for r in r_rows]).slope,
+        "schro_reduction_max_diff": _sup(v1 - v2),
+    }
+    return t_rows + j_rows + r_rows, exponents

@@ -13,29 +13,20 @@ import numpy as np
 import pytest
 
 from bolab.cutoffs import DEFAULT
-from bolab.grid import ComplexField, Field, Grid
-from bolab.kernels import KernelSpec, fit_decay, phase_integral, sweep_j, sweep_t
+from bolab.grid import Field, Grid
+from bolab.kernels import fit_decay
 from bolab.normal_form import transformed_residual
-from bolab.pseudoproduct import (
-    SQRT_2PI,
-    BilinearSymbol,
-    bilinear_apply,
-    leibnitz_check,
-    nf_cancellation_scale,
-    nf_generator_terms,
-)
+from bolab.pseudoproduct import SQRT_2PI, BilinearSymbol, bilinear_apply, leibnitz_check
 from bolab.solver import SolverState, evolve, soliton
-from bolab.spectral import (
-    analyze,
-    apply_multiplier,
-    hilbert,
-    lp_partition_bounds,
-    lp_project,
-    spatial_cutoff,
-    weighted_shell_sup,
-)
+from bolab.spectral import hilbert, weighted_shell_sup
 from bolab.decay import ExperimentConfig, bootstrap_predict, run
-from bolab.testing import random_band_limited, random_compact_bump
+from bolab.testing import (
+    commutator_constants,
+    kernel_exponents,
+    nf_cancellation_sweep,
+    operator_identity_errors,
+    random_band_limited,
+)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::bolab.errors.AliasingWarning",
@@ -73,36 +64,7 @@ def soliton_run():
 
 def test_criterion_01_operator_calculus_suite():
     t0 = time.time()
-    g = Grid(2048, 64 * np.pi)
-    rng = np.random.default_rng(0)
-    k_min, k_max = lp_partition_bounds(g)
-    m1 = lambda xi: np.exp(-(xi**2) / 50.0)
-    m2 = lambda xi: 1j * np.tanh(xi) + np.cos(xi)
-    worst = {"parseval": 0.0, "composition": 0.0, "hilbert_sq": 0.0, "partition": 0.0}
-    for _ in range(1000):
-        f = random_band_limited(g, rng, 0.45)
-        s = analyze(f)
-        worst["parseval"] = max(
-            worst["parseval"], abs(f.l2_norm() - s.l2_norm()) / f.l2_norm()
-        )
-        once = apply_multiplier(lambda xi: m1(xi) * m2(xi), f)
-        twice = apply_multiplier(m1, apply_multiplier(m2, f))
-        worst["composition"] = max(
-            worst["composition"],
-            float(np.max(np.abs(once.samples - twice.samples))) / once.sup_norm(),
-        )
-        hh = hilbert(hilbert(f))
-        worst["hilbert_sq"] = max(
-            worst["hilbert_sq"],
-            float(np.max(np.abs(hh.samples + f.samples))) / f.sup_norm(),
-        )
-        total = lp_project(f, k_min, "leq").samples.copy()
-        for k in range(k_min + 1, k_max + 1):
-            total += lp_project(f, k, "full").samples
-        worst["partition"] = max(
-            worst["partition"],
-            float(np.max(np.abs(total - f.samples))) / f.sup_norm(),
-        )
+    worst = operator_identity_errors(Grid(2048, 64 * np.pi), np.random.default_rng(0), 1000)
     elapsed = time.time() - t0
     ok = all(v <= 1e-10 for v in worst.values()) and elapsed < 60.0
     _report(
@@ -192,27 +154,7 @@ def test_criterion_04_pseudolocality_slope():
 
 
 def test_criterion_05_commutator_constants():
-    g = Grid(8192, 2048.0)
-    rng = np.random.default_rng(3)
-    consts = {0: {}, 1: {}, 2: {}}
-    from bolab.spectral import derivative
-
-    for j in range(3, 9):
-        worst = {0: 0.0, 1: 0.0, 2: 0.0}
-        for _ in range(100):
-            f = random_compact_bump(g, rng)
-            l1 = g.dx * float(np.sum(np.abs(f.samples)))
-            comm = ComplexField(
-                g,
-                spatial_cutoff(hilbert(f), j, "+", "exact").samples
-                - hilbert(spatial_cutoff(f, j, "+", "exact")).samples,
-            )
-            worst[0] = max(worst[0], comm.sup_norm() * 2.0**j / l1)
-            for n in (1, 2):
-                dn = derivative(comm, n)
-                worst[n] = max(worst[n], dn.sup_norm() * 2.0 ** ((n + 1) * j) / l1)
-        for n in (0, 1, 2):
-            consts[n][j] = worst[n]
+    consts = commutator_constants(Grid(8192, 2048.0), np.random.default_rng(3), 100)
     spreads = {
         n: max(consts[n].values()) / min(consts[n].values()) for n in (0, 1, 2)
     }
@@ -230,19 +172,10 @@ def test_criterion_05_commutator_constants():
 
 def test_criterion_06_normal_form_cancellation():
     t0 = time.time()
-    g = Grid(1024, 8 * np.pi)
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    count = 0
-    for k in (0.0, 1.0, 2.0, 3.0, 4.0):
-        for order in (2, 4):
-            for _ in range(5):
-                u = random_band_limited(g, rng, 0.25)
-                terms = nf_generator_terms(u, k, order)
-                resid = float(np.max(np.abs(sum(t.samples for t in terms.values()))))
-                scale = nf_cancellation_scale(terms)
-                worst = max(worst, resid / scale)
-                count += 1
+    cases = nf_cancellation_sweep(Grid(1024, 8 * np.pi), np.random.default_rng(4),
+                                  [0.0, 1.0, 2.0, 3.0, 4.0], [2, 4], 5, 100.0)
+    worst = max(resid / scale for *_, resid, scale in cases)
+    count = len(cases)
     elapsed = time.time() - t0
     ok = worst <= 1e-8 and elapsed < 600.0 and count == 50
     _report(
@@ -283,54 +216,34 @@ def test_criterion_07_transformed_equation_residual():
 
 
 def test_criterion_08_kernel_exponents():
-    eps = 0.5
     t0 = time.time()
-    spec = KernelSpec(variant="lowfreq-left", j=0.0, t=16.0, a=1, epsilon=eps,
-                      quad_tol=1e-12)
-    rows = sweep_t(spec, [16.0 * 2.0**i for i in range(8)], nx=5, ny=5)
-    t_fit = fit_decay([(np.log2(r["t"]), r["sup"]) for r in rows])
-    t_time = time.time() - t0
-
-    t0 = time.time()
-    spec = KernelSpec(variant="lowfreq-left", j=3.0, t=4.0, a=1, epsilon=eps,
-                      quad_tol=1e-12)
-    rows = sweep_j(spec, [3, 4, 5, 6, 7, 8], nx=5, ny=5)
-    j_fit = fit_decay([(r["j"], r["sup"]) for r in rows])
-    j_time = time.time() - t0
-
-    t0 = time.time()
-    spec = KernelSpec(variant="dyadic-right", j=2.0, t=46.0, a=1, k=0.0,
-                      ell=-4.0, M=6, quad_tol=1e-12)
-    rows = sweep_t(spec, [46.0 * 1.5**i for i in range(5)], nx=5, ny=5)
-    r_fit = fit_decay([(np.log2(r["t"]), r["sup"]) for r in rows])
-    r_time = time.time() - t0
-
-    bo = KernelSpec(variant="dyadic-left", j=3.0, t=2.0, a=0, k=1.0, quad_tol=1e-12)
-    sch = KernelSpec(variant="schro-left", j=3.0, t=2.0, a=0, k=1.0, quad_tol=1e-12)
-    cut = lambda xi: bo.cutoffs.shell(1.0, xi)
-    schro_diff = 0.0
-    for x in np.linspace(4.0, 16.0, 4):
-        for y in np.linspace(-4.0, 2.0 ** (3 - 9), 4):
-            v1 = phase_integral(bo, float(x), float(y), cutoff_override=cut,
-                                range_override=(0.5, 4.0)).value
-            v2 = phase_integral(sch, float(x), float(y)).value
-            schro_diff = max(schro_diff, abs(v1 - v2))
-
+    _, exps = kernel_exponents(
+        0.5,
+        {"j": 0.0, "a": 1, "times": [16.0 * 2.0**i for i in range(8)]},
+        {"t": 4.0, "a": 1, "shells": [3, 4, 5, 6, 7, 8]},
+        {"j": 2.0, "k": 0.0, "ell": -4.0, "a": 1, "M": 6,
+         "times": [46.0 * 1.5**i for i in range(5)]},
+        4,
+    )
+    elapsed = time.time() - t0
+    t_slope = exps["lowfreq_left_t_slope"]
+    j_slope = exps["lowfreq_left_j_slope"]
+    r_slope = exps["dyadic_right_t_slope"]
+    schro_diff = exps["schro_reduction_max_diff"]
     ok = (
-        t_fit.slope <= -2.8
-        and j_fit.slope <= -2.8
-        and r_fit.slope <= -2.7
+        t_slope <= -2.8
+        and j_slope <= -2.8
+        and r_slope <= -2.7
         and schro_diff <= 1e-10
-        and max(t_time, j_time, r_time) < 300.0
+        and elapsed < 300.0
     )
     _report(
         8,
         "kernel-exponents",
         ok,
-        f"left t-slope {t_fit.slope:.2f} (<=-2.8, {t_time:.0f}s), "
-        f"j-slope {j_fit.slope:.2f} (<=-2.8, {j_time:.0f}s), "
-        f"right t-slope {r_fit.slope:.2f} (<=-2.7, {r_time:.0f}s), "
-        f"schro diff {schro_diff:.1e} (<=1e-10)",
+        f"left t-slope {t_slope:.2f} (<=-2.8), j-slope {j_slope:.2f} (<=-2.8), "
+        f"right t-slope {r_slope:.2f} (<=-2.7), schro diff {schro_diff:.1e} (<=1e-10), "
+        f"{elapsed:.0f}s (<300s)",
     )
 
 
