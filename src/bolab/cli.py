@@ -26,8 +26,8 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def _number(value) -> bool:
 def merge_config(defaults: dict, config: dict, where: str = "") -> dict:
     """``config`` merged over ``defaults``, which also serve as the schema:
     an unknown key, or a value not of its default's kind (object, non-empty
-    list of numbers, integer, number), raises ConfigError."""
+    list of numbers, bool, string, integer, number), raises ConfigError."""
     out = json.loads(json.dumps(defaults))
     for key, value in config.items():
         name = where + key
@@ -97,6 +97,12 @@ def merge_config(defaults: dict, config: dict, where: str = "") -> dict:
         elif isinstance(default, list):
             if not (isinstance(value, list) and value and all(map(_number, value))):
                 raise ConfigError(f"{name} must be a non-empty list of numbers, got {value!r}")
+        elif isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
+        elif isinstance(default, str):
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
         elif isinstance(default, int):
             if not (_number(value) and isinstance(value, int)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -112,12 +118,16 @@ def config_hash(config: dict) -> str:
     ).hexdigest()
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, text: str | bytes) -> None:
+    """Write text (or bytes) to a temp file beside ``path``, then rename it
+    over ``path``: every artifact is either its old or its new content.  The
+    file gets the permissions ``open`` would give it (0666 less the umask)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bolab-tmp-")
+    tmp = os.path.join(directory, f".bolab-tmp-{os.getpid()}-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb" if isinstance(text, bytes) else "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -134,7 +144,8 @@ def file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(outdir: str, command: str, config: dict, seed: int, outputs: list[str]) -> str:
+def write_manifest(outdir: str, command: str, config: dict, seed: int, outputs: list[str],
+                   warning_counts: dict) -> str:
     import scipy
 
     manifest = {
@@ -146,6 +157,7 @@ def write_manifest(outdir: str, command: str, config: dict, seed: int, outputs: 
         "scipy_version": scipy.__version__,
         "seed": seed,
         "outputs": {os.path.basename(p): file_sha256(p) for p in outputs},
+        "warnings": warning_counts,
     }
     path = os.path.join(outdir, "manifest.json")
     atomic_write_text(path, json.dumps(manifest, indent=1, sort_keys=True) + "\n")
@@ -187,15 +199,12 @@ def run_verify_operators(config: dict, outdir: str, seed: int) -> list[str]:
     grid = Grid(config["n_points"], config["box_length"])
     one = BilinearSymbol(fn=lambda xi, eta: np.ones(np.broadcast(xi, eta).shape))
     ccfg = config["commutator"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        errors = operator_identity_errors(grid, rng, config["n_fields"])
-        g2 = random_band_limited(grid, rng, 0.25)
-        f2 = random_band_limited(grid, rng, 0.25)
-        leibnitz = leibnitz_check(one, f2, g2) / max(f2.sup_norm() * g2.sup_norm(), 1e-300)
-        consts = commutator_constants(
-            Grid(ccfg["n_points"], ccfg["box_length"]), rng, ccfg["n_fields"]
-        )
+    errors = operator_identity_errors(grid, rng, config["n_fields"])
+    g2 = random_band_limited(grid, rng, 0.25)
+    f2 = random_band_limited(grid, rng, 0.25)
+    leibnitz = leibnitz_check(one, f2, g2) / max(f2.sup_norm() * g2.sup_norm(), 1e-300)
+    cgrid = Grid(ccfg["n_points"], ccfg["box_length"])
+    consts = commutator_constants(cgrid, rng, ccfg["n_fields"])
 
     spread = {n: max(c.values()) / min(c.values()) for n, c in consts.items()}
     rows = [(f"{name}_rel", value, 1e-10) for name, value in errors.items()]
@@ -247,10 +256,8 @@ def run_verify_normal_form(config: dict, outdir: str, seed: int,
     try:
         if inject_symbol_bug:
             pseudoproduct._branches = buggy
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cases = nf_cancellation_sweep(grid, rng, config["bands"], config["orders"],
-                                          config["trials_per_case"], config["ll_factor"])
+        cases = nf_cancellation_sweep(grid, rng, config["bands"], config["orders"],
+                                      config["trials_per_case"], config["ll_factor"])
     finally:
         pseudoproduct._branches = original
 
@@ -300,8 +307,7 @@ def run_verify_kernels(config: dict, outdir: str, seed: int) -> list[str]:
         "schro_reduction_max_diff": config["schro_tol"],
     }
     sweep_path = os.path.join(outdir, "kernel_sweeps.csv")
-    rows_to_csv(rows, sweep_path + ".tmp")
-    os.replace(sweep_path + ".tmp", sweep_path)
+    rows_to_csv(rows, sweep_path)
     summary_path = os.path.join(outdir, "kernel_summary.csv")
     if not _write_checks(summary_path, [(n, v, limits[n]) for n, v in exponents.items()]):
         raise AcceptanceFailure("kernel exponent check failed; see summary CSV")
@@ -425,21 +431,28 @@ def main(argv: list[str] | None = None) -> int:
         outdir = args.output_dir or os.environ.get(DEFAULT_OUTDIR_ENV) or "bolab-out"
         os.makedirs(outdir, exist_ok=True)
 
-        if args.command == "verify-operators":
-            outputs = run_verify_operators(config, outdir, seed)
-        elif args.command == "verify-normal-form":
-            outputs = run_verify_normal_form(
-                config, outdir, seed, inject_symbol_bug=args.inject_symbol_bug
-            )
-        elif args.command == "verify-kernels":
-            outputs = run_verify_kernels(config, outdir, seed)
-        elif args.command == "evolve":
-            outputs = run_evolve(config, outdir)
-        elif args.command == "measure-decay":
-            outputs = run_measure_decay(config, outdir)
-        else:
-            outputs = run_report(config, outdir)
-        write_manifest(outdir, args.command, config, seed, outputs)
+        # every warning is counted, repeats included, and reported once
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if args.command == "verify-operators":
+                outputs = run_verify_operators(config, outdir, seed)
+            elif args.command == "verify-normal-form":
+                outputs = run_verify_normal_form(
+                    config, outdir, seed, inject_symbol_bug=args.inject_symbol_bug
+                )
+            elif args.command == "verify-kernels":
+                outputs = run_verify_kernels(config, outdir, seed)
+            elif args.command == "evolve":
+                outputs = run_evolve(config, outdir)
+            elif args.command == "measure-decay":
+                outputs = run_measure_decay(config, outdir)
+            else:
+                outputs = run_report(config, outdir)
+        counts = dict(Counter(w.category.__name__ for w in caught))
+        if counts:
+            listed = ", ".join(f"{n} {name}" for name, n in sorted(counts.items()))
+            print(f"warnings: {listed} (counts in manifest.json)", file=sys.stderr)
+        write_manifest(outdir, args.command, config, seed, outputs, counts)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .cli import atomic_write_text, merge_config
 from .errors import ConfigError, DegenerateSeriesError
 from .grid import Field, Grid
 from .kernels import fit_decay
@@ -54,9 +55,12 @@ _CONFIG_KEYS = {
     "front_speed",
     "seed",
 }
-_INITIAL_KEYS = {"kind", "c", "x0", "bump_amplitude", "bump_width", "bump_center", "path"}
-_GAUGE_KEYS = {"enabled", "order", "ll_factor", "bands"}
-_SPONGE_KEYS = {"enabled", "width_fraction", "strength"}
+#: defaults of the nested config objects, which also serve as their schemas
+#: (see cli.merge_config); gauge and sponge are merged over theirs
+INITIAL_DEFAULTS = {"kind": "soliton", "c": 1.0, "x0": 0.0, "bump_amplitude": 0.05,
+                    "bump_width": 1.0, "bump_center": 2.0, "path": ""}
+GAUGE_DEFAULTS = {"enabled": False, "order": 4, "ll_factor": 100.0, "bands": [0, 1]}
+SPONGE_DEFAULTS = {"enabled": False, "width_fraction": 0.1, "strength": 1.0}
 
 
 def _of_kind(value, kind: str) -> bool:
@@ -81,10 +85,8 @@ class ExperimentConfig:
     snapshot_stride: int = 1000
     shells: list = field(default_factory=lambda: [2.5 + 0.5 * i for i in range(7)])
     epsilon_assumed: float = 0.5
-    gauge: dict = field(default_factory=lambda: {"enabled": False, "order": 4,
-                                                 "ll_factor": 100.0, "bands": [0, 1]})
-    sponge: dict = field(default_factory=lambda: {"enabled": False,
-                                                  "width_fraction": 0.1, "strength": 1.0})
+    gauge: dict = field(default_factory=lambda: dict(GAUGE_DEFAULTS))
+    sponge: dict = field(default_factory=lambda: dict(SPONGE_DEFAULTS))
     front_speed: float | None = None
     seed: int = 0
 
@@ -93,15 +95,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"largest shell 2^{max(self.shells)} exceeds box_length/4"
             )
-        unknown = set(self.initial) - _INITIAL_KEYS
-        if unknown:
-            raise ConfigError(f"unknown initial-data keys: {sorted(unknown)}")
-        unknown = set(self.gauge) - _GAUGE_KEYS
-        if unknown:
-            raise ConfigError(f"unknown gauge keys: {sorted(unknown)}")
-        unknown = set(self.sponge) - _SPONGE_KEYS
-        if unknown:
-            raise ConfigError(f"unknown sponge keys: {sorted(unknown)}")
+        merge_config(INITIAL_DEFAULTS, self.initial, "initial.")
+        self.gauge = merge_config(GAUGE_DEFAULTS, self.gauge, "gauge.")
+        self.sponge = merge_config(SPONGE_DEFAULTS, self.sponge, "sponge.")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -121,23 +117,20 @@ class ExperimentConfig:
 
     def initial_field(self) -> Field:
         grid = self.grid()
-        kind = self.initial.get("kind", "soliton")
+        init = {**INITIAL_DEFAULTS, **self.initial}
+        kind = init["kind"]
         if kind == "zero":
             return Field(grid, np.zeros(grid.n_points))
         if kind in ("soliton", "soliton_bump"):
-            c = float(self.initial.get("c", 1.0))
-            x0 = float(self.initial.get("x0", 0.0))
-            w = soliton(c, x0, grid)
+            w = soliton(init["c"], init["x0"], grid)
             if kind == "soliton_bump":
-                amp = float(self.initial.get("bump_amplitude", 0.05))
-                width = float(self.initial.get("bump_width", 1.0))
-                center = float(self.initial.get("bump_center", 2.0))
-                w = Field(grid, w.samples + amp * np.exp(-(((grid.x - center) / width) ** 2)))
+                bump = np.exp(-(((grid.x - init["bump_center"]) / init["bump_width"]) ** 2))
+                w = Field(grid, w.samples + init["bump_amplitude"] * bump)
             return w
         if kind == "file":
             from .solver import load_snapshot
 
-            state = load_snapshot(self.initial["path"])
+            state = load_snapshot(init["path"])
             if state.w.grid != grid:
                 raise ConfigError("snapshot grid does not match the configured grid")
             return state.w
@@ -196,8 +189,7 @@ class DecayReport:
     ledger: list
 
     def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict_report(self), fh, indent=1, sort_keys=True)
+        atomic_write_text(path, json.dumps(asdict_report(self), indent=1, sort_keys=True))
 
     @staticmethod
     def from_json(path: str) -> "DecayReport":
@@ -207,22 +199,15 @@ class DecayReport:
 
     def to_csv(self, path: str) -> None:
         """Flat long-format CSV: time, quantity, sign, shell, value."""
-        with open(path, "w") as fh:
-            fh.write("time,quantity,sign,shell,value\n")
-            for sign in self.sup:
-                for shell, series in self.sup[sign].items():
-                    for t, v in zip(self.times, series):
-                        fh.write(f"{t!r},sup,{sign},{shell},{v!r}\n")
-            for shell, series in self.lowpass_sup.items():
-                for t, v in zip(self.times, series):
-                    fh.write(f"{t!r},lowpass_sup,+,{shell},{v!r}\n")
-            for shell, series in self.bandsum_sup.items():
-                for t, v in zip(self.times, series):
-                    fh.write(f"{t!r},bandsum_sup,+,{shell},{v!r}\n")
-            for band, shells in self.gauge_sup.items():
-                for shell, series in shells.items():
-                    for t, v in zip(self.times, series):
-                        fh.write(f"{t!r},gauge_sup_k{band},+,{shell},{v!r}\n")
+        blocks = [("sup", sign, by_shell) for sign, by_shell in self.sup.items()]
+        blocks += [("lowpass_sup", "+", self.lowpass_sup), ("bandsum_sup", "+", self.bandsum_sup)]
+        blocks += [(f"gauge_sup_k{k}", "+", by_shell) for k, by_shell in self.gauge_sup.items()]
+        lines = ["time,quantity,sign,shell,value"]
+        for quantity, sign, by_shell in blocks:
+            for shell, series in by_shell.items():
+                lines += [f"{t!r},{quantity},{sign},{shell},{v!r}"
+                          for t, v in zip(self.times, series)]
+        atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def asdict_report(report: DecayReport) -> dict:
@@ -275,10 +260,9 @@ def run(config: ExperimentConfig) -> DecayReport:
     shells = [float(j) for j in config.shells]
     eps = config.epsilon_assumed
     k_min, k_max = lp_partition_bounds(grid)
-    gauge_enabled = bool(config.gauge.get("enabled", False))
-    gauge_bands = [int(k) for k in config.gauge.get("bands", [])] if gauge_enabled else []
-    gauge_order = int(config.gauge.get("order", 4))
-    gauge_factor = float(config.gauge.get("ll_factor", 100.0))
+    gauge_bands = [int(k) for k in config.gauge["bands"]] if config.gauge["enabled"] else []
+    gauge_order = config.gauge["order"]
+    gauge_factor = config.gauge["ll_factor"]
 
     times: list[float] = []
     sup = {"+": {f"{j}": [] for j in shells}, "-": {f"{j}": [] for j in shells}}
@@ -357,7 +341,7 @@ def run(config: ExperimentConfig) -> DecayReport:
             }
         )
 
-    c0 = float(config.initial.get("c", 1.0))
+    c0 = config.initial.get("c", INITIAL_DEFAULTS["c"])
     budgets = {
         "box_wrap_tail": 2.0 * c0 / (c0**2 * (config.box_length / 2.0) ** 2 + 1.0),
         "contamination_time": {f"{j}": contamination_time(config, j) for j in shells},

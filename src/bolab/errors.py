@@ -33,8 +33,9 @@ class DegenerateSeriesError(BolabError):
     """A decay series is unfit for log-log fitting (too short, or non-positive)."""
 
 
-class ConfigError(BolabError):
-    """Invalid or incomplete experiment configuration."""
+class ConfigError(BolabError, ValueError):
+    """Invalid or incomplete experiment configuration, or an argument out of
+    its domain (CLI exit code 2)."""
 
 
 class AcceptanceFailure(BolabError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputShapeError
+from .errors import ConfigError, InputShapeError
 
 
 class Grid:
@@ -32,9 +32,9 @@ class Grid:
     def __init__(self, n_points: int, box_length: float):
         n = int(n_points)
         if n < 4 or n % 2 != 0:
-            raise ValueError(f"n_points must be an even integer >= 4, got {n_points}")
+            raise ConfigError(f"n_points must be an even integer >= 4, got {n_points}")
         if not box_length > 0:
-            raise ValueError(f"box_length must be positive, got {box_length}")
+            raise ConfigError(f"box_length must be positive, got {box_length}")
         self.n_points = n
         self.box_length = float(box_length)
         self.dx = self.box_length / n

@@ -40,6 +40,7 @@ never silent.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -47,6 +48,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .cli import atomic_write_text
 from .cutoffs import DEFAULT as DEFAULT_CUTOFFS
 from .cutoffs import CutoffFamily
 from .errors import DegenerateSeriesError, KernelDomainError, QuadratureWarning
@@ -391,8 +393,9 @@ def _row(spec: KernelSpec, res: SupResult) -> dict:
 
 def rows_to_csv(rows: list[dict], path: str) -> None:
     fields = ["variant", "j", "k", "a", "ell", "t", "sup", "quad_flag"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({f: row[f] for f in fields})
+    buffer = io.StringIO(newline="")
+    writer = csv.DictWriter(buffer, fieldnames=fields)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({f: row[f] for f in fields})
+    atomic_write_text(path, buffer.getvalue())

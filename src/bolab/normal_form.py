@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cli import atomic_write_text
 from .cutoffs import DEFAULT as DEFAULT_CUTOFFS
 from .cutoffs import CutoffFamily
 from .errors import BolabError
@@ -358,10 +359,8 @@ def transformed_residual(
 
 
 def residual_reports_to_csv(reports: list[ResidualReport], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(ResidualReport.csv_header() + "\n")
-        for rep in reports:
-            fh.write(rep.csv_row() + "\n")
+    lines = [ResidualReport.csv_header(), *(rep.csv_row() for rep in reports)]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def phi_equation_residual(

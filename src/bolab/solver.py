@@ -24,8 +24,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .cli import atomic_write_text
 from .cutoffs import smoothstep
-from .errors import SolverInstabilityError
+from .errors import ConfigError, SolverInstabilityError
 from .grid import Field, Grid
 from .spectral import coeffs_of, hilbert, derivative, samples_of
 
@@ -35,7 +36,7 @@ SNAPSHOT_MAGIC = b"BOSNAP01"
 def soliton(c: float, x0: float, grid: Grid) -> Field:
     """Traveling-wave profile 2c / (c^2 (x - x0)^2 + 1); peak value 2c at x0."""
     if c <= 0:
-        raise ValueError(f"soliton speed must be positive, got {c}")
+        raise ConfigError(f"soliton speed must be positive, got {c}")
     y = grid.x - x0
     return Field(grid, 2.0 * c / (c**2 * y**2 + 1.0))
 
@@ -220,7 +221,7 @@ def evolve(
     """
     n_steps = int(round(t_final / state.dt))
     if abs(n_steps * state.dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError("t_final must be an integer multiple of dt")
+        raise ConfigError(f"t_final {t_final} must be an integer multiple of dt {state.dt}")
     snaps = [state]
     if record_ledger:
         state.ledger.append((state.t, *conserved(state)))
@@ -269,15 +270,9 @@ def dump_snapshot(state: SolverState, path: str) -> None:
     then n little-endian float64 samples."""
     grid = state.w.grid
     frame_flag = 0 if state.frame == "lab" else 1
-    with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<q", grid.n_points))
-        fh.write(struct.pack("<d", grid.box_length))
-        fh.write(struct.pack("<d", state.t))
-        fh.write(struct.pack("<q", frame_flag))
-        fh.write(struct.pack("<d", state.speed))
-        fh.write(struct.pack("<d", state.dt))
-        fh.write(state.w.samples.astype("<f8").tobytes())
+    header = struct.pack("<qddqdd", grid.n_points, grid.box_length, state.t, frame_flag,
+                         state.speed, state.dt)
+    atomic_write_text(path, SNAPSHOT_MAGIC + header + state.w.samples.astype("<f8").tobytes())
 
 
 def load_snapshot(path: str) -> SolverState:
@@ -303,7 +298,5 @@ def load_snapshot(path: str) -> SolverState:
 
 
 def ledger_to_csv(ledger: list[tuple[float, float, float, float]], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,mass,l2,hamiltonian\n")
-        for row in ledger:
-            fh.write(",".join(repr(v) for v in row) + "\n")
+    lines = ["t,mass,l2,hamiltonian", *(",".join(repr(v) for v in row) for row in ledger)]
+    atomic_write_text(path, "\n".join(lines) + "\n")

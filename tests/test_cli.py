@@ -191,6 +191,7 @@ def test_threads_flag_is_gone(capsys):
     ("verify-operators", "mystery=1", "unknown config key 'mystery'"),
     ("verify-operators", "commutator.n_fields=2.5", "commutator.n_fields must be an integer"),
     ("verify-operators", "n_points=\"abc\"", "n_points must be an integer"),
+    ("verify-operators", "n_points=1023", "n_points must be an even integer"),
     ("verify-normal-form", "commutator=1", "unknown config key 'commutator'"),
     ("verify-normal-form", "bands=2", "bands must be a non-empty list"),
     ("verify-normal-form", "threshold=\"tight\"", "threshold must be a number"),
@@ -207,9 +208,58 @@ def test_verify_rejects_bad_config(tmp_path, capsys, command, override, message)
     ("dt=[1]", "dt must be of kind float"),
     ("shells=[]", "shells must be of kind list"),
     ("sponge=true", "sponge must be of kind dict"),
+    ("initial.c=\"abc\"", "initial.c must be a number"),
+    ("initial.kind=3", "initial.kind must be a string"),
+    ("sponge.strength=\"x\"", "sponge.strength must be a number"),
+    ("gauge.enabled=1", "gauge.enabled must be true or false"),
+    ("gauge.mystery=1", "unknown config key 'gauge.mystery'"),
 ])
 def test_measure_decay_rejects_value_of_wrong_kind(tmp_path, capsys, override, message):
     code = main(["measure-decay", "--output-dir", str(tmp_path), "--override", override])
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "decay_report.json").exists()
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("measure-decay", ["n_points=1023"], "n_points must be an even integer"),
+    ("measure-decay", ["dt=0.003", "t_final=0.01"], "must be an integer multiple of dt"),
+    ("measure-decay", ["initial.c=-1"], "soliton speed must be positive"),
+    ("evolve", ["n_points=2"], "n_points must be an even integer"),
+])
+def test_argument_out_of_domain_exits_2(tmp_path, capsys, command, overrides, message):
+    args = [command, "--output-dir", str(tmp_path)]
+    for override in overrides:
+        args += ["--override", override]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_measure_decay_gauge_enabled_alone_measures_default_bands(tmp_path):
+    args = ["measure-decay", "--output-dir", str(tmp_path)]
+    for override in ("n_points=512", "box_length=200.0", "t_final=0.01", "dt=0.01",
+                     "shells=[2.0, 2.5, 3.0, 3.5]", "gauge.enabled=true"):
+        args += ["--override", override]
+    assert main(args) == 0
+    report = json.loads((tmp_path / "decay_report.json").read_text())
+    assert report["config"]["gauge"] == {"enabled": True, "order": 4, "ll_factor": 100.0,
+                                         "bands": [0, 1]}
+    assert sorted(report["gauge_sup"]) == ["0", "1"]
+
+
+def test_verify_operators_counts_warnings_and_reports_every_measurement(tmp_path, capsys):
+    assert main(["verify-operators", "--output-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["warnings"] == {"BandEdgeWarning": 100}
+    assert "100 BandEdgeWarning" in capsys.readouterr().err
+    rows = [line.split(",") for line in
+            (tmp_path / "operator_suite.csv").read_text().strip().split("\n")]
+    assert rows[0] == ["measurement", "value", "threshold", "pass"]
+    checks = {"parseval_rel": "1e-10", "composition_rel": "1e-10",
+              "hilbert_squared_rel": "1e-10", "lp_partition_rel": "1e-10",
+              "leibnitz_rel": "1e-10", "commutator_constant_spread": "3.0",
+              "commutator_d1_spread": "10.0", "commutator_d2_spread": "10.0"}
+    assert {name: thresh for name, _, thresh, _ in rows[1:9]} == checks
+    assert all(row[3] == "1" for row in rows[1:9])
+    assert [row[0] for row in rows[9:]] == [f"commutator_constant_j{j}" for j in range(3, 9)]

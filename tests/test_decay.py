@@ -174,6 +174,23 @@ def test_report_json_csv_round_trip(tmp_path):
     assert header == "time,quantity,sign,shell,value"
 
 
+def test_report_to_json_failure_leaves_previous_file(tmp_path):
+    rep = DecayReport(config={}, times=[0.0], shells=[3.0], sup={}, lowpass_sup={},
+                      bandsum_sup={}, gauge_sup={}, clean={}, fits=[], epsilon_measured=0.5,
+                      predicted_exponent=1.75, budgets={}, ledger=[])
+    path = tmp_path / "rep.json"
+    rep.to_json(str(path))
+    before = path.read_bytes()
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    assert path.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777
+    rep.budgets = {"unserializable": object()}
+    with pytest.raises(TypeError):
+        rep.to_json(str(path))
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["plain.txt", "rep.json"]
+
+
 def test_report_bitwise_reproducibility(tmp_path):
     paths = []
     for i in range(2):

@@ -231,7 +231,7 @@ def test_reality_preserved(rng):
     w0 = random_band_limited(g, rng, 0.3)
     st = SolverState(w=w0, frame="moving", speed=1.0, dt=1e-3)
     out = step(st)
-    assert isinstance(out.w, Field)  # complex residue checked inside (1e-10 gate)
+    assert isinstance(out.w, Field)  # the half-spectrum state is real by construction
 
 
 def test_instability_detector():
