@@ -136,6 +136,14 @@ def atomic_write_text(path: str, text: str | bytes) -> None:
         raise
 
 
+def json_text(data) -> str:
+    """``data`` as indented, key-sorted JSON; a NaN or infinity raises AcceptanceFailure."""
+    try:
+        return json.dumps(data, indent=1, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise AcceptanceFailure(f"non-finite value in a JSON artifact: {exc}") from exc
+
+
 def file_sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -160,7 +168,7 @@ def write_manifest(outdir: str, command: str, config: dict, seed: int, outputs: 
         "warnings": warning_counts,
     }
     path = os.path.join(outdir, "manifest.json")
-    atomic_write_text(path, json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    atomic_write_text(path, json_text(manifest) + "\n")
     return path
 
 

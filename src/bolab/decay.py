@@ -24,20 +24,20 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .cli import atomic_write_text, merge_config
+from .cli import atomic_write_text, json_text, merge_config
 from .errors import ConfigError, DegenerateSeriesError
 from .grid import Field, Grid
 from .kernels import fit_decay
-from .normal_form import transform
+from .normal_form import GaugeBand, phi_coeffs
 from .solver import SolverState, SpongeConfig, evolve, soliton
 from .spectral import (
-    low_pass,
+    coeffs_of,
     lp_partition_bounds,
     lp_values,
-    coeffs_of,
     samples_of,
-    spatial_cutoff_values,
+    shell_weight,
     weighted_shell_sup,
+    weighted_sup,
 )
 
 _CONFIG_KEYS = {
@@ -97,6 +97,8 @@ class ExperimentConfig:
             )
         merge_config(INITIAL_DEFAULTS, self.initial, "initial.")
         self.gauge = merge_config(GAUGE_DEFAULTS, self.gauge, "gauge.")
+        if not all(float(k).is_integer() for k in self.gauge["bands"]):
+            raise ConfigError(f"gauge.bands must be integers, got {self.gauge['bands']!r}")
         self.sponge = merge_config(SPONGE_DEFAULTS, self.sponge, "sponge.")
 
     @classmethod
@@ -189,7 +191,7 @@ class DecayReport:
     ledger: list
 
     def to_json(self, path: str) -> None:
-        atomic_write_text(path, json.dumps(asdict_report(self), indent=1, sort_keys=True))
+        atomic_write_text(path, json_text(asdict_report(self)))
 
     @staticmethod
     def from_json(path: str) -> "DecayReport":
@@ -241,6 +243,54 @@ def contamination_time(config: ExperimentConfig, j: float) -> float:
     return path / speed
 
 
+class SnapshotTables:
+    """The snapshot-invariant tables of a run: the +- shell weights on their supports, the
+    positive band multipliers, each shell's low-pass multiplier and one ``GaugeBand`` per band."""
+
+    def __init__(self, config: ExperimentConfig):
+        grid = self.grid = config.grid()
+        self.shells = [float(j) for j in config.shells]
+        self.weights = {j: {s: shell_weight(grid, j, s) for s in "+-"} for j in self.shells}
+        self.k0 = {j: -(1.0 - config.epsilon_assumed) / 2.0 * j for j in self.shells}
+        self.low = {j: lp_values(grid, self.k0[j], "leq") for j in self.shells}
+        k_min, k_max = lp_partition_bounds(grid)
+        self.bands = [(k, lp_values(grid, k, "plus")) for k in range(k_min + 1, k_max + 1)]
+        gauge = config.gauge
+        self.gauge = {int(k): GaugeBand(grid, int(k), gauge["order"], gauge["ll_factor"])
+                      for k in (gauge["bands"] if gauge["enabled"] else [])}
+
+    def measure(self, w: Field) -> tuple[dict, dict, dict, dict]:
+        """(sups[j][sign] as from ``weighted_shell_sup``, lowpass[j], bandsum[j], gauge[k][j])
+        of one snapshot, from one transform of the field and one of it centered."""
+        grid = self.grid
+        plus = {j: weights["+"] for j, weights in self.weights.items()}
+        a = np.abs(w.samples)
+        sups = {j: {sign: weighted_sup(weight, a) for sign, weight in weights.items()}
+                for j, weights in self.weights.items()}
+        # the low-pass acts on the mean-removed field (the box zero mode is a
+        # constant 2pi/L background absent on the line; its size is in
+        # budgets.mass_over_L)
+        c_centered = coeffs_of(w.samples - np.mean(w.samples), grid)
+        lowpass = {j: weighted_sup(plus[j], np.abs(samples_of(self.low[j] * c_centered, grid)))
+                   for j in self.shells}
+        # the sum of |w_k^+| over the bands k > k0, on each shell's support
+        c = coeffs_of(w.samples, grid)
+        totals = {j: np.zeros(len(values)) for j, (_, values) in plus.items()}
+        for k, values in self.bands:
+            mags = np.abs(samples_of(values * c, grid))
+            for j, total in totals.items():
+                if k > self.k0[j]:
+                    total += mags[plus[j][0]]
+        bandsum = {j: float(np.max(plus[j][1] * totals[j])) for j in self.shells}
+        gauge = {}
+        if self.gauge:
+            phi_c = phi_coeffs(w, c)
+            for k, band in self.gauge.items():
+                v_abs = np.abs(band.v(c, phi_c))
+                gauge[k] = {j: weighted_sup(plus[j], v_abs) for j in self.shells}
+        return sups, lowpass, bandsum, gauge
+
+
 def run(config: ExperimentConfig) -> DecayReport:
     """Evolve the configured data and measure shell decay over time."""
     grid = config.grid()
@@ -256,63 +306,29 @@ def run(config: ExperimentConfig) -> DecayReport:
     )
     eps_meas = measure_epsilon(w0, config.shells)
     snaps = evolve(state, config.t_final, snapshot_stride=config.snapshot_stride)
-
-    shells = [float(j) for j in config.shells]
-    eps = config.epsilon_assumed
-    k_min, k_max = lp_partition_bounds(grid)
-    gauge_bands = [int(k) for k in config.gauge["bands"]] if config.gauge["enabled"] else []
-    gauge_order = config.gauge["order"]
-    gauge_factor = config.gauge["ll_factor"]
+    tables = SnapshotTables(config)
+    shells = tables.shells
 
     times: list[float] = []
     sup = {"+": {f"{j}": [] for j in shells}, "-": {f"{j}": [] for j in shells}}
     lowpass_sup = {f"{j}": [] for j in shells}
     bandsum_sup = {f"{j}": [] for j in shells}
-    gauge_sup = {f"{k}": {f"{j}": [] for j in shells} for k in gauge_bands}
+    gauge_sup = {f"{k}": {f"{j}": [] for j in shells} for k in tables.gauge}
     clean = {f"{j}": [] for j in shells}
     fits: list[dict] = []
 
-    shell_weights = {
-        j: spatial_cutoff_values(grid, j, "+", "exact") for j in shells
-    }
-
     for snap in snaps:
-        w = snap.w
         t = snap.t
         times.append(t)
-        sups = weighted_shell_sup(w, shells)
+        sups, lowpass, bandsum, gauge = tables.measure(snap.w)
         for j in shells:
             sup["+"][f"{j}"].append(sups[j]["+"])
             sup["-"][f"{j}"].append(sups[j]["-"])
             clean[f"{j}"].append(bool(t <= contamination_time(config, j)))
-
-        # per-shell low-pass and band-sum measurements; the low-pass acts on
-        # the mean-removed field (the box zero mode is a constant 2pi/L
-        # background absent on the line; its size is in budgets.mass_over_L)
-        c = coeffs_of(w.samples, grid)
-        w_centered = Field(grid, w.samples - np.mean(w.samples))
-        band_abs = {}
-        for k in range(k_min + 1, k_max + 1):
-            values = lp_values(grid, k, "plus")
-            band_abs[k] = np.abs(samples_of(values * c, grid))
-        for j in shells:
-            k0 = -(1.0 - eps) / 2.0 * j
-            lp = low_pass(w_centered, k0)
-            lowpass_sup[f"{j}"].append(
-                float(np.max(shell_weights[j] * np.abs(lp.samples)))
-            )
-            total = np.zeros(grid.n_points)
-            for k, mags in band_abs.items():
-                if k > k0:
-                    total += mags
-            bandsum_sup[f"{j}"].append(float(np.max(shell_weights[j] * total)))
-
-        for k in gauge_bands:
-            tv = transform(w, k, gauge_order, gauge_factor, source_time=t)
-            for j in shells:
-                gauge_sup[f"{k}"][f"{j}"].append(
-                    float(np.max(shell_weights[j] * np.abs(tv.v.samples)))
-                )
+            lowpass_sup[f"{j}"].append(lowpass[j])
+            bandsum_sup[f"{j}"].append(bandsum[j])
+            for k, by_shell in gauge.items():
+                gauge_sup[f"{k}"][f"{j}"].append(by_shell[j])
 
         fit = _fit_snapshot(shells, sups, clean, t)
         if fit is not None:

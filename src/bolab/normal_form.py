@@ -48,17 +48,21 @@ from .cli import atomic_write_text
 from .cutoffs import DEFAULT as DEFAULT_CUTOFFS
 from .cutoffs import CutoffFamily
 from .errors import BolabError
-from .grid import ComplexField, Field
-from .pseudoproduct import QUARTIC_MARGIN, assemble_B, check_dealias_margin
+from .grid import ComplexField, Field, Grid
+from .pseudoproduct import QUARTIC_MARGIN, BandKernel, assemble_B, check_dealias_margin
 from .spectral import (
     antiderivative_mean_removed,
+    coeffs_of,
     derivative,
     half_project,
     hilbert,
     low_pass,
     lp_project,
+    lp_values,
     multiply,
+    samples_of,
     spectral_tail_mass,
+    warn_band_edge,
 )
 
 
@@ -91,6 +95,14 @@ class GaugeContext:
     gauge_abs_max: float
 
 
+def _check_separation(order: int, ll_factor: float) -> None:
+    if ll_factor * order < 2:
+        raise BolabError(
+            f"gauge low-pass threshold 2^(k - {ll_factor}*{order}) is not "
+            "separated from the band; need ll_factor * order >= 2"
+        )
+
+
 def make_gauge_context(
     u: Field,
     k: float,
@@ -103,11 +115,7 @@ def make_gauge_context(
     Requires the support-separation property 2^(k - ll_factor*order + 1)
     <= 2^(k-1): the gauge spectrum must sit well below the band.
     """
-    if ll_factor * order < 2:
-        raise BolabError(
-            f"gauge low-pass threshold 2^(k - {ll_factor}*{order}) is not "
-            "separated from the band; need ll_factor * order >= 2"
-        )
+    _check_separation(order, ll_factor)
     phi, mass = antiderivative_mean_removed(u)
     phi_ll = low_pass(phi, k - ll_factor * order, cutoffs)
     gauge = ComplexField(u.grid, gauge_polynomial(order, phi_ll.samples))
@@ -136,6 +144,33 @@ class TransformedVariable:
     source_time: float | None = None
 
 
+class GaugeBand:
+    """The tables of v_k for one band (the multiplier of u_k^+, the gauge
+    low-pass and the ``BandKernel`` of B_k), reused by a decay run at every snapshot."""
+
+    def __init__(self, grid: Grid, k: float, order: int, ll_factor: float = 100.0,
+                 cutoffs: CutoffFamily = DEFAULT_CUTOFFS):
+        _check_separation(order, ll_factor)
+        self.grid, self.k, self.order = grid, k, order
+        self.plus = lp_values(grid, k, "plus", cutoffs)
+        self.low = lp_values(grid, k - ll_factor * order, "leq", cutoffs)
+        self.kernel = BandKernel(grid, k, order, ll_factor, cutoffs)
+
+    def v(self, c: np.ndarray, phi_c: np.ndarray) -> np.ndarray:
+        """Samples of v_k = (u_k^+ + B_k(u,u)) E_N(phi_ll) from the
+        coefficients of u and of phi (see ``phi_coeffs``)."""
+        warn_band_edge(self.grid, self.k)
+        u_kp = samples_of(self.plus * c, self.grid)
+        gauge = gauge_polynomial(self.order, samples_of(self.low * phi_c, self.grid))
+        return (u_kp + self.kernel.apply(c, c)) * gauge
+
+
+def phi_coeffs(u: Field, c: np.ndarray) -> np.ndarray:
+    """Coefficients of the mean-removed antiderivative phi of u, given those of u."""
+    phi, _ = antiderivative_mean_removed(u, c)
+    return coeffs_of(phi.samples, u.grid)
+
+
 def transform(
     u: Field,
     k: float,
@@ -145,10 +180,9 @@ def transform(
     source_time: float | None = None,
 ) -> TransformedVariable:
     """v_k = (u_k^+ + B_k(u,u)) E_N(phi_ll)."""
-    ctx = make_gauge_context(u, k, order, ll_factor, cutoffs)
-    u_kp = lp_project(u, k, "plus", cutoffs)
-    bu = assemble_B(k, order, u, u, ll_factor, cutoffs)
-    v = ComplexField(u.grid, (u_kp.samples + bu.samples) * ctx.gauge.samples)
+    band = GaugeBand(u.grid, k, order, ll_factor, cutoffs)
+    c = coeffs_of(u.samples, u.grid)
+    v = ComplexField(u.grid, band.v(c, phi_coeffs(u, c)))
     return TransformedVariable(v=v, k=k, order=order, ll_factor=ll_factor,
                                source_time=source_time)
 
@@ -180,9 +214,8 @@ def rhs_terms(
     )
     c_tilde = ComplexField(
         grid,
-        -1j * assemble_B(k, order, d_usq, u, ll_factor, cutoffs).samples
-        - 1j * assemble_B(k, order, u, d_usq, ll_factor, cutoffs).samples,
-    )
+        -2j * assemble_B(k, order, d_usq, u, ll_factor, cutoffs).samples,
+    )  # B_k is symmetric bit for bit: B(d_usq, u) + B(u, d_usq) = 2 B(d_usq, u)
     c_full = ComplexField(
         grid,
         c_tilde.samples

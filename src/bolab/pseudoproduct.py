@@ -377,30 +377,41 @@ def _lattice_conv(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
     return full[n // 2 : n // 2 + n] * grid.dxi
 
 
-def _branches(
-    k: float,
-    order: int,
-    fc: np.ndarray,
-    gc: np.ndarray,
-    grid: Grid,
-    ll_factor: float,
-    cutoffs: CutoffFamily,
-) -> tuple[np.ndarray, np.ndarray]:
+class BandKernel:
+    """The tables of B_k for one band (chi = chi_k^+, ll = chi_{<<k}, 1/(2 xi),
+    the half-line projectors, the output mask), applied to any number of inputs."""
+
+    def __init__(self, grid: Grid, k: float, order: int, ll_factor: float = 100.0,
+                 cutoffs: CutoffFamily = DEFAULT_CUTOFFS):
+        self.grid = grid
+        self.chi = cutoffs.shell(k, grid.xi)
+        self.low = cutoffs.ll(k, order, grid.xi, ll_factor)
+        self.inv2xi = np.divide(0.5, grid.xi, out=np.zeros(grid.n_points), where=grid.xi != 0)
+        self.plus = half_projector_values(grid, "+")
+        self.both = self.plus + half_projector_values(grid, "-")
+        lo, hi = nf_branch_symbol(k, order, "+++", cutoffs, ll_factor).xi_support
+        self.outside = (grid.xi <= 0) | (grid.xi < lo) | (grid.xi > hi)
+
+    def half(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        b = b * self.inv2xi
+        return (self.chi * _lattice_conv(a, b, self.grid)
+                - _lattice_conv(self.chi * a, self.low * b, self.grid))
+
+    def apply(self, fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
+        """Samples of B_k(f, g) from the coefficients of f and g."""
+        first, second = _branches(self, fc, gc)
+        out = first + second
+        out[self.outside] = 0.0
+        return samples_of(NF_NORMALIZATION * out, self.grid)
+
+
+def _branches(kernel: BandKernel, fc: np.ndarray, gc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of half(P+f, Pg) and half(P+g, Pf), whose sum is the sum
     of the three nonzero branches of B_k(f, g) before the output mask and the
-    normalization; ``half`` is the separated half kernel of the module
-    docstring."""
-    chi = cutoffs.shell(k, grid.xi)
-    low = cutoffs.ll(k, order, grid.xi, ll_factor)
-    inv2xi = np.divide(0.5, grid.xi, out=np.zeros(grid.n_points), where=grid.xi != 0)
-
-    def half(a, b):
-        b = b * inv2xi
-        return chi * _lattice_conv(a, b, grid) - _lattice_conv(chi * a, low * b, grid)
-
-    plus = half_projector_values(grid, "+")
-    both = plus + half_projector_values(grid, "-")
-    return half(plus * fc, both * gc), half(plus * gc, both * fc)
+    normalization.  For ``gc is fc`` the two halves are equal and the one is
+    computed once."""
+    first = kernel.half(kernel.plus * fc, kernel.both * gc)
+    return first, first if gc is fc else kernel.half(kernel.plus * gc, kernel.both * fc)
 
 
 def assemble_B(
@@ -417,18 +428,15 @@ def assemble_B(
     Sums the three nonzero branches, computed as two half kernels of
     separated paraproducts: Fourier multipliers around linear convolutions
     of the half-line projected inputs, zero-padded to 2n (see the module
-    docstring).  The output is kept on xi > 0 inside the branch xi-support
-    and scaled by ``NF_NORMALIZATION``.  ``bilinear_apply`` of the
-    ``nf_branch_symbol`` branches is the dense oracle it matches to roundoff.
+    docstring).  B_k(f, f) takes one transform and one half kernel.  The
+    output is kept on xi > 0 inside the branch xi-support and scaled by
+    ``NF_NORMALIZATION``.  ``bilinear_apply`` of the ``nf_branch_symbol``
+    branches is the dense oracle it matches to roundoff.
     """
     grid = require_same_grid(f, g)
     fc = coeffs_of(np.asarray(f.samples), grid)
-    gc = coeffs_of(np.asarray(g.samples), grid)
-    first, second = _branches(k, order, fc, gc, grid, ll_factor, cutoffs)
-    out = first + second
-    lo, hi = nf_branch_symbol(k, order, "+++", cutoffs, ll_factor).xi_support
-    out[(grid.xi <= 0) | (grid.xi < lo) | (grid.xi > hi)] = 0.0
-    return ComplexField(grid, samples_of(NF_NORMALIZATION * out, grid))
+    gc = fc if g is f else coeffs_of(np.asarray(g.samples), grid)
+    return ComplexField(grid, BandKernel(grid, k, order, ll_factor, cutoffs).apply(fc, gc))
 
 
 # ---------------------------------------------------------------------------

@@ -276,17 +276,22 @@ def dump_snapshot(state: SolverState, path: str) -> None:
 
 
 def load_snapshot(path: str) -> SolverState:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"not a snapshot file (magic {magic!r})")
-        n = struct.unpack("<q", fh.read(8))[0]
-        box = struct.unpack("<d", fh.read(8))[0]
-        t = struct.unpack("<d", fh.read(8))[0]
-        frame_flag = struct.unpack("<q", fh.read(8))[0]
-        speed = struct.unpack("<d", fh.read(8))[0]
-        dt = struct.unpack("<d", fh.read(8))[0]
-        samples = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
+    """Read a ``dump_snapshot`` file; a missing, foreign or malformed file raises ConfigError."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read snapshot file {path!r}: {exc.strerror}") from exc
+    if data[:8] != SNAPSHOT_MAGIC:
+        raise ConfigError(f"not a snapshot file (magic {data[:8]!r}): {path}")
+    if len(data) < 56:
+        raise ConfigError(f"snapshot header truncated: {path}")
+    n, box, t, frame_flag, speed, dt = struct.unpack("<qddqdd", data[8:56])
+    if n <= 0 or n % 2:
+        raise ConfigError(f"snapshot header gives n = {n}, not a positive even number: {path}")
+    if len(data) != 56 + 8 * n:
+        raise ConfigError(f"snapshot body holds {len(data) - 56} bytes, not 8 * {n}: {path}")
+    samples = np.frombuffer(data, dtype="<f8", count=n, offset=56).copy()
     grid = Grid(n, box)
     return SolverState(
         w=Field(grid, samples),

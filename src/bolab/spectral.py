@@ -151,6 +151,13 @@ def lp_values(grid: Grid, k: float, variant: str, cutoffs: CutoffFamily = DEFAUL
     return v
 
 
+def warn_band_edge(grid: Grid, k: float) -> None:
+    """Warn (BandEdgeWarning) when the band 2^{k+1} reaches the grid Nyquist."""
+    if 2.0 ** (k + 1) >= grid.nyquist:
+        warnings.warn(f"band k={k} touches the Nyquist frequency {grid.nyquist:.3g}",
+                      BandEdgeWarning, stacklevel=3)
+
+
 def lp_project(
     f: Field | ComplexField,
     k: float,
@@ -162,12 +169,8 @@ def lp_project(
     Warns (BandEdgeWarning) when the band 2^{k+1} reaches the grid Nyquist.
     """
     grid = f.grid
-    if variant in ("full", "plus", "minus") and 2.0 ** (k + 1) >= grid.nyquist:
-        warnings.warn(
-            f"band k={k} touches the Nyquist frequency {grid.nyquist:.3g}",
-            BandEdgeWarning,
-            stacklevel=2,
-        )
+    if variant in ("full", "plus", "minus"):
+        warn_band_edge(grid, k)
     values = lp_values(grid, k, variant, cutoffs)
     return ComplexField(grid, _apply_values(values, np.asarray(f.samples), grid))
 
@@ -179,8 +182,7 @@ def low_pass(
 ) -> ComplexField:
     """Smooth low-pass chi_{<= threshold_index}(|xi|); keeps the mean, zeroes Nyquist."""
     grid = f.grid
-    values = np.asarray(cutoffs.le_abs(threshold_index, grid.xi), dtype=float).copy()
-    values[0] = 0.0
+    values = lp_values(grid, threshold_index, "leq", cutoffs)
     return ComplexField(grid, _apply_values(values, np.asarray(f.samples), grid))
 
 
@@ -261,30 +263,38 @@ def weighted_shell_sup(
     Shells whose support [2^{j-1}, 2^{j+1}] does not fit in the half-box are
     absent from the result (not reported as zero).
     """
-    x = f.grid.x
     a = np.abs(np.asarray(f.samples))
-    out: dict[float, dict[str, float]] = {}
-    for j in shells:
-        if 2.0 ** (float(j) + 1) > f.grid.box_length / 2.0:
-            continue
-        wplus = np.asarray(cutoffs.shell(j, x))
-        wminus = np.asarray(cutoffs.shell(j, -x))
-        out[float(j)] = {
-            "+": float(np.max(wplus * a)),
-            "-": float(np.max(wminus * a)),
-        }
-    return out
+    return {
+        float(j): {sign: weighted_sup(shell_weight(f.grid, j, sign, cutoffs), a) for sign in "+-"}
+        for j in shells
+        if 2.0 ** (float(j) + 1) <= f.grid.box_length / 2.0
+    }
 
 
-def antiderivative_mean_removed(u: Field) -> tuple[Field, float]:
+def shell_weight(grid: Grid, j: float, sign: str,
+                 cutoffs: CutoffFamily = DEFAULT_CUTOFFS) -> tuple[slice, np.ndarray]:
+    """chi_j(sign * x) on its support: (s, values), the weight being zero off the slice s."""
+    w = np.asarray(cutoffs.shell(j, grid.x if sign == "+" else -grid.x))
+    nz = np.flatnonzero(w)
+    s = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 1)
+    return s, w[s].copy()
+
+
+def weighted_sup(weight: tuple[slice, np.ndarray], a: np.ndarray) -> float:
+    """sup_x weight(x) a(x) for a >= 0 and a ``shell_weight`` (s, values)."""
+    s, values = weight
+    return float(np.max(values * a[s]))
+
+
+def antiderivative_mean_removed(u: Field, c: np.ndarray | None = None) -> tuple[Field, float]:
     """Mean-removed spectral antiderivative.
 
     Returns (phi, mass) with d/dx phi = u - mean(u), mean(phi) = 0 and
     mass = integral of u over the box.  The sign matches the convention that
-    phi increases where u > mean(u).
+    phi increases where u > mean(u).  ``c`` may pass in the coefficients of u.
     """
     grid = u.grid
-    c = coeffs_of(u.samples, grid)
+    c = coeffs_of(u.samples, grid) if c is None else c
     out = np.zeros_like(c)
     nz = np.abs(grid.xi) > 0
     out[nz] = c[nz] / (1j * grid.xi[nz])

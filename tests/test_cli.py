@@ -3,8 +3,21 @@ import os
 
 import pytest
 
-from bolab.cli import apply_overrides, config_hash, load_config, main
-from bolab.errors import ConfigError
+import bolab.decay
+from bolab.cli import apply_overrides, config_hash, load_config, main, write_manifest
+from bolab.errors import AcceptanceFailure, ConfigError
+from bolab.grid import Grid
+from bolab.solver import SolverState, dump_snapshot, soliton
+
+SMALL_DECAY = ("n_points=512", "box_length=200.0", "t_final=0.01", "dt=0.01",
+               "shells=[2.0, 2.5, 3.0, 3.5]")
+
+
+def _measure_decay(out, *overrides):
+    args = ["measure-decay", "--output-dir", str(out)]
+    for override in (*SMALL_DECAY, *overrides):
+        args += ["--override", override]
+    return main(args)
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -263,3 +276,98 @@ def test_verify_operators_counts_warnings_and_reports_every_measurement(tmp_path
     assert {name: thresh for name, _, thresh, _ in rows[1:9]} == checks
     assert all(row[3] == "1" for row in rows[1:9])
     assert [row[0] for row in rows[9:]] == [f"commutator_constant_j{j}" for j in range(3, 9)]
+
+
+def test_measure_decay_rejects_fractional_gauge_bands(tmp_path, capsys):
+    code = _measure_decay(tmp_path, "gauge.enabled=true", "gauge.bands=[0.5, 1.7]")
+    assert code == 2
+    assert "gauge.bands must be integers" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_measure_decay_integral_float_bands_keep_integer_keys(tmp_path):
+    assert _measure_decay(tmp_path, "gauge.enabled=true", "gauge.bands=[0.0, 1.0]") == 0
+    report = json.loads((tmp_path / "decay_report.json").read_text())
+    assert report["config"]["gauge"]["bands"] == [0.0, 1.0]
+    assert sorted(report["gauge_sup"]) == ["0", "1"]
+
+
+def test_measure_decay_counts_band_edge_warnings_per_snapshot(tmp_path):
+    # bands whose 2^(k+1) reaches Nyquist warn once per snapshot, as lp_project does
+    bands = [1, 2, 3]
+    assert _measure_decay(tmp_path, "t_final=0.05", "snapshot_stride=1", "gauge.enabled=true",
+                          f"gauge.bands={bands}") == 0
+    nyquist = Grid(512, 200.0).nyquist
+    edge = [k for k in bands if 2.0 ** (k + 1) >= nyquist]
+    assert edge == [3]
+    report = json.loads((tmp_path / "decay_report.json").read_text())
+    assert len(report["times"]) == 6
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["warnings"] == {"BandEdgeWarning": 6 * len(edge)}
+
+
+def _snapshot_bytes(tmp_path) -> bytes:
+    path = tmp_path / "good.bosnap"
+    grid = Grid(512, 200.0)
+    dump_snapshot(SolverState(w=soliton(1.0, 0.0, grid), frame="moving", speed=1.0, dt=0.01),
+                  str(path))
+    return path.read_bytes()
+
+
+def _with_n(data: bytes, n: int) -> bytes:
+    return data[:8] + n.to_bytes(8, "little", signed=True) + data[16:]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (None, "cannot read snapshot file ''"),
+    (lambda data: None, "cannot read snapshot file"),
+    (lambda data: b"NOTMAGIC" + data[8:], "not a snapshot file"),
+    (lambda data: data[:30], "header truncated"),
+    (lambda data: data[:-8], "body holds"),
+    (lambda data: _with_n(data, 511), "not a positive even number"),
+    (lambda data: _with_n(data, -512), "not a positive even number"),
+], ids=["no-path", "missing-file", "bad-magic", "truncated-header", "truncated-body", "odd-n",
+        "negative-n"])
+def test_measure_decay_bad_initial_file_exits_2(tmp_path, capsys, corrupt, message):
+    out = tmp_path / "out"
+    overrides = ["initial.kind=\"file\""]
+    if corrupt is not None:
+        data = corrupt(_snapshot_bytes(tmp_path))
+        path = tmp_path / "input.bosnap"
+        if data is not None:
+            path.write_bytes(data)
+        overrides.append(f"initial.path={path}")
+    assert _measure_decay(out, *overrides) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "decay_report.json").exists()
+
+
+def test_measure_decay_reads_initial_file(tmp_path):
+    path = tmp_path / "good.bosnap"
+    path.write_bytes(_snapshot_bytes(tmp_path))
+    assert _measure_decay(tmp_path / "out", "initial.kind=\"file\"", f"initial.path={path}") == 0
+
+
+def test_measure_decay_nan_report_exits_3_and_keeps_previous_files(tmp_path, monkeypatch, capsys):
+    assert _measure_decay(tmp_path) == 0
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    real_run = bolab.decay.run
+
+    def nan_run(config):
+        report = real_run(config)
+        report.lowpass_sup["2.0"][0] = float("nan")
+        return report
+
+    monkeypatch.setattr(bolab.decay, "run", nan_run)
+    assert _measure_decay(tmp_path) == 3
+    assert "non-finite value" in capsys.readouterr().err
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
+def test_manifest_with_nan_is_refused(tmp_path):
+    path = write_manifest(str(tmp_path), "evolve", {"dt": 0.1}, 0, [], {})
+    before = open(path, "rb").read()
+    with pytest.raises(AcceptanceFailure):
+        write_manifest(str(tmp_path), "evolve", {"dt": float("nan")}, 0, [], {})
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["manifest.json"]

@@ -3,9 +3,11 @@ import os
 import numpy as np
 import pytest
 
+import bolab.cutoffs
 from bolab.decay import (
     DecayReport,
     ExperimentConfig,
+    SnapshotTables,
     bootstrap_iteration_count,
     bootstrap_predict,
     contamination_time,
@@ -13,9 +15,10 @@ from bolab.decay import (
     measure_epsilon,
     run,
 )
-from bolab.errors import ConfigError, DegenerateSeriesError
+from bolab.errors import AcceptanceFailure, ConfigError, DegenerateSeriesError
 from bolab.grid import Field, Grid
-from bolab.solver import soliton
+from bolab.normal_form import phi_coeffs, transform
+from bolab.solver import SolverState, evolve, soliton
 from bolab.spectral import low_pass, lp_values, coeffs_of, samples_of, spatial_cutoff_values
 
 
@@ -191,6 +194,22 @@ def test_report_to_json_failure_leaves_previous_file(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["plain.txt", "rep.json"]
 
 
+def test_report_with_nan_is_refused_and_previous_file_kept(tmp_path):
+    rep = run(_small_config())
+    path = tmp_path / "rep.json"
+    rep.to_json(str(path))
+    before = path.read_bytes()
+    rep.epsilon_measured = float("nan")
+    with pytest.raises(AcceptanceFailure, match="non-finite"):
+        rep.to_json(str(path))
+    rep.epsilon_measured = 0.5
+    rep.sup["+"]["3.0"][0] = float("inf")
+    with pytest.raises(AcceptanceFailure):
+        rep.to_json(str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["rep.json"]
+
+
 def test_report_bitwise_reproducibility(tmp_path):
     paths = []
     for i in range(2):
@@ -212,6 +231,47 @@ def test_gauge_band_measurement():
     assert set(series) == {f"{j}" for j in rep.shells}
     assert all(len(v) == len(rep.times) for v in series.values())
     assert max(max(v) for v in series.values()) > 0.0
+
+
+def test_cutoff_tables_are_built_once_per_run(monkeypatch):
+    # every smoothstep evaluation happens before the snapshot loop: a run
+    # with 9 snapshots evaluates no more cutoffs than one with 3
+    calls = []
+    smoothstep = bolab.cutoffs.smoothstep
+
+    def counted(t):
+        calls.append(1)
+        return smoothstep(t)
+
+    monkeypatch.setattr(bolab.cutoffs, "smoothstep", counted)
+    gauge = {"enabled": True, "order": 4, "ll_factor": 100.0, "bands": [0, 1]}
+    counts = []
+    for t_final in (0.04, 0.16):
+        calls.clear()
+        rep = run(_small_config(t_final=t_final, snapshot_stride=10, gauge=gauge))
+        counts.append((len(rep.times), len(calls)))
+    assert [n for n, _ in counts] == [3, 9]
+    assert counts[0][1] == counts[1][1] > 0
+
+
+def test_gauge_tables_reused_over_a_run_match_fresh_transform():
+    gauge = {"enabled": True, "order": 4, "ll_factor": 100.0, "bands": [0, 1]}
+    cfg = _small_config(t_final=0.06, snapshot_stride=10, gauge=gauge)
+    rep = run(cfg)
+    tables = SnapshotTables(cfg)
+    state = SolverState(w=cfg.initial_field(), frame="moving", speed=cfg.frame_speed, dt=cfg.dt)
+    snaps = evolve(state, cfg.t_final, snapshot_stride=cfg.snapshot_stride)
+    assert [s.t for s in snaps] == rep.times and len(snaps) == 4
+    g = cfg.grid()
+    for i, snap in enumerate(snaps):
+        c = coeffs_of(snap.w.samples, g)
+        phi_c = phi_coeffs(snap.w, c)
+        for k, band in tables.gauge.items():
+            fresh = transform(snap.w, k, 4, 100.0).v.samples
+            assert np.array_equal(band.v(c, phi_c), fresh)
+            for j in rep.shells:
+                weights = spatial_cutoff_values(g, j, "+", "exact")
+                assert rep.gauge_sup[f"{k}"][f"{j}"][i] == float(np.max(weights * np.abs(fresh)))
 
 
 def test_shell_sup_triangle_audits():

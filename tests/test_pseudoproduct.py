@@ -347,6 +347,26 @@ def test_assemble_B_equals_symmetrized_kernel(grid_small, rng):
         assert np.max(np.abs(via_branches.samples - oracle.samples)) < 1e-12 * oracle.sup_norm()
 
 
+def test_assemble_B_is_symmetric_bit_for_bit(grid_medium, rng):
+    # swapping f and g swaps the two half kernels, and their sum commutes
+    f = random_band_limited(grid_medium, rng, 0.25)
+    g = random_band_limited(grid_medium, rng, 0.25)
+    for k, order, factor in [(2.0, 2, 3.0), (3.0, 4, 100.0)]:
+        fg = assemble_B(k, order, f, g, factor).samples
+        assert np.array_equal(fg, assemble_B(k, order, g, f, factor).samples)
+        assert np.max(np.abs(fg)) > 0.0
+
+
+def test_assemble_B_diagonal_one_half_equals_two_halves(grid_medium, rng):
+    # B(u, u) takes one half kernel; a copy of u takes both, and agrees exactly
+    u = random_band_limited(grid_medium, rng, 0.25)
+    twin = Field(grid_medium, u.samples.copy())
+    for k, order, factor in [(2.0, 2, 3.0), (3.0, 4, 100.0)]:
+        one = assemble_B(k, order, u, u, factor).samples
+        assert np.array_equal(one, assemble_B(k, order, u, twin, factor).samples)
+        assert np.max(np.abs(one)) > 0.0
+
+
 def test_assemble_B_memory_is_flat():
     # O(n) work arrays only, and nothing kept between calls
     import bolab.pseudoproduct as pp
