@@ -97,8 +97,9 @@ class ExperimentConfig:
             )
         merge_config(INITIAL_DEFAULTS, self.initial, "initial.")
         self.gauge = merge_config(GAUGE_DEFAULTS, self.gauge, "gauge.")
-        if not all(float(k).is_integer() for k in self.gauge["bands"]):
-            raise ConfigError(f"gauge.bands must be integers, got {self.gauge['bands']!r}")
+        bands = self.gauge["bands"]
+        if not all(float(k).is_integer() for k in bands) or len(set(bands)) < len(bands):
+            raise ConfigError(f"gauge.bands must be distinct integers, got {bands!r}")
         self.sponge = merge_config(SPONGE_DEFAULTS, self.sponge, "sponge.")
 
     @classmethod
@@ -262,7 +263,6 @@ class SnapshotTables:
     def measure(self, w: Field) -> tuple[dict, dict, dict, dict]:
         """(sups[j][sign] as from ``weighted_shell_sup``, lowpass[j], bandsum[j], gauge[k][j])
         of one snapshot, from one transform of the field and one of it centered."""
-        grid = self.grid
         plus = {j: weights["+"] for j, weights in self.weights.items()}
         a = np.abs(w.samples)
         sups = {j: {sign: weighted_sup(weight, a) for sign, weight in weights.items()}
@@ -270,14 +270,14 @@ class SnapshotTables:
         # the low-pass acts on the mean-removed field (the box zero mode is a
         # constant 2pi/L background absent on the line; its size is in
         # budgets.mass_over_L)
-        c_centered = coeffs_of(w.samples - np.mean(w.samples), grid)
-        lowpass = {j: weighted_sup(plus[j], np.abs(samples_of(self.low[j] * c_centered, grid)))
-                   for j in self.shells}
+        c_centered = coeffs_of(w.samples - np.mean(w.samples), self.grid)
+        lowpass = {j: weighted_sup(plus[j], np.abs(samples_of(low * c_centered, self.grid)))
+                   for j, low in self.low.items()}
         # the sum of |w_k^+| over the bands k > k0, on each shell's support
-        c = coeffs_of(w.samples, grid)
+        c = coeffs_of(w.samples, self.grid)
         totals = {j: np.zeros(len(values)) for j, (_, values) in plus.items()}
         for k, values in self.bands:
-            mags = np.abs(samples_of(values * c, grid))
+            mags = np.abs(samples_of(values * c, self.grid))
             for j, total in totals.items():
                 if k > self.k0[j]:
                     total += mags[plus[j][0]]

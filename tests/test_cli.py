@@ -278,10 +278,11 @@ def test_verify_operators_counts_warnings_and_reports_every_measurement(tmp_path
     assert [row[0] for row in rows[9:]] == [f"commutator_constant_j{j}" for j in range(3, 9)]
 
 
-def test_measure_decay_rejects_fractional_gauge_bands(tmp_path, capsys):
-    code = _measure_decay(tmp_path, "gauge.enabled=true", "gauge.bands=[0.5, 1.7]")
+@pytest.mark.parametrize("bands", ["[0.5, 1.7]", "[1, 1.0]"])
+def test_measure_decay_rejects_fractional_or_repeated_gauge_bands(tmp_path, capsys, bands):
+    code = _measure_decay(tmp_path, "gauge.enabled=true", f"gauge.bands={bands}")
     assert code == 2
-    assert "gauge.bands must be integers" in capsys.readouterr().err
+    assert "gauge.bands must be distinct integers" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
