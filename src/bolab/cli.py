@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -77,37 +78,47 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
 
 
 def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An integer or a finite float (a bool is neither)."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _kind(default, value) -> tuple[bool, str, str]:
+    """Whether ``value`` is of the kind of ``default``, and that kind's name
+    and description."""
+    if isinstance(default, dict):
+        return isinstance(value, dict), "dict", "an object"
+    if isinstance(default, list):
+        ok = isinstance(value, list) and bool(value) and all(map(_number, value))
+        return ok, "list", "a non-empty list of numbers"
+    if isinstance(default, bool):
+        return isinstance(value, bool), "bool", "true or false"
+    if isinstance(default, str):
+        return isinstance(value, str), "str", "a string"
+    if isinstance(default, int):
+        return _number(value) and isinstance(value, int), "int", "an integer"
+    if default is None:
+        return value is None or _number(value), "float | None", "null or a number"
+    return _number(value), "float", "a number"
 
 
 def merge_config(defaults: dict, config: dict, where: str = "") -> dict:
     """``config`` merged over ``defaults``, which also serve as the schema:
     an unknown key, or a value not of its default's kind (object, non-empty
-    list of numbers, bool, string, integer, number), raises ConfigError."""
+    list of numbers, bool, string, integer, finite number, or for a null
+    default null or a finite number), raises ConfigError."""
     out = json.loads(json.dumps(defaults))
     for key, value in config.items():
         name = where + key
         if key not in defaults:
             raise ConfigError(f"unknown config key {name!r}")
-        default = defaults[key]
-        if isinstance(default, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{name} must be an object, got {value!r}")
-            value = merge_config(default, value, name + ".")
-        elif isinstance(default, list):
-            if not (isinstance(value, list) and value and all(map(_number, value))):
-                raise ConfigError(f"{name} must be a non-empty list of numbers, got {value!r}")
-        elif isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name} must be true or false, got {value!r}")
-        elif isinstance(default, str):
-            if not isinstance(value, str):
-                raise ConfigError(f"{name} must be a string, got {value!r}")
-        elif isinstance(default, int):
-            if not (_number(value) and isinstance(value, int)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        elif not _number(value):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
+        ok, kind, description = _kind(defaults[key], value)
+        if not ok:
+            raise ConfigError(f"{name} must be {description}, got {value!r} "
+                              f"({name} must be of kind {kind})")
+        if isinstance(defaults[key], dict):
+            value = merge_config(defaults[key], value, name + ".")
         out[key] = value
     return out
 
@@ -198,12 +209,12 @@ def _write_checks(path: str, rows: list[tuple], extra: list[str] = ()) -> bool:
     return passed
 
 
-def run_verify_operators(config: dict, outdir: str, seed: int) -> list[str]:
+def run_verify_operators(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
     from .grid import Grid
     from .pseudoproduct import BilinearSymbol, leibnitz_check
     from .testing import commutator_constants, operator_identity_errors, random_band_limited
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config["seed"])
     grid = Grid(config["n_points"], config["box_length"])
     one = BilinearSymbol(fn=lambda xi, eta: np.ones(np.broadcast(xi, eta).shape))
     ccfg = config["commutator"]
@@ -245,24 +256,23 @@ NORMAL_FORM_DEFAULTS = {
 }
 
 
-def run_verify_normal_form(config: dict, outdir: str, seed: int,
-                           inject_symbol_bug: bool = False) -> list[str]:
+def run_verify_normal_form(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
     from .grid import Grid
     from . import pseudoproduct
     from .testing import nf_cancellation_sweep
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config["seed"])
     grid = Grid(config["n_points"], config["box_length"])
 
     # test fixture: perturb one half of B_k by a relative 1e-3
     original = pseudoproduct._branches
 
-    def buggy(*args):
-        first, second = original(*args)
+    def buggy(*branch_args):
+        first, second = original(*branch_args)
         return 1.001 * first, second
 
     try:
-        if inject_symbol_bug:
+        if args.inject_symbol_bug:
             pseudoproduct._branches = buggy
         cases = nf_cancellation_sweep(grid, rng, config["bands"], config["orders"],
                                       config["trials_per_case"], config["ll_factor"])
@@ -302,7 +312,7 @@ KERNEL_DEFAULTS = {
 }
 
 
-def run_verify_kernels(config: dict, outdir: str, seed: int) -> list[str]:
+def run_verify_kernels(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
     from .kernels import rows_to_csv
     from .testing import kernel_exponents
 
@@ -327,7 +337,7 @@ def run_verify_kernels(config: dict, outdir: str, seed: int) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def run_evolve(config: dict, outdir: str) -> list[str]:
+def run_evolve(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
     from .decay import ExperimentConfig
     from .solver import SolverState, SpongeConfig, dump_snapshot, evolve, ledger_to_csv
 
@@ -351,7 +361,7 @@ def run_evolve(config: dict, outdir: str) -> list[str]:
     return outputs
 
 
-def run_measure_decay(config: dict, outdir: str) -> list[str]:
+def run_measure_decay(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
     from .decay import ExperimentConfig, run
 
     cfg = ExperimentConfig.from_dict(config)
@@ -363,10 +373,11 @@ def run_measure_decay(config: dict, outdir: str) -> list[str]:
     return [json_path, csv_path]
 
 
-def run_report(config: dict, outdir: str) -> list[str]:
-    from .decay import DecayReport
+def run_report(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
+    from .decay import DecayReport, lowfreq_decay_check
+    from .errors import DegenerateSeriesError
 
-    path = config.get("input")
+    path = config["input"]
     if not path or not os.path.exists(path):
         raise ConfigError(f"report input not found: {path}")
     report = DecayReport.from_json(path)
@@ -376,6 +387,12 @@ def run_report(config: dict, outdir: str) -> list[str]:
           f"shells {report.shells}")
     print(f"epsilon_measured = {report.epsilon_measured:.4f}, "
           f"predicted exponent = {report.predicted_exponent:.4f}")
+    try:
+        check = lowfreq_decay_check(report)
+        print(f"low-frequency bound: slope {check.slope:.3f}, target {check.target:.3f}, "
+              f"{'pass' if check.passed else 'FAIL'}")
+    except DegenerateSeriesError as exc:
+        print(f"low-frequency bound: n/a ({exc})")
     for fit in report.fits:
         t = fit["time"]
         label = "aggregate" if t is None else f"t={t:g}"
@@ -388,13 +405,27 @@ def run_report(config: dict, outdir: str) -> list[str]:
 # entry point
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "verify-operators": OPERATOR_DEFAULTS,
-    "verify-normal-form": NORMAL_FORM_DEFAULTS,
-    "verify-kernels": KERNEL_DEFAULTS,
-    "evolve": {},
-    "measure-decay": {},
-    "report": {},
+
+def _experiment_defaults() -> dict:
+    from .decay import EXPERIMENT_DEFAULTS  # bolab.decay imports this module
+
+    return EXPERIMENT_DEFAULTS
+
+
+def _check_schro_points(config: dict) -> None:
+    if config["schro_points"] < 1:
+        raise ConfigError(f"schro_points must be at least 1, got {config['schro_points']!r}")
+
+
+#: per command: its defaults, which also serve as its schema (or a function
+#: returning them), its runner and a further check of the merged config
+COMMANDS = {
+    "verify-operators": (OPERATOR_DEFAULTS, run_verify_operators, None),
+    "verify-normal-form": (NORMAL_FORM_DEFAULTS, run_verify_normal_form, None),
+    "verify-kernels": (KERNEL_DEFAULTS, run_verify_kernels, _check_schro_points),
+    "evolve": (_experiment_defaults, run_evolve, None),
+    "measure-decay": (_experiment_defaults, run_measure_decay, None),
+    "report": ({"input": ""}, run_report, None),
 }
 
 
@@ -405,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DEFAULTS:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--output-dir", default=None,
@@ -425,14 +456,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        defaults = _DEFAULTS[args.command]
+        defaults, run, check = COMMANDS[args.command]
+        defaults = defaults() if callable(defaults) else defaults
         config = apply_overrides(load_config(args.config, defaults), args.override)
-        if defaults:  # the verify-* commands; the others validate their own
-            config = merge_config(defaults, config)
-        if args.command == "verify-kernels" and config["schro_points"] < 1:
-            raise ConfigError(f"schro_points must be at least 1, got {config['schro_points']!r}")
-        if args.command == "report" and args.input is not None:
+        if getattr(args, "input", None) is not None:
             config["input"] = args.input
+        config = merge_config(defaults, config)
+        if check is not None:
+            check(config)
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         if "seed" in config or args.seed is not None:
             config["seed"] = seed
@@ -442,20 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         # every warning is counted, repeats included, and reported once
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if args.command == "verify-operators":
-                outputs = run_verify_operators(config, outdir, seed)
-            elif args.command == "verify-normal-form":
-                outputs = run_verify_normal_form(
-                    config, outdir, seed, inject_symbol_bug=args.inject_symbol_bug
-                )
-            elif args.command == "verify-kernels":
-                outputs = run_verify_kernels(config, outdir, seed)
-            elif args.command == "evolve":
-                outputs = run_evolve(config, outdir)
-            elif args.command == "measure-decay":
-                outputs = run_measure_decay(config, outdir)
-            else:
-                outputs = run_report(config, outdir)
+            outputs = run(config, outdir, args)
         counts = dict(Counter(w.category.__name__ for w in caught))
         if counts:
             listed = ", ".join(f"{n} {name}" for name, n in sorted(counts.items()))

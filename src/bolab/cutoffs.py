@@ -128,9 +128,6 @@ class CutoffFamily:
         """chi_{<=j}(y) = chi^+_{<=j}(|y|); equals 1 at y = 0."""
         return self.le(j, np.abs(np.asarray(y, dtype=float)))
 
-    def ge_abs(self, j: float, y) -> np.ndarray:
-        return self.ge(j, np.abs(np.asarray(y, dtype=float)))
-
     def shell_abs(self, j: float, y) -> np.ndarray:
         return self.shell(j, np.abs(np.asarray(y, dtype=float)))
 

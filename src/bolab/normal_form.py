@@ -17,10 +17,11 @@ With the correction in place the transformed equation reads
                               + Delta_box
 
 where B_rem, C_tilde, C, Q are the quadratic remainder, cubic and quartic
-terms assembled exactly as written by ``rhs_terms``, and Delta_box collects
-the corrections that are exactly zero on the infinite line but not on the
-periodic box (mean-value terms of size O(mass / L)) together with the
-second-order gauge-polynomial term
+terms assembled exactly as written by ``rhs_terms`` (pointwise products of
+B_k outputs and projections of u), and Delta_box collects the corrections
+that are exactly zero on the infinite line but not on the periodic box
+(mean-value terms of size O(mass / L)) together with the second-order
+gauge-polynomial term
 
     (u_k^+ + B) * (d/dx phi_ll)^2 * E_{N-2}(phi_ll),
 
@@ -30,17 +31,23 @@ Delta_box as an explicit additive budget) and against the box-exact right
 side, whose residual converges at O(dt^2); both behaviours were verified by
 step-halving studies.
 
+Each snapshot is transformed once: ``transform`` builds one ``GaugeBand`` and
+one ``Bundle`` (the coefficients of u, u_k^+, B_k(u, u), phi_ll and v_k,
+with u_ll on first use), and the residual forms the four terms and
+Delta_box at that snapshot from the bundle.
+
 The gauge low-pass threshold is 2^(k - factor*N) with factor configurable
 (default 100); desk-scale grids often resolve no modes below it, in which
 case phi_ll vanishes (mean-removed) and the gauge degenerates to 1.  What the
 decay arguments actually need is support separation from the 2^k band, which
-``make_gauge_context`` asserts directly.
+``GaugeBand`` asserts directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,15 +56,13 @@ from .cutoffs import DEFAULT as DEFAULT_CUTOFFS
 from .cutoffs import CutoffFamily
 from .errors import BolabError
 from .grid import ComplexField, Field, Grid
-from .pseudoproduct import QUARTIC_MARGIN, BandKernel, assemble_B, check_dealias_margin
+from .pseudoproduct import QUARTIC_MARGIN, BandKernel, check_dealias_margin
 from .spectral import (
     antiderivative_mean_removed,
     coeffs_of,
     derivative,
     half_project,
     hilbert,
-    low_pass,
-    lp_project,
     lp_values,
     multiply,
     samples_of,
@@ -80,68 +85,12 @@ def gauge_polynomial(order: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class GaugeContext:
-    """Everything the gauge multiplication needs for one (k, N) pair."""
-
-    k: float
-    order: int
-    ll_factor: float
-    phi: Field
-    phi_ll: ComplexField
-    mass: float
-    gauge: ComplexField  # E_N(phi_ll)
-    gauge_abs_min: float
-    gauge_abs_max: float
-
-
 def _check_separation(order: int, ll_factor: float) -> None:
     if ll_factor * order < 2:
         raise BolabError(
             f"gauge low-pass threshold 2^(k - {ll_factor}*{order}) is not "
             "separated from the band; need ll_factor * order >= 2"
         )
-
-
-def make_gauge_context(
-    u: Field,
-    k: float,
-    order: int,
-    ll_factor: float = 100.0,
-    cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
-) -> GaugeContext:
-    """Build the antiderivative, its low-pass and the gauge polynomial.
-
-    Requires the support-separation property 2^(k - ll_factor*order + 1)
-    <= 2^(k-1): the gauge spectrum must sit well below the band.
-    """
-    _check_separation(order, ll_factor)
-    phi, mass = antiderivative_mean_removed(u)
-    phi_ll = low_pass(phi, k - ll_factor * order, cutoffs)
-    gauge = ComplexField(u.grid, gauge_polynomial(order, phi_ll.samples))
-    mags = np.abs(gauge.samples)
-    return GaugeContext(
-        k=k,
-        order=order,
-        ll_factor=ll_factor,
-        phi=phi,
-        phi_ll=phi_ll,
-        mass=mass,
-        gauge=gauge,
-        gauge_abs_min=float(np.min(mags)),
-        gauge_abs_max=float(np.max(mags)),
-    )
-
-
-@dataclass
-class TransformedVariable:
-    """Gauge-transformed band variable with its provenance."""
-
-    v: ComplexField
-    k: float
-    order: int
-    ll_factor: float
-    source_time: float | None = None
 
 
 class GaugeBand:
@@ -156,13 +105,98 @@ class GaugeBand:
         self.low = lp_values(grid, k - ll_factor * order, "leq", cutoffs)
         self.kernel = BandKernel(grid, k, order, ll_factor, cutoffs)
 
-    def v(self, c: np.ndarray, phi_c: np.ndarray) -> np.ndarray:
-        """Samples of v_k = (u_k^+ + B_k(u,u)) E_N(phi_ll) from the
-        coefficients of u and of phi (see ``phi_coeffs``)."""
+    def bundle(self, c: np.ndarray, phi_c: np.ndarray | None = None) -> Bundle:
+        """The pieces of v_k at one snapshot, from the coefficients of u and of
+        phi (see ``phi_coeffs``); without phi, phi_ll and v are None."""
         warn_band_edge(self.grid, self.k)
         u_kp = samples_of(self.plus * c, self.grid)
-        gauge = gauge_polynomial(self.order, samples_of(self.low * phi_c, self.grid))
-        return (u_kp + self.kernel.apply(c, c)) * gauge
+        bu = self.kernel.apply(c, c)
+        if phi_c is None:
+            return Bundle(self, c, u_kp, bu, None, None)
+        phi_ll = samples_of(self.low * phi_c, self.grid)
+        return Bundle(self, c, u_kp, bu, phi_ll, (u_kp + bu) * gauge_polynomial(self.order, phi_ll))
+
+    def v(self, c: np.ndarray, phi_c: np.ndarray) -> np.ndarray:
+        """Samples of v_k = (u_k^+ + B_k(u,u)) E_N(phi_ll)."""
+        return self.bundle(c, phi_c).v
+
+
+@dataclass
+class Bundle:
+    """One snapshot's pieces of v_k in one band, each computed once: the
+    coefficients c of u and the samples of u_k^+, B_k(u, u), phi_ll and
+    v_k = (u_k^+ + B_k(u, u)) E_N(phi_ll); u_ll on first use.  The four
+    literal terms and Delta_box are formed from them."""
+
+    band: GaugeBand
+    c: np.ndarray
+    u_kp: np.ndarray
+    bu: np.ndarray
+    phi_ll: np.ndarray | None
+    v: np.ndarray | None
+
+    @cached_property
+    def u_ll(self) -> np.ndarray:
+        return samples_of(self.band.low * self.c, self.band.grid)
+
+    def terms(self, u: Field | ComplexField) -> dict[str, ComplexField]:
+        """The four terms of ``rhs_terms`` for the u whose coefficients are c."""
+        check_dealias_margin(u, QUARTIC_MARGIN, self.c)
+        grid, band = u.grid, self.band
+        usq = multiply(u, u)
+        usq_ll = samples_of(band.low * coeffs_of(usq.samples, grid), grid)
+        # B_k is symmetric bit for bit: B(d_usq, u) + B(u, d_usq) = 2 B(d_usq, u)
+        c_tilde = -2j * band.kernel.apply(coeffs_of(derivative(usq).samples, grid), self.c)
+        hpi_du_ll = 2j * half_project(derivative(ComplexField(grid, self.u_ll)), "-").samples
+        d_u_kp = derivative(ComplexField(grid, self.u_kp)).samples
+        b_rem = hpi_du_ll * self.u_kp + 2j * self.u_ll * d_u_kp
+        d_bu = derivative(ComplexField(grid, self.bu)).samples
+        c_full = c_tilde - usq_ll * self.u_kp + 2j * self.u_ll * d_bu + hpi_du_ll * self.bu
+        q = -usq_ll * self.bu
+        return {"B_rem": ComplexField(grid, b_rem), "C_tilde": ComplexField(grid, c_tilde),
+                "C": ComplexField(grid, c_full), "Q": ComplexField(grid, q)}
+
+    def right_side(self, u: Field) -> tuple[np.ndarray, np.ndarray, float]:
+        """(rhs, Delta_box, scale) at the snapshot u whose coefficients are c:
+        the four literal terms times their gauge factors, the exact
+        periodic-box correction, and the largest sup norm of a single term.
+
+        Delta_box = mean(u^2) A E_{N-1} - 2i mean(u) A' E_{N-1}
+                    + A (u_ll - mean(u))^2 E_{N-2}
+
+        with A = u_k^+ + B(u,u).  The first two pieces vanish as mass/L -> 0; the
+        third is the second-order gauge-polynomial term beyond the first-order
+        expansion (identically zero whenever the low-pass resolves only the mean).
+        """
+        terms = self.terms(u)
+        order = self.band.order
+        e_nm1 = gauge_polynomial(order - 1, self.phi_ll)
+        g_top = (-1j * self.phi_ll) ** order / math.factorial(order)
+        rhs = (
+            -terms["B_rem"].samples * g_top
+            + terms["C_tilde"].samples * g_top
+            + terms["C"].samples * e_nm1
+            + terms["Q"].samples * e_nm1
+        )
+        a = self.u_kp + self.bu
+        ubar = float(np.mean(u.samples))
+        mean_sq = float(np.mean(u.samples**2))
+        e_nm2 = gauge_polynomial(order - 2, self.phi_ll)
+        da = derivative(ComplexField(u.grid, a)).samples
+        delta = mean_sq * a * e_nm1 - 2j * ubar * da * e_nm1 + a * (self.u_ll - ubar) ** 2 * e_nm2
+        return rhs, delta, max(term.sup_norm() for term in terms.values())
+
+
+@dataclass
+class TransformedVariable:
+    """Gauge-transformed band variable with its provenance and its bundle."""
+
+    v: ComplexField
+    k: float
+    order: int
+    ll_factor: float
+    source_time: float | None = None
+    bundle: Bundle | None = None
 
 
 def phi_coeffs(u: Field, c: np.ndarray) -> np.ndarray:
@@ -180,11 +214,10 @@ def transform(
     source_time: float | None = None,
 ) -> TransformedVariable:
     """v_k = (u_k^+ + B_k(u,u)) E_N(phi_ll)."""
-    band = GaugeBand(u.grid, k, order, ll_factor, cutoffs)
     c = coeffs_of(u.samples, u.grid)
-    v = ComplexField(u.grid, band.v(c, phi_coeffs(u, c)))
-    return TransformedVariable(v=v, k=k, order=order, ll_factor=ll_factor,
-                               source_time=source_time)
+    bundle = GaugeBand(u.grid, k, order, ll_factor, cutoffs).bundle(c, phi_coeffs(u, c))
+    return TransformedVariable(v=ComplexField(u.grid, bundle.v), k=k, order=order,
+                               ll_factor=ll_factor, source_time=source_time, bundle=bundle)
 
 
 def rhs_terms(
@@ -199,66 +232,8 @@ def rhs_terms(
 
     Keys: B_rem (quadratic remainder), C_tilde, C (cubic), Q (quartic).
     """
-    check_dealias_margin(u, QUARTIC_MARGIN)
-    grid = u.grid
-    u_ll = low_pass(u, k - ll_factor * order, cutoffs)
-    u_kp = lp_project(u, k, "plus", cutoffs)
-    bu = assemble_B(k, order, u, u, ll_factor, cutoffs)
-    usq = multiply(u, u)
-    usq_ll = low_pass(usq, k - ll_factor * order, cutoffs)
-    d_usq = derivative(usq)
-    hpi_du_ll = 2j * half_project(derivative(u_ll), "-").samples
-
-    b_rem = ComplexField(
-        grid, hpi_du_ll * u_kp.samples + 2j * u_ll.samples * derivative(u_kp).samples
-    )
-    c_tilde = ComplexField(
-        grid,
-        -2j * assemble_B(k, order, d_usq, u, ll_factor, cutoffs).samples,
-    )  # B_k is symmetric bit for bit: B(d_usq, u) + B(u, d_usq) = 2 B(d_usq, u)
-    c_full = ComplexField(
-        grid,
-        c_tilde.samples
-        - usq_ll.samples * u_kp.samples
-        + 2j * u_ll.samples * derivative(bu).samples
-        + hpi_du_ll * bu.samples,
-    )
-    q = ComplexField(grid, -usq_ll.samples * bu.samples)
-    return {"B_rem": b_rem, "C_tilde": c_tilde, "C": c_full, "Q": q}
-
-
-def box_correction(
-    u: Field,
-    k: float,
-    order: int,
-    ll_factor: float = 100.0,
-    cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
-) -> ComplexField:
-    """Exact periodic-box correction to the literal right side.
-
-    mean(u^2) A E_{N-1}  -  2i mean(u) A' E_{N-1}  +  A (u_ll - mean(u))^2 E_{N-2}
-
-    with A = u_k^+ + B(u,u).  The first two pieces vanish as mass/L -> 0; the
-    third is the second-order gauge-polynomial term beyond the first-order
-    expansion (identically zero whenever the low-pass resolves only the mean).
-    """
-    grid = u.grid
-    ctx = make_gauge_context(u, k, order, ll_factor, cutoffs)
-    u_kp = lp_project(u, k, "plus", cutoffs)
-    bu = assemble_B(k, order, u, u, ll_factor, cutoffs)
-    a = u_kp.samples + bu.samples
-    u_ll = low_pass(u, k - ll_factor * order, cutoffs)
-    ubar = float(np.mean(u.samples))
-    mean_sq = float(np.mean(u.samples**2))
-    e_nm1 = gauge_polynomial(order - 1, ctx.phi_ll.samples)
-    e_nm2 = gauge_polynomial(order - 2, ctx.phi_ll.samples)
-    da = derivative(ComplexField(grid, a)).samples
-    corr = (
-        mean_sq * a * e_nm1
-        - 2j * ubar * da * e_nm1
-        + a * (u_ll.samples - ubar) ** 2 * e_nm2
-    )
-    return ComplexField(grid, corr)
+    band = GaugeBand(u.grid, k, order, ll_factor, cutoffs)
+    return band.bundle(coeffs_of(u.samples, u.grid)).terms(u)
 
 
 @dataclass
@@ -301,23 +276,6 @@ class ResidualReport:
         )
 
 
-def _assemble_rhs(
-    u: Field, k: float, order: int, ll_factor: float, cutoffs: CutoffFamily
-) -> tuple[np.ndarray, float]:
-    terms = rhs_terms(u, k, order, ll_factor, cutoffs)
-    ctx = make_gauge_context(u, k, order, ll_factor, cutoffs)
-    e_nm1 = gauge_polynomial(order - 1, ctx.phi_ll.samples)
-    g_top = (-1j * ctx.phi_ll.samples) ** order / math.factorial(order)
-    rhs = (
-        -terms["B_rem"].samples * g_top
-        + terms["C_tilde"].samples * g_top
-        + terms["C"].samples * e_nm1
-        + terms["Q"].samples * e_nm1
-    )
-    scale = max(t.sup_norm() for t in terms.values())
-    return rhs, scale
-
-
 def transformed_residual(
     snapshots: list[tuple[float, Field]],
     k: float,
@@ -342,30 +300,28 @@ def transformed_residual(
         raise ValueError("snapshots must be uniformly spaced in time")
     grid = snapshots[0][1].grid
 
-    vs = [
-        transform(u, k, order, ll_factor, cutoffs, source_time=t).v.samples
-        for t, u in snapshots
-    ]
-    worst_literal = 0.0
-    worst_exact = 0.0
-    scale = 0.0
-    budget_mass = 0.0
-    budget_alias = 0.0
-    for i in range(1, len(snapshots) - 1):
-        u_i = snapshots[i][1]
+    vs, sides = [], []
+    scale = budget_alias = 0.0
+    for i, (t, u) in enumerate(snapshots):
+        tv = transform(u, k, order, ll_factor, cutoffs, source_time=t)
+        vs.append(tv.v.samples)
+        if 0 < i < len(snapshots) - 1:
+            rhs, delta, term_scale = tv.bundle.right_side(u)
+            sides.append((rhs, delta))
+            scale = max(scale, term_scale)
+            budget_alias = max(
+                budget_alias,
+                spectral_tail_mass(u, QUARTIC_MARGIN, tv.bundle.c) * (1.0 + u.sup_norm()),
+            )
+        del tv  # one snapshot's bundle and tables at a time
+    worst_literal = worst_exact = budget_mass = 0.0
+    for i, (rhs, delta) in enumerate(sides, start=1):
         lhs = 1j * (vs[i + 1] - vs[i - 1]) / (2.0 * dt) - derivative(
             ComplexField(grid, vs[i]), 2
         ).samples
-        rhs, s = _assemble_rhs(u_i, k, order, ll_factor, cutoffs)
-        delta = box_correction(u_i, k, order, ll_factor, cutoffs).samples
         worst_literal = max(worst_literal, float(np.max(np.abs(lhs - rhs))))
         worst_exact = max(worst_exact, float(np.max(np.abs(lhs - rhs - delta))))
-        scale = max(scale, s)
         budget_mass = max(budget_mass, float(np.max(np.abs(delta))))
-        budget_alias = max(
-            budget_alias,
-            spectral_tail_mass(u_i, QUARTIC_MARGIN) * (1.0 + u_i.sup_norm()),
-        )
 
     budget_dt2 = 0.0
     if len(snapshots) >= 5:

@@ -1,5 +1,5 @@
-"""Bilinear, cubic and quartic pseudoproducts on the frequency lattice, and
-the branch symbols of the quadratic normal-form correction.
+"""Bilinear pseudoproducts on the frequency lattice, and the branch symbols
+of the quadratic normal-form correction.
 
 A bilinear pseudoproduct with symbol b acts through
 
@@ -7,8 +7,10 @@ A bilinear pseudoproduct with symbol b acts through
 
 with dxi = 2*pi/L the lattice measure (so b == 1 reproduces sqrt(2 pi) f g
 exactly for band-limited inputs).  Frequencies outside the grid range are
-treated as zero (no circular wrap); callers are expected to keep inputs
-inside the dealiasing margins (1/2 Nyquist bilinear, 1/3 cubic, 1/4 quartic).
+treated as zero (no circular wrap).  The cubic and quartic terms of the
+transformed equation are pointwise products of such outputs
+(``normal_form.rhs_terms``); their inputs are expected below 1/4 of Nyquist,
+and ``check_dealias_margin`` warns otherwise.
 
 The normal-form branch symbols (``nf_branch_symbol``) implement the closed
 forms of the quadratic cancellation, with the smooth pieces written as
@@ -74,9 +76,8 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: transform convention, and the solved symbol enters with a minus sign.
 NF_NORMALIZATION = -1.0 / SQRT_2PI
 
-# dealiasing margins, as fractions of the Nyquist frequency
-BILINEAR_MARGIN = 0.5
-CUBIC_MARGIN = 1.0 / 3.0
+#: dealiasing margin of the quartic terms of the transformed equation, as a
+#: fraction of the Nyquist frequency
 QUARTIC_MARGIN = 0.25
 
 
@@ -103,29 +104,6 @@ class BilinearSymbol:
 
     def __call__(self, xi, eta) -> np.ndarray:
         return np.asarray(self.fn(xi, eta), dtype=complex)
-
-
-@dataclass
-class CubicSymbol:
-    fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    eta_support: tuple[float, float] | None = None
-    sigma_support: tuple[float, float] | None = None
-    tag: str = ""
-
-    def __call__(self, xi, eta, sigma) -> np.ndarray:
-        return np.asarray(self.fn(xi, eta, sigma), dtype=complex)
-
-
-@dataclass
-class QuarticSymbol:
-    fn: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    eta_support: tuple[float, float] | None = None
-    sigma_support: tuple[float, float] | None = None
-    rho_support: tuple[float, float] | None = None
-    tag: str = ""
-
-    def __call__(self, xi, eta, sigma, rho) -> np.ndarray:
-        return np.asarray(self.fn(xi, eta, sigma, rho), dtype=complex)
 
 
 def _indices_in(grid: Grid, support: tuple[float, float] | None) -> np.ndarray:
@@ -169,95 +147,6 @@ def bilinear_apply(
         valid = (shift >= 0) & (shift < grid.n_points)
         fv = np.where(valid, fc[np.clip(shift, 0, grid.n_points - 1)], 0.0)
         out[rows] = (values * fv) @ gc[cols] * grid.dxi
-    return ComplexField(grid, samples_of(out, grid))
-
-
-def cubic_apply(
-    sym: CubicSymbol,
-    f: Field | ComplexField,
-    g: Field | ComplexField,
-    h: Field | ComplexField,
-    chunk: int = 64,
-) -> ComplexField:
-    """Apply a cubic pseudoproduct by the direct O(n^3) lattice sum.
-
-    The eta/sigma ranges are pruned by the symbol's support hints; the output
-    frequency loop is chunked to bound memory.
-    """
-    grid = require_same_grid(f, g, h)
-    n = grid.n_points
-    fc = coeffs_of(np.asarray(f.samples), grid)
-    gc = coeffs_of(np.asarray(g.samples), grid)
-    hc = coeffs_of(np.asarray(h.samples), grid)
-    etas = _indices_in(grid, sym.eta_support)
-    sigmas = _indices_in(grid, sym.sigma_support)
-    sigmas = sigmas[np.abs(hc[sigmas]) > 0.0]
-    out = np.zeros(n, dtype=complex)
-    if not (len(etas) and len(sigmas)):
-        return ComplexField(grid, samples_of(out, grid))
-    # ghat(eta - sigma), shared across output chunks
-    shift_ls = etas[:, None] - sigmas[None, :] + n // 2
-    valid_ls = (shift_ls >= 0) & (shift_ls < n)
-    gmat = np.where(valid_ls, gc[np.clip(shift_ls, 0, n - 1)], 0.0)
-    xi_e = grid.xi[etas]
-    xi_s = grid.xi[sigmas]
-    for start in range(0, n, chunk):
-        ms = np.arange(start, min(start + chunk, n))
-        values = sym(
-            grid.xi[ms][:, None, None], xi_e[None, :, None], xi_s[None, None, :]
-        )
-        shift_ml = ms[:, None] - etas[None, :] + n // 2
-        valid_ml = (shift_ml >= 0) & (shift_ml < n)
-        fmat = np.where(valid_ml, fc[np.clip(shift_ml, 0, n - 1)], 0.0)
-        out[ms] = np.einsum(
-            "mls,ml,ls,s->m", values, fmat, gmat, hc[sigmas], optimize=True
-        ) * grid.dxi**2
-    return ComplexField(grid, samples_of(out, grid))
-
-
-def quartic_apply(
-    sym: QuarticSymbol,
-    f: Field | ComplexField,
-    g: Field | ComplexField,
-    h: Field | ComplexField,
-    k: Field | ComplexField,
-    chunk: int = 16,
-) -> ComplexField:
-    """Apply a quartic pseudoproduct by the direct lattice sum (O(n^4) naive);
-    intended for small grids or tightly hinted symbols."""
-    grid = require_same_grid(f, g, h, k)
-    n = grid.n_points
-    fc = coeffs_of(np.asarray(f.samples), grid)
-    gc = coeffs_of(np.asarray(g.samples), grid)
-    hc = coeffs_of(np.asarray(h.samples), grid)
-    kc = coeffs_of(np.asarray(k.samples), grid)
-    etas = _indices_in(grid, sym.eta_support)
-    sigmas = _indices_in(grid, sym.sigma_support)
-    rhos = _indices_in(grid, sym.rho_support)
-    rhos = rhos[np.abs(kc[rhos]) > 0.0]
-    out = np.zeros(n, dtype=complex)
-    if not (len(etas) and len(sigmas) and len(rhos)):
-        return ComplexField(grid, samples_of(out, grid))
-
-    def gather(rows, cols, coeff):
-        shift = rows[:, None] - cols[None, :] + n // 2
-        valid = (shift >= 0) & (shift < n)
-        return np.where(valid, coeff[np.clip(shift, 0, n - 1)], 0.0)
-
-    gmat = gather(etas, sigmas, gc)
-    hmat = gather(sigmas, rhos, hc)
-    for start in range(0, n, chunk):
-        ms = np.arange(start, min(start + chunk, n))
-        values = sym(
-            grid.xi[ms][:, None, None, None],
-            grid.xi[etas][None, :, None, None],
-            grid.xi[sigmas][None, None, :, None],
-            grid.xi[rhos][None, None, None, :],
-        )
-        fmat = gather(ms, etas, fc)
-        out[ms] = np.einsum(
-            "mlsr,ml,ls,sr,r->m", values, fmat, gmat, hmat, kc[rhos], optimize=True
-        ) * grid.dxi**3
     return ComplexField(grid, samples_of(out, grid))
 
 
@@ -444,9 +333,11 @@ def assemble_B(
 # ---------------------------------------------------------------------------
 
 
-def check_dealias_margin(u: Field | ComplexField, fraction: float = QUARTIC_MARGIN) -> None:
-    """Warn when the spectrum carries mass beyond the requested margin."""
-    tail = spectral_tail_mass(u, fraction)
+def check_dealias_margin(u: Field | ComplexField, fraction: float = QUARTIC_MARGIN,
+                         c: np.ndarray | None = None) -> None:
+    """Warn when the spectrum carries mass beyond the requested margin; ``c``
+    may pass in the coefficients of u."""
+    tail = spectral_tail_mass(u, fraction, c)
     scale = max(np.max(np.abs(np.asarray(u.samples))), 1e-300)
     if tail > 1e-12 * scale:
         warnings.warn(

@@ -343,9 +343,11 @@ def multiply(f: Field | ComplexField, g: Field | ComplexField) -> ComplexField:
     return ComplexField(f.grid, np.asarray(f.samples) * np.asarray(g.samples))
 
 
-def spectral_tail_mass(f: Field | ComplexField, fraction: float) -> float:
-    """dxi * sum of |coefficients| beyond fraction * Nyquist (aliasing proxy)."""
+def spectral_tail_mass(f: Field | ComplexField, fraction: float,
+                       c: np.ndarray | None = None) -> float:
+    """dxi * sum of |coefficients| beyond fraction * Nyquist (aliasing proxy);
+    ``c`` may pass in the coefficients of f."""
     grid = f.grid
-    c = coeffs_of(np.asarray(f.samples), grid)
+    c = coeffs_of(np.asarray(f.samples), grid) if c is None else c
     tail = np.abs(grid.xi) > fraction * grid.nyquist
     return float(grid.dxi * np.sum(np.abs(c[tail])))

@@ -5,6 +5,7 @@ import pytest
 
 import bolab.decay
 from bolab.cli import apply_overrides, config_hash, load_config, main, write_manifest
+from bolab.decay import DecayReport, lowfreq_decay_check
 from bolab.errors import AcceptanceFailure, ConfigError
 from bolab.grid import Grid
 from bolab.solver import SolverState, dump_snapshot, soliton
@@ -108,7 +109,7 @@ def test_manifest_determinism(tmp_path):
     assert hashes[0] == hashes[1]
 
 
-def test_evolve_and_report_pipeline(tmp_path):
+def test_evolve_and_report_pipeline(tmp_path, capsys):
     cfg = {
         "n_points": 512,
         "box_length": 200.0,
@@ -138,10 +139,31 @@ def test_evolve_and_report_pipeline(tmp_path):
     ])
     assert code == 0
     assert (out_r / "decay_report.csv").exists()
+    check = lowfreq_decay_check(DecayReport.from_json(str(out_m / "decay_report.json")))
+    line = f"low-frequency bound: slope {check.slope:.3f}, target {check.target:.3f}, "
+    assert line + ("pass" if check.passed else "FAIL") in capsys.readouterr().out
+
+
+def test_report_prints_na_when_the_lowfreq_series_is_degenerate(tmp_path, capsys):
+    # three shells: too few for the low-frequency fit, which needs four
+    assert _measure_decay(tmp_path, "shells=[2.0, 2.5, 3.0]") == 0
+    code = main(["report", "--input", str(tmp_path / "decay_report.json"),
+                 "--output-dir", str(tmp_path / "report")])
+    assert code == 0
+    assert "low-frequency bound: n/a (only 3 clean shells" in capsys.readouterr().out
 
 
 def test_report_missing_input_exits_2(tmp_path):
     assert main(["report", "--output-dir", str(tmp_path)]) == 2
+
+
+def test_report_rejects_unknown_key(tmp_path, capsys):
+    assert _measure_decay(tmp_path) == 0
+    code = main(["report", "--input", str(tmp_path / "decay_report.json"),
+                 "--output-dir", str(tmp_path / "report"), "--override", "bogus=1"])
+    assert code == 2
+    assert "unknown config key 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
 
 
 def test_config_hash_key_order_invariant():
@@ -208,6 +230,7 @@ def test_threads_flag_is_gone(capsys):
     ("verify-normal-form", "commutator=1", "unknown config key 'commutator'"),
     ("verify-normal-form", "bands=2", "bands must be a non-empty list"),
     ("verify-normal-form", "threshold=\"tight\"", "threshold must be a number"),
+    ("verify-normal-form", "threshold=NaN", "threshold must be a number"),
 ])
 def test_verify_rejects_bad_config(tmp_path, capsys, command, override, message):
     code = main([command, "--output-dir", str(tmp_path), "--override", override])
@@ -226,12 +249,22 @@ def test_verify_rejects_bad_config(tmp_path, capsys, command, override, message)
     ("sponge.strength=\"x\"", "sponge.strength must be a number"),
     ("gauge.enabled=1", "gauge.enabled must be true or false"),
     ("gauge.mystery=1", "unknown config key 'gauge.mystery'"),
+    ("epsilon_assumed=NaN", "epsilon_assumed must be a number"),
+    ("front_speed=Infinity", "front_speed must be null or a number"),
+    ("shells=[2.5, -Infinity]", "shells must be a non-empty list of numbers"),
 ])
 def test_measure_decay_rejects_value_of_wrong_kind(tmp_path, capsys, override, message):
     code = main(["measure-decay", "--output-dir", str(tmp_path), "--override", override])
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "decay_report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["null", "3.0"])
+def test_measure_decay_front_speed_takes_null_or_a_number(tmp_path, value):
+    assert _measure_decay(tmp_path, f"front_speed={value}") == 0
+    report = json.loads((tmp_path / "decay_report.json").read_text())
+    assert report["config"]["front_speed"] == json.loads(value)
 
 
 @pytest.mark.parametrize("command, overrides, message", [

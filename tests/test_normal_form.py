@@ -5,24 +5,22 @@ from bolab.errors import BolabError
 from bolab.grid import ComplexField, Field, Grid
 from bolab.kernels import fit_decay
 from bolab.normal_form import (
-    box_correction,
     gauge_polynomial,
-    make_gauge_context,
     phi_equation_residual,
     rhs_terms,
     transform,
     transformed_residual,
 )
-from bolab.pseudoproduct import assemble_B
+from bolab.pseudoproduct import BandKernel, assemble_B
 from bolab.solver import SolverState, evolve, soliton
-from bolab.spectral import coeffs_of, weighted_shell_sup
+from bolab.spectral import antiderivative_mean_removed, coeffs_of, weighted_shell_sup
 from bolab.testing import random_band_limited
 
 pytestmark = pytest.mark.filterwarnings("ignore::bolab.errors.AliasingWarning")
 
 
 # ---------------------------------------------------------------------------
-# gauge polynomial and context
+# gauge polynomial and the gauge pieces of the bundle
 # ---------------------------------------------------------------------------
 
 
@@ -40,27 +38,29 @@ def test_gauge_polynomial_values():
 
 def test_gauge_context_zero_field(grid_small):
     z = Field(grid_small, np.zeros(grid_small.n_points))
-    ctx = make_gauge_context(z, 2.0, 4)
-    assert ctx.phi.sup_norm() == 0.0
-    assert np.allclose(ctx.gauge.samples, 1.0)
-    assert ctx.mass == 0.0
+    bundle = transform(z, 2.0, 4).bundle
+    phi, mass = antiderivative_mean_removed(z)
+    assert phi.sup_norm() == 0.0 and np.max(np.abs(bundle.phi_ll)) == 0.0
+    assert np.allclose(gauge_polynomial(4, bundle.phi_ll), 1.0)
+    assert mass == 0.0
 
 
 def test_gauge_context_requires_support_separation(grid_small, rng):
     u = random_band_limited(grid_small, rng, 0.25)
     with pytest.raises(BolabError):
-        make_gauge_context(u, 2.0, 1, ll_factor=1.0)
+        transform(u, 2.0, 1, ll_factor=1.0)
 
 
 def test_gauge_boundedness_for_soliton():
     # |E_N(phi_ll)| stays within [1/2, 2] for N >= 6 at soliton amplitude
     g = Grid(4096, 400.0)
     s = soliton(1.0, 0.0, g)
+    assert antiderivative_mean_removed(s)[0].sup_norm() < 1.1 * np.pi
     for order in (6, 8):
-        ctx = make_gauge_context(s, 2.0, order, ll_factor=1.0)
-        assert ctx.phi.sup_norm() < 1.1 * np.pi
-        assert ctx.gauge_abs_min >= 0.5
-        assert ctx.gauge_abs_max <= 2.0
+        phi_ll = transform(s, 2.0, order, ll_factor=1.0).bundle.phi_ll
+        mags = np.abs(gauge_polynomial(order, phi_ll))
+        assert np.min(mags) >= 0.5
+        assert np.max(mags) <= 2.0
 
 
 def test_phi_equation_residual_along_run(rng):
@@ -262,9 +262,36 @@ def test_box_correction_vanishes_for_mean_free_trivial_gauge(grid_medium, rng):
     # with factor 100 the gauge low-pass is empty and the data mean-zero, so
     # only the mean(u^2) piece survives
     u = random_band_limited(grid_medium, rng, 0.25)
-    corr = box_correction(u, 2.0, 4, ll_factor=100.0)
+    _, corr, _ = transform(u, 2.0, 4, ll_factor=100.0).bundle.right_side(u)
     from bolab.spectral import lp_project
 
     a = lp_project(u, 2.0, "plus").samples + assemble_B(2.0, 4, u, u).samples
     expected = float(np.mean(u.samples**2)) * a
-    assert np.max(np.abs(corr.samples - expected)) < 1e-12
+    assert np.max(np.abs(corr - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("n_snapshots", [3, 5])
+def test_residual_builds_and_applies_one_kernel_per_snapshot(monkeypatch, n_snapshots):
+    # each snapshot's transform builds one BandKernel and applies B_k(u, u)
+    # once; each interior snapshot adds one application, B_k(d(u^2), u)
+    builds, applies = [], []
+    init, apply = BandKernel.__init__, BandKernel.apply
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_apply(self, fc, gc):
+        applies.append(1)
+        return apply(self, fc, gc)
+
+    monkeypatch.setattr(BandKernel, "__init__", counted_init)
+    monkeypatch.setattr(BandKernel, "apply", counted_apply)
+    g = Grid(2048, 400.0)
+    dt = 1e-3
+    st = SolverState(w=soliton(1.0, 0.0, g), frame="lab", dt=dt)
+    snaps = evolve(st, (n_snapshots - 1) * dt, snapshot_stride=1, record_ledger=False)
+    assert len(snaps) == n_snapshots
+    transformed_residual([(s.t, s.w) for s in snaps], 1.0, 4, 3.0)
+    assert len(builds) <= n_snapshots
+    assert len(applies) == 2 * n_snapshots - 2

@@ -11,15 +11,11 @@ from bolab.pseudoproduct import (
     NF_NORMALIZATION,
     SQRT_2PI,
     BilinearSymbol,
-    CubicSymbol,
-    QuarticSymbol,
     assemble_B,
     bilinear_apply,
-    cubic_apply,
     leibnitz_check,
     nf_branch_symbol,
     nf_generator_terms,
-    quartic_apply,
     verify_nf_cancellation,
 )
 from bolab.solver import soliton
@@ -103,58 +99,6 @@ def test_scaling_consistency(rng):
     out_c = bilinear_apply(ONE, fc, gc)
     out_f = bilinear_apply(ONE, upsample(fc), upsample(gc))
     assert np.max(np.abs(out_f.samples[::2] - out_c.samples)) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# cubic and quartic
-# ---------------------------------------------------------------------------
-
-
-def test_cubic_unit_symbol(rng):
-    # oracle: the constant was verified against the direct pointwise product,
-    # two convolution measures -> (2 pi) f g h
-    g = Grid(128, 8 * np.pi)
-    f1 = random_band_limited(g, rng, 0.2)
-    f2 = random_band_limited(g, rng, 0.2)
-    f3 = random_band_limited(g, rng, 0.2)
-    sym = CubicSymbol(fn=lambda a, b, c: np.ones(np.broadcast(a, b, c).shape))
-    out = cubic_apply(sym, f1, f2, f3)
-    target = 2 * np.pi * f1.samples * f2.samples * f3.samples
-    assert np.max(np.abs(out.samples - target)) < 1e-10 * np.max(np.abs(target))
-
-
-def test_cubic_zero_input(rng):
-    g = Grid(64, 8 * np.pi)
-    f = random_band_limited(g, rng, 0.2)
-    z = Field(g, np.zeros(g.n_points))
-    sym = CubicSymbol(fn=lambda a, b, c: np.ones(np.broadcast(a, b, c).shape))
-    assert cubic_apply(sym, f, z, f).sup_norm() == 0.0
-
-
-def test_cubic_band_selection(rng):
-    # symbol chi_k(xi) passes output triples landing in the band and kills
-    # the rest; the single-mode amplitude matches the unit-symbol identity
-    g = Grid(64, 8 * np.pi)
-    m = 3  # xi = 0.75, tripled output at 2.25 inside the k=1 band
-    mode = ComplexField(g, np.exp(1j * g.xi[m + 32] * g.x))
-    sym = CubicSymbol(fn=lambda a, b, c: DEFAULT.shell_abs(1.0, a))
-    out = cubic_apply(sym, mode, mode, mode)
-    expect = 2 * np.pi * float(DEFAULT.shell_abs(1.0, np.array(2.25))) * np.exp(
-        3j * 0.75 * g.x
-    )
-    assert np.max(np.abs(out.samples - expect)) < 1e-10
-    m_hi = 12  # xi = 3.0, tripled output at 9.0 outside the band
-    hi = ComplexField(g, np.exp(1j * g.xi[m_hi + 32] * g.x))
-    assert cubic_apply(sym, hi, hi, hi).sup_norm() < 1e-12
-
-
-def test_quartic_unit_symbol(rng):
-    g = Grid(64, 8 * np.pi)
-    fs = [random_band_limited(g, rng, 0.15) for _ in range(4)]
-    sym = QuarticSymbol(fn=lambda a, b, c, d: np.ones(np.broadcast(a, b, c, d).shape))
-    out = quartic_apply(sym, *fs)
-    target = (2 * np.pi) ** 1.5 * fs[0].samples * fs[1].samples * fs[2].samples * fs[3].samples
-    assert np.max(np.abs(out.samples - target)) < 1e-9 * np.max(np.abs(target))
 
 
 # ---------------------------------------------------------------------------
