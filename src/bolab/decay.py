@@ -32,9 +32,9 @@ from .normal_form import GaugeBand, phi_coeffs
 from .solver import SolverState, SpongeConfig, evolve, soliton
 from .spectral import (
     coeffs_of,
+    fft_ordered,
     lp_partition_bounds,
     lp_values,
-    samples_of,
     shell_weight,
     weighted_shell_sup,
     weighted_sup,
@@ -65,6 +65,11 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a decay experiment runs forward in time (``evolve`` alone also runs backward)
+        if not self.dt > 0:
+            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if not self.t_final >= 0:
+            raise ConfigError(f"t_final must be non-negative, got {self.t_final}")
         if 2.0 ** max(self.shells) > self.box_length / 4.0:
             raise ConfigError(
                 f"largest shell 2^{max(self.shells)} exceeds box_length/4"
@@ -217,21 +222,55 @@ def contamination_time(config: ExperimentConfig, j: float) -> float:
     return path / speed
 
 
+#: rows of the one preallocated work buffer in which ``SnapshotTables.measure``
+#: inverts band and low-pass projections: enough to pay pocketfft's per-call
+#: cost once per block, few enough that the buffer stays small beside the field
+BLOCK_ROWS = 4
+
+
+def _fft_order_table(grid: Grid, specs: list[tuple[float, str]]) -> np.ndarray:
+    """The ``lp_values`` multipliers of (k, variant) in ``specs`` as the FFT-order rows
+    of one table, filled row by row."""
+    table = np.empty((len(specs), grid.n_points))
+    for row, (k, variant) in zip(table, specs):
+        row[:] = np.fft.ifftshift(lp_values(grid, k, variant))
+    return table
+
+
 class SnapshotTables:
     """The snapshot-invariant tables of a run: the +- shell weights on their supports, the
-    positive band multipliers, each shell's low-pass multiplier and one ``GaugeBand`` per band."""
+    positive band multipliers and each shell's low-pass multiplier as two stacked tables in
+    FFT order, and one ``GaugeBand`` per band."""
 
     def __init__(self, config: ExperimentConfig):
         grid = self.grid = config.grid()
         self.shells = [float(j) for j in config.shells]
         self.weights = {j: {s: shell_weight(grid, j, s) for s in "+-"} for j in self.shells}
         self.k0 = {j: -(1.0 - config.epsilon_assumed) / 2.0 * j for j in self.shells}
-        self.low = {j: lp_values(grid, self.k0[j], "leq") for j in self.shells}
         k_min, k_max = lp_partition_bounds(grid)
-        self.bands = [(k, lp_values(grid, k, "plus")) for k in range(k_min + 1, k_max + 1)]
+        self.band_ks = list(range(k_min + 1, k_max + 1))
+        self.band_table = _fft_order_table(grid, [(k, "plus") for k in self.band_ks])
+        self.low_table = _fft_order_table(grid, [(self.k0[j], "leq") for j in self.shells])
+        self._work = np.empty((BLOCK_ROWS, grid.n_points), dtype=complex)
+        self._mags = np.empty(grid.n_points)
         gauge = config.gauge
         self.gauge = {int(k): GaugeBand(grid, int(k), gauge["order"], gauge["ll_factor"])
                       for k in (gauge["bands"] if gauge["enabled"] else [])}
+
+    def _projected_abs(self, table: np.ndarray, c: np.ndarray):
+        """|samples_of(row * c)| for each FFT-order row of ``table``, in turn, bit for bit:
+        c is shifted once, and each block of rows is inverted in one ifft call.  The
+        array yielded is overwritten by the next row."""
+        cf = fft_ordered(c, self.grid)
+        scale = np.sqrt(2.0 * np.pi) / self.grid.dx
+        for start in range(0, len(table), BLOCK_ROWS):
+            block = table[start:start + BLOCK_ROWS]
+            work = self._work[:len(block)]
+            np.multiply(block, cf, out=work)
+            np.fft.ifft(work, axis=-1, out=work)
+            work *= scale
+            for row in work:
+                yield np.abs(row, out=self._mags)
 
     def measure(self, w: Field) -> tuple[dict, dict, dict, dict]:
         """(sups[j][sign] as from ``weighted_shell_sup``, lowpass[j], bandsum[j], gauge[k][j])
@@ -244,13 +283,12 @@ class SnapshotTables:
         # constant 2pi/L background absent on the line; its size is in
         # budgets.mass_over_L)
         c_centered = coeffs_of(w.samples - np.mean(w.samples), self.grid)
-        lowpass = {j: weighted_sup(plus[j], np.abs(samples_of(low * c_centered, self.grid)))
-                   for j, low in self.low.items()}
+        lowpass = {j: weighted_sup(plus[j], mags)
+                   for j, mags in zip(self.shells, self._projected_abs(self.low_table, c_centered))}
         # the sum of |w_k^+| over the bands k > k0, on each shell's support
         c = coeffs_of(w.samples, self.grid)
         totals = {j: np.zeros(len(values)) for j, (_, values) in plus.items()}
-        for k, values in self.bands:
-            mags = np.abs(samples_of(values * c, self.grid))
+        for k, mags in zip(self.band_ks, self._projected_abs(self.band_table, c)):
             for j, total in totals.items():
                 if k > self.k0[j]:
                     total += mags[plus[j][0]]

@@ -102,8 +102,8 @@ class GaugeBand:
         _check_separation(order, ll_factor)
         self.grid, self.k, self.order = grid, k, order
         self.plus = lp_values(grid, k, "plus", cutoffs)
-        self.low = lp_values(grid, k - ll_factor * order, "leq", cutoffs)
         self.kernel = BandKernel(grid, k, order, ll_factor, cutoffs)
+        self.low = self.kernel.low  # the gauge low-pass, one table for both
 
     def bundle(self, c: np.ndarray, phi_c: np.ndarray | None = None) -> Bundle:
         """The pieces of v_k at one snapshot, from the coefficients of u and of

@@ -60,9 +60,9 @@ from .spectral import (
     coeffs_of,
     derivative,
     half_project,
-    half_projector_values,
     low_pass,
     lp_project,
+    lp_values,
     multiply,
     require_same_grid,
     samples_of,
@@ -268,16 +268,24 @@ def _lattice_conv(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
 
 class BandKernel:
     """The tables of B_k for one band (chi = chi_k^+, ll = chi_{<<k}, 1/(2 xi),
-    the half-line projectors, the output mask), applied to any number of inputs."""
+    the half-line projectors as boolean masks, the output mask), applied to any
+    number of inputs.
+
+    ``low`` is the gauge low-pass of ``lp_values`` (Nyquist zeroed), which a
+    ``GaugeBand`` shares; ``half`` only multiplies it into inputs that ``both``
+    has zeroed at the Nyquist mode, where it could differ from chi_{<<k}.  A
+    boolean mask multiplies a complex array as 1+0j or 0j, as a 0/1 float table
+    does, so the products are the same bit for bit."""
 
     def __init__(self, grid: Grid, k: float, order: int, ll_factor: float = 100.0,
                  cutoffs: CutoffFamily = DEFAULT_CUTOFFS):
         self.grid = grid
         self.chi = cutoffs.shell(k, grid.xi)
-        self.low = cutoffs.ll(k, order, grid.xi, ll_factor)
+        self.low = lp_values(grid, k - ll_factor * order, "leq", cutoffs)
         self.inv2xi = np.divide(0.5, grid.xi, out=np.zeros(grid.n_points), where=grid.xi != 0)
-        self.plus = half_projector_values(grid, "+")
-        self.both = self.plus + half_projector_values(grid, "-")
+        self.plus = grid.xi > 0
+        self.both = grid.xi != 0
+        self.both[0] = False  # the unpaired Nyquist mode
         lo, hi = nf_branch_symbol(k, order, "+++", cutoffs, ll_factor).xi_support
         self.outside = (grid.xi <= 0) | (grid.xi < lo) | (grid.xi > hi)
 

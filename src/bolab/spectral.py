@@ -39,15 +39,33 @@ from .grid import ComplexField, Field, Grid, Spectrum
 
 
 def coeffs_of(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    """Raw samples -> math-ordered coefficients (internal fast path)."""
-    a = np.fft.fftshift(np.fft.fft(samples))
-    return a * (grid.dx / np.sqrt(2.0 * np.pi)) * grid._phase
+    """Raw samples -> math-ordered coefficients (internal fast path).
+
+    For the even n of every grid, fftshift is the swap of the two halves."""
+    a = np.fft.fft(samples)
+    h = grid.n_points // 2
+    c = np.concatenate((a[h:], a[:h]))
+    c *= grid.dx / np.sqrt(2.0 * np.pi)
+    c *= grid._phase
+    return c
+
+
+def fft_ordered(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """ifftshift(coeffs * grid._phase) in a new complex array: math order to
+    FFT order, the swap of the two halves for the even n of every grid."""
+    h = grid.n_points // 2
+    out = np.empty(coeffs.shape, dtype=complex)
+    np.multiply(coeffs[h:], grid._phase[h:], out=out[:h])
+    np.multiply(coeffs[:h], grid._phase[:h], out=out[h:])
+    return out
 
 
 def samples_of(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Math-ordered coefficients -> raw samples (internal fast path)."""
-    a = np.fft.ifftshift(coeffs * grid._phase)
-    return np.fft.ifft(a) * (np.sqrt(2.0 * np.pi) / grid.dx)
+    a = fft_ordered(coeffs, grid)
+    np.fft.ifft(a, out=a)
+    a *= np.sqrt(2.0 * np.pi) / grid.dx
+    return a
 
 
 def analyze(f: Field | ComplexField) -> Spectrum:

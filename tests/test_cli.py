@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -280,6 +282,40 @@ def test_argument_out_of_domain_exits_2(tmp_path, capsys, command, overrides, me
     assert main(args) == 2
     assert message in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+TIME_STEPPING = ("n_points=256", "t_final=0.01", "dt=0.001")
+
+
+@pytest.mark.parametrize("command", ["measure-decay", "evolve"])
+@pytest.mark.parametrize("override, message", [
+    ("dt=0", "dt must be positive"),
+    ("dt=-0.001", "dt must be positive"),
+    ("t_final=-0.01", "t_final must be non-negative"),
+])
+def test_bad_time_stepping_exits_2(tmp_path, capsys, command, override, message):
+    args = [command, "--output-dir", str(tmp_path)]
+    for item in (*TIME_STEPPING, override):
+        args += ["--override", item]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["measure-decay", "evolve"])
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_snapshot_stride_below_one_exits_2(tmp_path, command, stride):
+    # in a child process with a timeout, so that a stride that never
+    # advances fails the test instead of stalling the suite
+    args = [sys.executable, "-m", "bolab.cli", command, "--output-dir", str(tmp_path / "out")]
+    for item in (*TIME_STEPPING, f"snapshot_stride={stride}"):
+        args += ["--override", item]
+    src = os.path.dirname(os.path.dirname(bolab.decay.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(args, capture_output=True, text=True, timeout=60, env=env)
+    assert out.returncode == 2
+    assert "snapshot_stride must be at least 1" in out.stderr
+    assert not os.path.exists(tmp_path / "out") or os.listdir(tmp_path / "out") == []
 
 
 def test_measure_decay_gauge_enabled_alone_measures_default_bands(tmp_path):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from bolab.errors import AcceptanceFailure, ConfigError, DegenerateSeriesError
 from bolab.grid import Field, Grid
 from bolab.normal_form import phi_coeffs, transform
 from bolab.solver import SolverState, evolve, soliton
-from bolab.spectral import low_pass, lp_values, coeffs_of, samples_of, spatial_cutoff_values
+from bolab.spectral import (
+    coeffs_of,
+    low_pass,
+    lp_partition_bounds,
+    lp_values,
+    samples_of,
+    spatial_cutoff_values,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +280,58 @@ def test_gauge_tables_reused_over_a_run_match_fresh_transform():
             for j in rep.shells:
                 weights = spatial_cutoff_values(g, j, "+", "exact")
                 assert rep.gauge_sup[f"{k}"][f"{j}"][i] == float(np.max(weights * np.abs(fresh)))
+
+
+def _soliton_bump(cfg):
+    w = cfg.initial_field()
+    return Field(w.grid, w.samples + 0.05 * np.exp(-((w.grid.x - 2.0) ** 2)))
+
+
+def test_snapshot_projections_equal_per_row_transforms_bitwise():
+    cfg = _small_config(n_points=2048)
+    tables = SnapshotTables(cfg)
+    g, w = cfg.grid(), _soliton_bump(cfg)
+    c = coeffs_of(w.samples, g)
+    c_centered = coeffs_of(w.samples - np.mean(w.samples), g)
+    k_min, k_max = lp_partition_bounds(g)
+    assert tables.band_ks == list(range(k_min + 1, k_max + 1))
+    bands = [np.abs(samples_of(lp_values(g, k, "plus") * c, g)) for k in tables.band_ks]
+    lows = [np.abs(samples_of(lp_values(g, tables.k0[j], "leq") * c_centered, g))
+            for j in tables.shells]
+    for table, coeffs, expected in ((tables.band_table, c, bands),
+                                    (tables.low_table, c_centered, lows)):
+        rows = [mags.copy() for mags in tables._projected_abs(table, coeffs)]
+        assert len(rows) == len(expected)
+        assert all(np.array_equal(row, ref) for row, ref in zip(rows, expected))
+    # and measure() reports them as the per-row transforms give them
+    _, lowpass, bandsum, _ = tables.measure(w)
+    for j, low in zip(tables.shells, lows):
+        s, weight = tables.weights[j]["+"]
+        assert lowpass[j] == float(np.max(weight * low[s]))
+        total = np.zeros(len(weight))
+        for k, mags in zip(tables.band_ks, bands):
+            if k > tables.k0[j]:
+                total += mags[s]
+        assert bandsum[j] == float(np.max(weight * total))
+
+
+def test_snapshot_measurement_memory_is_bounded():
+    # the projections go through a work buffer of at most 4 rows, built with
+    # the tables: stacking all 15 band rows of n = 16384 at once would take
+    # 15 * 256 KiB = 3.75 MiB
+    cfg = _small_config(n_points=16384)
+    tables = SnapshotTables(cfg)
+    w = _soliton_bump(cfg)
+    tables.measure(w)
+    tracemalloc.start()
+    try:
+        tables.measure(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tables.band_ks) == 15
+    assert tables._work.nbytes <= 4 * 16 * cfg.n_points
+    assert peak < 1.5 * 2**20
 
 
 def test_shell_sup_triangle_audits():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bolab.errors import SolverInstabilityError
+import bolab.solver
+from bolab.errors import ConfigError, SolverInstabilityError
 from bolab.grid import ComplexField, Field, Grid
 from bolab.solver import (
     SolverState,
@@ -194,6 +195,75 @@ def test_advance_matches_complex_fft_oracle(rng, sponge, nonlinear):
     assert np.max(np.abs(out.w.samples - ref.samples)) <= 1e-13
     # the sponge and the quadratic term each move the field well beyond that
     assert np.max(np.abs(out.w.samples - w0.samples)) > 1e-3
+
+
+def _counting(monkeypatch, name, calls):
+    fn = getattr(np.fft, name)
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.ndim(a))
+        return fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, name, counted)
+
+
+@pytest.mark.parametrize("sponge, rfft_rows", [(False, [1] * 41), (True, [1] + [2] * 40)])
+def test_stage_transforms_share_one_call(monkeypatch, sponge, rfft_rows):
+    # 10 steps of 4 stages, plus the first rfft and the last irfft: with the
+    # sponge, w^2 and sigma w go through one two-row rfft per stage
+    g = Grid(1024, 100.0)
+    st = SolverState(w=soliton(1.0, 0.0, g), frame="moving", speed=1.0, dt=1e-3,
+                     sponge=SpongeConfig(enabled=sponge))
+    rfft, irfft = [], []
+    _counting(monkeypatch, "rfft", rfft)
+    _counting(monkeypatch, "irfft", irfft)
+    _advance(st, 10)
+    assert irfft == [1] * 41
+    assert rfft == rfft_rows
+
+
+def _two_call_nonlinearity(grid, sigma, nonlinear):
+    """The stage nonlinearity with separate rffts of w^2 and sigma w."""
+    n = grid.n_points
+    mask = np.abs(grid.xi) <= (2.0 / 3.0) * grid.nyquist
+    dxi = np.fft.ifftshift(-(1j * grid.xi) * mask)[: n // 2 + 1]
+    w, prod, tmp = np.empty(n), np.empty(n), np.empty(n // 2 + 1, dtype=complex)
+
+    def nl(v, out):
+        np.fft.irfft(v, n, out=w)
+        np.multiply(w, w, out=prod)
+        np.fft.rfft(prod, out=out)
+        out *= dxi
+        np.multiply(sigma, w, out=prod)
+        out -= np.fft.rfft(prod, out=tmp)
+        return out
+
+    return nl
+
+
+def test_sponge_step_equals_two_call_stage_bitwise(monkeypatch, rng):
+    g = Grid(1024, 100.0)
+    w0 = Field(g, soliton(1.0, -40.0, g).samples + 0.3 * random_band_limited(g, rng, 0.3).samples)
+    st = SolverState(w=w0, frame="moving", speed=1.0, dt=2e-3,
+                     sponge=SpongeConfig(enabled=True, strength=2.0))
+    out = _advance(st, 50)
+    monkeypatch.setattr(bolab.solver, "_nonlinearity", _two_call_nonlinearity)
+    assert np.array_equal(out.w.samples, _advance(st, 50).w.samples)
+
+
+@pytest.mark.parametrize("dt, t_final, stride, message", [
+    (0.0, 0.01, 1, "do not reach t_final"),
+    (-1e-3, 0.01, 1, "do not reach t_final"),
+    (1e-3, -0.01, 1, "do not reach t_final"),
+    (1e-3, 0.01, 0, "snapshot_stride must be at least 1"),
+    (1e-3, 0.01, -3, "snapshot_stride must be at least 1"),
+])
+def test_evolve_rejects_bad_time_stepping(dt, t_final, stride, message):
+    # backward evolution (dt and t_final both negative) stays allowed, see
+    # test_time_reversal_symmetry
+    st = SolverState(w=soliton(1.0, 0.0, Grid(256, 50.0)), dt=dt)
+    with pytest.raises(ConfigError, match=message):
+        evolve(st, t_final, snapshot_stride=stride, record_ledger=False)
 
 
 def test_solver_import_leaves_out_scipy_fft():

@@ -14,11 +14,13 @@ from bolab.spectral import (
     antiderivative_mean_removed,
     apply_multiplier,
     besov_half_diagnostic,
+    coeffs_of,
     derivative,
     hilbert,
     low_pass,
     lp_partition_bounds,
     lp_project,
+    samples_of,
     spatial_cutoff,
     spatial_cutoff_values,
     synthesize,
@@ -56,6 +58,19 @@ def test_round_trip_identity(grid_medium, rng):
         f = random_band_limited(grid_medium, rng, 0.9)
         back = synthesize(analyze(f))
         assert np.max(np.abs(back.samples - f.samples)) < 1e-12 * f.sup_norm()
+
+
+@pytest.mark.parametrize("n", [4, 6, 512, 1000])
+def test_half_swap_transforms_match_the_fftshift_path(rng, n):
+    # for even n, fftshift and ifftshift are the swap of the two halves
+    g = Grid(n, 16 * np.pi)
+    scale = g.dx / np.sqrt(2.0 * np.pi)
+    for samples in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
+        ref = np.fft.fftshift(np.fft.fft(samples)) * scale * g._phase
+        assert np.array_equal(coeffs_of(samples, g), ref)
+    for coeffs in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
+        ref = np.fft.ifft(np.fft.ifftshift(coeffs * g._phase)) * (np.sqrt(2.0 * np.pi) / g.dx)
+        assert np.array_equal(samples_of(coeffs, g), ref)
 
 
 def test_parseval(grid_medium, rng):
