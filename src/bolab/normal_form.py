@@ -63,7 +63,6 @@ from .spectral import (
     derivative,
     half_project,
     hilbert,
-    lp_values,
     multiply,
     samples_of,
     spectral_tail_mass,
@@ -101,9 +100,9 @@ class GaugeBand:
                  cutoffs: CutoffFamily = DEFAULT_CUTOFFS):
         _check_separation(order, ll_factor)
         self.grid, self.k, self.order = grid, k, order
-        self.plus = lp_values(grid, k, "plus", cutoffs)
         self.kernel = BandKernel(grid, k, order, ll_factor, cutoffs)
-        self.low = self.kernel.low  # the gauge low-pass, one table for both
+        # chi_k^+ is the multiplier of u_k^+, and ll the gauge low-pass: one table each
+        self.plus, self.low = self.kernel.chi, self.kernel.low
 
     def bundle(self, c: np.ndarray, phi_c: np.ndarray | None = None) -> Bundle:
         """The pieces of v_k at one snapshot, from the coefficients of u and of

@@ -271,9 +271,11 @@ class BandKernel:
     the half-line projectors as boolean masks, the output mask), applied to any
     number of inputs.
 
-    ``low`` is the gauge low-pass of ``lp_values`` (Nyquist zeroed), which a
-    ``GaugeBand`` shares; ``half`` only multiplies it into inputs that ``both``
-    has zeroed at the Nyquist mode, where it could differ from chi_{<<k}.  A
+    A ``GaugeBand`` shares ``chi``, which vanishes for xi <= 0 and so equals
+    ``lp_values(grid, k, "plus")``, and ``low``, the gauge low-pass of
+    ``lp_values`` (Nyquist zeroed); ``half`` only multiplies ``low`` into
+    inputs that ``both`` has zeroed at the Nyquist mode, where it could differ
+    from chi_{<<k}.  A
     boolean mask multiplies a complex array as 1+0j or 0j, as a 0/1 float table
     does, so the products are the same bit for bit."""
 

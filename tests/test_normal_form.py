@@ -5,6 +5,7 @@ from bolab.errors import BolabError
 from bolab.grid import ComplexField, Field, Grid
 from bolab.kernels import fit_decay
 from bolab.normal_form import (
+    GaugeBand,
     gauge_polynomial,
     phi_equation_residual,
     rhs_terms,
@@ -13,7 +14,7 @@ from bolab.normal_form import (
 )
 from bolab.pseudoproduct import BandKernel, assemble_B
 from bolab.solver import SolverState, evolve, soliton
-from bolab.spectral import antiderivative_mean_removed, coeffs_of, weighted_shell_sup
+from bolab.spectral import antiderivative_mean_removed, coeffs_of, lp_values, weighted_shell_sup
 from bolab.testing import random_band_limited
 
 pytestmark = pytest.mark.filterwarnings("ignore::bolab.errors.AliasingWarning")
@@ -116,6 +117,21 @@ def test_transform_reduces_to_band_plus_correction_when_gauge_trivial(rng):
 # ---------------------------------------------------------------------------
 # right-side terms
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, k, order, factor", [(2048, 1.0, 4, 3.0), (4096, 0.0, 4, 100.0),
+                                                 (256, -2.0, 2, 1.0)])
+def test_gauge_band_shares_the_kernel_tables(n, k, order, factor):
+    # one table each for chi_k^+ and the gauge low-pass, byte for byte the
+    # lp_values multipliers; the kernel's projectors are boolean masks
+    g = Grid(n, 400.0)
+    band = GaugeBand(g, k, order, factor)
+    assert band.plus is band.kernel.chi and band.low is band.kernel.low
+    assert band.plus.tobytes() == lp_values(g, k, "plus").tobytes()
+    assert band.low.tobytes() == lp_values(g, k - factor * order, "leq").tobytes()
+    assert band.kernel.plus.dtype == band.kernel.both.dtype == bool
+    assert np.array_equal(band.kernel.plus, g.xi > 0)
+    assert np.array_equal(band.kernel.both, (g.xi != 0) & (np.arange(n) > 0))
 
 
 def test_rhs_terms_zero_field(grid_small):

@@ -251,19 +251,14 @@ def test_sponge_step_equals_two_call_stage_bitwise(monkeypatch, rng):
     assert np.array_equal(out.w.samples, _advance(st, 50).w.samples)
 
 
-@pytest.mark.parametrize("dt, t_final, stride, message", [
-    (0.0, 0.01, 1, "do not reach t_final"),
-    (-1e-3, 0.01, 1, "do not reach t_final"),
-    (1e-3, -0.01, 1, "do not reach t_final"),
-    (1e-3, 0.01, 0, "snapshot_stride must be at least 1"),
-    (1e-3, 0.01, -3, "snapshot_stride must be at least 1"),
-])
-def test_evolve_rejects_bad_time_stepping(dt, t_final, stride, message):
+@pytest.mark.parametrize("dt, t_final", [(0.0, 0.01), (-1e-3, 0.01), (1e-3, -0.01)])
+def test_evolve_rejects_steps_that_do_not_reach_t_final(dt, t_final):
     # backward evolution (dt and t_final both negative) stays allowed, see
-    # test_time_reversal_symmetry
+    # test_time_reversal_symmetry; a stride below 1 is tested through the CLI
+    # in a child process, since it looped forever before it was rejected
     st = SolverState(w=soliton(1.0, 0.0, Grid(256, 50.0)), dt=dt)
-    with pytest.raises(ConfigError, match=message):
-        evolve(st, t_final, snapshot_stride=stride, record_ledger=False)
+    with pytest.raises(ConfigError, match="do not reach t_final"):
+        evolve(st, t_final, record_ledger=False)
 
 
 def test_solver_import_leaves_out_scipy_fft():
