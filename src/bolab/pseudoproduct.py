@@ -275,9 +275,8 @@ class BandKernel:
     ``lp_values(grid, k, "plus")``, and ``low``, the gauge low-pass of
     ``lp_values`` (Nyquist zeroed); ``half`` only multiplies ``low`` into
     inputs that ``both`` has zeroed at the Nyquist mode, where it could differ
-    from chi_{<<k}.  A
-    boolean mask multiplies a complex array as 1+0j or 0j, as a 0/1 float table
-    does, so the products are the same bit for bit."""
+    from chi_{<<k}.  A boolean mask multiplies a complex array as 1+0j or 0j,
+    as a 0/1 float table does, so the products are the same bit for bit."""
 
     def __init__(self, grid: Grid, k: float, order: int, ll_factor: float = 100.0,
                  cutoffs: CutoffFamily = DEFAULT_CUTOFFS):
