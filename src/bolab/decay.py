@@ -74,12 +74,20 @@ class ExperimentConfig:
             raise ConfigError(
                 f"largest shell 2^{max(self.shells)} exceeds box_length/4"
             )
+        if len(set(self.shells)) < len(self.shells):
+            raise ConfigError(f"shells must be distinct, got {self.shells!r}")
+        if self.front_speed is not None and not self.front_speed > 0:
+            raise ConfigError(f"front_speed must be null or positive, got {self.front_speed}")
+        # the range measure_epsilon clamps the measured value to
+        if not 0 < self.epsilon_assumed <= 1:
+            raise ConfigError(f"epsilon_assumed must lie in (0, 1], got {self.epsilon_assumed}")
         self.initial = merge_config(INITIAL_DEFAULTS, self.initial, "initial.")
         self.gauge = merge_config(GAUGE_DEFAULTS, self.gauge, "gauge.")
         bands = self.gauge["bands"]
         if not all(float(k).is_integer() for k in bands) or len(set(bands)) < len(bands):
             raise ConfigError(f"gauge.bands must be distinct integers, got {bands!r}")
         self.sponge = merge_config(SPONGE_DEFAULTS, self.sponge, "sponge.")
+        SpongeConfig(**self.sponge)  # its value checks, before any run
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -296,8 +304,10 @@ class SnapshotTables:
         gauge = {}
         if self.gauge:
             phi_c = phi_coeffs(w, c)
+            # the first paraproduct of B_k(u, u) does not depend on k: one per snapshot
+            shared = next(iter(self.gauge.values())).kernel.paraproduct(c)
             for k, band in self.gauge.items():
-                v_abs = np.abs(band.v(c, phi_c))
+                v_abs = np.abs(band.v(c, phi_c, shared))
                 gauge[k] = {j: weighted_sup(plus[j], v_abs) for j in self.shells}
         return sups, lowpass, bandsum, gauge
 

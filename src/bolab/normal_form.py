@@ -104,20 +104,24 @@ class GaugeBand:
         # chi_k^+ is the multiplier of u_k^+, and ll the gauge low-pass: one table each
         self.plus, self.low = self.kernel.chi, self.kernel.low
 
-    def bundle(self, c: np.ndarray, phi_c: np.ndarray | None = None) -> Bundle:
+    def bundle(self, c: np.ndarray, phi_c: np.ndarray | None = None,
+               shared: np.ndarray | None = None) -> Bundle:
         """The pieces of v_k at one snapshot, from the coefficients of u and of
-        phi (see ``phi_coeffs``); without phi, phi_ll and v are None."""
+        phi (see ``phi_coeffs``); without phi, phi_ll and v are None.
+        ``shared`` may pass in ``kernel.paraproduct(c)``, which every band of
+        the grid shares (see ``BandKernel.square``)."""
         warn_band_edge(self.grid, self.k)
         u_kp = samples_of(self.plus * c, self.grid)
-        bu = self.kernel.apply(c, c)
+        bu = self.kernel.square(c, shared)
         if phi_c is None:
             return Bundle(self, c, u_kp, bu, None, None)
         phi_ll = samples_of(self.low * phi_c, self.grid)
         return Bundle(self, c, u_kp, bu, phi_ll, (u_kp + bu) * gauge_polynomial(self.order, phi_ll))
 
-    def v(self, c: np.ndarray, phi_c: np.ndarray) -> np.ndarray:
+    def v(self, c: np.ndarray, phi_c: np.ndarray,
+          shared: np.ndarray | None = None) -> np.ndarray:
         """Samples of v_k = (u_k^+ + B_k(u,u)) E_N(phi_ll)."""
-        return self.bundle(c, phi_c).v
+        return self.bundle(c, phi_c, shared).v
 
 
 @dataclass

@@ -33,8 +33,15 @@ paraproducts
 
     half(a, b) = chi * conv(a, b / (2 xi)) - conv(chi * a, ll * b / (2 xi)).
 
-The convolutions are linear ones zero-padded to 2n, which reproduces the
-zero extension of the lattice sum exactly.  The assembled operator carries
+The convolutions are linear ones, which reproduces the zero extension of
+the lattice sum exactly, each zero-padded to the smaller of 2n and the next
+power of two that holds the linear convolution of its inputs' supports.
+The first convolves full-grid inputs at length 2n.  The second convolves
+chi_k^+ a against ll b / (2 xi), supported on |xi| below 2^(k - factor N + 1),
+and is empty, with no transform, when ll resolves only xi = 0, where
+1 / (2 xi) is taken as 0.  The first does not depend on k (its masks are
+grid-only), so the gauge bands of one snapshot share it
+(``BandKernel.paraproduct``).  The assembled operator carries
 the overall normalization -1/sqrt(2 pi) forced by the symmetric transform
 convention (pointwise products carry 1/sqrt(2 pi) relative to pseudoproduct
 symbols).
@@ -255,15 +262,41 @@ def nf_branch_symbol(
     return BilinearSymbol(fn=fn, xi_support=xi_support, tag=branch, k=k, order=order)
 
 
-def _lattice_conv(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
+def _support(values: np.ndarray) -> tuple[int, int]:
+    """The smallest index range [lo, hi) outside of which ``values`` vanish;
+    (0, 0) when they vanish everywhere."""
+    nonzero = np.flatnonzero(values)
+    return (int(nonzero[0]), int(nonzero[-1]) + 1) if len(nonzero) else (0, 0)
+
+
+def _lattice_conv(a: np.ndarray, b: np.ndarray, grid: Grid,
+                  a_range: tuple[int, int] | None = None,
+                  b_range: tuple[int, int] | None = None) -> np.ndarray:
     """sum_eta a(xi - eta) b(eta) * dxi on the grid frequencies.
 
-    A linear convolution zero-padded to 2n, so frequencies outside the grid
-    range are zero (the lattice's zero extension, no circular wrap).
+    ``a_range`` and ``b_range`` are index ranges [lo, hi) outside of which a
+    and b vanish, by default the whole grid.  The convolution of the two
+    pieces is a linear one, zero-padded to the smaller of 2n and the next
+    power of two at least la + lb - 1, so frequencies outside the grid range
+    are zero (the lattice's zero extension, no circular wrap).  With full
+    ranges that is one length-2n transform of each input; an empty range
+    takes no transform.
     """
     n = grid.n_points
-    full = np.fft.ifft(np.fft.fft(a, 2 * n) * np.fft.fft(b, 2 * n))
-    return full[n // 2 : n // 2 + n] * grid.dxi
+    a_lo, a_hi = a_range or (0, n)
+    b_lo, b_hi = b_range or (0, n)
+    length = (a_hi - a_lo) + (b_hi - b_lo) - 1
+    out = np.zeros(n, dtype=complex)
+    if a_hi <= a_lo or b_hi <= b_lo:
+        return out
+    size = min(2 * n, 1 << (length - 1).bit_length())
+    full = np.fft.ifft(np.fft.fft(a[a_lo:a_hi], size) * np.fft.fft(b[b_lo:b_hi], size))
+    # full[r] sits at output index r + a_lo + b_lo - n/2
+    shift = a_lo + b_lo - n // 2
+    lo, hi = max(0, shift), min(n, shift + length)
+    if lo < hi:
+        out[lo:hi] = full[lo - shift:hi - shift] * grid.dxi
+    return out
 
 
 class BandKernel:
@@ -276,7 +309,13 @@ class BandKernel:
     ``lp_values`` (Nyquist zeroed); ``half`` only multiplies ``low`` into
     inputs that ``both`` has zeroed at the Nyquist mode, where it could differ
     from chi_{<<k}.  A boolean mask multiplies a complex array as 1+0j or 0j,
-    as a 0/1 float table does, so the products are the same bit for bit."""
+    as a 0/1 float table does, so the products are the same bit for bit.
+
+    ``chi_range`` and ``ll_range`` are the index ranges on which chi and
+    ll / (2 xi) can be nonzero; the second paraproduct of ``half`` convolves
+    only those, and is empty, with no transform, when ll resolves only
+    xi = 0.  The first paraproduct uses no table of the band, so the bands of
+    one grid can share it (``paraproduct``, ``square``)."""
 
     def __init__(self, grid: Grid, k: float, order: int, ll_factor: float = 100.0,
                  cutoffs: CutoffFamily = DEFAULT_CUTOFFS):
@@ -287,17 +326,41 @@ class BandKernel:
         self.plus = grid.xi > 0
         self.both = grid.xi != 0
         self.both[0] = False  # the unpaired Nyquist mode
+        self.chi_range = _support(self.chi)
+        self.ll_range = _support(self.low * self.inv2xi * self.both)
         lo, hi = nf_branch_symbol(k, order, "+++", cutoffs, ll_factor).xi_support
         self.outside = (grid.xi <= 0) | (grid.xi < lo) | (grid.xi > hi)
 
-    def half(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def half(self, a: np.ndarray, b: np.ndarray, shared: np.ndarray | None = None) -> np.ndarray:
+        """chi * conv(a, b / (2 xi)) - conv(chi * a, ll * b / (2 xi)); ``shared``
+        may pass in conv(a, b / (2 xi)), which does not depend on the band."""
         b = b * self.inv2xi
-        return (self.chi * _lattice_conv(a, b, self.grid)
-                - _lattice_conv(self.chi * a, self.low * b, self.grid))
+        if shared is None:
+            shared = _lattice_conv(a, b, self.grid)
+        return (self.chi * shared
+                - _lattice_conv(self.chi * a, self.low * b, self.grid,
+                                self.chi_range, self.ll_range))
+
+    def paraproduct(self, c: np.ndarray) -> np.ndarray:
+        """conv(P+u, Pu / (2 xi)) from the coefficients c of u: the first
+        paraproduct of B_k(u, u), built from grid-only masks, so one serves
+        every band of the grid (see ``square``)."""
+        return _lattice_conv(self.plus * c, self.both * c * self.inv2xi, self.grid)
 
     def apply(self, fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
         """Samples of B_k(f, g) from the coefficients of f and g."""
-        first, second = _branches(self, fc, gc)
+        return self._samples(*_branches(self, fc, gc))
+
+    def square(self, c: np.ndarray, shared: np.ndarray | None = None) -> np.ndarray:
+        """Samples of B_k(u, u) from the coefficients c of u, equal to
+        ``apply(c, c)`` bit for bit; ``shared`` may pass in ``paraproduct(c)``,
+        which the bands of one snapshot share."""
+        if shared is None:
+            return self.apply(c, c)
+        part = self.half(self.plus * c, self.both * c, shared)
+        return self._samples(part, part)
+
+    def _samples(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         out = first + second
         out[self.outside] = 0.0
         return samples_of(NF_NORMALIZATION * out, self.grid)
@@ -325,10 +388,10 @@ def assemble_B(
 
     Sums the three nonzero branches, computed as two half kernels of
     separated paraproducts: Fourier multipliers around linear convolutions
-    of the half-line projected inputs, zero-padded to 2n (see the module
-    docstring).  B_k(f, f) takes one transform and one half kernel.  The
-    output is kept on xi > 0 inside the branch xi-support and scaled by
-    ``NF_NORMALIZATION``.  ``bilinear_apply`` of the ``nf_branch_symbol``
+    of the half-line projected inputs, each sized by its inputs' supports
+    (see the module docstring).  B_k(f, f) takes one transform and one half
+    kernel.  The output is kept on xi > 0 inside the branch xi-support and
+    scaled by ``NF_NORMALIZATION``.  ``bilinear_apply`` of the ``nf_branch_symbol``
     branches is the dense oracle it matches to roundoff.
     """
     grid = require_same_grid(f, g)

@@ -50,6 +50,14 @@ class SpongeConfig:
     width_fraction: float = 0.1
     strength: float = 1.0
 
+    def __post_init__(self):
+        # a width of 0 divides by zero in ``profile``, one of 1 or more damps the
+        # whole box, and a negative strength amplifies
+        if not 0 < self.width_fraction < 1:
+            raise ConfigError(f"sponge.width_fraction must lie in (0, 1), got {self.width_fraction}")
+        if not self.strength >= 0:
+            raise ConfigError(f"sponge.strength must be non-negative, got {self.strength}")
+
     def profile(self, grid: Grid) -> np.ndarray:
         if not self.enabled:
             return np.zeros(grid.n_points)

@@ -17,3 +17,18 @@ def grid_small():
 @pytest.fixture
 def grid_medium():
     return Grid(512, 16 * np.pi)
+
+
+@pytest.fixture
+def fft_lengths(monkeypatch):
+    """The length of every np.fft.fft and np.fft.ifft call made in the test."""
+    lengths = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counted(a, n=None, *args, _original=original, **kwargs):
+            lengths.append(np.shape(a)[-1] if n is None else n)
+            return _original(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return lengths

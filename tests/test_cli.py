@@ -262,6 +262,30 @@ def test_measure_decay_rejects_value_of_wrong_kind(tmp_path, capsys, override, m
     assert not (tmp_path / "decay_report.json").exists()
 
 
+OUT_OF_DOMAIN_RUN = ("n_points=512", "box_length=200", "t_final=0.01", "dt=0.001",
+                     "snapshot_stride=5")
+
+
+@pytest.mark.parametrize("command", ["measure-decay", "evolve"])
+@pytest.mark.parametrize("overrides, message", [
+    (["shells=[2.0, 2.0, 2.5, 3.0, 3.5]"], "shells must be distinct"),
+    (["front_speed=-1"], "front_speed must be null or positive"),
+    (["front_speed=0"], "front_speed must be null or positive"),
+    (["epsilon_assumed=0"], "epsilon_assumed must lie in (0, 1]"),
+    (["epsilon_assumed=-0.5"], "epsilon_assumed must lie in (0, 1]"),
+    (["sponge.enabled=true", "sponge.width_fraction=0"], "sponge.width_fraction must lie in (0, 1)"),
+    (["sponge.enabled=true", "sponge.width_fraction=-0.1"], "sponge.width_fraction must lie in (0, 1)"),
+    (["sponge.enabled=true", "sponge.strength=-50"], "sponge.strength must be non-negative"),
+])
+def test_experiment_value_out_of_domain_exits_2(tmp_path, capsys, command, overrides, message):
+    args = [command, "--output-dir", str(tmp_path)]
+    for item in (*OUT_OF_DOMAIN_RUN, *overrides):
+        args += ["--override", item]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("value", ["null", "3.0"])
 def test_measure_decay_front_speed_takes_null_or_a_number(tmp_path, value):
     assert _measure_decay(tmp_path, f"front_speed={value}") == 0

@@ -282,6 +282,42 @@ def test_gauge_tables_reused_over_a_run_match_fresh_transform():
                 assert rep.gauge_sup[f"{k}"][f"{j}"][i] == float(np.max(weights * np.abs(fresh)))
 
 
+def test_gauge_bands_sharing_the_paraproduct_match_fresh_transform():
+    # three bands share one first paraproduct per snapshot, bit for bit
+    gauge = {"enabled": True, "order": 4, "ll_factor": 100.0, "bands": [0, 1, 2]}
+    cfg = _small_config(t_final=0.04, snapshot_stride=10, gauge=gauge)
+    rep = run(cfg)
+    tables = SnapshotTables(cfg)
+    state = SolverState(w=cfg.initial_field(), frame="moving", speed=cfg.frame_speed, dt=cfg.dt)
+    snaps = evolve(state, cfg.t_final, snapshot_stride=cfg.snapshot_stride)
+    assert [s.t for s in snaps] == rep.times and len(snaps) == 3
+    g = cfg.grid()
+    for i, snap in enumerate(snaps):
+        gauge_sups = tables.measure(snap.w)[3]
+        c = coeffs_of(snap.w.samples, g)
+        phi_c = phi_coeffs(snap.w, c)
+        shared = tables.gauge[0].kernel.paraproduct(c)
+        for k, band in tables.gauge.items():
+            fresh = transform(snap.w, k, 4, 100.0).v.samples
+            assert np.array_equal(band.v(c, phi_c, shared), fresh)
+            for j in rep.shells:
+                weights = spatial_cutoff_values(g, j, "+", "exact")
+                expected = float(np.max(weights * np.abs(fresh)))
+                assert gauge_sups[k][j] == rep.gauge_sup[f"{k}"][f"{j}"][i] == expected
+
+
+def test_gauge_snapshot_takes_one_paraproduct_of_length_2n(fft_lengths):
+    # n = 4096, two gauge bands: 3 transforms of length 2n per snapshot (12
+    # when each band made both of its paraproducts)
+    gauge = {"enabled": True, "order": 4, "ll_factor": 100.0, "bands": [0, 1]}
+    cfg = _small_config(n_points=4096, gauge=gauge)
+    tables = SnapshotTables(cfg)
+    w = _soliton_bump(cfg)
+    fft_lengths.clear()
+    tables.measure(w)
+    assert fft_lengths.count(8192) == 3
+
+
 def _soliton_bump(cfg):
     w = cfg.initial_field()
     return Field(w.grid, w.samples + 0.05 * np.exp(-((w.grid.x - 2.0) ** 2)))

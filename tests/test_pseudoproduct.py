@@ -10,7 +10,9 @@ from bolab.kernels import fit_decay
 from bolab.pseudoproduct import (
     NF_NORMALIZATION,
     SQRT_2PI,
+    BandKernel,
     BilinearSymbol,
+    _lattice_conv,
     assemble_B,
     bilinear_apply,
     leibnitz_check,
@@ -19,7 +21,7 @@ from bolab.pseudoproduct import (
     verify_nf_cancellation,
 )
 from bolab.solver import soliton
-from bolab.spectral import low_pass, lp_project, multiply
+from bolab.spectral import coeffs_of, low_pass, lp_project, multiply
 from bolab.testing import random_band_limited
 
 ONE = BilinearSymbol(fn=lambda xi, eta: np.ones(np.broadcast(xi, eta).shape))
@@ -309,6 +311,70 @@ def test_assemble_B_diagonal_one_half_equals_two_halves(grid_medium, rng):
         one = assemble_B(k, order, u, u, factor).samples
         assert np.array_equal(one, assemble_B(k, order, u, twin, factor).samples)
         assert np.max(np.abs(one)) > 0.0
+
+
+@pytest.mark.parametrize("n", [256, 1000, 4096])
+def test_lattice_conv_full_ranges_equal_the_2n_convolution_bitwise(rng, n):
+    grid = Grid(n, 100.0)
+    a = rng.normal(size=n) + 1j * rng.normal(size=n)
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    padded = np.fft.ifft(np.fft.fft(a, 2 * n) * np.fft.fft(b, 2 * n))
+    expected = padded[n // 2 : n // 2 + n] * grid.dxi
+    assert np.array_equal(_lattice_conv(a, b, grid), expected)
+    assert np.array_equal(_lattice_conv(a, b, grid, (0, n), (0, n)), expected)
+
+
+def test_lattice_conv_on_compact_ranges_matches_full_ranges(rng):
+    n = 1024
+    grid = Grid(n, 100.0)
+    cases = [((0, n), (500, 520)), ((900, 1024), (800, 1000)), ((0, 30), (0, 40)),
+             ((510, 515), (511, 512)), ((1000, 1024), (1010, 1024))]
+    for _ in range(20):
+        ends = [np.sort(rng.choice(n + 1, size=2, replace=False)) for _ in range(2)]
+        cases.append(tuple((int(lo), int(hi)) for lo, hi in ends))
+    for a_range, b_range in cases:
+        a, b = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+        pieces = []
+        for x, (lo, hi) in ((a, a_range), (b, b_range)):
+            x[lo:hi] = rng.normal(size=hi - lo) + 1j * rng.normal(size=hi - lo)
+            pieces.append(x[lo:hi])
+        # the sup of the exact linear convolution, also where it leaves the grid
+        scale = np.max(np.abs(np.convolve(*pieces))) * grid.dxi
+        short = _lattice_conv(a, b, grid, a_range, b_range)
+        assert np.max(np.abs(short - _lattice_conv(a, b, grid))) <= 1e-13 * scale
+
+
+def test_lattice_conv_of_an_empty_range_takes_no_transform(fft_lengths, rng):
+    grid = Grid(256, 100.0)
+    a = rng.normal(size=256) + 0j
+    for a_range, b_range in [((7, 7), None), (None, (0, 0)), ((3, 2), (0, 256))]:
+        out = _lattice_conv(a, a, grid, a_range, b_range)
+        assert out.dtype == complex and np.array_equal(out, np.zeros(256))
+    assert fft_lengths == []
+
+
+def test_cancellation_takes_half_the_2n_transforms(fft_lengths, rng):
+    # the second paraproduct of every half kernel is empty when chi_{<<k}
+    # resolves only xi = 0: 5 paraproducts of 3 transforms each (30 before)
+    grid = Grid(1024, 8.0 * np.pi)
+    u = random_band_limited(grid, rng, 0.25)
+    fft_lengths.clear()
+    verify_nf_cancellation(u, 2.0, 4)
+    assert fft_lengths.count(2048) == 15
+
+
+def test_band_kernel_square_with_the_shared_paraproduct_equals_apply_bitwise(rng):
+    # also where chi_{<<k} covers lattice modes (factor 1, order 2), so that
+    # the second paraproduct runs on a nonempty short range
+    grid = Grid(1024, 2000.0)
+    c = coeffs_of(random_band_limited(grid, rng, 0.25).samples, grid)
+    kernels = [BandKernel(grid, k, order, factor)
+               for k, order, factor in [(0.0, 4, 100.0), (2.0, 4, 100.0), (1.0, 2, 1.0)]]
+    assert kernels[0].ll_range == (0, 0) and kernels[2].ll_range[1] - kernels[2].ll_range[0] > 100
+    shared = kernels[0].paraproduct(c)
+    for kernel in kernels:
+        assert np.array_equal(kernel.square(c, shared), kernel.apply(c, c))
+        assert np.array_equal(kernel.square(c), kernel.apply(c, c))
 
 
 def test_assemble_B_memory_is_flat():

@@ -365,6 +365,13 @@ def test_sponge_profile_supported_on_left_edge():
     assert np.all(SpongeConfig(enabled=False).profile(g) == 0.0)
 
 
+@pytest.mark.parametrize("values", [{"width_fraction": 0.0}, {"width_fraction": -0.1},
+                                    {"width_fraction": 1.0}, {"strength": -50.0}])
+def test_sponge_rejects_values_that_disable_or_invert_it(values):
+    with pytest.raises(ConfigError):
+        SpongeConfig(enabled=True, **values)
+
+
 def test_sponge_neutrality_before_waves_reach_boundary(rng):
     g = Grid(1024, 200.0)
     w0 = Field(g, 0.2 * np.exp(-g.x**2))
