@@ -2,14 +2,16 @@
 dispersive wave equation, measuring how localized solutions decay in space.
 
 Modules: spectral discretization (grid, cutoffs, spectral), multilinear
-frequency-lattice operators and the normal-form branch symbols
+frequency-lattice operators and the normal-form correction B_k
 (pseudoproduct), time evolution (solver), the approximate-gauge
 transformation and its residual verifier (normal_form), localized propagator
-kernels (kernels), and the decay-measurement harness (decay).
+kernels (kernels), the decay-measurement harness (decay), and the random
+fields, verification measurements and dense oracles shared by the tests and
+the verify commands (testing).
 """
 
 __version__ = "0.1.0"
 
-from .grid import ComplexField, Field, Grid, Spectrum
+from .grid import ComplexField, Field, Grid
 
-__all__ = ["ComplexField", "Field", "Grid", "Spectrum", "__version__"]
+__all__ = ["ComplexField", "Field", "Grid", "__version__"]

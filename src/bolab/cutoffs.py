@@ -10,27 +10,19 @@ cutoff is
 
     base_le(y) = s(2 - y)     # equals 1 for y <= 1, 0 for y >= 2.
 
-Every other member is derived by dyadic rescaling and differences:
+The two members are derived from it by dyadic rescaling and difference:
 
     le(j, y)      = base_le(2^-j y)                   (one for y <= 2^j)
     shell(j, y)   = le(j, y) - le(j-1, y)             (supported on [2^{j-1}, 2^{j+1}])
-    ge(j, y)      = 1 - le(j-1, y)
-    band(a, b, y) = le(b, y) - le(a-1, y)             (sum of shells a..b)
-    sim(j, y)     = band(j-10, j+10, y)
-    lesssim(j, y) = le(j+10, y)
-    gtrsim(j, y)  = ge(j+10, y)
 
-Symmetric (both-sign) variants evaluate the half-line member at |y|; a
-negative-half cutoff is the half-line member evaluated at -y.  The
-very-low-pass member used by the gauge transformation is
-``ll(k, N, y, factor)`` = le(k - factor*N, |y|); the default factor is 100
-and experiments may relax it (the tested property is support separation
+with their derivatives in y.  Symmetric (both-sign) variants evaluate the
+half-line member at |y|; a negative-half cutoff is the half-line member
+evaluated at -y.  The very-low-pass member used by the gauge transformation
+is ``ll(k, N, y, factor)`` = le(k - factor*N, |y|); the default factor is
+100 and experiments may relax it (the tested property is support separation
 from the 2^k band, which callers assert).
 
 Indices may be any real number: members are continuous functions of 2^-j y.
-
-The exact profile is versioned (``CutoffFamily.version``) because measured
-constants in every fitted bound depend on it.
 """
 
 from __future__ import annotations
@@ -84,8 +76,6 @@ class CutoffFamily:
     real (possibly non-integer) dyadic index.
     """
 
-    version = "smoothstep-exp-1"
-
     # -- half-line members (arguments may be negative; le == 1 there) --
 
     def le(self, j: float, y) -> np.ndarray:
@@ -95,32 +85,12 @@ class CutoffFamily:
     def le_deriv(self, j: float, y) -> np.ndarray:
         return -smoothstep_deriv(2.0 - np.asarray(y, dtype=float) / 2.0**j) / 2.0**j
 
-    def ge(self, j: float, y) -> np.ndarray:
-        """chi^+_{>=j} = 1 - chi^+_{<=j-1}."""
-        return 1.0 - self.le(j - 1, y)
-
     def shell(self, j: float, y) -> np.ndarray:
         """chi^+_j = chi^+_{<=j} - chi^+_{<=j-1}, supported on [2^{j-1}, 2^{j+1}]."""
         return self.le(j, y) - self.le(j - 1, y)
 
     def shell_deriv(self, j: float, y) -> np.ndarray:
         return self.le_deriv(j, y) - self.le_deriv(j - 1, y)
-
-    def band(self, a: float, b: float, y) -> np.ndarray:
-        """chi^+_{[a,b]} = sum of shells a..b = chi^+_{<=b} - chi^+_{<=a-1}."""
-        return self.le(b, y) - self.le(a - 1, y)
-
-    def sim(self, j: float, y) -> np.ndarray:
-        """chi^+_{~j} = chi^+_{[j-10, j+10]}."""
-        return self.band(j - 10, j + 10, y)
-
-    def lesssim(self, j: float, y) -> np.ndarray:
-        """chi^+_{<~ j} = chi^+_{<= j+10}."""
-        return self.le(j + 10, y)
-
-    def gtrsim(self, j: float, y) -> np.ndarray:
-        """chi^+_{>~ j} = chi^+_{>= j+10}."""
-        return self.ge(j + 10, y)
 
     # -- symmetric members --
 
@@ -136,10 +106,6 @@ class CutoffFamily:
     def ll(self, k: float, order: int, y, factor: float = 100.0) -> np.ndarray:
         """Very-low-pass chi_{<< k} = chi_{<= k - factor*order}(|y|)."""
         return self.le_abs(k - factor * order, y)
-
-    def gtrsim_ll(self, k: float, order: int, y, factor: float = 100.0) -> np.ndarray:
-        """Complement 1 - chi_{<< k}."""
-        return 1.0 - self.ll(k, order, y, factor)
 
 
 DEFAULT = CutoffFamily()

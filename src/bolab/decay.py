@@ -178,7 +178,7 @@ class DecayReport:
     ledger: list
 
     def to_json(self, path: str) -> None:
-        atomic_write_text(path, json_text(asdict_report(self)))
+        atomic_write_text(path, json_text(asdict(self)))
 
     @staticmethod
     def from_json(path: str) -> "DecayReport":
@@ -197,24 +197,6 @@ class DecayReport:
                 lines += [f"{t!r},{quantity},{sign},{shell},{v!r}"
                           for t, v in zip(self.times, series)]
         atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def asdict_report(report: DecayReport) -> dict:
-    return {
-        "config": report.config,
-        "times": report.times,
-        "shells": report.shells,
-        "sup": report.sup,
-        "lowpass_sup": report.lowpass_sup,
-        "bandsum_sup": report.bandsum_sup,
-        "gauge_sup": report.gauge_sup,
-        "clean": report.clean,
-        "fits": report.fits,
-        "epsilon_measured": report.epsilon_measured,
-        "predicted_exponent": report.predicted_exponent,
-        "budgets": report.budgets,
-        "ledger": report.ledger,
-    }
 
 
 def contamination_time(config: ExperimentConfig, j: float) -> float:
@@ -351,38 +333,20 @@ def run(config: ExperimentConfig) -> DecayReport:
             for k, by_shell in gauge.items():
                 gauge_sup[f"{k}"][f"{j}"].append(by_shell[j])
 
-        fit = _fit_snapshot(shells, sups, clean, t)
+        fit = _fit_snapshot(shells, sup["+"], clean, t)
         if fit is not None:
             fits.append(fit)
 
     # aggregate (uniform-in-time) fit over the max of each shell series
-    agg_pairs = []
-    for j in shells:
-        series = [
-            v
-            for v, ok in zip(sup["+"][f"{j}"], clean[f"{j}"])
-            if ok and v > 0.0
-        ]
-        if series:
-            agg_pairs.append((j, max(series)))
-    if len(agg_pairs) >= 4:
-        agg = fit_decay(agg_pairs)
-        fits.append(
-            {
-                "time": None,
-                "kind": "aggregate_sup_plus",
-                "slope": agg.slope,
-                "intercept": agg.intercept,
-                "r_squared": agg.r_squared,
-                "n_points": agg.n_points,
-            }
-        )
+    agg = _fit_row(_clean_peaks(shells, sup["+"], clean), None, "aggregate_sup_plus")
+    if agg is not None:
+        fits.append(agg)
 
     c0 = config.initial["c"]
     budgets = {
         "box_wrap_tail": 2.0 * c0 / (c0**2 * (config.box_length / 2.0) ** 2 + 1.0),
         "contamination_time": {f"{j}": contamination_time(config, j) for j in shells},
-        "sponge": sponge.to_dict(),
+        "sponge": asdict(sponge),
         "mass_over_L": float(grid.dx * np.sum(w0.samples)) / config.box_length,
     }
     return DecayReport(
@@ -402,25 +366,31 @@ def run(config: ExperimentConfig) -> DecayReport:
     )
 
 
-def _fit_snapshot(shells, sups, clean, t) -> dict | None:
+def _clean_peaks(shells: list[float], series: dict, clean: dict,
+                 start: int = 0) -> list[tuple[float, float]]:
+    """(j, largest clean positive value of series[j][start:]) for each shell
+    that has one, series and clean mapping shell(str) -> [value per time]."""
     pairs = []
     for j in shells:
-        if clean[f"{j}"][-1] and sups[j]["+"] > 0.0:
-            pairs.append((j, sups[j]["+"]))
+        values = [v for v, ok in zip(series[f"{j}"][start:], clean[f"{j}"][start:])
+                  if ok and v > 0.0]
+        if values:
+            pairs.append((j, max(values)))
+    return pairs
+
+
+def _fit_row(pairs: list[tuple[float, float]], time: float | None, kind: str) -> dict | None:
+    """The ``fits`` entry of a shell fit of ``pairs``, or None below four shells."""
     if len(pairs) < 4:
         return None
-    try:
-        fit = fit_decay(pairs)
-    except DegenerateSeriesError:
-        return None
-    return {
-        "time": t,
-        "kind": "sup_plus",
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "n_points": fit.n_points,
-    }
+    fit = fit_decay(pairs)
+    return {"time": time, "kind": kind, "slope": fit.slope, "intercept": fit.intercept,
+            "r_squared": fit.r_squared, "n_points": fit.n_points}
+
+
+def _fit_snapshot(shells: list[float], sup_plus: dict, clean: dict, t: float) -> dict | None:
+    """The shell fit of the latest snapshot's clean positive sups."""
+    return _fit_row(_clean_peaks(shells, sup_plus, clean, -1), t, "sup_plus")
 
 
 @dataclass
@@ -449,15 +419,7 @@ def lowfreq_decay_check(report: DecayReport, margin: float = 0.3) -> LowFreqChec
         # nothing to bound: vacuous pass
         return LowFreqCheck(slope=0.0, target=target, passed=True,
                             per_shell={f"{j}": True for j in report.shells})
-    pairs = []
-    for j in report.shells:
-        series = [
-            v
-            for v, ok in zip(report.lowpass_sup[f"{j}"], report.clean[f"{j}"])
-            if ok and v > 0.0
-        ]
-        if series:
-            pairs.append((j, max(series)))
+    pairs = _clean_peaks(report.shells, report.lowpass_sup, report.clean)
     if len(pairs) < 4:
         raise DegenerateSeriesError(
             f"only {len(pairs)} clean shells with signal; need at least 4"

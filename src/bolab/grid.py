@@ -1,4 +1,4 @@
-"""Periodic grid and the field/spectrum containers built on it.
+"""Periodic grid and the field containers built on it.
 
 The box [-L/2, L/2) with n equispaced points stands in for the real line;
 all continuum statements acquire O(1/L) truncation budgets stated per test.
@@ -85,9 +85,6 @@ class Field:
         """Physical L2 norm: sqrt(dx * sum |f|^2)."""
         return float(np.sqrt(self.grid.dx * np.sum(self.samples**2)))
 
-    def mean(self) -> float:
-        return float(np.mean(self.samples))
-
 
 @dataclass
 class ComplexField:
@@ -102,42 +99,3 @@ class ComplexField:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.samples)))
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(self.grid.dx * np.sum(np.abs(self.samples) ** 2)))
-
-    def max_imag(self) -> float:
-        return float(np.max(np.abs(self.samples.imag)))
-
-    def real_field(self, tol: float = 1e-10) -> Field:
-        """Drop the imaginary part, which must be below tol * (1 + |f|);
-        a non-finite residue or scale fails the check."""
-        resid = self.max_imag()
-        scale = 1.0 + self.sup_norm()
-        if not resid <= tol * scale:
-            raise ValueError(
-                f"imaginary residue {resid:.3e} is not within {tol:.1e} * scale {scale:.3e}"
-            )
-        return Field(self.grid, self.samples.real.copy())
-
-
-@dataclass
-class Spectrum:
-    """Discrete Fourier coefficients in math order (same layout as grid.xi).
-
-    The scaling follows the symmetric 1/sqrt(2*pi) convention:
-    coefficients[m] approximates (1/sqrt(2 pi)) * integral of f e^{-i xi_m x},
-    so multiplier application converges to the continuum operator as the grid
-    refines at fixed box length.
-    """
-
-    grid: Grid
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=complex)
-        _check_len(self.grid, self.coefficients)
-
-    def l2_norm(self) -> float:
-        """Spectral-side L2 norm: sqrt(dxi * sum |c|^2); equals the field norm."""
-        return float(np.sqrt(self.grid.dxi * np.sum(np.abs(self.coefficients) ** 2)))

@@ -87,7 +87,6 @@ class KernelSpec:
     epsilon: float = 0.5
     k: float | None = None
     ell: float | None = None
-    M: int = 6  # reported alongside right-variant fits; not used in evaluation
     quad_tol: float = 1e-10
     quad_limit: int = 20000
     cutoffs: CutoffFamily = field(default_factory=lambda: DEFAULT_CUTOFFS)
@@ -157,10 +156,6 @@ class KernelSpec:
         if self.variant.startswith("schro"):
             return self.t * xi**2
         return self.t * np.abs(xi) * xi
-
-    def phase(self, xi: np.ndarray, x: float, y: float) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        return xi * (x - y + self.t) + self.dispersive_phase(xi)
 
     def phase_derivative(self, xi: np.ndarray, x: float, y: float) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -285,23 +280,11 @@ def _prefactor(spec: KernelSpec, x, y) -> np.ndarray:
     )
 
 
-def kernel_value(spec: KernelSpec, x: float, y: float) -> QuadResult:
-    """Full localized kernel K(x, y) including spatial cutoffs and i^a/2pi."""
-    pre = complex(_prefactor(spec, x, y))
-    if pre == 0.0:
-        return QuadResult(value=0.0 + 0.0j, error=0.0, converged=True)
-    inner = phase_integral(spec, x, y)
-    return QuadResult(value=pre * inner.value, error=abs(pre) * inner.error,
-                      converged=inner.converged)
-
-
 @dataclass
 class SupResult:
     sup: float
     arg_x: float
     arg_y: float
-    nx: int
-    ny: int
     all_converged: bool
 
 
@@ -317,13 +300,12 @@ def kernel_sup(spec: KernelSpec, nx: int = 9, ny: int = 9) -> SupResult:
     pre = _prefactor(spec, xs, ys)
     live = np.flatnonzero(pre != 0.0)
     if live.size == 0:
-        return SupResult(sup=0.0, arg_x=float(xs[0]), arg_y=float(ys[0]), nx=nx, ny=ny,
-                         all_converged=True)
+        return SupResult(sup=0.0, arg_x=float(xs[0]), arg_y=float(ys[0]), all_converged=True)
     inner = phase_integral(spec, xs[live], ys[live])
     mags = np.abs(pre[live] * inner.value)
     best = live[int(np.argmax(mags))]
     return SupResult(sup=float(np.max(mags)), arg_x=float(xs[best]), arg_y=float(ys[best]),
-                     nx=nx, ny=ny, all_converged=inner.converged)
+                     all_converged=inner.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -358,23 +340,14 @@ def fit_decay(pairs: Sequence[tuple[float, float]]) -> FitResult:
                      r_squared=r2, n_points=len(pairs))
 
 
-def sweep_t(spec: KernelSpec, times: Iterable[float], nx: int = 9, ny: int = 9) -> list[dict]:
-    """Kernel sup over a time sweep; rows carry (log2 t, sup) for fitting."""
+def sweep(spec: KernelSpec, name: str, values: Iterable[float], nx: int = 9,
+          ny: int = 9) -> list[dict]:
+    """Kernel sup with the field ``name`` of ``spec`` (the time t or the
+    shell j) set to each of ``values`` in turn; one row each, for fitting."""
     rows = []
-    for t in times:
-        s = replace(spec, t=float(t))
-        res = kernel_sup(s, nx=nx, ny=ny)
-        rows.append(_row(s, res))
-    return rows
-
-
-def sweep_j(spec: KernelSpec, js: Iterable[float], nx: int = 9, ny: int = 9) -> list[dict]:
-    """Kernel sup over a shell sweep at fixed time."""
-    rows = []
-    for j in js:
-        s = replace(spec, j=float(j))
-        res = kernel_sup(s, nx=nx, ny=ny)
-        rows.append(_row(s, res))
+    for value in values:
+        s = replace(spec, **{name: float(value)})
+        rows.append(_row(s, kernel_sup(s, nx=nx, ny=ny)))
     return rows
 
 

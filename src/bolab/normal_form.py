@@ -7,7 +7,7 @@ The transformed variable of band k at truncation order N is
 
 where phi is the mean-removed antiderivative of u, phi_ll its very-low-pass
 part, E_N the degree-N Taylor polynomial of exp(-i z), and B_k the quadratic
-correction assembled from the branch symbols (``pseudoproduct.assemble_B``).
+correction (``pseudoproduct.BandKernel``).
 
 With the correction in place the transformed equation reads
 
@@ -17,8 +17,8 @@ With the correction in place the transformed equation reads
                               + Delta_box
 
 where B_rem, C_tilde, C, Q are the quadratic remainder, cubic and quartic
-terms assembled exactly as written by ``rhs_terms`` (pointwise products of
-B_k outputs and projections of u), and Delta_box collects the corrections
+terms assembled exactly as written by ``Bundle.terms`` (pointwise products
+of B_k outputs and projections of u), and Delta_box collects the corrections
 that are exactly zero on the infinite line but not on the periodic box
 (mean-value terms of size O(mass / L)) together with the second-order
 gauge-polynomial term
@@ -46,7 +46,7 @@ decay arguments actually need is support separation from the 2^k band, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -62,7 +62,6 @@ from .spectral import (
     coeffs_of,
     derivative,
     half_project,
-    hilbert,
     multiply,
     samples_of,
     spectral_tail_mass,
@@ -143,7 +142,10 @@ class Bundle:
         return samples_of(self.band.low * self.c, self.band.grid)
 
     def terms(self, u: Field | ComplexField) -> dict[str, ComplexField]:
-        """The four terms of ``rhs_terms`` for the u whose coefficients are c."""
+        """The four nonlinear terms of the transformed equation, assembled
+        exactly as written, for the u whose coefficients are c; (H + i) is
+        realized as 2i P^-.  Keys: B_rem (quadratic remainder), C_tilde,
+        C (cubic), Q (quartic)."""
         check_dealias_margin(u, QUARTIC_MARGIN, self.c)
         grid, band = u.grid, self.band
         usq = multiply(u, u)
@@ -192,14 +194,10 @@ class Bundle:
 
 @dataclass
 class TransformedVariable:
-    """Gauge-transformed band variable with its provenance and its bundle."""
+    """Gauge-transformed band variable and the bundle it was formed from."""
 
     v: ComplexField
-    k: float
-    order: int
-    ll_factor: float
-    source_time: float | None = None
-    bundle: Bundle | None = None
+    bundle: Bundle
 
 
 def phi_coeffs(u: Field, c: np.ndarray) -> np.ndarray:
@@ -214,69 +212,39 @@ def transform(
     order: int,
     ll_factor: float = 100.0,
     cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
-    source_time: float | None = None,
 ) -> TransformedVariable:
     """v_k = (u_k^+ + B_k(u,u)) E_N(phi_ll)."""
     c = coeffs_of(u.samples, u.grid)
     bundle = GaugeBand(u.grid, k, order, ll_factor, cutoffs).bundle(c, phi_coeffs(u, c))
-    return TransformedVariable(v=ComplexField(u.grid, bundle.v), k=k, order=order,
-                               ll_factor=ll_factor, source_time=source_time, bundle=bundle)
+    return TransformedVariable(v=ComplexField(u.grid, bundle.v), bundle=bundle)
 
 
-def rhs_terms(
-    u: Field | ComplexField,
-    k: float,
-    order: int,
-    ll_factor: float = 100.0,
-    cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
-) -> dict[str, ComplexField]:
-    """The four nonlinear terms of the transformed equation, assembled exactly
-    as written; (H + i) is realized as 2i P^-.
-
-    Keys: B_rem (quadratic remainder), C_tilde, C (cubic), Q (quartic).
-    """
-    band = GaugeBand(u.grid, k, order, ll_factor, cutoffs)
-    return band.bundle(coeffs_of(u.samples, u.grid)).terms(u)
+#: CSV column names of the ``ResidualReport`` fields named differently
+_CSV_NAMES = {"order": "N", "box_length": "L"}
 
 
 @dataclass
 class ResidualReport:
-    """Residual of the transformed equation over a snapshot window."""
+    """Residual of the transformed equation over a snapshot window; the
+    fields are in CSV column order."""
 
     k: float
     order: int
     dt: float
     box_length: float
     residual_inf: float          # against the four literal terms
-    residual_box_exact: float    # literal terms + exact box correction
-    term_scale: float            # largest single right-side term
     budget_dt2: float            # |d^3 v / dt^3| dt^2 / 6 estimate (0 if unavailable)
     budget_massL: float          # sup norm of the box correction
     budget_alias: float          # spectral-tail proxy beyond the quartic margin
+    residual_box_exact: float    # literal terms + exact box correction
+    term_scale: float            # largest single right-side term
 
     def csv_row(self) -> str:
-        return ",".join(
-            repr(v)
-            for v in (
-                self.k,
-                self.order,
-                self.dt,
-                self.box_length,
-                self.residual_inf,
-                self.budget_dt2,
-                self.budget_massL,
-                self.budget_alias,
-                self.residual_box_exact,
-                self.term_scale,
-            )
-        )
+        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
 
     @staticmethod
     def csv_header() -> str:
-        return (
-            "k,N,dt,L,residual_inf,budget_dt2,budget_massL,budget_alias,"
-            "residual_box_exact,term_scale"
-        )
+        return ",".join(_CSV_NAMES.get(f.name, f.name) for f in fields(ResidualReport))
 
 
 def transformed_residual(
@@ -305,8 +273,8 @@ def transformed_residual(
 
     vs, sides = [], []
     scale = budget_alias = 0.0
-    for i, (t, u) in enumerate(snapshots):
-        tv = transform(u, k, order, ll_factor, cutoffs, source_time=t)
+    for i, (_, u) in enumerate(snapshots):
+        tv = transform(u, k, order, ll_factor, cutoffs)
         vs.append(tv.v.samples)
         if 0 < i < len(snapshots) - 1:
             rhs, delta, term_scale = tv.bundle.right_side(u)
@@ -353,35 +321,3 @@ def transformed_residual(
 def residual_reports_to_csv(reports: list[ResidualReport], path: str) -> None:
     lines = [ResidualReport.csv_header(), *(rep.csv_row() for rep in reports)]
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def phi_equation_residual(
-    snapshots: list[tuple[float, Field]],
-) -> tuple[float, float]:
-    """Residual of the antiderivative evolution identity along a solver run.
-
-    Returns (residual_sup, mass_budget) where the equation
-    phi_t - H phi_xx + (phi_x)^2 = 0 is checked by centered time differences;
-    on the box the exact right side is mean(u^2) - 2 mean(u) u + mean(u)^2,
-    whose sup norm is the returned budget.
-    """
-    if len(snapshots) < 3:
-        raise ValueError("need at least three snapshots")
-    times = np.array([t for t, _ in snapshots])
-    dt = float(times[1] - times[0])
-    grid = snapshots[0][1].grid
-    phis = [antiderivative_mean_removed(u)[0] for _, u in snapshots]
-    worst = 0.0
-    budget = 0.0
-    for i in range(1, len(snapshots) - 1):
-        u = snapshots[i][1]
-        phi = phis[i]
-        dphi_dt = (phis[i + 1].samples - phis[i - 1].samples) / (2.0 * dt)
-        h_xx = hilbert(Field(grid, derivative(phi, 2).samples.real)).samples
-        phi_x = derivative(phi).samples.real
-        resid = dphi_dt - h_xx + phi_x**2
-        ubar = float(np.mean(u.samples))
-        exact = float(np.mean(u.samples**2)) - 2.0 * ubar * u.samples + ubar**2
-        worst = max(worst, float(np.max(np.abs(resid))))
-        budget = max(budget, float(np.max(np.abs(exact))))
-    return worst, budget

@@ -1,5 +1,5 @@
-"""Bilinear pseudoproducts on the frequency lattice, and the branch symbols
-of the quadratic normal-form correction.
+"""Bilinear pseudoproducts on the frequency lattice, and the quadratic
+normal-form correction B_k.
 
 A bilinear pseudoproduct with symbol b acts through
 
@@ -7,20 +7,18 @@ A bilinear pseudoproduct with symbol b acts through
 
 with dxi = 2*pi/L the lattice measure (so b == 1 reproduces sqrt(2 pi) f g
 exactly for band-limited inputs).  Frequencies outside the grid range are
-treated as zero (no circular wrap).  The cubic and quartic terms of the
-transformed equation are pointwise products of such outputs
-(``normal_form.rhs_terms``); their inputs are expected below 1/4 of Nyquist,
-and ``check_dealias_margin`` warns otherwise.
+treated as zero (no circular wrap).  ``bilinear_apply`` is the dense O(n^2)
+lattice sum.  The cubic and quartic terms of the transformed equation are
+pointwise products of B_k outputs and projections of u
+(``normal_form.Bundle.terms``); their inputs are expected below 1/4 of
+Nyquist, and ``check_dealias_margin`` warns otherwise.
 
-The normal-form branch symbols (``nf_branch_symbol``) implement the closed
-forms of the quadratic cancellation, with the smooth pieces written as
-difference quotients (chi_k^+(xi) - chi_k^+(xi-eta)) / (2 eta) evaluated by a
-mean-value switch near the removable singularity.  With ``bilinear_apply``
-they are the dense O(n^2) oracle for ``assemble_B``.
-
-``assemble_B`` evaluates no symbol table.  The input half-line projections
-keep eta = 0 off the lattice, the ll * chi(xi) / (2 eta) pieces of the
-branch symbols cancel, and what is left is the half kernel
+The closed-form branch symbols of the quadratic cancellation live in
+``bolab.testing`` (``nf_branch_symbol``): with ``bilinear_apply`` they are
+the dense oracle of ``assemble_B``, which evaluates no symbol table.  The
+input half-line projections keep eta = 0 off the lattice, the
+ll * chi(xi) / (2 eta) pieces of the branch symbols cancel, and what is left
+is the half kernel
 
     chi(xi) / (2 eta) - ll(eta) chi(xi - eta) / (2 eta)
 
@@ -95,19 +93,11 @@ QUARTIC_MARGIN = 0.25
 
 @dataclass
 class BilinearSymbol:
-    """Symbol b(xi, eta) with optional support hints used to prune lattice sums.
-
-    ``xi_support`` / ``eta_support`` are closed intervals (lo, hi) outside of
-    which the symbol vanishes, or None for no restriction.  ``tag`` carries
-    the branch label for normal-form symbols.
-    """
+    """Symbol b(xi, eta), with ``xi_support`` a closed interval (lo, hi)
+    outside of which it vanishes, or None for no restriction."""
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     xi_support: tuple[float, float] | None = None
-    eta_support: tuple[float, float] | None = None
-    tag: str = ""
-    k: float | None = None
-    order: int | None = None
 
     def __call__(self, xi, eta) -> np.ndarray:
         return np.asarray(self.fn(xi, eta), dtype=complex)
@@ -125,28 +115,18 @@ def _indices_in(grid: Grid, support: tuple[float, float] | None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def bilinear_apply(
-    sym: BilinearSymbol,
-    f: Field | ComplexField,
-    g: Field | ComplexField,
-    rows: np.ndarray | None = None,
-    cols: np.ndarray | None = None,
-) -> ComplexField:
-    """Apply a bilinear pseudoproduct by the direct O(n^2) lattice sum.
-
-    ``rows``/``cols`` restrict output and eta indices; by default they come
-    from the symbol's support hints.  Frequencies falling outside the grid
-    contribute zero (zero-extension, not wrap-around).
+def bilinear_apply(sym: BilinearSymbol, f: Field | ComplexField,
+                   g: Field | ComplexField) -> ComplexField:
+    """Apply a bilinear pseudoproduct by the direct O(n^2) lattice sum, over
+    the output frequencies in the symbol's ``xi_support``.  Frequencies
+    falling outside the grid contribute zero (zero-extension, not wrap-around).
     """
     grid = require_same_grid(f, g)
     fc = coeffs_of(np.asarray(f.samples), grid)
     gc = coeffs_of(np.asarray(g.samples), grid)
-    if rows is None:
-        rows = _indices_in(grid, sym.xi_support)
-    if cols is None:
-        cols = _indices_in(grid, sym.eta_support)
+    rows = _indices_in(grid, sym.xi_support)
     # drop eta columns with no spectral content; keeps the sum deterministic
-    cols = cols[np.abs(gc[cols]) > 0.0]
+    cols = np.flatnonzero(np.abs(gc) > 0.0)
     out = np.zeros(grid.n_points, dtype=complex)
     if len(rows) and len(cols):
         values = sym(grid.xi[rows][:, None], grid.xi[cols][None, :])
@@ -169,97 +149,8 @@ def leibnitz_check(
 
 
 # ---------------------------------------------------------------------------
-# normal-form branch symbols
+# the normal-form correction B_k
 # ---------------------------------------------------------------------------
-
-VALID_BRANCHES = ("+++", "++-", "+-+", "+--", "-++", "---", "-+-", "--+")
-NONZERO_BRANCHES = ("+++", "++-", "+-+")
-
-_MVT_SWITCH = 1e-8  # relative to the band scale 2^k
-
-
-def _diff_quotient(cutoffs: CutoffFamily, k: float, a, b, den) -> np.ndarray:
-    """(chi_k^+(a) - chi_k^+(b)) / (2 den), removable singularity at den = 0
-    evaluated as the derivative value chi_k^+'(a) / 2."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    den = np.asarray(den, dtype=float)
-    small = np.abs(den) < _MVT_SWITCH * 2.0**k
-    safe = np.where(small, 1.0, den)
-    value = (cutoffs.shell(k, a) - cutoffs.shell(k, b)) / (2.0 * safe)
-    return np.where(small, 0.5 * cutoffs.shell_deriv(k, a), value)
-
-
-def _complement_ratio(cutoffs: CutoffFamily, k: float, order: int, factor: float, den) -> np.ndarray:
-    """(1 - chi_{<< k}(den)) / (2 den); the numerator vanishes identically near 0."""
-    den = np.asarray(den, dtype=float)
-    numer = cutoffs.gtrsim_ll(k, order, den, factor)
-    small = np.abs(den) < 1e-300
-    return np.where(small, 0.0, numer / (2.0 * np.where(small, 1.0, den)))
-
-
-def nf_branch_symbol(
-    k: float,
-    order: int,
-    branch: str,
-    cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
-    ll_factor: float = 100.0,
-) -> BilinearSymbol:
-    """Closed-form branch symbol of the quadratic normal-form correction.
-
-    ``branch`` is the sign pattern (e1 e2 e3) of (xi, xi-eta, eta).  All five
-    branches with two negative input frequencies or negative output are zero.
-    The xi-support hint of the nonzero branches is the 2^k band broadened by
-    the gauge low-pass width.
-    """
-    if branch not in VALID_BRANCHES:
-        raise ValueError(f"invalid branch tag {branch!r}")
-    if branch not in NONZERO_BRANCHES:
-        return BilinearSymbol(
-            fn=lambda xi, eta: np.zeros(np.broadcast(xi, eta).shape, dtype=complex),
-            tag=branch,
-            k=k,
-            order=order,
-        )
-    pad = 2.0 ** (k - ll_factor * order + 1)
-    xi_support = (2.0 ** (k - 1) - pad, 2.0 ** (k + 1) + pad)
-
-    if branch == "+++":
-
-        def fn(xi, eta):
-            xi = np.asarray(xi, dtype=float)
-            eta = np.asarray(eta, dtype=float)
-            shell = cutoffs.shell(k, xi)
-            return (
-                cutoffs.ll(k, order, eta, ll_factor)
-                * _diff_quotient(cutoffs, k, xi, xi - eta, eta)
-                + shell * _complement_ratio(cutoffs, k, order, ll_factor, eta)
-                + cutoffs.ll(k, order, xi - eta, ll_factor)
-                * _diff_quotient(cutoffs, k, xi, eta, xi - eta)
-                + shell * _complement_ratio(cutoffs, k, order, ll_factor, xi - eta)
-            )
-
-    elif branch == "++-":
-
-        def fn(xi, eta):
-            xi = np.asarray(xi, dtype=float)
-            eta = np.asarray(eta, dtype=float)
-            return cutoffs.shell(k, xi) * _complement_ratio(
-                cutoffs, k, order, ll_factor, eta
-            ) + cutoffs.ll(k, order, eta, ll_factor) * _diff_quotient(
-                cutoffs, k, xi, xi - eta, eta
-            )
-
-    else:  # "+-+" by the reflection eta -> xi - eta of "++-"
-
-        ppm = nf_branch_symbol(k, order, "++-", cutoffs, ll_factor)
-
-        def fn(xi, eta):
-            xi = np.asarray(xi, dtype=float)
-            eta = np.asarray(eta, dtype=float)
-            return ppm.fn(xi, xi - eta)
-
-    return BilinearSymbol(fn=fn, xi_support=xi_support, tag=branch, k=k, order=order)
 
 
 def _support(values: np.ndarray) -> tuple[int, int]:
@@ -328,7 +219,9 @@ class BandKernel:
         self.both[0] = False  # the unpaired Nyquist mode
         self.chi_range = _support(self.chi)
         self.ll_range = _support(self.low * self.inv2xi * self.both)
-        lo, hi = nf_branch_symbol(k, order, "+++", cutoffs, ll_factor).xi_support
+        # the 2^k band broadened by the width of the gauge low-pass
+        pad = 2.0 ** (k - ll_factor * order + 1)
+        lo, hi = 2.0 ** (k - 1) - pad, 2.0 ** (k + 1) + pad
         self.outside = (grid.xi <= 0) | (grid.xi < lo) | (grid.xi > hi)
 
     def half(self, a: np.ndarray, b: np.ndarray, shared: np.ndarray | None = None) -> np.ndarray:
@@ -390,9 +283,10 @@ def assemble_B(
     separated paraproducts: Fourier multipliers around linear convolutions
     of the half-line projected inputs, each sized by its inputs' supports
     (see the module docstring).  B_k(f, f) takes one transform and one half
-    kernel.  The output is kept on xi > 0 inside the branch xi-support and
-    scaled by ``NF_NORMALIZATION``.  ``bilinear_apply`` of the ``nf_branch_symbol``
-    branches is the dense oracle it matches to roundoff.
+    kernel.  The output is kept on xi > 0 inside the 2^k band broadened by
+    the width of the gauge low-pass, and scaled by ``NF_NORMALIZATION``.
+    ``bilinear_apply`` of ``bolab.testing.nf_branch_symbol``'s branches is
+    the dense oracle it matches to roundoff.
     """
     grid = require_same_grid(f, g)
     fc = coeffs_of(np.asarray(f.samples), grid)

@@ -28,7 +28,7 @@ from .cli import atomic_write_text
 from .cutoffs import smoothstep
 from .errors import ConfigError, SolverInstabilityError
 from .grid import Field, Grid
-from .spectral import coeffs_of, hilbert, derivative, samples_of
+from .spectral import derivative, hilbert
 
 SNAPSHOT_MAGIC = b"BOSNAP01"
 
@@ -65,13 +65,6 @@ class SpongeConfig:
         x_lo = -grid.box_length / 2.0
         # smooth ramp from `strength` at the edge down to 0 at x_lo + width
         return self.strength * smoothstep((x_lo + width - grid.x) / width)
-
-    def to_dict(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "width_fraction": self.width_fraction,
-            "strength": self.strength,
-        }
 
 
 @dataclass
@@ -265,22 +258,6 @@ def evolve(
             current.ledger.append((current.t, *conserved(current)))
         snaps.append(current)
     return snaps
-
-
-def shift(f: Field, offset: float) -> Field:
-    """Exact spectral translation f(. - offset) on the periodic grid."""
-    grid = f.grid
-    c = coeffs_of(f.samples, grid)
-    return Field(grid, samples_of(c * np.exp(-1j * grid.xi * offset), grid).real)
-
-
-def reflect(f: Field) -> Field:
-    """x -> -x on the grid (the x = -L/2 sample is its own image)."""
-    s = f.samples
-    out = np.empty_like(s)
-    out[0] = s[0]
-    out[1:] = s[1:][::-1]
-    return Field(f.grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Fourier analysis, multipliers, Hilbert transform, dyadic projections and
-weighted measurements on the periodic grid.
+"""Fourier transforms, multipliers, Hilbert transform, dyadic projections,
+spatial shell cutoffs and weighted measurements on the periodic grid.
 
-Discrete transform pair (math-ordered coefficients, symmetric normalization):
+Discrete transform pair (math-ordered coefficients, symmetric normalization),
+``coeffs_of`` and ``samples_of`` on plain arrays:
 
     c_m = (dx / sqrt(2 pi)) * sum_i f_i exp(-i xi_m x_i)
     f_i = (dxi / sqrt(2 pi)) * sum_m c_m exp(+i xi_m x_i),   dxi = 2 pi / L
@@ -31,7 +32,7 @@ from .errors import (
     GridMismatchError,
     MultiplierDomainError,
 )
-from .grid import ComplexField, Field, Grid, Spectrum
+from .grid import ComplexField, Field, Grid
 
 # ---------------------------------------------------------------------------
 # transforms
@@ -66,16 +67,6 @@ def samples_of(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     np.fft.ifft(a, out=a)
     a *= np.sqrt(2.0 * np.pi) / grid.dx
     return a
-
-
-def analyze(f: Field | ComplexField) -> Spectrum:
-    """Discrete Fourier analysis of a field."""
-    return Spectrum(f.grid, coeffs_of(np.asarray(f.samples), f.grid))
-
-
-def synthesize(spec: Spectrum) -> ComplexField:
-    """Inverse transform; analyze . synthesize is the identity to 1e-12."""
-    return ComplexField(spec.grid, samples_of(spec.coefficients, spec.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +151,6 @@ def lp_values(grid: Grid, k: float, variant: str, cutoffs: CutoffFamily = DEFAUL
         v = cutoffs.shell(k, axi) * (grid.xi < 0)
     elif variant == "leq":
         v = cutoffs.le(k, axi)
-    elif variant == "geq":
-        v = cutoffs.ge(k, axi)
     else:
         raise ValueError(f"unknown LP variant {variant!r}")
     v = np.asarray(v, dtype=float).copy()
@@ -231,10 +220,9 @@ def spatial_cutoff_values(
     grid: Grid,
     j: float,
     sign: str = "+",
-    flavor: str = "exact",
     cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
 ) -> np.ndarray:
-    """Values of the named dyadic spatial cutoff on the grid points."""
+    """Values of the dyadic shell chi_j on the grid points, at x, -x or |x|."""
     _check_shell(grid, j)
     x = grid.x
     if sign == "+":
@@ -245,26 +233,17 @@ def spatial_cutoff_values(
         y = np.abs(x)
     else:
         raise ValueError(f"unknown sign {sign!r}")
-    if flavor == "exact":
-        return np.asarray(cutoffs.shell(j, y), dtype=float)
-    if flavor == "sim":
-        return np.asarray(cutoffs.sim(j, y), dtype=float)
-    if flavor == "lesssim":
-        return np.asarray(cutoffs.lesssim(j, y), dtype=float)
-    if flavor == "geq":
-        return np.asarray(cutoffs.ge(j, y), dtype=float)
-    raise ValueError(f"unknown flavor {flavor!r}")
+    return np.asarray(cutoffs.shell(j, y), dtype=float)
 
 
 def spatial_cutoff(
     f: Field | ComplexField,
     j: float,
     sign: str = "+",
-    flavor: str = "exact",
     cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
 ) -> Field | ComplexField:
-    """Pointwise product with the named cutoff; errors on shells leaving the box."""
-    w = spatial_cutoff_values(f.grid, j, sign, flavor, cutoffs)
+    """Pointwise product with the shell cutoff; errors on shells leaving the box."""
+    w = spatial_cutoff_values(f.grid, j, sign, cutoffs)
     out = w * np.asarray(f.samples)
     if isinstance(f, Field):
         return Field(f.grid, out)
@@ -320,26 +299,6 @@ def antiderivative_mean_removed(u: Field, c: np.ndarray | None = None) -> tuple[
     phi = samples_of(out, grid)
     mass = float(grid.dx * np.sum(u.samples))
     return Field(grid, phi.real), mass
-
-
-def besov_half_diagnostic(
-    f: Field | ComplexField, cutoffs: CutoffFamily = DEFAULT_CUTOFFS
-) -> list[tuple[int, float]]:
-    """Shell sequence (k, 2^{k/2} ||P_k f||_L2) over the grid-resolved bands.
-
-    The sum of the sequence is the discrete half-derivative Besov norm used
-    as the membership diagnostic; the full sequence is returned because the
-    bookkeeping constants have no canonical scalar value.
-    """
-    grid = f.grid
-    k_min, k_max = lp_partition_bounds(grid)
-    c = coeffs_of(np.asarray(f.samples), grid)
-    out = []
-    for k in range(k_min + 1, k_max + 1):
-        values = lp_values(grid, k, "full", cutoffs)
-        band_l2 = float(np.sqrt(grid.dxi * np.sum(np.abs(values * c) ** 2)))
-        out.append((k, 2.0 ** (k / 2.0) * band_l2))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Deterministic random-field builders and the verification measurements
-shared by the test suite and the CLI verification commands.
+"""Deterministic random-field builders, the verification measurements
+shared by the test suite and the CLI verification commands, and the dense
+oracle of ``pseudoproduct.assemble_B``.
 
 All generators work in frequency space so fields are exactly band-limited,
 mean-zero and Nyquist-free (the conventions every projector assumes), with
@@ -11,10 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cutoffs import DEFAULT as DEFAULT_CUTOFFS
 from .grid import ComplexField, Field, Grid
-from .kernels import KernelSpec, fit_decay, phase_integral, sweep_j, sweep_t
-from .pseudoproduct import verify_nf_cancellation
-from .spectral import (analyze, apply_multiplier, derivative, hilbert, lp_partition_bounds,
+from .kernels import KernelSpec, fit_decay, phase_integral, sweep
+from .pseudoproduct import BilinearSymbol, verify_nf_cancellation
+from .spectral import (apply_multiplier, coeffs_of, derivative, hilbert, lp_partition_bounds,
                        lp_project, samples_of, spatial_cutoff)
 
 #: dyadic shells j of the Hilbert commutator constants
@@ -83,8 +85,9 @@ def operator_identity_errors(grid: Grid, rng: np.random.Generator, n_fields: int
         total = lp_project(f, k_min, "leq").samples.copy()
         for k in range(k_min + 1, k_max + 1):
             total += lp_project(f, k, "full").samples
+        spectral_l2 = float(np.sqrt(grid.dxi * np.sum(np.abs(coeffs_of(f.samples, grid)) ** 2)))
         errors = {
-            "parseval": abs(f.l2_norm() - analyze(f).l2_norm()) / f.l2_norm(),
+            "parseval": abs(f.l2_norm() - spectral_l2) / f.l2_norm(),
             "composition": _sup(once.samples - twice.samples) / once.sup_norm(),
             "hilbert_squared": _sup(hilbert(hilbert(f)).samples + f.samples) / f.sup_norm(),
             "lp_partition": _sup(total - f.samples) / f.sup_norm(),
@@ -105,8 +108,8 @@ def commutator_constants(grid: Grid, rng: np.random.Generator, n_fields: int) ->
             l1 = grid.dx * float(np.sum(np.abs(f.samples)))
             comm = ComplexField(
                 grid,
-                spatial_cutoff(hilbert(f), j, "+", "exact").samples
-                - hilbert(spatial_cutoff(f, j, "+", "exact")).samples,
+                spatial_cutoff(hilbert(f), j, "+").samples
+                - hilbert(spatial_cutoff(f, j, "+")).samples,
             )
             for n, dn in ((0, comm), (1, derivative(comm, 1)), (2, derivative(comm, 2))):
                 consts[n][j] = max(consts[n][j], dn.sup_norm() * 2.0 ** ((n + 1) * j) / l1)
@@ -132,17 +135,17 @@ def kernel_exponents(
     kernel in log2 t and in j and of the dyadic right kernel in log2 t, and the
     largest dyadic-left minus Schroedinger kernel difference on a
     schro_points^2 grid.  The sweep dicts are those of the verify-kernels
-    config; their ``slope_max`` is not read."""
+    config; their ``slope_max`` and the right sweep's ``M`` are not read."""
     spec = KernelSpec(variant="lowfreq-left", j=t_sweep["j"], t=t_sweep["times"][0],
                       a=t_sweep["a"], epsilon=epsilon, quad_tol=1e-12)
-    t_rows = sweep_t(spec, t_sweep["times"], nx=5, ny=5)
+    t_rows = sweep(spec, "t", t_sweep["times"], nx=5, ny=5)
     spec = KernelSpec(variant="lowfreq-left", j=j_sweep["shells"][0], t=j_sweep["t"],
                       a=j_sweep["a"], epsilon=epsilon, quad_tol=1e-12)
-    j_rows = sweep_j(spec, j_sweep["shells"], nx=5, ny=5)
+    j_rows = sweep(spec, "j", j_sweep["shells"], nx=5, ny=5)
     spec = KernelSpec(variant="dyadic-right", j=right_sweep["j"], t=right_sweep["times"][0],
                       a=right_sweep["a"], k=right_sweep["k"], ell=right_sweep["ell"],
-                      M=right_sweep["M"], quad_tol=1e-12)
-    r_rows = sweep_t(spec, right_sweep["times"], nx=5, ny=5)
+                      quad_tol=1e-12)
+    r_rows = sweep(spec, "t", right_sweep["times"], nx=5, ny=5)
 
     # Schroedinger reduction on the positive half-line band
     bo = KernelSpec(variant="dyadic-left", j=3.0, t=2.0, a=0, k=1.0, quad_tol=1e-12)
@@ -160,3 +163,82 @@ def kernel_exponents(
         "schro_reduction_max_diff": _sup(v1 - v2),
     }
     return t_rows + j_rows + r_rows, exponents
+
+
+# ---------------------------------------------------------------------------
+# the dense oracle of assemble_B: the closed-form branch symbols
+# ---------------------------------------------------------------------------
+
+#: sign patterns (xi, xi - eta, eta) of the nonzero branches; the other five
+#: (two negative input frequencies, or a negative output) vanish
+BRANCHES = ("+++", "++-", "+-+")
+
+_MVT_SWITCH = 1e-8  # relative to the band scale 2^k
+
+
+def _diff_quotient(k: float, a, b, den) -> np.ndarray:
+    """(chi_k^+(a) - chi_k^+(b)) / (2 den), removable singularity at den = 0
+    evaluated as the derivative value chi_k^+'(a) / 2."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    den = np.asarray(den, dtype=float)
+    small = np.abs(den) < _MVT_SWITCH * 2.0**k
+    safe = np.where(small, 1.0, den)
+    value = (DEFAULT_CUTOFFS.shell(k, a) - DEFAULT_CUTOFFS.shell(k, b)) / (2.0 * safe)
+    return np.where(small, 0.5 * DEFAULT_CUTOFFS.shell_deriv(k, a), value)
+
+
+def _complement_ratio(k: float, order: int, factor: float, den) -> np.ndarray:
+    """(1 - chi_{<< k}(den)) / (2 den); the numerator vanishes identically near 0."""
+    den = np.asarray(den, dtype=float)
+    numer = 1.0 - DEFAULT_CUTOFFS.ll(k, order, den, factor)
+    small = np.abs(den) < 1e-300
+    return np.where(small, 0.0, numer / (2.0 * np.where(small, 1.0, den)))
+
+
+def nf_branch_symbol(k: float, order: int, branch: str, ll_factor: float = 100.0) -> BilinearSymbol:
+    """Closed-form symbol of one nonzero branch of the quadratic normal-form
+    correction; with ``pseudoproduct.bilinear_apply`` the dense O(n^2) oracle
+    of ``assemble_B``.
+
+    ``branch`` is the sign pattern (e1 e2 e3) of (xi, xi-eta, eta), one of
+    ``BRANCHES``.  The xi-support is the 2^k band broadened by the gauge
+    low-pass width.
+    """
+    if branch not in BRANCHES:
+        raise ValueError(f"invalid branch tag {branch!r}")
+    c = DEFAULT_CUTOFFS
+    pad = 2.0 ** (k - ll_factor * order + 1)
+    xi_support = (2.0 ** (k - 1) - pad, 2.0 ** (k + 1) + pad)
+
+    if branch == "+++":
+
+        def fn(xi, eta):
+            xi = np.asarray(xi, dtype=float)
+            eta = np.asarray(eta, dtype=float)
+            shell = c.shell(k, xi)
+            return (
+                c.ll(k, order, eta, ll_factor) * _diff_quotient(k, xi, xi - eta, eta)
+                + shell * _complement_ratio(k, order, ll_factor, eta)
+                + c.ll(k, order, xi - eta, ll_factor) * _diff_quotient(k, xi, eta, xi - eta)
+                + shell * _complement_ratio(k, order, ll_factor, xi - eta)
+            )
+
+    elif branch == "++-":
+
+        def fn(xi, eta):
+            xi = np.asarray(xi, dtype=float)
+            eta = np.asarray(eta, dtype=float)
+            return (c.shell(k, xi) * _complement_ratio(k, order, ll_factor, eta)
+                    + c.ll(k, order, eta, ll_factor) * _diff_quotient(k, xi, xi - eta, eta))
+
+    else:  # "+-+" by the reflection eta -> xi - eta of "++-"
+
+        ppm = nf_branch_symbol(k, order, "++-", ll_factor)
+
+        def fn(xi, eta):
+            xi = np.asarray(xi, dtype=float)
+            eta = np.asarray(eta, dtype=float)
+            return ppm.fn(xi, xi - eta)
+
+    return BilinearSymbol(fn=fn, xi_support=xi_support)

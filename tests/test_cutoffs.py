@@ -59,15 +59,6 @@ def test_ll_matches_literal_definition():
     assert np.all(DEFAULT.ll(k, order, y, factor=3.0)[np.abs(y) >= 2.0 ** (k - 5)] == 0.0)
 
 
-def test_shorthand_members():
-    y = np.linspace(0.0, 100.0, 500)
-    j = 2.0
-    assert np.allclose(DEFAULT.sim(j, y), DEFAULT.band(j - 10, j + 10, y))
-    assert np.allclose(DEFAULT.lesssim(j, y), DEFAULT.le(j + 10, y))
-    assert np.allclose(DEFAULT.gtrsim(j, y), DEFAULT.ge(j + 10, y))
-    assert np.allclose(DEFAULT.ge(j, y), 1.0 - DEFAULT.le(j - 1, y))
-
-
 def test_shell_derivative_matches_finite_difference():
     y = np.linspace(3.0, 17.0, 400)
     h = 1e-6

@@ -278,7 +278,7 @@ def test_gauge_tables_reused_over_a_run_match_fresh_transform():
             fresh = transform(snap.w, k, 4, 100.0).v.samples
             assert np.array_equal(band.v(c, phi_c), fresh)
             for j in rep.shells:
-                weights = spatial_cutoff_values(g, j, "+", "exact")
+                weights = spatial_cutoff_values(g, j, "+")
                 assert rep.gauge_sup[f"{k}"][f"{j}"][i] == float(np.max(weights * np.abs(fresh)))
 
 
@@ -301,7 +301,7 @@ def test_gauge_bands_sharing_the_paraproduct_match_fresh_transform():
             fresh = transform(snap.w, k, 4, 100.0).v.samples
             assert np.array_equal(band.v(c, phi_c, shared), fresh)
             for j in rep.shells:
-                weights = spatial_cutoff_values(g, j, "+", "exact")
+                weights = spatial_cutoff_values(g, j, "+")
                 expected = float(np.max(weights * np.abs(fresh)))
                 assert gauge_sups[k][j] == rep.gauge_sup[f"{k}"][f"{j}"][i] == expected
 
@@ -381,7 +381,7 @@ def test_shell_sup_triangle_audits():
 
     k_min, k_max = lp_partition_bounds(g)
     j = 4.0
-    weights = spatial_cutoff_values(g, j, "+", "exact")
+    weights = spatial_cutoff_values(g, j, "+")
     k0 = -(1.0 - eps) / 2.0 * j
     # sum of per-band sups dominates the sup of the band sum
     per_band = 0.0

@@ -8,14 +8,25 @@ import pytest
 from bolab.errors import DegenerateSeriesError, KernelDomainError, QuadratureWarning
 from bolab.kernels import (
     KernelSpec,
+    QuadResult,
+    _prefactor,
     fit_decay,
     kernel_sup,
-    kernel_value,
     phase_integral,
     rows_to_csv,
-    sweep_j,
-    sweep_t,
+    sweep,
 )
+
+
+def kernel_value(spec, x, y):
+    """The full localized kernel K(x, y), spatial cutoffs and i^a / 2 pi
+    included, at one point."""
+    pre = complex(_prefactor(spec, x, y))
+    if pre == 0.0:
+        return QuadResult(value=0.0 + 0.0j, error=0.0, converged=True)
+    inner = phase_integral(spec, x, y)
+    return QuadResult(value=pre * inner.value, error=abs(pre) * inner.error,
+                      converged=inner.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +142,8 @@ def _quad_oracle(spec, x, y, epsabs):
     pieces = [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
 
     def f(xi):
-        return np.exp(1j * spec.phase(xi, x, y)) * float(cut(np.asarray(xi))) * xi**spec.a
+        phase = xi * (x - y + spec.t) + spec.dispersive_phase(xi)
+        return np.exp(1j * phase) * float(cut(np.asarray(xi))) * xi**spec.a
 
     total = 0.0j
     for a_, b_ in pieces:
@@ -175,7 +187,7 @@ def test_nonconvergence_is_flagged():
         res = phase_integral(spec, np.array([0.5, 2.0]), np.array([-2.0, 0.0]))
     assert res.converged is False
     with pytest.warns(QuadratureWarning):
-        rows = sweep_t(spec, [1024.0, 2048.0], nx=3, ny=3)
+        rows = sweep(spec, "t", [1024.0, 2048.0], nx=3, ny=3)
     assert [r["quad_flag"] for r in rows] == [1, 1]
     # one panel leaves no coarser rule to estimate the error against
     with pytest.raises(KernelDomainError):
@@ -243,9 +255,9 @@ def test_fit_soliton_shell_sups():
 
 def test_sweep_rows_and_csv(tmp_path):
     spec = KernelSpec(variant="lowfreq-left", j=1.0, t=4.0, a=1, quad_tol=1e-10)
-    rows = sweep_t(spec, [4.0, 8.0], nx=3, ny=3)
+    rows = sweep(spec, "t", [4.0, 8.0], nx=3, ny=3)
     assert len(rows) == 2 and rows[0]["sup"] > rows[1]["sup"] > 0.0
-    rows += sweep_j(spec, [2.0, 3.0], nx=3, ny=3)
+    rows += sweep(spec, "j", [2.0, 3.0], nx=3, ny=3)
     path = str(tmp_path / "rows.csv")
     rows_to_csv(rows, path)
     lines = open(path).read().strip().split("\n")

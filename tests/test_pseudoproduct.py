@@ -16,13 +16,12 @@ from bolab.pseudoproduct import (
     assemble_B,
     bilinear_apply,
     leibnitz_check,
-    nf_branch_symbol,
     nf_generator_terms,
     verify_nf_cancellation,
 )
 from bolab.solver import soliton
 from bolab.spectral import coeffs_of, low_pass, lp_project, multiply
-from bolab.testing import random_band_limited
+from bolab.testing import BRANCHES, nf_branch_symbol, random_band_limited
 
 ONE = BilinearSymbol(fn=lambda xi, eta: np.ones(np.broadcast(xi, eta).shape))
 
@@ -113,13 +112,6 @@ def test_invalid_branch_rejected():
         nf_branch_symbol(1.0, 2, "++")
 
 
-def test_zero_branches_vanish():
-    for tag in ("+--", "-++", "---", "-+-", "--+"):
-        sym = nf_branch_symbol(2.0, 2, tag)
-        xi = np.linspace(-10, 10, 23)
-        assert np.max(np.abs(sym(xi[:, None], xi[None, :]))) == 0.0
-
-
 def _ratio_form_ppp(k, order, factor, xi, eta):
     """Independent evaluation of the +++ branch from the single-ratio form
     (valid off the removable lines)."""
@@ -173,7 +165,7 @@ def test_difference_quotient_removable_singularity():
 def _total_symbol(k, order, factor, xi, eta):
     """b(xi, eta) = sum over branches of indicator * branch value, scaled."""
     total = np.zeros(np.broadcast(np.asarray(xi), np.asarray(eta)).shape, dtype=complex)
-    for tag in ("+++", "++-", "+-+"):
+    for tag in BRANCHES:
         sym = nf_branch_symbol(k, order, tag, ll_factor=factor)
         e1, e2, e3 = tag
         ind = (
