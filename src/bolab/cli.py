@@ -43,19 +43,28 @@ DEFAULT_OUTDIR_ENV = "BOLAB_OUTDIR"
 # ---------------------------------------------------------------------------
 
 
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file ``path``; a file that is missing or
+    unreadable, or holds no JSON or another JSON value, raises ConfigError
+    naming ``what``."""
+    if not os.path.exists(path):
+        raise ConfigError(f"{what} file not found: {path}")
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:  # bad JSON, or bytes that are no text
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return data
+
+
 def load_config(path: str | None, defaults: dict) -> dict:
     if path is None:
         return json.loads(json.dumps(defaults))
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    return data
+    return read_json_object(path, "config")
 
 
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
@@ -297,6 +306,8 @@ def run_verify_normal_form(config: dict, outdir: str, args: argparse.Namespace) 
 # verify-kernels
 # ---------------------------------------------------------------------------
 
+#: ``right_sweep.M`` is accepted and written to the manifest, but no
+#: measurement reads it
 KERNEL_DEFAULTS = {
     "epsilon": 0.5,
     "t_sweep": {"j": 0.0, "a": 1, "times": [16.0 * 2.0**i for i in range(8)],
@@ -377,10 +388,9 @@ def run_report(config: dict, outdir: str, args: argparse.Namespace) -> list[str]
     from .decay import DecayReport, lowfreq_decay_check
     from .errors import DegenerateSeriesError
 
-    path = config["input"]
-    if not path or not os.path.exists(path):
-        raise ConfigError(f"report input not found: {path}")
-    report = DecayReport.from_json(path)
+    if not config["input"]:
+        raise ConfigError("report needs --input")
+    report = DecayReport.from_json(config["input"])
     csv_path = os.path.join(outdir, "decay_report.csv")
     report.to_csv(csv_path)
     print(f"report over t in [{report.times[0]}, {report.times[-1]}], "
@@ -412,17 +422,32 @@ def _experiment_defaults() -> dict:
     return EXPERIMENT_DEFAULTS
 
 
-def _check_schro_points(config: dict) -> None:
-    if config["schro_points"] < 1:
-        raise ConfigError(f"schro_points must be at least 1, got {config['schro_points']!r}")
+def _check_counts(config: dict, *names: str) -> None:
+    """Each named count of the merged config (a dotted path) is at least 1:
+    none of zero fields, trials or points would pass vacuously."""
+    for name in names:
+        value = config
+        for part in name.split("."):
+            value = value[part]
+        if value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value!r}")
+
+
+def _check_kernels(config: dict) -> None:
+    _check_counts(config, "schro_points")
+    # the t-sweep is fitted against log2 t
+    if min(config["t_sweep"]["times"]) <= 0:
+        raise ConfigError(f"t_sweep.times must be positive, got {config['t_sweep']['times']!r}")
 
 
 #: per command: its defaults, which also serve as its schema (or a function
 #: returning them), its runner and a further check of the merged config
 COMMANDS = {
-    "verify-operators": (OPERATOR_DEFAULTS, run_verify_operators, None),
-    "verify-normal-form": (NORMAL_FORM_DEFAULTS, run_verify_normal_form, None),
-    "verify-kernels": (KERNEL_DEFAULTS, run_verify_kernels, _check_schro_points),
+    "verify-operators": (OPERATOR_DEFAULTS, run_verify_operators,
+                         lambda config: _check_counts(config, "n_fields", "commutator.n_fields")),
+    "verify-normal-form": (NORMAL_FORM_DEFAULTS, run_verify_normal_form,
+                           lambda config: _check_counts(config, "trials_per_case")),
+    "verify-kernels": (KERNEL_DEFAULTS, run_verify_kernels, _check_kernels),
     "evolve": (_experiment_defaults, run_evolve, None),
     "measure-decay": (_experiment_defaults, run_measure_decay, None),
     "report": ({"input": ""}, run_report, None),

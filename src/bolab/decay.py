@@ -18,13 +18,12 @@ fit rather than assumed away.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .cli import atomic_write_text, json_text, merge_config
+from .cli import atomic_write_text, json_text, merge_config, read_json_object
 from .errors import ConfigError, DegenerateSeriesError
 from .grid import Field, Grid
 from .kernels import fit_decay
@@ -182,8 +181,13 @@ class DecayReport:
 
     @staticmethod
     def from_json(path: str) -> "DecayReport":
-        with open(path) as fh:
-            data = json.load(fh)
+        """The report in ``path``; a file that does not hold a JSON object with
+        exactly the report's fields raises ConfigError."""
+        data = read_json_object(path, "report input")
+        names = {f.name for f in fields(DecayReport)}
+        if data.keys() != names:
+            raise ConfigError(f"report input {path!r} lacks fields {sorted(names - data.keys())} "
+                              f"or has unknown fields {sorted(data.keys() - names)}")
         return DecayReport(**data)
 
     def to_csv(self, path: str) -> None:

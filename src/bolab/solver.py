@@ -177,7 +177,8 @@ def _advance(state: SolverState, n_steps: int) -> SolverState:
     in v is the stage in c without the shifts, the scale and the phase, and
     stays real by construction.  A stage is one irfft and one rfft (of two
     rows with the sponge, see ``_nonlinearity``) in preallocated buffers, so
-    n_steps steps make 4 n_steps + 1 calls of each.
+    n_steps steps make 4 n_steps + 1 calls of each.  The new state shares the
+    input's ledger list.
     """
     grid = state.w.grid
     dt = state.dt
@@ -215,7 +216,7 @@ def _advance(state: SolverState, n_steps: int) -> SolverState:
     sup = float(np.max(np.abs(samples)))
     if not np.isfinite(sup):
         raise SolverInstabilityError(f"sup norm is {sup} at t = {t:.4g}")
-    return replace(state, w=Field(grid, samples), t=t, ledger=list(state.ledger))
+    return replace(state, w=Field(grid, samples), t=t)
 
 
 def evolve(
@@ -226,7 +227,9 @@ def evolve(
 ) -> list[SolverState]:
     """Advance to t_final, returning snapshots every ``snapshot_stride`` steps.
 
-    The initial state is included.  Aborts with SolverInstabilityError when
+    The initial state is included, as a copy.  The snapshots share one ledger,
+    copied once from the input's, which ``state`` keeps unchanged; the last
+    snapshot's is the run's full ledger.  Aborts with SolverInstabilityError when
     the sup norm grows tenfold between consecutive snapshots or is not finite.
     Negative dt and t_final run backward in time; dt = 0, dt and t_final of
     opposite signs and snapshot_stride < 1 raise ConfigError.
@@ -238,12 +241,12 @@ def evolve(
     n_steps = int(round(t_final / state.dt))
     if abs(n_steps * state.dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ConfigError(f"t_final {t_final} must be an integer multiple of dt {state.dt}")
-    snaps = [state]
+    current = replace(state, ledger=list(state.ledger))
+    snaps = [current]
     if record_ledger:
-        state.ledger.append((state.t, *conserved(state)))
-    prev_sup = max(state.w.sup_norm(), 1e-300)
+        current.ledger.append((current.t, *conserved(current)))
+    prev_sup = max(current.w.sup_norm(), 1e-300)
     done = 0
-    current = state
     while done < n_steps:
         todo = min(snapshot_stride, n_steps - done)
         current = _advance(current, todo)

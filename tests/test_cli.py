@@ -159,6 +159,28 @@ def test_report_missing_input_exits_2(tmp_path):
     assert main(["report", "--output-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read report input file"),
+    ("{not json", "report input is not valid JSON"),
+    ('{"a": 1}', "has unknown fields ['a']"),
+])
+def test_report_unreadable_input_exits_2(tmp_path, capsys, content, message):
+    source = tmp_path / "input"
+    if content is None:
+        source.mkdir()
+    else:
+        source.write_text(content)
+    code = main(["report", "--input", str(source), "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_directory_exits_2(tmp_path, capsys):
+    code = main(["measure-decay", "--config", str(tmp_path), "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
 def test_report_rejects_unknown_key(tmp_path, capsys):
     assert _measure_decay(tmp_path) == 0
     code = main(["report", "--input", str(tmp_path / "decay_report.json"),
@@ -194,6 +216,7 @@ def test_verify_kernels_default_run_passes(tmp_path):
     ("right_sweep.mystery=1", "unknown config key 'right_sweep.mystery'"),
     ("schro_points=0", "schro_points must be at least 1"),
     ("schro_points=-2", "schro_points must be at least 1"),
+    ("t_sweep.times=[0.0,16.0,32.0,64.0]", "t_sweep.times must be positive"),
 ])
 def test_verify_kernels_rejects_bad_config(tmp_path, capsys, override, message):
     code = main(["verify-kernels", "--output-dir", str(tmp_path), "--override", override])
@@ -233,6 +256,9 @@ def test_threads_flag_is_gone(capsys):
     ("verify-normal-form", "bands=2", "bands must be a non-empty list"),
     ("verify-normal-form", "threshold=\"tight\"", "threshold must be a number"),
     ("verify-normal-form", "threshold=NaN", "threshold must be a number"),
+    ("verify-operators", "n_fields=0", "n_fields must be at least 1"),
+    ("verify-operators", "commutator.n_fields=0", "commutator.n_fields must be at least 1"),
+    ("verify-normal-form", "trials_per_case=0", "trials_per_case must be at least 1"),
 ])
 def test_verify_rejects_bad_config(tmp_path, capsys, command, override, message):
     code = main([command, "--output-dir", str(tmp_path), "--override", override])

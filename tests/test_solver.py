@@ -435,3 +435,13 @@ def test_ledger_csv(tmp_path):
     lines = open(path).read().strip().split("\n")
     assert lines[0] == "t,mass,l2,hamiltonian"
     assert len(lines) == len(snaps[-1].ledger) + 1
+
+
+def test_evolve_leaves_the_input_ledger_alone():
+    # two runs from one state each record their own ledger, from t = 0
+    g = Grid(256, 50.0)
+    st = SolverState(w=soliton(1.0, 0.0, g), frame="lab", dt=1e-3)
+    first, second = (evolve(st, 2e-3)[-1].ledger for _ in range(2))
+    assert st.ledger == []
+    assert [row[0] for row in second] == [0.0, 0.001, 0.002]
+    assert second == first
