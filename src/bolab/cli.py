@@ -54,7 +54,7 @@ def read_json_object(path: str, what: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path!r}: {exc.strerror}") from exc
-    except ValueError as exc:  # bad JSON, or bytes that are no text
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{what} must be a JSON object")
