@@ -86,7 +86,7 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
     return config
 
 
-def _number(value) -> bool:
+def is_number(value) -> bool:
     """An integer or a finite float (a bool is neither)."""
     if isinstance(value, bool):
         return False
@@ -99,17 +99,17 @@ def _kind(default, value) -> tuple[bool, str, str]:
     if isinstance(default, dict):
         return isinstance(value, dict), "dict", "an object"
     if isinstance(default, list):
-        ok = isinstance(value, list) and bool(value) and all(map(_number, value))
+        ok = isinstance(value, list) and bool(value) and all(map(is_number, value))
         return ok, "list", "a non-empty list of numbers"
     if isinstance(default, bool):
         return isinstance(value, bool), "bool", "true or false"
     if isinstance(default, str):
         return isinstance(value, str), "str", "a string"
     if isinstance(default, int):
-        return _number(value) and isinstance(value, int), "int", "an integer"
+        return is_number(value) and isinstance(value, int), "int", "an integer"
     if default is None:
-        return value is None or _number(value), "float | None", "null or a number"
-    return _number(value), "float", "a number"
+        return value is None or is_number(value), "float | None", "null or a number"
+    return is_number(value), "float", "a number"
 
 
 def merge_config(defaults: dict, config: dict, where: str = "") -> dict:

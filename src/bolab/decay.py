@@ -19,11 +19,12 @@ fit rather than assumed away.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .cli import atomic_write_text, json_text, merge_config, read_json_object
+from .cli import atomic_write_text, is_number, json_text, merge_config, read_json_object
 from .errors import ConfigError, DegenerateSeriesError
 from .grid import Field, Grid
 from .kernels import fit_decay
@@ -81,6 +82,10 @@ class ExperimentConfig:
         if not 0 < self.epsilon_assumed <= 1:
             raise ConfigError(f"epsilon_assumed must lie in (0, 1], got {self.epsilon_assumed}")
         self.initial = merge_config(INITIAL_DEFAULTS, self.initial, "initial.")
+        # the bump divides by its width, whose sign it squares away
+        if not self.initial["bump_width"] > 0:
+            raise ConfigError(
+                f"initial.bump_width must be positive, got {self.initial['bump_width']}")
         self.gauge = merge_config(GAUGE_DEFAULTS, self.gauge, "gauge.")
         bands = self.gauge["bands"]
         if not all(float(k).is_integer() for k in bands) or len(set(bands)) < len(bands):
@@ -132,14 +137,18 @@ def bootstrap_predict(epsilon: float) -> float:
     return min(1.0 + 1.5 * epsilon, 2.0)
 
 
-def bootstrap_iteration_count(epsilon: float, cap: int = 10_000) -> int:
+#: passes after which ``bootstrap_iteration_count`` gives up
+BOOTSTRAP_CAP = 10_000
+
+
+def bootstrap_iteration_count(epsilon: float) -> int:
     """Number of bootstrap passes until the exponent reaches 2 starting from
     1 + epsilon; terminates because eps grows geometrically until the cap."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     count = 0
     exponent = 1.0 + epsilon
-    while exponent < 2.0 and count < cap:
+    while exponent < 2.0 and count < BOOTSTRAP_CAP:
         exponent = bootstrap_predict(exponent - 1.0)
         count += 1
     if exponent < 2.0:
@@ -156,6 +165,43 @@ def measure_epsilon(w: Field, shells: list[float]) -> float:
         return 0.05
     fit = fit_decay(pairs)
     return float(np.clip(-fit.slope - 1.0, 0.05, 1.0))
+
+
+def _series(value, depth: int, leaf) -> bool:
+    """Whether ``value`` nests ``depth`` JSON objects over lists whose items pass ``leaf``."""
+    if depth:
+        return isinstance(value, dict) and all(_series(v, depth - 1, leaf) for v in value.values())
+    return isinstance(value, list) and all(map(leaf, value))
+
+
+def _fit_entry(value) -> bool:
+    """Whether ``value`` is a ``fits`` entry as ``_fit_row`` writes it."""
+    return (isinstance(value, dict) and value.keys() == set(FIT_KEYS)
+            and (value["time"] is None or is_number(value["time"]))
+            and isinstance(value["kind"], str)
+            and is_number(value["n_points"]) and isinstance(value["n_points"], int)
+            and all(is_number(value[key]) for key in ("slope", "intercept", "r_squared")))
+
+
+#: the keys of a ``fits`` entry
+FIT_KEYS = ("time", "kind", "slope", "intercept", "r_squared", "n_points")
+#: per report field: a test of its value and the kind the test accepts
+REPORT_KINDS = {
+    "config": (lambda v: isinstance(v, dict), "an object"),
+    "times": (lambda v: bool(v) and _series(v, 0, is_number), "a non-empty list of numbers"),
+    "shells": (lambda v: bool(v) and _series(v, 0, is_number), "a non-empty list of numbers"),
+    "sup": (lambda v: _series(v, 2, is_number), "an object of objects of lists of numbers"),
+    "lowpass_sup": (lambda v: _series(v, 1, is_number), "an object of lists of numbers"),
+    "bandsum_sup": (lambda v: _series(v, 1, is_number), "an object of lists of numbers"),
+    "gauge_sup": (lambda v: _series(v, 2, is_number), "an object of objects of lists of numbers"),
+    "clean": (lambda v: _series(v, 1, lambda x: isinstance(x, bool)),
+              "an object of lists of true or false"),
+    "fits": (lambda v: _series(v, 0, _fit_entry), f"a list of objects with the keys {FIT_KEYS}"),
+    "epsilon_measured": (lambda v: is_number(v) and v > 0, "a positive number"),
+    "predicted_exponent": (is_number, "a number"),
+    "budgets": (lambda v: isinstance(v, dict), "an object"),
+    "ledger": (lambda v: isinstance(v, list), "a list"),
+}
 
 
 @dataclass
@@ -182,12 +228,23 @@ class DecayReport:
     @staticmethod
     def from_json(path: str) -> "DecayReport":
         """The report in ``path``; a file that does not hold a JSON object with
-        exactly the report's fields raises ConfigError."""
+        exactly the report's fields, each of its kind in ``REPORT_KINDS``,
+        with a ``lowpass_sup`` and a ``clean`` series for each shell, raises
+        ConfigError."""
         data = read_json_object(path, "report input")
         names = {f.name for f in fields(DecayReport)}
         if data.keys() != names:
             raise ConfigError(f"report input {path!r} lacks fields {sorted(names - data.keys())} "
                               f"or has unknown fields {sorted(data.keys() - names)}")
+        for name, (ok, kind) in REPORT_KINDS.items():
+            if not ok(data[name]):
+                raise ConfigError(f"report input {path!r}: field {name} must be {kind}, "
+                                  f"got {reprlib.repr(data[name])}")
+        missing = [j for j in data["shells"]
+                   if f"{j}" not in data["lowpass_sup"] or f"{j}" not in data["clean"]]
+        if missing:
+            raise ConfigError(f"report input {path!r}: field shells names {missing}, "
+                              "which have no lowpass_sup or clean series")
         return DecayReport(**data)
 
     def to_csv(self, path: str) -> None:
@@ -293,7 +350,7 @@ class SnapshotTables:
             # the first paraproduct of B_k(u, u) does not depend on k: one per snapshot
             shared = next(iter(self.gauge.values())).kernel.paraproduct(c)
             for k, band in self.gauge.items():
-                v_abs = np.abs(band.v(c, phi_c, shared))
+                v_abs = np.abs(band.bundle(c, phi_c, shared).v)
                 gauge[k] = {j: weighted_sup(plus[j], v_abs) for j in self.shells}
         return sups, lowpass, bandsum, gauge
 
@@ -405,9 +462,13 @@ class LowFreqCheck:
     per_shell: dict
 
 
-def lowfreq_decay_check(report: DecayReport, margin: float = 0.3) -> LowFreqCheck:
+#: slack of ``lowfreq_decay_check`` on the target slope
+LOWFREQ_MARGIN = 0.3
+
+
+def lowfreq_decay_check(report: DecayReport) -> LowFreqCheck:
     """Fit the shell slope of the low-pass sups (max over clean times) and
-    check it against -min(1 + 1.5 * eps_measured, 2) + margin.
+    check it against -min(1 + 1.5 * eps_measured, 2) + LOWFREQ_MARGIN.
 
     The low-frequency piece is bounded by the sum of a left-waves 2^(-2j)
     term and a right-waves 2^(-(1+1.5 eps)j) term, so the testable exponent
@@ -429,10 +490,10 @@ def lowfreq_decay_check(report: DecayReport, margin: float = 0.3) -> LowFreqChec
             f"only {len(pairs)} clean shells with signal; need at least 4"
         )
     fit = fit_decay(pairs)
-    passed = fit.slope <= target + margin
+    passed = fit.slope <= target + LOWFREQ_MARGIN
     per_shell = {}
     for j, v in pairs:
-        bound = fit.intercept + (target + margin) * j
+        bound = fit.intercept + (target + LOWFREQ_MARGIN) * j
         per_shell[f"{j}"] = bool(math.log2(v) <= bound + 1e-12)
     return LowFreqCheck(slope=fit.slope, target=target, passed=bool(passed),
                         per_shell=per_shell)

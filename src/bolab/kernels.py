@@ -43,14 +43,13 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import cutoffs
 from .cli import atomic_write_text
-from .cutoffs import DEFAULT as DEFAULT_CUTOFFS
-from .cutoffs import CutoffFamily
 from .errors import DegenerateSeriesError, KernelDomainError, QuadratureWarning
 
 LEFT_VARIANTS = ("lowfreq-left", "dyadic-left", "schro-left")
@@ -89,7 +88,6 @@ class KernelSpec:
     ell: float | None = None
     quad_tol: float = 1e-10
     quad_limit: int = 20000
-    cutoffs: CutoffFamily = field(default_factory=lambda: DEFAULT_CUTOFFS)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -132,12 +130,11 @@ class KernelSpec:
     # -- geometry --
 
     def frequency_cutoff(self) -> Callable[[np.ndarray], np.ndarray]:
-        c = self.cutoffs
         if self.variant.startswith("lowfreq"):
-            return lambda xi: c.le_abs(self.k0, xi)
+            return lambda xi: cutoffs.le_abs(self.k0, xi)
         if self.variant.startswith("dyadic"):
-            return lambda xi: c.shell_abs(self.k, xi)
-        return lambda xi: c.shell(self.k, xi)  # schro: positive half-line band
+            return lambda xi: cutoffs.shell_abs(self.k, xi)
+        return lambda xi: cutoffs.shell(self.k, xi)  # schro: positive half-line band
 
     def frequency_range(self) -> tuple[float, float]:
         if self.variant.startswith("lowfreq"):
@@ -165,8 +162,8 @@ class KernelSpec:
 
     def source_cutoff(self, y) -> np.ndarray:
         if self.variant in LEFT_VARIANTS:
-            return np.asarray(self.cutoffs.le(self.j - 10, y), dtype=float)
-        return np.asarray(self.cutoffs.shell(self.ell, y), dtype=float)
+            return np.asarray(cutoffs.le(self.j - 10, y), dtype=float)
+        return np.asarray(cutoffs.shell(self.ell, y), dtype=float)
 
     def source_window(self) -> tuple[float, float]:
         """Sampling window for y; the sup lives near the right edge of the source."""
@@ -275,7 +272,7 @@ def _prefactor(spec: KernelSpec, x, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     return (
         (1j**spec.a / (2.0 * np.pi))
-        * np.asarray(spec.cutoffs.shell(spec.j, x), dtype=float)
+        * np.asarray(cutoffs.shell(spec.j, x), dtype=float)
         * spec.source_cutoff(y)
     )
 

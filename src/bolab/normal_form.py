@@ -31,10 +31,13 @@ Delta_box as an explicit additive budget) and against the box-exact right
 side, whose residual converges at O(dt^2); both behaviours were verified by
 step-halving studies.
 
-Each snapshot is transformed once: ``transform`` builds one ``GaugeBand`` and
-one ``Bundle`` (the coefficients of u, u_k^+, B_k(u, u), phi_ll and v_k,
-with u_ll on first use), and the residual forms the four terms and
-Delta_box at that snapshot from the bundle.
+Each snapshot is transformed once: ``transform`` builds one ``GaugeBand``
+and returns its ``Bundle``, which holds the coefficients of u and the
+samples of u_k^+, B_k(u, u), phi_ll and v_k (in ``v``), with u_ll on first
+use.  B_k(u, u) is formed from the first paraproduct
+``BandKernel.paraproduct``, which a decay run computes once per snapshot
+for all of its bands.  The residual forms the four terms and Delta_box at
+that snapshot from the bundle.
 
 The gauge low-pass threshold is 2^(k - factor*N) with factor configurable
 (default 100); desk-scale grids often resolve no modes below it, in which
@@ -52,8 +55,6 @@ from functools import cached_property
 import numpy as np
 
 from .cli import atomic_write_text
-from .cutoffs import DEFAULT as DEFAULT_CUTOFFS
-from .cutoffs import CutoffFamily
 from .errors import BolabError
 from .grid import ComplexField, Field, Grid
 from .pseudoproduct import QUARTIC_MARGIN, BandKernel, check_dealias_margin
@@ -95,32 +96,22 @@ class GaugeBand:
     """The tables of v_k for one band (the multiplier of u_k^+, the gauge
     low-pass and the ``BandKernel`` of B_k), reused by a decay run at every snapshot."""
 
-    def __init__(self, grid: Grid, k: float, order: int, ll_factor: float = 100.0,
-                 cutoffs: CutoffFamily = DEFAULT_CUTOFFS):
+    def __init__(self, grid: Grid, k: float, order: int, ll_factor: float = 100.0):
         _check_separation(order, ll_factor)
         self.grid, self.k, self.order = grid, k, order
-        self.kernel = BandKernel(grid, k, order, ll_factor, cutoffs)
+        self.kernel = BandKernel(grid, k, order, ll_factor)
         # chi_k^+ is the multiplier of u_k^+, and ll the gauge low-pass: one table each
         self.plus, self.low = self.kernel.chi, self.kernel.low
 
-    def bundle(self, c: np.ndarray, phi_c: np.ndarray | None = None,
-               shared: np.ndarray | None = None) -> Bundle:
-        """The pieces of v_k at one snapshot, from the coefficients of u and of
-        phi (see ``phi_coeffs``); without phi, phi_ll and v are None.
-        ``shared`` may pass in ``kernel.paraproduct(c)``, which every band of
-        the grid shares (see ``BandKernel.square``)."""
+    def bundle(self, c: np.ndarray, phi_c: np.ndarray, shared: np.ndarray) -> Bundle:
+        """The pieces of v_k at one snapshot, from the coefficients c of u, those
+        of phi (see ``phi_coeffs``) and ``shared`` = ``kernel.paraproduct(c)``,
+        which every band of the grid shares (see ``BandKernel.square``)."""
         warn_band_edge(self.grid, self.k)
         u_kp = samples_of(self.plus * c, self.grid)
         bu = self.kernel.square(c, shared)
-        if phi_c is None:
-            return Bundle(self, c, u_kp, bu, None, None)
         phi_ll = samples_of(self.low * phi_c, self.grid)
         return Bundle(self, c, u_kp, bu, phi_ll, (u_kp + bu) * gauge_polynomial(self.order, phi_ll))
-
-    def v(self, c: np.ndarray, phi_c: np.ndarray,
-          shared: np.ndarray | None = None) -> np.ndarray:
-        """Samples of v_k = (u_k^+ + B_k(u,u)) E_N(phi_ll)."""
-        return self.bundle(c, phi_c, shared).v
 
 
 @dataclass
@@ -134,8 +125,8 @@ class Bundle:
     c: np.ndarray
     u_kp: np.ndarray
     bu: np.ndarray
-    phi_ll: np.ndarray | None
-    v: np.ndarray | None
+    phi_ll: np.ndarray
+    v: np.ndarray
 
     @cached_property
     def u_ll(self) -> np.ndarray:
@@ -192,31 +183,17 @@ class Bundle:
         return rhs, delta, max(term.sup_norm() for term in terms.values())
 
 
-@dataclass
-class TransformedVariable:
-    """Gauge-transformed band variable and the bundle it was formed from."""
-
-    v: ComplexField
-    bundle: Bundle
-
-
 def phi_coeffs(u: Field, c: np.ndarray) -> np.ndarray:
     """Coefficients of the mean-removed antiderivative phi of u, given those of u."""
     phi, _ = antiderivative_mean_removed(u, c)
     return coeffs_of(phi.samples, u.grid)
 
 
-def transform(
-    u: Field,
-    k: float,
-    order: int,
-    ll_factor: float = 100.0,
-    cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
-) -> TransformedVariable:
-    """v_k = (u_k^+ + B_k(u,u)) E_N(phi_ll)."""
+def transform(u: Field, k: float, order: int, ll_factor: float = 100.0) -> Bundle:
+    """The bundle of v_k = (u_k^+ + B_k(u,u)) E_N(phi_ll), whose ``v`` holds its samples."""
     c = coeffs_of(u.samples, u.grid)
-    bundle = GaugeBand(u.grid, k, order, ll_factor, cutoffs).bundle(c, phi_coeffs(u, c))
-    return TransformedVariable(v=ComplexField(u.grid, bundle.v), bundle=bundle)
+    band = GaugeBand(u.grid, k, order, ll_factor)
+    return band.bundle(c, phi_coeffs(u, c), band.kernel.paraproduct(c))
 
 
 #: CSV column names of the ``ResidualReport`` fields named differently
@@ -252,7 +229,6 @@ def transformed_residual(
     k: float,
     order: int,
     ll_factor: float = 100.0,
-    cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
 ) -> ResidualReport:
     """Centered-difference residual of the transformed equation.
 
@@ -274,17 +250,17 @@ def transformed_residual(
     vs, sides = [], []
     scale = budget_alias = 0.0
     for i, (_, u) in enumerate(snapshots):
-        tv = transform(u, k, order, ll_factor, cutoffs)
-        vs.append(tv.v.samples)
+        bundle = transform(u, k, order, ll_factor)
+        vs.append(bundle.v)
         if 0 < i < len(snapshots) - 1:
-            rhs, delta, term_scale = tv.bundle.right_side(u)
+            rhs, delta, term_scale = bundle.right_side(u)
             sides.append((rhs, delta))
             scale = max(scale, term_scale)
             budget_alias = max(
                 budget_alias,
-                spectral_tail_mass(u, QUARTIC_MARGIN, tv.bundle.c) * (1.0 + u.sup_norm()),
+                spectral_tail_mass(u, QUARTIC_MARGIN, bundle.c) * (1.0 + u.sup_norm()),
             )
-        del tv  # one snapshot's bundle and tables at a time
+        del bundle  # one snapshot's bundle and tables at a time
     worst_literal = worst_exact = budget_mass = 0.0
     for i, (rhs, delta) in enumerate(sides, start=1):
         lhs = 1j * (vs[i + 1] - vs[i - 1]) / (2.0 * dt) - derivative(

@@ -57,15 +57,13 @@ from typing import Callable
 
 import numpy as np
 
-from .cutoffs import DEFAULT as DEFAULT_CUTOFFS
-from .cutoffs import CutoffFamily
+from . import cutoffs
 from .errors import AliasingWarning
 from .grid import ComplexField, Field, Grid
 from .spectral import (
     coeffs_of,
     derivative,
     half_project,
-    low_pass,
     lp_project,
     lp_values,
     multiply,
@@ -208,11 +206,10 @@ class BandKernel:
     xi = 0.  The first paraproduct uses no table of the band, so the bands of
     one grid can share it (``paraproduct``, ``square``)."""
 
-    def __init__(self, grid: Grid, k: float, order: int, ll_factor: float = 100.0,
-                 cutoffs: CutoffFamily = DEFAULT_CUTOFFS):
+    def __init__(self, grid: Grid, k: float, order: int, ll_factor: float = 100.0):
         self.grid = grid
         self.chi = cutoffs.shell(k, grid.xi)
-        self.low = lp_values(grid, k - ll_factor * order, "leq", cutoffs)
+        self.low = lp_values(grid, k - ll_factor * order, "leq")
         self.inv2xi = np.divide(0.5, grid.xi, out=np.zeros(grid.n_points), where=grid.xi != 0)
         self.plus = grid.xi > 0
         self.both = grid.xi != 0
@@ -244,12 +241,10 @@ class BandKernel:
         """Samples of B_k(f, g) from the coefficients of f and g."""
         return self._samples(*_branches(self, fc, gc))
 
-    def square(self, c: np.ndarray, shared: np.ndarray | None = None) -> np.ndarray:
-        """Samples of B_k(u, u) from the coefficients c of u, equal to
-        ``apply(c, c)`` bit for bit; ``shared`` may pass in ``paraproduct(c)``,
-        which the bands of one snapshot share."""
-        if shared is None:
-            return self.apply(c, c)
+    def square(self, c: np.ndarray, shared: np.ndarray) -> np.ndarray:
+        """Samples of B_k(u, u) from the coefficients c of u and ``shared`` =
+        ``paraproduct(c)``, which the bands of one snapshot share; equal to
+        ``apply(c, c)`` bit for bit."""
         part = self.half(self.plus * c, self.both * c, shared)
         return self._samples(part, part)
 
@@ -274,7 +269,6 @@ def assemble_B(
     f: Field | ComplexField,
     g: Field | ComplexField,
     ll_factor: float = 100.0,
-    cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
 ) -> ComplexField:
     """The quadratic normal-form correction B_k(f, g), in O(n log n) time
     and O(n) memory.
@@ -291,7 +285,7 @@ def assemble_B(
     grid = require_same_grid(f, g)
     fc = coeffs_of(np.asarray(f.samples), grid)
     gc = fc if g is f else coeffs_of(np.asarray(g.samples), grid)
-    return ComplexField(grid, BandKernel(grid, k, order, ll_factor, cutoffs).apply(fc, gc))
+    return ComplexField(grid, BandKernel(grid, k, order, ll_factor).apply(fc, gc))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +313,6 @@ def nf_generator_terms(
     k: float,
     order: int,
     ll_factor: float = 100.0,
-    cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
 ) -> dict[str, ComplexField]:
     """The six terms of the quadratic generator whose sum must vanish.
 
@@ -328,27 +321,27 @@ def nf_generator_terms(
     """
     check_dealias_margin(u)
     grid = u.grid
-    u_ll = low_pass(u, k - ll_factor * order, cutoffs)
-    u_kp = lp_project(u, k, "plus", cutoffs)
+    u_ll = lp_project(u, k - ll_factor * order, "leq")
+    u_kp = lp_project(u, k, "plus")
     du = derivative(u)
     hpi_ddu = ComplexField(grid, 2j * half_project(derivative(u, 2), "-").samples)
 
     usq = multiply(u, u)
     t_transport = ComplexField(
-        grid, -1j * lp_project(derivative(usq), k, "plus", cutoffs).samples
+        grid, -1j * lp_project(derivative(usq), k, "plus").samples
     )
     t_gauge_h = ComplexField(
         grid, 2j * half_project(derivative(u_ll), "-").samples * u_kp.samples
     )
     t_gauge_d = ComplexField(grid, 2j * u_ll.samples * derivative(u_kp).samples)
     t_b_left = ComplexField(
-        grid, 1j * assemble_B(k, order, hpi_ddu, u, ll_factor, cutoffs).samples
+        grid, 1j * assemble_B(k, order, hpi_ddu, u, ll_factor).samples
     )
     t_b_right = ComplexField(
-        grid, 1j * assemble_B(k, order, u, hpi_ddu, ll_factor, cutoffs).samples
+        grid, 1j * assemble_B(k, order, u, hpi_ddu, ll_factor).samples
     )
     t_b_deriv = ComplexField(
-        grid, -2.0 * assemble_B(k, order, du, du, ll_factor, cutoffs).samples
+        grid, -2.0 * assemble_B(k, order, du, du, ll_factor).samples
     )
     return {
         "transport": t_transport,
@@ -365,11 +358,10 @@ def verify_nf_cancellation(
     k: float,
     order: int,
     ll_factor: float = 100.0,
-    cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
 ) -> tuple[float, float]:
     """(residual, scale): the sup norm of the assembled quadratic generator,
     zero when the branch symbols solve the cancellation equation, and the
     largest sup norm of a single generator term, its reference scale."""
-    terms = nf_generator_terms(u, k, order, ll_factor, cutoffs)
+    terms = nf_generator_terms(u, k, order, ll_factor)
     total = sum(t.samples for t in terms.values())
     return float(np.max(np.abs(total))), max(t.sup_norm() for t in terms.values())

@@ -24,8 +24,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .cutoffs import DEFAULT as DEFAULT_CUTOFFS
-from .cutoffs import CutoffFamily
+from . import cutoffs
 from .errors import (
     BandEdgeWarning,
     DegenerateShellError,
@@ -140,7 +139,7 @@ def half_project(f: Field | ComplexField, sign: str) -> ComplexField:
     )
 
 
-def lp_values(grid: Grid, k: float, variant: str, cutoffs: CutoffFamily = DEFAULT_CUTOFFS) -> np.ndarray:
+def lp_values(grid: Grid, k: float, variant: str) -> np.ndarray:
     """Multiplier values for the Littlewood-Paley projection of a given variant."""
     axi = np.abs(grid.xi)
     if variant == "full":
@@ -165,12 +164,7 @@ def warn_band_edge(grid: Grid, k: float) -> None:
                       BandEdgeWarning, stacklevel=3)
 
 
-def lp_project(
-    f: Field | ComplexField,
-    k: float,
-    variant: str = "full",
-    cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
-) -> ComplexField:
+def lp_project(f: Field | ComplexField, k: float, variant: str = "full") -> ComplexField:
     """Dyadic frequency projection P_k (and its half-line / cumulative variants).
 
     Warns (BandEdgeWarning) when the band 2^{k+1} reaches the grid Nyquist.
@@ -178,18 +172,7 @@ def lp_project(
     grid = f.grid
     if variant in ("full", "plus", "minus"):
         warn_band_edge(grid, k)
-    values = lp_values(grid, k, variant, cutoffs)
-    return ComplexField(grid, _apply_values(values, np.asarray(f.samples), grid))
-
-
-def low_pass(
-    f: Field | ComplexField,
-    threshold_index: float,
-    cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
-) -> ComplexField:
-    """Smooth low-pass chi_{<= threshold_index}(|xi|); keeps the mean, zeroes Nyquist."""
-    grid = f.grid
-    values = lp_values(grid, threshold_index, "leq", cutoffs)
+    values = lp_values(grid, k, variant)
     return ComplexField(grid, _apply_values(values, np.asarray(f.samples), grid))
 
 
@@ -216,12 +199,7 @@ def _check_shell(grid: Grid, j: float) -> None:
         )
 
 
-def spatial_cutoff_values(
-    grid: Grid,
-    j: float,
-    sign: str = "+",
-    cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
-) -> np.ndarray:
+def spatial_cutoff_values(grid: Grid, j: float, sign: str = "+") -> np.ndarray:
     """Values of the dyadic shell chi_j on the grid points, at x, -x or |x|."""
     _check_shell(grid, j)
     x = grid.x
@@ -236,25 +214,17 @@ def spatial_cutoff_values(
     return np.asarray(cutoffs.shell(j, y), dtype=float)
 
 
-def spatial_cutoff(
-    f: Field | ComplexField,
-    j: float,
-    sign: str = "+",
-    cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
-) -> Field | ComplexField:
+def spatial_cutoff(f: Field | ComplexField, j: float, sign: str = "+") -> Field | ComplexField:
     """Pointwise product with the shell cutoff; errors on shells leaving the box."""
-    w = spatial_cutoff_values(f.grid, j, sign, cutoffs)
+    w = spatial_cutoff_values(f.grid, j, sign)
     out = w * np.asarray(f.samples)
     if isinstance(f, Field):
         return Field(f.grid, out)
     return ComplexField(f.grid, out)
 
 
-def weighted_shell_sup(
-    f: Field | ComplexField,
-    shells: Iterable[float],
-    cutoffs: CutoffFamily = DEFAULT_CUTOFFS,
-) -> dict[float, dict[str, float]]:
+def weighted_shell_sup(f: Field | ComplexField,
+                       shells: Iterable[float]) -> dict[float, dict[str, float]]:
     """Per-shell, per-sign weighted sup norms sup_x |chi_j^{+-}(x) f(x)|.
 
     Shells whose support [2^{j-1}, 2^{j+1}] does not fit in the half-box are
@@ -262,14 +232,13 @@ def weighted_shell_sup(
     """
     a = np.abs(np.asarray(f.samples))
     return {
-        float(j): {sign: weighted_sup(shell_weight(f.grid, j, sign, cutoffs), a) for sign in "+-"}
+        float(j): {sign: weighted_sup(shell_weight(f.grid, j, sign), a) for sign in "+-"}
         for j in shells
         if 2.0 ** (float(j) + 1) <= f.grid.box_length / 2.0
     }
 
 
-def shell_weight(grid: Grid, j: float, sign: str,
-                 cutoffs: CutoffFamily = DEFAULT_CUTOFFS) -> tuple[slice, np.ndarray]:
+def shell_weight(grid: Grid, j: float, sign: str) -> tuple[slice, np.ndarray]:
     """chi_j(sign * x) on its support: (s, values), the weight being zero off the slice s."""
     w = np.asarray(cutoffs.shell(j, grid.x if sign == "+" else -grid.x))
     nz = np.flatnonzero(w)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cutoffs import DEFAULT as DEFAULT_CUTOFFS
+from . import cutoffs
 from .grid import ComplexField, Field, Grid
 from .kernels import KernelSpec, fit_decay, phase_integral, sweep
 from .pseudoproduct import BilinearSymbol, verify_nf_cancellation
@@ -150,7 +150,7 @@ def kernel_exponents(
     # Schroedinger reduction on the positive half-line band
     bo = KernelSpec(variant="dyadic-left", j=3.0, t=2.0, a=0, k=1.0, quad_tol=1e-12)
     sch = KernelSpec(variant="schro-left", j=3.0, t=2.0, a=0, k=1.0, quad_tol=1e-12)
-    cut = lambda xi: bo.cutoffs.shell(1.0, xi)
+    cut = lambda xi: cutoffs.shell(1.0, xi)
     xs, ys = np.meshgrid(np.linspace(4.0, 16.0, schro_points),
                          np.linspace(-4.0, 2.0 ** (3 - 9), schro_points))
     v1 = phase_integral(bo, xs, ys, cutoff_override=cut, range_override=(0.5, 4.0)).value
@@ -184,14 +184,14 @@ def _diff_quotient(k: float, a, b, den) -> np.ndarray:
     den = np.asarray(den, dtype=float)
     small = np.abs(den) < _MVT_SWITCH * 2.0**k
     safe = np.where(small, 1.0, den)
-    value = (DEFAULT_CUTOFFS.shell(k, a) - DEFAULT_CUTOFFS.shell(k, b)) / (2.0 * safe)
-    return np.where(small, 0.5 * DEFAULT_CUTOFFS.shell_deriv(k, a), value)
+    value = (cutoffs.shell(k, a) - cutoffs.shell(k, b)) / (2.0 * safe)
+    return np.where(small, 0.5 * cutoffs.shell_deriv(k, a), value)
 
 
 def _complement_ratio(k: float, order: int, factor: float, den) -> np.ndarray:
     """(1 - chi_{<< k}(den)) / (2 den); the numerator vanishes identically near 0."""
     den = np.asarray(den, dtype=float)
-    numer = 1.0 - DEFAULT_CUTOFFS.ll(k, order, den, factor)
+    numer = 1.0 - cutoffs.ll(k, order, den, factor)
     small = np.abs(den) < 1e-300
     return np.where(small, 0.0, numer / (2.0 * np.where(small, 1.0, den)))
 
@@ -207,7 +207,6 @@ def nf_branch_symbol(k: float, order: int, branch: str, ll_factor: float = 100.0
     """
     if branch not in BRANCHES:
         raise ValueError(f"invalid branch tag {branch!r}")
-    c = DEFAULT_CUTOFFS
     pad = 2.0 ** (k - ll_factor * order + 1)
     xi_support = (2.0 ** (k - 1) - pad, 2.0 ** (k + 1) + pad)
 
@@ -216,11 +215,11 @@ def nf_branch_symbol(k: float, order: int, branch: str, ll_factor: float = 100.0
         def fn(xi, eta):
             xi = np.asarray(xi, dtype=float)
             eta = np.asarray(eta, dtype=float)
-            shell = c.shell(k, xi)
+            shell = cutoffs.shell(k, xi)
             return (
-                c.ll(k, order, eta, ll_factor) * _diff_quotient(k, xi, xi - eta, eta)
+                cutoffs.ll(k, order, eta, ll_factor) * _diff_quotient(k, xi, xi - eta, eta)
                 + shell * _complement_ratio(k, order, ll_factor, eta)
-                + c.ll(k, order, xi - eta, ll_factor) * _diff_quotient(k, xi, eta, xi - eta)
+                + cutoffs.ll(k, order, xi - eta, ll_factor) * _diff_quotient(k, xi, eta, xi - eta)
                 + shell * _complement_ratio(k, order, ll_factor, xi - eta)
             )
 
@@ -229,8 +228,8 @@ def nf_branch_symbol(k: float, order: int, branch: str, ll_factor: float = 100.0
         def fn(xi, eta):
             xi = np.asarray(xi, dtype=float)
             eta = np.asarray(eta, dtype=float)
-            return (c.shell(k, xi) * _complement_ratio(k, order, ll_factor, eta)
-                    + c.ll(k, order, eta, ll_factor) * _diff_quotient(k, xi, xi - eta, eta))
+            return (cutoffs.shell(k, xi) * _complement_ratio(k, order, ll_factor, eta)
+                    + cutoffs.ll(k, order, eta, ll_factor) * _diff_quotient(k, xi, xi - eta, eta))
 
     else:  # "+-+" by the reflection eta -> xi - eta of "++-"
 

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bolab.cutoffs import DEFAULT
+from bolab import cutoffs
 from bolab.grid import Field, Grid
 from bolab.kernels import fit_decay
 from bolab.normal_form import transformed_residual
@@ -136,7 +136,7 @@ def test_criterion_04_pseudolocality_slope():
     best = {}
     for j, k in [(3, 0), (4, 0), (5, 0), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)]:
         sym = BilinearSymbol(
-            fn=lambda xi, eta, k=k: DEFAULT.le_abs(k, xi) * DEFAULT.le_abs(k, eta),
+            fn=lambda xi, eta, k=k: cutoffs.le_abs(k, xi) * cutoffs.le_abs(k, eta),
             xi_support=(-(2.0 ** (k + 1)) - 1, 2.0 ** (k + 1) + 1),
         )
         f = Field(g, np.exp(-(((g.x - 2.0**j) / 0.5) ** 2)))

@@ -159,10 +159,37 @@ def test_report_missing_input_exits_2(tmp_path):
     assert main(["report", "--output-dir", str(tmp_path)]) == 2
 
 
+#: the smallest decay report that ``report`` reads: one time, one shell
+MINIMAL_REPORT = {
+    "config": {}, "times": [0.0], "shells": [2.0],
+    "sup": {"+": {"2.0": [1.0]}, "-": {"2.0": [1.0]}}, "lowpass_sup": {"2.0": [0.5]},
+    "bandsum_sup": {"2.0": [1.0]}, "gauge_sup": {}, "clean": {"2.0": [True]},
+    "fits": [{"time": 0.0, "kind": "sup_plus", "slope": -2.0, "intercept": 0.0,
+              "r_squared": 1.0, "n_points": 4}],
+    "epsilon_measured": 0.5, "predicted_exponent": 1.75, "budgets": {}, "ledger": [],
+}
+
+
+def _report_with(**fields) -> str:
+    return json.dumps({**MINIMAL_REPORT, **fields})
+
+
+def test_report_reads_the_minimal_report(tmp_path, capsys):
+    source = tmp_path / "input"
+    source.write_text(_report_with())
+    assert main(["report", "--input", str(source), "--output-dir", str(tmp_path / "out")]) == 0
+    assert "sup_plus t=0: slope -2.000" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("content, message", [
     (None, "cannot read report input file"),
     ("{not json", "report input is not valid JSON"),
     ('{"a": 1}', "has unknown fields ['a']"),
+    (_report_with(times=[]), "field times must be a non-empty list of numbers"),
+    (_report_with(shells="x"), "field shells must be a non-empty list of numbers"),
+    (_report_with(sup=[1]), "field sup must be an object of objects of lists of numbers"),
+    (_report_with(epsilon_measured="a"), "field epsilon_measured must be a positive number"),
+    (_report_with(fits=[{"time": None}]), "field fits must be a list of objects with the keys"),
 ])
 def test_report_unreadable_input_exits_2(tmp_path, capsys, content, message):
     source = tmp_path / "input"
@@ -302,6 +329,8 @@ OUT_OF_DOMAIN_RUN = ("n_points=512", "box_length=200", "t_final=0.01", "dt=0.001
     (["sponge.enabled=true", "sponge.width_fraction=0"], "sponge.width_fraction must lie in (0, 1)"),
     (["sponge.enabled=true", "sponge.width_fraction=-0.1"], "sponge.width_fraction must lie in (0, 1)"),
     (["sponge.enabled=true", "sponge.strength=-50"], "sponge.strength must be non-negative"),
+    (["initial.kind=soliton_bump", "initial.bump_width=0"], "initial.bump_width must be positive"),
+    (["initial.kind=soliton_bump", "initial.bump_width=-1"], "initial.bump_width must be positive"),
 ])
 def test_experiment_value_out_of_domain_exits_2(tmp_path, capsys, command, overrides, message):
     args = [command, "--output-dir", str(tmp_path)]

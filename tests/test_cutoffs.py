@@ -1,6 +1,7 @@
 import numpy as np
 
-from bolab.cutoffs import DEFAULT, smoothstep
+from bolab import cutoffs
+from bolab.cutoffs import smoothstep
 
 
 def test_smoothstep_endpoints():
@@ -14,10 +15,10 @@ def test_smoothstep_endpoints():
 def test_base_plateaus():
     # chi^+_{<=0} equals one up to 1 and zero beyond 2
     y = np.linspace(-5.0, 1.0, 50)
-    assert np.all(DEFAULT.le(0, y) == 1.0)
+    assert np.all(cutoffs.le(0, y) == 1.0)
     y = np.linspace(2.0, 10.0, 50)
-    assert np.all(DEFAULT.le(0, y) == 0.0)
-    mid = DEFAULT.le(0, np.linspace(1.1, 1.9, 20))
+    assert np.all(cutoffs.le(0, y) == 0.0)
+    mid = cutoffs.le(0, np.linspace(1.1, 1.9, 20))
     assert np.all((mid > 0) & (mid < 1))
     assert np.all(np.diff(mid) < 0)  # monotone on the ramp
 
@@ -25,26 +26,26 @@ def test_base_plateaus():
 def test_shell_support_and_peak():
     j = 3.0
     y = np.linspace(0.0, 40.0, 2000)
-    s = DEFAULT.shell(j, y)
+    s = cutoffs.shell(j, y)
     assert np.all(s[y <= 2.0 ** (j - 1)] == 0.0)
     assert np.all(s[y >= 2.0 ** (j + 1)] == 0.0)
-    assert DEFAULT.shell(j, np.array([2.0**j]))[0] == 1.0
+    assert cutoffs.shell(j, np.array([2.0**j]))[0] == 1.0
     # vanishes identically on the negative half-line
-    assert np.all(DEFAULT.shell(j, np.linspace(-10, 0, 50)) == 0.0)
+    assert np.all(cutoffs.shell(j, np.linspace(-10, 0, 50)) == 0.0)
 
 
 def test_telescoping_exact():
     y = np.linspace(-4.0, 300.0, 3000)
     a, b = 1.0, 7.0
-    total = sum(DEFAULT.shell(j, y) for j in range(2, 8))
-    target = DEFAULT.le(b, y) - DEFAULT.le(a, y)
+    total = sum(cutoffs.shell(j, y) for j in range(2, 8))
+    target = cutoffs.le(b, y) - cutoffs.le(a, y)
     assert np.max(np.abs(total - target)) < 1e-12
 
 
 def test_partition_of_unity_pointwise():
     # sum_j chi_j + chi_{<=0} = 1 wherever the shells reach
     y = np.linspace(-200.0, 200.0, 4001)
-    total = DEFAULT.le_abs(0, y) + sum(DEFAULT.shell_abs(j, y) for j in range(1, 9))
+    total = cutoffs.le_abs(0, y) + sum(cutoffs.shell_abs(j, y) for j in range(1, 9))
     inside = np.abs(y) <= 2.0**8
     assert np.max(np.abs(total[inside] - 1.0)) < 1e-12
 
@@ -53,23 +54,23 @@ def test_ll_matches_literal_definition():
     y = np.linspace(-3.0, 3.0, 101)
     k, order = 5.0, 2
     assert np.array_equal(
-        DEFAULT.ll(k, order, y, factor=100.0), DEFAULT.le_abs(k - 200.0, y)
+        cutoffs.ll(k, order, y, factor=100.0), cutoffs.le_abs(k - 200.0, y)
     )
     # support separation: vanishes well below the band
-    assert np.all(DEFAULT.ll(k, order, y, factor=3.0)[np.abs(y) >= 2.0 ** (k - 5)] == 0.0)
+    assert np.all(cutoffs.ll(k, order, y, factor=3.0)[np.abs(y) >= 2.0 ** (k - 5)] == 0.0)
 
 
 def test_shell_derivative_matches_finite_difference():
     y = np.linspace(3.0, 17.0, 400)
     h = 1e-6
-    fd = (DEFAULT.shell(3.0, y + h) - DEFAULT.shell(3.0, y - h)) / (2 * h)
-    an = DEFAULT.shell_deriv(3.0, y)
+    fd = (cutoffs.shell(3.0, y + h) - cutoffs.shell(3.0, y - h)) / (2 * h)
+    an = cutoffs.shell_deriv(3.0, y)
     assert np.max(np.abs(fd - an)) < 1e-5
 
 
 def test_fractional_indices():
     # cutoffs are continuous functions of the dyadic index
     y = np.array([3.0])
-    vals = [DEFAULT.shell(j, y)[0] for j in np.linspace(1.0, 2.0, 11)]
+    vals = [cutoffs.shell(j, y)[0] for j in np.linspace(1.0, 2.0, 11)]
     assert np.all(np.isfinite(vals))
-    assert DEFAULT.shell(1.5849625007211562, np.array([3.0]))[0] == 1.0  # log2(3)
+    assert cutoffs.shell(1.5849625007211562, np.array([3.0]))[0] == 1.0  # log2(3)

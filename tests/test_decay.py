@@ -22,8 +22,8 @@ from bolab.normal_form import phi_coeffs, transform
 from bolab.solver import SolverState, evolve, soliton
 from bolab.spectral import (
     coeffs_of,
-    low_pass,
     lp_partition_bounds,
+    lp_project,
     lp_values,
     samples_of,
     spatial_cutoff_values,
@@ -275,8 +275,8 @@ def test_gauge_tables_reused_over_a_run_match_fresh_transform():
         c = coeffs_of(snap.w.samples, g)
         phi_c = phi_coeffs(snap.w, c)
         for k, band in tables.gauge.items():
-            fresh = transform(snap.w, k, 4, 100.0).v.samples
-            assert np.array_equal(band.v(c, phi_c), fresh)
+            fresh = transform(snap.w, k, 4, 100.0).v
+            assert np.array_equal(band.bundle(c, phi_c, band.kernel.paraproduct(c)).v, fresh)
             for j in rep.shells:
                 weights = spatial_cutoff_values(g, j, "+")
                 assert rep.gauge_sup[f"{k}"][f"{j}"][i] == float(np.max(weights * np.abs(fresh)))
@@ -298,8 +298,8 @@ def test_gauge_bands_sharing_the_paraproduct_match_fresh_transform():
         phi_c = phi_coeffs(snap.w, c)
         shared = tables.gauge[0].kernel.paraproduct(c)
         for k, band in tables.gauge.items():
-            fresh = transform(snap.w, k, 4, 100.0).v.samples
-            assert np.array_equal(band.v(c, phi_c, shared), fresh)
+            fresh = transform(snap.w, k, 4, 100.0).v
+            assert np.array_equal(band.bundle(c, phi_c, shared).v, fresh)
             for j in rep.shells:
                 weights = spatial_cutoff_values(g, j, "+")
                 expected = float(np.max(weights * np.abs(fresh)))
@@ -395,7 +395,7 @@ def test_shell_sup_triangle_audits():
     assert per_band >= band_sum_sup - 1e-12
     # and the band sum dominates (full - mean - low-pass)/2
     w0 = Field(g, w.samples - np.mean(w.samples))
-    lp = low_pass(w0, k0)
+    lp = lp_project(w0, k0, "leq")
     remainder = np.abs(w.samples - np.mean(w.samples) - lp.samples.real)
     assert band_sum_sup >= float(np.max(weights * remainder)) / 2.0 - 1e-10
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bolab import cutoffs
 from bolab.errors import DegenerateSeriesError, KernelDomainError, QuadratureWarning
 from bolab.kernels import (
     KernelSpec,
@@ -125,7 +126,7 @@ def test_schroedinger_reduction_identity():
     # Schroedinger-with-drift phase
     bo = KernelSpec(variant="dyadic-left", j=3.0, t=2.0, a=0, k=1.0, quad_tol=1e-12)
     sch = KernelSpec(variant="schro-left", j=3.0, t=2.0, a=0, k=1.0, quad_tol=1e-12)
-    cut = lambda xi: bo.cutoffs.shell(1.0, xi)
+    cut = lambda xi: cutoffs.shell(1.0, xi)
     for x, y in [(5.0, -1.0), (10.0, 0.01), (14.0, -3.5)]:
         v_bo = phase_integral(bo, x, y, cutoff_override=cut, range_override=(0.5, 4.0))
         v_sch = phase_integral(sch, x, y)

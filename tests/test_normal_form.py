@@ -17,7 +17,9 @@ pytestmark = pytest.mark.filterwarnings("ignore::bolab.errors.AliasingWarning")
 def rhs_terms(u, k, order, ll_factor=100.0):
     """The four nonlinear terms of the transformed equation (``Bundle.terms``)."""
     band = GaugeBand(u.grid, k, order, ll_factor)
-    return band.bundle(coeffs_of(u.samples, u.grid)).terms(u)
+    c = coeffs_of(u.samples, u.grid)
+    # the terms do not read phi, whose coefficients are left zero
+    return band.bundle(c, np.zeros_like(c), band.kernel.paraproduct(c)).terms(u)
 
 
 def phi_equation_residual(snapshots):
@@ -65,7 +67,7 @@ def test_gauge_polynomial_values():
 
 def test_gauge_context_zero_field(grid_small):
     z = Field(grid_small, np.zeros(grid_small.n_points))
-    bundle = transform(z, 2.0, 4).bundle
+    bundle = transform(z, 2.0, 4)
     phi, mass = antiderivative_mean_removed(z)
     assert phi.sup_norm() == 0.0 and np.max(np.abs(bundle.phi_ll)) == 0.0
     assert np.allclose(gauge_polynomial(4, bundle.phi_ll), 1.0)
@@ -84,7 +86,7 @@ def test_gauge_boundedness_for_soliton():
     s = soliton(1.0, 0.0, g)
     assert antiderivative_mean_removed(s)[0].sup_norm() < 1.1 * np.pi
     for order in (6, 8):
-        phi_ll = transform(s, 2.0, order, ll_factor=1.0).bundle.phi_ll
+        phi_ll = transform(s, 2.0, order, ll_factor=1.0).phi_ll
         mags = np.abs(gauge_polynomial(order, phi_ll))
         assert np.min(mags) >= 0.5
         assert np.max(mags) <= 2.0
@@ -112,8 +114,8 @@ def test_phi_equation_residual_along_run(rng):
 
 def test_transform_zero_field(grid_small):
     z = Field(grid_small, np.zeros(grid_small.n_points))
-    tv = transform(z, 2.0, 4)
-    assert tv.v.sup_norm() == 0.0
+    bundle = transform(z, 2.0, 4)
+    assert np.max(np.abs(bundle.v)) == 0.0
 
 
 def test_transform_frequency_support_audit(rng):
@@ -121,8 +123,8 @@ def test_transform_frequency_support_audit(rng):
     g = Grid(512, 16 * np.pi)
     u = random_band_limited(g, rng, 0.25)
     k, order, factor = 3.0, 2, 2.0
-    tv = transform(u, k, order, ll_factor=factor)
-    c = coeffs_of(tv.v.samples, g)
+    bundle = transform(u, k, order, ll_factor=factor)
+    c = coeffs_of(bundle.v, g)
     energy = np.abs(c) ** 2
     window = (g.xi > 0) & (g.xi >= 2.0 ** (k - 2)) & (g.xi <= 2.0 ** (k + 2))
     assert energy[~window].sum() < 1e-4 * energy.sum()
@@ -135,9 +137,9 @@ def test_transform_reduces_to_band_plus_correction_when_gauge_trivial(rng):
     u = random_band_limited(g, rng, 0.25)
     from bolab.spectral import lp_project
 
-    tv = transform(u, 2.0, 4, ll_factor=100.0)
+    bundle = transform(u, 2.0, 4, ll_factor=100.0)
     direct = lp_project(u, 2.0, "plus").samples + assemble_B(2.0, 4, u, u).samples
-    assert np.max(np.abs(tv.v.samples - direct)) < 1e-14
+    assert np.max(np.abs(bundle.v - direct)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +210,10 @@ def test_quartic_term_shell_decay():
     w = soliton(1.0, 0.0, g)
     k, order, factor = 1.0, 2, 3.0
     bu = assemble_B(k, order, w, w, ll_factor=factor)
-    from bolab.spectral import low_pass, multiply
+    from bolab.spectral import lp_project, multiply
 
     wsq = multiply(w, w)
-    wsq_ll = low_pass(wsq, k - factor * order)
+    wsq_ll = lp_project(wsq, k - factor * order, "leq")
     q_box = ComplexField(
         g, -(wsq_ll.samples - np.mean(wsq.samples.real)) * bu.samples
     )
@@ -304,7 +306,7 @@ def test_box_correction_vanishes_for_mean_free_trivial_gauge(grid_medium, rng):
     # with factor 100 the gauge low-pass is empty and the data mean-zero, so
     # only the mean(u^2) piece survives
     u = random_band_limited(grid_medium, rng, 0.25)
-    _, corr, _ = transform(u, 2.0, 4, ll_factor=100.0).bundle.right_side(u)
+    _, corr, _ = transform(u, 2.0, 4, ll_factor=100.0).right_side(u)
     from bolab.spectral import lp_project
 
     a = lp_project(u, 2.0, "plus").samples + assemble_B(2.0, 4, u, u).samples
@@ -315,9 +317,10 @@ def test_box_correction_vanishes_for_mean_free_trivial_gauge(grid_medium, rng):
 @pytest.mark.parametrize("n_snapshots", [3, 5])
 def test_residual_builds_and_applies_one_kernel_per_snapshot(monkeypatch, n_snapshots):
     # each snapshot's transform builds one BandKernel and applies B_k(u, u)
-    # once; each interior snapshot adds one application, B_k(d(u^2), u)
+    # once (``square``); each interior snapshot adds one application,
+    # B_k(d(u^2), u) (``apply``)
     builds, applies = [], []
-    init, apply = BandKernel.__init__, BandKernel.apply
+    init, apply, square = BandKernel.__init__, BandKernel.apply, BandKernel.square
 
     def counted_init(self, *args, **kwargs):
         builds.append(1)
@@ -327,8 +330,13 @@ def test_residual_builds_and_applies_one_kernel_per_snapshot(monkeypatch, n_snap
         applies.append(1)
         return apply(self, fc, gc)
 
+    def counted_square(self, c, shared):
+        applies.append(1)
+        return square(self, c, shared)
+
     monkeypatch.setattr(BandKernel, "__init__", counted_init)
     monkeypatch.setattr(BandKernel, "apply", counted_apply)
+    monkeypatch.setattr(BandKernel, "square", counted_square)
     g = Grid(2048, 400.0)
     dt = 1e-3
     st = SolverState(w=soliton(1.0, 0.0, g), frame="lab", dt=dt)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bolab.cutoffs import DEFAULT
+from bolab import cutoffs
 from bolab.errors import GridMismatchError
 from bolab.grid import ComplexField, Field, Grid
 from bolab.kernels import fit_decay
@@ -20,7 +20,7 @@ from bolab.pseudoproduct import (
     verify_nf_cancellation,
 )
 from bolab.solver import soliton
-from bolab.spectral import coeffs_of, low_pass, lp_project, multiply
+from bolab.spectral import coeffs_of, lp_project, multiply
 from bolab.testing import BRANCHES, nf_branch_symbol, random_band_limited
 
 ONE = BilinearSymbol(fn=lambda xi, eta: np.ones(np.broadcast(xi, eta).shape))
@@ -43,13 +43,13 @@ def test_band_symbol_matches_projection_composition(grid_medium, rng):
     # b(xi, eta) = chi_k(xi) chi_{<<k}(eta) realizes P_k(f * P_{<<k} g)
     k, order, factor = 3.0, 1, 3.0
     sym = BilinearSymbol(
-        fn=lambda xi, eta: DEFAULT.shell_abs(k, xi) * DEFAULT.ll(k, order, eta, factor)
+        fn=lambda xi, eta: cutoffs.shell_abs(k, xi) * cutoffs.ll(k, order, eta, factor)
     )
     f = random_band_limited(grid_medium, rng, 0.25)
     g = random_band_limited(grid_medium, rng, 0.25)
     out = bilinear_apply(sym, f, g)
     target = SQRT_2PI * lp_project(
-        multiply(f, low_pass(g, k - factor * order)), k, "full"
+        multiply(f, lp_project(g, k - factor * order, "leq")), k, "full"
     ).samples
     assert np.max(np.abs(out.samples - target)) < 1e-10 * max(np.max(np.abs(target)), 1e-9)
 
@@ -115,11 +115,10 @@ def test_invalid_branch_rejected():
 def _ratio_form_ppp(k, order, factor, xi, eta):
     """Independent evaluation of the +++ branch from the single-ratio form
     (valid off the removable lines)."""
-    c = DEFAULT
     num = (
-        c.shell(k, xi) * xi
-        - c.shell(k, xi - eta) * c.ll(k, order, eta, factor) * (xi - eta)
-        - c.shell(k, eta) * c.ll(k, order, xi - eta, factor) * eta
+        cutoffs.shell(k, xi) * xi
+        - cutoffs.shell(k, xi - eta) * cutoffs.ll(k, order, eta, factor) * (xi - eta)
+        - cutoffs.shell(k, eta) * cutoffs.ll(k, order, xi - eta, factor) * eta
     )
     return num / (2.0 * (xi - eta) * eta)
 
@@ -150,7 +149,7 @@ def test_difference_quotient_removable_singularity():
     sym = nf_branch_symbol(k, 2, "++-", ll_factor=3.0)
     xi = 5.0
     near = complex(sym(np.array(xi), np.array(1e-12)))
-    expected = 0.5 * float(DEFAULT.shell_deriv(k, np.array(xi)))
+    expected = 0.5 * float(cutoffs.shell_deriv(k, np.array(xi)))
     assert abs(near - expected) < 1e-6 * max(1.0, abs(expected))
     # and approaches it continuously from lattice-scale offsets
     small = complex(sym(np.array(xi), np.array(1e-5)))
@@ -196,10 +195,10 @@ def test_symbol_equation_pointwise():
         return 0.5 * (np.abs(z) - z)
 
     def chi_ll(z):
-        return DEFAULT.ll(k, order, z, factor)
+        return cutoffs.ll(k, order, z, factor)
 
     def chikp(z):
-        return DEFAULT.shell(k, z)
+        return cutoffs.shell(k, z)
 
     def product_symbol(x, e):
         return 2.0 * chi_ll(x - e) * chikp(e) * (neg(x - e) - e)
@@ -366,7 +365,6 @@ def test_band_kernel_square_with_the_shared_paraproduct_equals_apply_bitwise(rng
     shared = kernels[0].paraproduct(c)
     for kernel in kernels:
         assert np.array_equal(kernel.square(c, shared), kernel.apply(c, c))
-        assert np.array_equal(kernel.square(c), kernel.apply(c, c))
 
 
 def test_assemble_B_memory_is_flat():
@@ -401,7 +399,7 @@ def test_hoelder_constant_stability(grid_medium, rng):
     # empirical operator-norm estimate); it must agree across independent
     # batches within +-50% (single-pair ratios fluctuate more by nature)
     sym = BilinearSymbol(
-        fn=lambda xi, eta: DEFAULT.le_abs(2.0, xi) * DEFAULT.le_abs(2.0, eta)
+        fn=lambda xi, eta: cutoffs.le_abs(2.0, xi) * cutoffs.le_abs(2.0, eta)
     )
     batch_constants = []
     for _ in range(4):
@@ -424,7 +422,7 @@ def test_pseudolocality_slope(rng):
     measured = []
     for j, k in [(3, 0), (4, 0), (5, 0), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)]:
         sym = BilinearSymbol(
-            fn=lambda xi, eta, k=k: DEFAULT.le_abs(k, xi) * DEFAULT.le_abs(k, eta),
+            fn=lambda xi, eta, k=k: cutoffs.le_abs(k, xi) * cutoffs.le_abs(k, eta),
             xi_support=(-(2.0 ** (k + 1)) - 1, 2.0 ** (k + 1) + 1),
         )
         f = Field(g, np.exp(-(((g.x - 2.0**j) / 0.5) ** 2)))

@@ -15,7 +15,6 @@ from bolab.spectral import (
     coeffs_of,
     derivative,
     hilbert,
-    low_pass,
     lp_partition_bounds,
     lp_project,
     samples_of,
@@ -243,9 +242,9 @@ def test_spatial_telescoping(grid_small):
     total = np.asarray(
         sum(spatial_cutoff(one, float(j), "both").samples for j in range(1, jmax + 1))
     )
-    from bolab.cutoffs import DEFAULT
+    from bolab import cutoffs
 
-    total += DEFAULT.le_abs(0, g.x)
+    total += cutoffs.le_abs(0, g.x)
     inside = np.abs(g.x) <= 2.0**jmax
     assert np.max(np.abs(total[inside] - 1.0)) < 1e-12
 
@@ -308,11 +307,11 @@ def test_shell_sups_of_soliton_match_dense_oracle():
     s = soliton(1.0, 0.0, g)
     shells = [3.0, 4.0, 5.0]
     sups = weighted_shell_sup(s, shells)
-    from bolab.cutoffs import DEFAULT
+    from bolab import cutoffs
 
     for j in shells:
         dense = np.linspace(2.0 ** (j - 1), 2.0 ** (j + 1), 200001)
-        oracle = np.max(DEFAULT.shell(j, dense) * 2.0 / (1.0 + dense**2))
+        oracle = np.max(cutoffs.shell(j, dense) * 2.0 / (1.0 + dense**2))
         assert abs(sups[j]["+"] - oracle) < 1e-2 * oracle
         # profile-level magnitude: about 2 * 2^{-2j}, within a factor of two
         assert 1.0 <= sups[j]["+"] / (2.0 * 2.0 ** (-2 * j)) <= 2.0
@@ -350,9 +349,9 @@ def test_pseudolocality_envelope(rng):
     # 2^(j-11), so j = 11 keeps it at four grid spacings
     g = Grid(65536, 16384.0)
     j = 11.0
-    from bolab.cutoffs import DEFAULT
+    from bolab import cutoffs
 
-    not_near = 1.0 - (DEFAULT.le(j + 10, g.x) - DEFAULT.le(j - 11, g.x))  # outside ~2^j
+    not_near = 1.0 - (cutoffs.le(j + 10, g.x) - cutoffs.le(j - 11, g.x))  # outside ~2^j
     shell = spatial_cutoff_values(g, j, "+")
     measured = {}
     for k in range(-9, 0):  # j + k in [2, 10]
@@ -360,7 +359,7 @@ def test_pseudolocality_envelope(rng):
         for _ in range(3):
             f = random_band_limited(g, rng, 0.45)
             cut = Field(g, not_near * f.samples)
-            val = np.max(shell * np.abs(low_pass(cut, float(k)).samples))
+            val = np.max(shell * np.abs(lp_project(cut, float(k), "leq").samples))
             worst = max(worst, val / f.sup_norm())
         measured[j + k] = worst
     pairs = sorted(measured.items())

@@ -1,13 +1,22 @@
-"""Every top-level function and class of ``src/bolab`` (``testing.py``
-aside, which holds the shared test helpers and oracles) has a caller: a name
-or attribute reference to it somewhere in ``src/bolab`` outside its own
-definition, in ``perfbench/*.py`` or in ``tests/test_acceptance.py``.
+"""Lints of the surface of ``src/bolab`` (``testing.py`` aside, which holds
+the shared test helpers and oracles), against its callers: ``src/bolab``
+itself, ``perfbench/*.py`` and ``tests/test_acceptance.py``.
 
-The check is name-level.  Any reference of the same name counts, so it
-cannot see a function whose name is also used for something else, such as
-a function kept as a documented oracle: ``solver.rhs``, the oracle of
-``solver.step``, passes through the local ``rhs`` of
-``normal_form.Bundle.right_side``.
+* Every top-level function and class has a caller: a name or attribute
+  reference to it somewhere outside its own definition.
+* Every defaulted parameter of a function or method is passed by some call
+  of that name: by keyword, or by position (a method's ``self`` is not
+  passed, and ``__init__`` is called by its class's name), or through
+  ``*args`` or ``**kwargs``.
+
+Both checks are name-level.  Any reference or call of the same name counts,
+so they cannot see a function whose name is also used for something else,
+such as a function kept as a documented oracle: ``solver.rhs``, the oracle
+of ``solver.step``, passes through the local ``rhs`` of
+``normal_form.Bundle.right_side``.  Nor can the second see a default that
+every caller only forwards unchanged: a ``cutoffs`` parameter threaded from
+``normal_form.transform`` down to ``spectral.lp_values`` would pass, since
+each call in the chain passes it on, though no outermost caller sets it.
 """
 
 import ast
@@ -17,6 +26,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "bolab").glob("*.py"))
 CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+CHECKED = [path for path in SOURCES if path.name != "testing.py"]
+
+
+def _trees() -> dict:
+    return {path: ast.parse(path.read_text()) for path in SOURCES + CALLERS}
 
 
 def _references(tree: ast.AST) -> Counter:
@@ -26,13 +40,65 @@ def _references(tree: ast.AST) -> Counter:
 
 
 def test_every_top_level_name_has_a_caller():
-    trees = {path: ast.parse(path.read_text()) for path in SOURCES + CALLERS}
+    trees = _trees()
     total = sum((_references(tree) for tree in trees.values()), Counter())
     unreferenced = [
         f"{path.stem}.{node.name}"
-        for path in SOURCES if path.name != "testing.py"
+        for path in CHECKED
         for node in trees[path].body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and total[node.name] == _references(node)[node.name]
     ]
     assert unreferenced == []
+
+
+def _defaulted_parameters(tree: ast.AST):
+    """(name, parameter, position) for each defaulted parameter of a function
+    or method in ``tree``: ``name`` is the one its calls use, ``position``
+    the index of the positional argument of a call that reaches it, None for
+    a keyword-only parameter."""
+    owner = {id(node): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for node in cls.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        cls = owner.get(id(node))
+        static = any(getattr(d, "id", "") == "staticmethod" for d in node.decorator_list)
+        skipped = int(cls is not None and not static)
+        name = cls.name if cls is not None and node.name == "__init__" else node.name
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield name, arg.arg, i - skipped
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _call_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg in (None, parameter) for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    trees = _trees()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_call_name(node), []).append(node)
+    never_passed = [
+        f"{name}({parameter})"
+        for path in CHECKED
+        for name, parameter, position in _defaulted_parameters(trees[path])
+        if not any(_passes(call, parameter, position) for call in calls.get(name, []))
+    ]
+    assert never_passed == []
