@@ -350,7 +350,7 @@ def run_verify_kernels(config: dict, outdir: str, args: argparse.Namespace) -> l
 
 def run_evolve(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
     from .decay import ExperimentConfig
-    from .solver import SolverState, SpongeConfig, dump_snapshot, evolve, ledger_to_csv
+    from .solver import SolverState, SpongeConfig, dump_snapshot, ledger_to_csv, stream
 
     cfg = ExperimentConfig.from_dict(config)
     state = SolverState(
@@ -360,14 +360,14 @@ def run_evolve(config: dict, outdir: str, args: argparse.Namespace) -> list[str]
         dt=cfg.dt,
         sponge=SpongeConfig(**cfg.sponge),
     )
-    snaps = evolve(state, cfg.t_final, snapshot_stride=cfg.snapshot_stride)
     outputs = []
-    for i, snap in enumerate(snaps):
+    # each snapshot is written as the solver's process sends it
+    for i, snap in enumerate(stream(state, cfg.t_final, cfg.snapshot_stride)):
         path = os.path.join(outdir, f"snapshot_{i:04d}.bosnap")
         dump_snapshot(snap, path)
         outputs.append(path)
     ledger_path = os.path.join(outdir, "ledger.csv")
-    ledger_to_csv(snaps[-1].ledger, ledger_path)
+    ledger_to_csv(snap.ledger, ledger_path)
     outputs.append(ledger_path)
     return outputs
 

@@ -29,7 +29,7 @@ from .errors import ConfigError, DegenerateSeriesError
 from .grid import Field, Grid
 from .kernels import fit_decay
 from .normal_form import GaugeBand, phi_coeffs
-from .solver import SolverState, SpongeConfig, evolve, soliton
+from .solver import SolverState, SpongeConfig, soliton, stream
 from .spectral import (
     coeffs_of,
     fft_ordered,
@@ -183,6 +183,15 @@ def _fit_entry(value) -> bool:
             and all(is_number(value[key]) for key in ("slope", "intercept", "r_squared")))
 
 
+def _series_lengths(value, depth: int) -> list[int]:
+    """The lengths of the lists that ``value`` nests under ``depth`` JSON objects."""
+    if depth:
+        return [n for v in value.values() for n in _series_lengths(v, depth - 1)]
+    return [len(value)]
+
+
+#: the report fields that hold one value per time, and how deep their series nest
+SERIES_DEPTHS = {"sup": 2, "lowpass_sup": 1, "bandsum_sup": 1, "gauge_sup": 2, "clean": 1}
 #: the keys of a ``fits`` entry
 FIT_KEYS = ("time", "kind", "slope", "intercept", "r_squared", "n_points")
 #: per report field: a test of its value and the kind the test accepts
@@ -229,7 +238,8 @@ class DecayReport:
     def from_json(path: str) -> "DecayReport":
         """The report in ``path``; a file that does not hold a JSON object with
         exactly the report's fields, each of its kind in ``REPORT_KINDS``,
-        with a ``lowpass_sup`` and a ``clean`` series for each shell, raises
+        with one value per time in each series of ``SERIES_DEPTHS`` and a
+        ``lowpass_sup`` and a ``clean`` series for each shell, raises
         ConfigError."""
         data = read_json_object(path, "report input")
         names = {f.name for f in fields(DecayReport)}
@@ -240,6 +250,12 @@ class DecayReport:
             if not ok(data[name]):
                 raise ConfigError(f"report input {path!r}: field {name} must be {kind}, "
                                   f"got {reprlib.repr(data[name])}")
+        n_times = len(data["times"])
+        for name, depth in SERIES_DEPTHS.items():
+            wrong = [n for n in _series_lengths(data[name], depth) if n != n_times]
+            if wrong:
+                raise ConfigError(f"report input {path!r}: field {name} holds a series of "
+                                  f"length {wrong[0]}, not one value per time ({n_times})")
         missing = [j for j in data["shells"]
                    if f"{j}" not in data["lowpass_sup"] or f"{j}" not in data["clean"]]
         if missing:
@@ -356,7 +372,8 @@ class SnapshotTables:
 
 
 def run(config: ExperimentConfig) -> DecayReport:
-    """Evolve the configured data and measure shell decay over time."""
+    """Evolve the configured data and measure shell decay over time, each
+    snapshot as ``solver.stream`` yields it."""
     grid = config.grid()
     w0 = config.initial_field()
     sponge = SpongeConfig(**config.sponge)
@@ -369,7 +386,6 @@ def run(config: ExperimentConfig) -> DecayReport:
         sponge=sponge,
     )
     eps_meas = measure_epsilon(w0, config.shells)
-    snaps = evolve(state, config.t_final, snapshot_stride=config.snapshot_stride)
     tables = SnapshotTables(config)
     shells = tables.shells
 
@@ -381,7 +397,8 @@ def run(config: ExperimentConfig) -> DecayReport:
     clean = {f"{j}": [] for j in shells}
     fits: list[dict] = []
 
-    for snap in snaps:
+    # each snapshot is measured as the solver's process sends it, and dropped
+    for snap in stream(state, config.t_final, config.snapshot_stride):
         t = snap.t
         times.append(t)
         sups, lowpass, bandsum, gauge = tables.measure(snap.w)
@@ -423,7 +440,7 @@ def run(config: ExperimentConfig) -> DecayReport:
         epsilon_measured=eps_meas,
         predicted_exponent=bootstrap_predict(eps_meas),
         budgets=budgets,
-        ledger=[list(row) for row in snaps[-1].ledger],
+        ledger=[list(row) for row in snap.ledger],
     )
 
 

@@ -19,14 +19,20 @@ coefficients were fixed by a discrete dE/dt ~ 0 calibration run.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import struct
+import traceback
+import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cli import atomic_write_text
 from .cutoffs import smoothstep
-from .errors import ConfigError, SolverInstabilityError
+from .errors import BolabError, ConfigError, SolverInstabilityError
 from .grid import Field, Grid
 from .spectral import derivative, hilbert
 
@@ -218,6 +224,45 @@ def _advance(state: SolverState, n_steps: int) -> SolverState:
     return replace(state, w=Field(grid, samples), t=t)
 
 
+def _step_count(state: SolverState, t_final: float, snapshot_stride: int) -> int:
+    """The steps of size state.dt from state.t to t_final.  dt = 0, dt and
+    t_final of opposite signs, a t_final off the dt lattice and
+    snapshot_stride < 1 raise ConfigError."""
+    if state.dt == 0 or not t_final / state.dt >= 0:
+        raise ConfigError(f"steps of dt {state.dt} do not reach t_final {t_final}")
+    if snapshot_stride < 1:
+        raise ConfigError(f"snapshot_stride must be at least 1, got {snapshot_stride}")
+    n_steps = int(round(t_final / state.dt))
+    if abs(n_steps * state.dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
+        raise ConfigError(f"t_final {t_final} must be an integer multiple of dt {state.dt}")
+    return n_steps
+
+
+def _snapshots(state: SolverState, n_steps: int, snapshot_stride: int,
+               record_ledger: bool) -> Iterator[SolverState]:
+    """The stepping loop of ``evolve`` and ``stream``: yields the initial state, as a
+    copy, then the state every ``snapshot_stride`` of ``n_steps`` steps."""
+    current = replace(state, ledger=list(state.ledger))
+    if record_ledger:
+        current.ledger.append((current.t, *conserved(current)))
+    yield current
+    prev_sup = max(current.w.sup_norm(), 1e-300)
+    done = 0
+    while done < n_steps:
+        todo = min(snapshot_stride, n_steps - done)
+        current = _advance(current, todo)
+        done += todo
+        sup = current.w.sup_norm()
+        if sup > 10.0 * prev_sup and sup > 1e-8:
+            raise SolverInstabilityError(
+                f"sup norm grew from {prev_sup:.3e} to {sup:.3e} at t = {current.t:.4g}"
+            )
+        prev_sup = max(sup, 1e-300)
+        if record_ledger:
+            current.ledger.append((current.t, *conserved(current)))
+        yield current
+
+
 def evolve(
     state: SolverState,
     t_final: float,
@@ -233,33 +278,85 @@ def evolve(
     Negative dt and t_final run backward in time; dt = 0, dt and t_final of
     opposite signs and snapshot_stride < 1 raise ConfigError.
     """
-    if state.dt == 0 or not t_final / state.dt >= 0:
-        raise ConfigError(f"steps of dt {state.dt} do not reach t_final {t_final}")
-    if snapshot_stride < 1:
-        raise ConfigError(f"snapshot_stride must be at least 1, got {snapshot_stride}")
-    n_steps = int(round(t_final / state.dt))
-    if abs(n_steps * state.dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ConfigError(f"t_final {t_final} must be an integer multiple of dt {state.dt}")
-    current = replace(state, ledger=list(state.ledger))
-    snaps = [current]
-    if record_ledger:
-        current.ledger.append((current.t, *conserved(current)))
-    prev_sup = max(current.w.sup_norm(), 1e-300)
-    done = 0
-    while done < n_steps:
-        todo = min(snapshot_stride, n_steps - done)
-        current = _advance(current, todo)
-        done += todo
-        sup = current.w.sup_norm()
-        if sup > 10.0 * prev_sup and sup > 1e-8:
-            raise SolverInstabilityError(
-                f"sup norm grew from {prev_sup:.3e} to {sup:.3e} at t = {current.t:.4g}"
-            )
-        prev_sup = max(sup, 1e-300)
-        if record_ledger:
-            current.ledger.append((current.t, *conserved(current)))
-        snaps.append(current)
-    return snaps
+    n_steps = _step_count(state, t_final, snapshot_stride)
+    return list(_snapshots(state, n_steps, snapshot_stride, record_ledger))
+
+
+def stream(state: SolverState, t_final: float, snapshot_stride: int) -> Iterator[SolverState]:
+    """The snapshots of ``evolve(state, t_final, snapshot_stride)``, computed in a
+    forked child process while the caller consumes them.
+
+    The arguments are checked here, before any fork.  The child starts at the
+    first ``next`` and sends each snapshot's time, samples, ledger row and the
+    warnings recorded while computing it over a pipe, whose capacity bounds how
+    far it runs ahead.  The snapshots yielded share one ledger rebuilt from those
+    rows, and the warnings are issued again here, under the caller's filters.
+    An exception in the child is raised here with its type and message.  However
+    the caller stops, the child is ended and reaped.  Needs POSIX ``fork``.
+    """
+    n_steps = _step_count(state, t_final, snapshot_stride)
+    return _received(state, _snapshots(state, n_steps, snapshot_stride, True))
+
+
+def _received(state: SolverState, snapshots: Iterator[SolverState]) -> Iterator[SolverState]:
+    """The parent side of ``stream``: forks a child that runs ``snapshots`` and
+    yields what it sends."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _send(snapshots, write_fd)
+    os.close(write_fd)
+    ledger = list(state.ledger)
+    grid = state.w.grid
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            while True:
+                try:
+                    kind, payload, caught = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise BolabError(
+                        f"the solver process {pid} ended before its last snapshot") from None
+                for message, category, filename, lineno in caught:
+                    warnings.warn_explicit(message, category, filename, lineno)
+                if kind == "error":
+                    raise payload
+                if kind == "end":
+                    return
+                t, samples, row = payload
+                ledger.append(row)
+                yield replace(state, w=Field(grid, samples), t=t, ledger=ledger)
+    finally:
+        # the child has sent all it will send, or is not to send more
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _send(snapshots: Iterator[SolverState], write_fd: int) -> None:
+    """The child side of ``stream``: pickles each snapshot of ``snapshots`` to
+    ``write_fd``, then an end or an error message, and exits without returning."""
+    status = 1
+    try:
+        with os.fdopen(write_fd, "wb") as pipe, warnings.catch_warnings(record=True) as caught:
+            def send(kind: str, payload) -> None:
+                records = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+                caught.clear()
+                pipe.write(pickle.dumps((kind, payload, records), pickle.HIGHEST_PROTOCOL))
+                pipe.flush()
+
+            try:
+                for snap in snapshots:
+                    send("snapshot", (snap.t, snap.w.samples, snap.ledger[-1]))
+            except Exception as exc:
+                # the child's traceback travels as a note, which str(exc) leaves out
+                note = "raised in the solver process:\n" + traceback.format_exc()
+                exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+                send("error", exc)
+            else:
+                send("end", None)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------

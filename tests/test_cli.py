@@ -2,15 +2,19 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 import bolab.decay
+import bolab.solver
 from bolab.cli import apply_overrides, config_hash, load_config, main, write_manifest
 from bolab.decay import DecayReport, lowfreq_decay_check
-from bolab.errors import AcceptanceFailure, ConfigError
-from bolab.grid import Grid
-from bolab.solver import SolverState, dump_snapshot, soliton
+from bolab.errors import AcceptanceFailure, ConfigError, SolverInstabilityError
+from bolab.grid import Field, Grid
+from bolab.solver import (SolverState, SpongeConfig, dump_snapshot, evolve, ledger_to_csv,
+                          soliton)
 
 SMALL_DECAY = ("n_points=512", "box_length=200.0", "t_final=0.01", "dt=0.01",
                "shells=[2.0, 2.5, 3.0, 3.5]")
@@ -190,6 +194,7 @@ def test_report_reads_the_minimal_report(tmp_path, capsys):
     (_report_with(sup=[1]), "field sup must be an object of objects of lists of numbers"),
     (_report_with(epsilon_measured="a"), "field epsilon_measured must be a positive number"),
     (_report_with(fits=[{"time": None}]), "field fits must be a list of objects with the keys"),
+    (_report_with(times=[0.0, 1.0]), "field sup holds a series of length 1, not one value per"),
 ])
 def test_report_unreadable_input_exits_2(tmp_path, capsys, content, message):
     source = tmp_path / "input"
@@ -395,6 +400,73 @@ def test_snapshot_stride_below_one_exits_2(tmp_path, command, stride):
     assert out.returncode == 2
     assert "snapshot_stride must be at least 1" in out.stderr
     assert not os.path.exists(tmp_path / "out") or os.listdir(tmp_path / "out") == []
+
+
+#: a run of three snapshots, 0.01 apart
+SOLVER_RUN = ("n_points=512", "box_length=200.0", "t_final=0.01", "dt=0.001",
+              "snapshot_stride=5", "shells=[2.0, 2.5, 3.0, 3.5]")
+
+
+def _args(command: str, outdir, *overrides: str) -> list[str]:
+    args = [command, "--output-dir", str(outdir)]
+    for item in (*SOLVER_RUN, *overrides):
+        args += ["--override", item]
+    return args
+
+
+def _no_process_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_evolve_writes_what_an_in_process_evolve_gives(tmp_path):
+    assert main(_args("evolve", tmp_path / "out", "sponge.enabled=true",
+                      'initial.kind="soliton_bump"')) == 0
+    grid = Grid(512, 200.0)
+    w = soliton(1.0, 0.0, grid).samples + 0.05 * np.exp(-((grid.x - 2.0) ** 2))
+    state = SolverState(w=Field(grid, w), frame="moving", speed=1.0, dt=1e-3,
+                        sponge=SpongeConfig(enabled=True))
+    snaps = evolve(state, 0.01, snapshot_stride=5)
+    names = [f"snapshot_{i:04d}.bosnap" for i in range(len(snaps))]
+    for name, snap in zip(names, snaps):
+        dump_snapshot(snap, str(tmp_path / "ref" / name))
+    ledger_to_csv(snaps[-1].ledger, str(tmp_path / "ref" / "ledger.csv"))
+    for name in (*names, "ledger.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+    assert sorted(os.listdir(tmp_path / "out")) == sorted((*names, "ledger.csv", "manifest.json"))
+
+
+def test_blow_up_in_the_solver_process_exits_2_with_its_message(tmp_path, capsys):
+    # a NaN sample makes the solver raise in its own process
+    grid = Grid(512, 200.0)
+    samples = soliton(1.0, 0.0, grid).samples.copy()
+    samples[300] = np.nan
+    state = SolverState(w=Field(grid, samples), frame="moving", speed=1.0, dt=1e-3)
+    path = str(tmp_path / "nan.bosnap")
+    dump_snapshot(state, path)
+    with pytest.raises(SolverInstabilityError) as info:
+        evolve(state, 0.01, snapshot_stride=5)
+    args = _args("measure-decay", tmp_path / "out", 'initial.kind="file"',
+                 f"initial.path={json.dumps(path)}")
+    assert main(args) == 2
+    assert f"error: {info.value}\n" in capsys.readouterr().err
+    _no_process_left()
+
+
+def test_warnings_in_the_solver_process_are_counted_once_per_snapshot(tmp_path, monkeypatch):
+    conserved = bolab.solver.conserved
+
+    def warning_conserved(state):
+        warnings.warn("a ledger row", UserWarning)
+        return conserved(state)
+
+    monkeypatch.setattr(bolab.solver, "conserved", warning_conserved)
+    assert main(_args("measure-decay", tmp_path)) == 0
+    report = json.loads((tmp_path / "decay_report.json").read_text())
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert len(report["times"]) == 3
+    assert manifest["warnings"] == {"UserWarning": 3}
+    _no_process_left()
 
 
 def test_measure_decay_gauge_enabled_alone_measures_default_bands(tmp_path):

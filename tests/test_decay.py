@@ -19,7 +19,7 @@ from bolab.decay import (
 from bolab.errors import AcceptanceFailure, ConfigError, DegenerateSeriesError
 from bolab.grid import Field, Grid
 from bolab.normal_form import phi_coeffs, transform
-from bolab.solver import SolverState, evolve, soliton
+from bolab.solver import SolverState, SpongeConfig, evolve, soliton
 from bolab.spectral import (
     coeffs_of,
     lp_partition_bounds,
@@ -280,6 +280,49 @@ def test_gauge_tables_reused_over_a_run_match_fresh_transform():
             for j in rep.shells:
                 weights = spatial_cutoff_values(g, j, "+")
                 assert rep.gauge_sup[f"{k}"][f"{j}"][i] == float(np.max(weights * np.abs(fresh)))
+
+
+def test_streamed_run_equals_in_process_evolve_and_measure():
+    # the snapshots reach the measurement through a pipe, as pickles: every
+    # series and the ledger equal an in-process evolve and measure, bit for bit
+    gauge = {"enabled": True, "order": 4, "ll_factor": 100.0, "bands": [0, 1]}
+    sponge = {"enabled": True, "width_fraction": 0.1, "strength": 1.0}
+    cfg = _small_config(t_final=0.06, snapshot_stride=10, gauge=gauge, sponge=sponge,
+                        initial={"kind": "soliton_bump"})
+    rep = run(cfg)
+    tables = SnapshotTables(cfg)
+    state = SolverState(w=cfg.initial_field(), frame="moving", speed=cfg.frame_speed,
+                        dt=cfg.dt, sponge=SpongeConfig(**cfg.sponge))
+    snaps = evolve(state, cfg.t_final, snapshot_stride=cfg.snapshot_stride)
+    measured = [tables.measure(snap.w) for snap in snaps]
+    assert rep.times == [snap.t for snap in snaps] and len(snaps) == 4
+    for j in rep.shells:
+        for sign in "+-":
+            assert rep.sup[sign][f"{j}"] == [m[0][j][sign] for m in measured]
+        assert rep.lowpass_sup[f"{j}"] == [m[1][j] for m in measured]
+        assert rep.bandsum_sup[f"{j}"] == [m[2][j] for m in measured]
+        for k in (0, 1):
+            assert rep.gauge_sup[f"{k}"][f"{j}"] == [m[3][k][j] for m in measured]
+    assert rep.ledger == [list(row) for row in snaps[-1].ledger]
+
+
+def test_exception_while_measuring_propagates_and_ends_the_solver_process(monkeypatch):
+    measure = SnapshotTables.measure
+    failure = RuntimeError("measurement failed")
+    calls = []
+
+    def failing(self, w):
+        calls.append(1)
+        if len(calls) == 2:
+            raise failure
+        return measure(self, w)
+
+    monkeypatch.setattr(SnapshotTables, "measure", failing)
+    with pytest.raises(RuntimeError) as info:
+        run(_small_config(t_final=0.2, snapshot_stride=10))
+    assert info.value is failure and len(calls) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_gauge_bands_sharing_the_paraproduct_match_fresh_transform():

@@ -23,6 +23,7 @@ from bolab.solver import (
     rhs,
     soliton,
     step,
+    stream,
 )
 from bolab.spectral import coeffs_of, derivative, samples_of
 from bolab.testing import random_band_limited
@@ -445,3 +446,33 @@ def test_evolve_leaves_the_input_ledger_alone():
     assert st.ledger == []
     assert [row[0] for row in second] == [0.0, 0.001, 0.002]
     assert second == first
+
+
+def test_stream_checks_its_arguments_before_forking():
+    # the call itself raises, before any next() could start a process
+    g = Grid(256, 50.0)
+    st = SolverState(w=soliton(1.0, 0.0, g), frame="lab", dt=1e-3)
+    for t_final, stride in ((2e-3, 0), (-2e-3, 1), (2.5e-3, 1)):
+        with pytest.raises(ConfigError):
+            stream(st, t_final, stride)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_stream_yields_the_snapshots_of_evolve_and_ends_its_process_when_closed():
+    g = Grid(256, 50.0)
+    sponge = SpongeConfig(enabled=True)
+    st = SolverState(w=soliton(1.0, 0.0, g), frame="moving", speed=1.0, dt=1e-2, sponge=sponge)
+    ref = evolve(st, 0.5, snapshot_stride=5)
+    streamed = list(stream(st, 0.5, 5))
+    assert [s.t for s in streamed] == [s.t for s in ref]
+    assert all(np.array_equal(s.w.samples, r.w.samples) for s, r in zip(streamed, ref))
+    assert all(s.ledger is streamed[-1].ledger for s in streamed)
+    assert streamed[-1].ledger == ref[-1].ledger and st.ledger == []
+    assert all(s.sponge is sponge and s.dt == st.dt for s in streamed)
+    # a consumer that stops after two snapshots leaves no process behind
+    early = stream(st, 0.5, 5)
+    assert [next(early).t, next(early).t] == [0.0, ref[1].t]
+    early.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
