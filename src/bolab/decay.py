@@ -306,8 +306,8 @@ def _fft_order_table(grid: Grid, specs: list[tuple[float, str]]) -> np.ndarray:
 
 class SnapshotTables:
     """The snapshot-invariant tables of a run: the +- shell weights on their supports, the
-    positive band multipliers and each shell's low-pass multiplier as two stacked tables in
-    FFT order, and one ``GaugeBand`` per band."""
+    multipliers of the positive bands that some shell sums and each shell's low-pass
+    multiplier as two stacked tables in FFT order, and one ``GaugeBand`` per band."""
 
     def __init__(self, config: ExperimentConfig):
         grid = self.grid = config.grid()
@@ -315,7 +315,8 @@ class SnapshotTables:
         self.weights = {j: {s: shell_weight(grid, j, s) for s in "+-"} for j in self.shells}
         self.k0 = {j: -(1.0 - config.epsilon_assumed) / 2.0 * j for j in self.shells}
         k_min, k_max = lp_partition_bounds(grid)
-        self.band_ks = list(range(k_min + 1, k_max + 1))
+        # a shell sums only the bands k > k0(j): the bands no shell sums are not inverted
+        self.band_ks = [k for k in range(k_min + 1, k_max + 1) if k > min(self.k0.values())]
         self.band_table = _fft_order_table(grid, [(k, "plus") for k in self.band_ks])
         self.low_table = _fft_order_table(grid, [(self.k0[j], "leq") for j in self.shells])
         self._work = np.empty((BLOCK_ROWS, grid.n_points), dtype=complex)

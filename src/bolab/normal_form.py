@@ -62,6 +62,7 @@ from .spectral import (
     antiderivative_mean_removed,
     coeffs_of,
     derivative,
+    derivative_values,
     half_project,
     multiply,
     samples_of,
@@ -139,10 +140,11 @@ class Bundle:
         C (cubic), Q (quartic)."""
         check_dealias_margin(u, QUARTIC_MARGIN, self.c)
         grid, band = u.grid, self.band
-        usq = multiply(u, u)
-        usq_ll = samples_of(band.low * coeffs_of(usq.samples, grid), grid)
+        c_usq = coeffs_of(multiply(u, u).samples, grid)
+        usq_ll = samples_of(band.low * c_usq, grid)
         # B_k is symmetric bit for bit: B(d_usq, u) + B(u, d_usq) = 2 B(d_usq, u)
-        c_tilde = -2j * band.kernel.apply(coeffs_of(derivative(usq).samples, grid), self.c)
+        c_tilde = -2j * band.kernel.apply(
+            coeffs_of(samples_of(derivative_values(grid, 1) * c_usq, grid), grid), self.c)
         hpi_du_ll = 2j * half_project(derivative(ComplexField(grid, self.u_ll)), "-").samples
         d_u_kp = derivative(ComplexField(grid, self.u_kp)).samples
         b_rem = hpi_du_ll * self.u_kp + 2j * self.u_ll * d_u_kp

@@ -45,7 +45,11 @@ convention (pointwise products carry 1/sqrt(2 pi) relative to pseudoproduct
 symbols).
 
 With these, the quadratic generator assembled in ``nf_generator_terms`` sums
-to zero at roundoff level, which is the decisive acceptance oracle.
+to zero at roundoff level, which is the decisive acceptance oracle.  Each
+field is transformed once and its three B_k terms share one ``BandKernel``;
+the six terms are bit for bit those of the field-by-field formula (one
+``lp_project``, ``derivative`` or ``assemble_B`` per piece), which the tests
+keep as their reference.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from .grid import ComplexField, Field, Grid
 from .spectral import (
     coeffs_of,
     derivative,
+    derivative_values,
     half_project,
     lp_project,
     lp_values,
@@ -70,6 +75,7 @@ from .spectral import (
     require_same_grid,
     samples_of,
     spectral_tail_mass,
+    warn_band_edge,
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -317,33 +323,34 @@ def nf_generator_terms(
     """The six terms of the quadratic generator whose sum must vanish.
 
     (H + i) is realized as 2i P^- (identical off the mean, which every term
-    kills through an x-derivative).
+    kills through an x-derivative).  u is transformed once, and the three
+    B_k terms share one ``BandKernel``; every other transform is a round
+    trip on new samples, as in the field-by-field formula, whose terms these
+    equal bit for bit.
     """
-    check_dealias_margin(u)
     grid = u.grid
-    u_ll = lp_project(u, k - ll_factor * order, "leq")
-    u_kp = lp_project(u, k, "plus")
-    du = derivative(u)
-    hpi_ddu = ComplexField(grid, 2j * half_project(derivative(u, 2), "-").samples)
+    c = coeffs_of(np.asarray(u.samples), grid)
+    check_dealias_margin(u, c=c)
+    kernel = BandKernel(grid, k, order, ll_factor)
+    # chi = lp_values(grid, k, "plus") and low the "leq" low-pass (see BandKernel)
+    u_ll = samples_of(kernel.low * c, grid)
+    warn_band_edge(grid, k)
+    u_kp = samples_of(kernel.chi * c, grid)
+    du = samples_of(derivative_values(grid, 1) * c, grid)
+    ddu = ComplexField(grid, samples_of(derivative_values(grid, 2) * c, grid))
+    c_hpi = coeffs_of(2j * half_project(ddu, "-").samples, grid)
+    c_du = coeffs_of(du, grid)
 
     usq = multiply(u, u)
-    t_transport = ComplexField(
-        grid, -1j * lp_project(derivative(usq), k, "plus").samples
-    )
-    t_gauge_h = ComplexField(
-        grid, 2j * half_project(derivative(u_ll), "-").samples * u_kp.samples
-    )
-    t_gauge_d = ComplexField(grid, 2j * u_ll.samples * derivative(u_kp).samples)
-    t_b_left = ComplexField(
-        grid, 1j * assemble_B(k, order, hpi_ddu, u, ll_factor).samples
-    )
-    t_b_right = ComplexField(
-        grid, 1j * assemble_B(k, order, u, hpi_ddu, ll_factor).samples
-    )
-    t_b_deriv = ComplexField(
-        grid, -2.0 * assemble_B(k, order, du, du, ll_factor).samples
-    )
-    return {
+    t_transport = -1j * lp_project(derivative(usq), k, "plus").samples
+    t_gauge_h = 2j * half_project(derivative(ComplexField(grid, u_ll)), "-").samples * u_kp
+    t_gauge_d = 2j * u_ll * derivative(ComplexField(grid, u_kp)).samples
+    # both orders, not twice one: B_k(f, g) = B_k(g, f) holds only while its
+    # two half kernels are right, and the cancellation must see either one fail
+    t_b_left = 1j * kernel.apply(c_hpi, c)
+    t_b_right = 1j * kernel.apply(c, c_hpi)
+    t_b_deriv = -2.0 * kernel.apply(c_du, c_du)
+    terms = {
         "transport": t_transport,
         "gauge_hilbert": t_gauge_h,
         "gauge_derivative": t_gauge_d,
@@ -351,6 +358,7 @@ def nf_generator_terms(
         "b_right": t_b_right,
         "b_derivative": t_b_deriv,
     }
+    return {name: ComplexField(grid, samples) for name, samples in terms.items()}
 
 
 def verify_nf_cancellation(

@@ -95,14 +95,20 @@ def _apply_values(values: np.ndarray, samples: np.ndarray, grid: Grid) -> np.nda
     return samples_of(values * coeffs_of(samples, grid), grid)
 
 
+def derivative_values(grid: Grid, order: int) -> np.ndarray:
+    """Multiplier values (i xi)^order of the spectral derivative, applied to
+    coefficients; the Nyquist mode is zeroed for odd orders."""
+    values = (1j * grid.xi) ** order
+    if order % 2 == 1:
+        values[0] = 0.0
+    return values
+
+
 def derivative(f: Field | ComplexField, order: int = 1) -> ComplexField:
     """Spectral derivative (i xi)^order; the Nyquist mode is zeroed for odd orders."""
     grid = f.grid
-    values = (1j * grid.xi) ** order
-    if order % 2 == 1:
-        values = values.copy()
-        values[0] = 0.0
-    return ComplexField(grid, _apply_values(values, np.asarray(f.samples), grid))
+    return ComplexField(grid, _apply_values(derivative_values(grid, order),
+                                            np.asarray(f.samples), grid))
 
 
 def hilbert(f: Field | ComplexField) -> Field | ComplexField:

@@ -372,9 +372,12 @@ def test_snapshot_projections_equal_per_row_transforms_bitwise():
     g, w = cfg.grid(), _soliton_bump(cfg)
     c = coeffs_of(w.samples, g)
     c_centered = coeffs_of(w.samples - np.mean(w.samples), g)
+    # the bands of the full partition that some shell sums
     k_min, k_max = lp_partition_bounds(g)
-    assert tables.band_ks == list(range(k_min + 1, k_max + 1))
-    bands = [np.abs(samples_of(lp_values(g, k, "plus") * c, g)) for k in tables.band_ks]
+    partition = range(k_min + 1, k_max + 1)
+    assert tables.band_ks == [k for k in partition if k > min(tables.k0.values())]
+    full = {k: np.abs(samples_of(lp_values(g, k, "plus") * c, g)) for k in partition}
+    bands = [full[k] for k in tables.band_ks]
     lows = [np.abs(samples_of(lp_values(g, tables.k0[j], "leq") * c_centered, g))
             for j in tables.shells]
     for table, coeffs, expected in ((tables.band_table, c, bands),
@@ -388,7 +391,7 @@ def test_snapshot_projections_equal_per_row_transforms_bitwise():
         s, weight = tables.weights[j]["+"]
         assert lowpass[j] == float(np.max(weight * low[s]))
         total = np.zeros(len(weight))
-        for k, mags in zip(tables.band_ks, bands):
+        for k, mags in full.items():
             if k > tables.k0[j]:
                 total += mags[s]
         assert bandsum[j] == float(np.max(weight * total))
@@ -396,8 +399,8 @@ def test_snapshot_projections_equal_per_row_transforms_bitwise():
 
 def test_snapshot_measurement_memory_is_bounded():
     # the projections go through a work buffer of at most 4 rows, built with
-    # the tables: stacking all 15 band rows of n = 16384 at once would take
-    # 15 * 256 KiB = 3.75 MiB
+    # the tables: stacking all 10 summed band rows of n = 16384 at once would
+    # take 10 * 256 KiB = 2.5 MiB
     cfg = _small_config(n_points=16384)
     tables = SnapshotTables(cfg)
     w = _soliton_bump(cfg)
@@ -408,7 +411,7 @@ def test_snapshot_measurement_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(tables.band_ks) == 15
+    assert len(tables.band_ks) == 10
     assert tables._work.nbytes <= 4 * 16 * cfg.n_points
     assert peak < 1.5 * 2**20
 

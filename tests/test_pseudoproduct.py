@@ -1,10 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from bolab import cutoffs
-from bolab.errors import GridMismatchError
+from bolab.errors import BandEdgeWarning, GridMismatchError
 from bolab.grid import ComplexField, Field, Grid
 from bolab.kernels import fit_decay
 from bolab.pseudoproduct import (
@@ -15,12 +16,13 @@ from bolab.pseudoproduct import (
     _lattice_conv,
     assemble_B,
     bilinear_apply,
+    check_dealias_margin,
     leibnitz_check,
     nf_generator_terms,
     verify_nf_cancellation,
 )
 from bolab.solver import soliton
-from bolab.spectral import coeffs_of, lp_project, multiply
+from bolab.spectral import coeffs_of, derivative, half_project, lp_project, multiply
 from bolab.testing import BRANCHES, nf_branch_symbol, random_band_limited
 
 ONE = BilinearSymbol(fn=lambda xi, eta: np.ones(np.broadcast(xi, eta).shape))
@@ -352,6 +354,79 @@ def test_cancellation_takes_half_the_2n_transforms(fft_lengths, rng):
     fft_lengths.clear()
     verify_nf_cancellation(u, 2.0, 4)
     assert fft_lengths.count(2048) == 15
+
+
+def test_cancellation_transforms_u_once_and_builds_one_kernel(fft_lengths, rng, monkeypatch):
+    # 22 grid-length transforms (29 field by field, which transforms u seven
+    # times and i d^2u/dx^2 twice) and one BandKernel for the three B_k terms
+    built = []
+    init = BandKernel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BandKernel, "__init__", counted)
+    grid = Grid(1024, 8.0 * np.pi)
+    u = random_band_limited(grid, rng, 0.25)
+    fft_lengths.clear()
+    verify_nf_cancellation(u, 2.0, 4)
+    assert fft_lengths.count(1024) == 22
+    assert fft_lengths.count(2048) == 15
+    assert len(built) == 1
+
+
+def _generator_terms_field_by_field(u, k, order, ll_factor):
+    """The six generator terms formed field by field, one projection,
+    derivative or ``assemble_B`` per piece: the reference that
+    ``nf_generator_terms`` equals bit for bit."""
+    check_dealias_margin(u)
+    grid = u.grid
+    u_ll = lp_project(u, k - ll_factor * order, "leq")
+    u_kp = lp_project(u, k, "plus")
+    du = derivative(u)
+    hpi_ddu = ComplexField(grid, 2j * half_project(derivative(u, 2), "-").samples)
+    usq = multiply(u, u)
+    return {
+        "transport": -1j * lp_project(derivative(usq), k, "plus").samples,
+        "gauge_hilbert": 2j * half_project(derivative(u_ll), "-").samples * u_kp.samples,
+        "gauge_derivative": 2j * u_ll.samples * derivative(u_kp).samples,
+        "b_left": 1j * assemble_B(k, order, hpi_ddu, u, ll_factor).samples,
+        "b_right": 1j * assemble_B(k, order, u, hpi_ddu, ll_factor).samples,
+        "b_derivative": -2.0 * assemble_B(k, order, du, du, ll_factor).samples,
+    }
+
+
+def _terms_and_warnings(generator, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        terms = generator(*args)
+    return terms, [w.category for w in caught]
+
+
+@pytest.mark.parametrize("n, box, fraction, k, order, factor, band_edge", [
+    (512, 16 * np.pi, 0.25, 0.0, 2, 100.0, 0),
+    (512, 16 * np.pi, 0.25, 0.0, 4, 100.0, 0),
+    (512, 16 * np.pi, 0.25, 2.0, 2, 100.0, 0),
+    (512, 16 * np.pi, 0.25, 2.0, 4, 100.0, 0),
+    # 2^(k+1) reaches Nyquist: one BandEdgeWarning from each P_k^+, and an
+    # AliasingWarning for the spectrum beyond a quarter of Nyquist
+    (512, 16 * np.pi, 0.9, 4.0, 2, 100.0, 2),
+    # chi_{<<k} resolves lattice modes, so the second paraproduct is not empty
+    (1024, 2000.0, 0.25, -2.0, 1, 2.0, 0),
+])
+def test_generator_terms_equal_the_field_by_field_terms_bitwise(
+        rng, n, box, fraction, k, order, factor, band_edge):
+    u = random_band_limited(Grid(n, box), rng, fraction)
+    reference, expected = _terms_and_warnings(_generator_terms_field_by_field, u, k, order, factor)
+    terms, caught = _terms_and_warnings(nf_generator_terms, u, k, order, factor)
+    assert terms.keys() == reference.keys()
+    assert all(np.array_equal(terms[name].samples, reference[name]) for name in reference)
+    assert all(np.max(np.abs(reference[name])) > 0.0
+               for name in ("transport", "b_left", "b_right", "b_derivative"))
+    assert caught == expected and caught.count(BandEdgeWarning) == band_edge
+    ll_lo, ll_hi = BandKernel(u.grid, k, order, factor).ll_range
+    assert (ll_hi > ll_lo) == (factor < 100.0)
 
 
 def test_band_kernel_square_with_the_shared_paraproduct_equals_apply_bitwise(rng):
