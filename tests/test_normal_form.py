@@ -7,8 +7,8 @@ from bolab.kernels import fit_decay
 from bolab.normal_form import GaugeBand, gauge_polynomial, transform, transformed_residual
 from bolab.pseudoproduct import BandKernel, assemble_B
 from bolab.solver import SolverState, evolve, soliton
-from bolab.spectral import (antiderivative_mean_removed, coeffs_of, derivative, hilbert,
-                            lp_values, weighted_shell_sup)
+from bolab.spectral import (antiderivative_mean_removed, coeffs_of, derivative, half_project,
+                            hilbert, lp_project, lp_values, multiply, weighted_shell_sup)
 from bolab.testing import random_band_limited
 
 pytestmark = pytest.mark.filterwarnings("ignore::bolab.errors.AliasingWarning")
@@ -312,6 +312,65 @@ def test_box_correction_vanishes_for_mean_free_trivial_gauge(grid_medium, rng):
     a = lp_project(u, 2.0, "plus").samples + assemble_B(2.0, 4, u, u).samples
     expected = float(np.mean(u.samples**2)) * a
     assert np.max(np.abs(corr - expected)) < 1e-12
+
+
+def _right_side_field_by_field(u, k, order, ll_factor):
+    """The four terms and Delta_box of the transformed equation formed field
+    by field, one ``lp_project``, ``derivative``, ``half_project`` or
+    ``assemble_B`` per piece: the reference of ``Bundle.terms`` and
+    ``Bundle.right_side``."""
+    low = k - ll_factor * order
+    u_ll = lp_project(u, low, "leq").samples
+    u_kp = lp_project(u, k, "plus")
+    usq = multiply(u, u)
+    usq_ll = lp_project(usq, low, "leq").samples
+    d_usq = derivative(usq)
+    bu = assemble_B(k, order, u, u, ll_factor)
+    hpi_du_ll = 2j * half_project(derivative(ComplexField(u.grid, u_ll)), "-").samples
+    c_tilde = -1j * (assemble_B(k, order, d_usq, u, ll_factor).samples
+                     + assemble_B(k, order, u, d_usq, ll_factor).samples)
+    terms = {
+        "B_rem": hpi_du_ll * u_kp.samples + 2j * u_ll * derivative(u_kp).samples,
+        "C_tilde": c_tilde,
+        "C": (c_tilde - usq_ll * u_kp.samples + 2j * u_ll * derivative(bu).samples
+              + hpi_du_ll * bu.samples),
+        "Q": -usq_ll * bu.samples,
+    }
+    phi_ll = lp_project(antiderivative_mean_removed(u)[0], low, "leq").samples
+    a = ComplexField(u.grid, u_kp.samples + bu.samples)
+    ubar, mean_sq = float(np.mean(u.samples)), float(np.mean(u.samples**2))
+    e_nm1, e_nm2 = gauge_polynomial(order - 1, phi_ll), gauge_polynomial(order - 2, phi_ll)
+    delta = (mean_sq * a.samples * e_nm1 - 2j * ubar * derivative(a).samples * e_nm1
+             + a.samples * (u_ll - ubar) ** 2 * e_nm2)
+    return terms, delta
+
+
+@pytest.mark.parametrize("n, box, k, order, factor, mean", [
+    (512, 16 * np.pi, 2.0, 4, 100.0, 0.0),
+    (512, 16 * np.pi, 0.0, 2, 100.0, 0.3),
+    # chi_{<<k} resolves lattice modes, so u_ll, phi_ll and the gauge factors
+    # are not trivial
+    (512, 16 * np.pi, 3.0, 2, 2.0, 0.3),
+    (1024, 2000.0, -2.0, 1, 2.0, 0.1),
+])
+def test_right_side_matches_the_field_by_field_terms(rng, n, box, k, order, factor, mean):
+    grid = Grid(n, box)
+    u = Field(grid, random_band_limited(grid, rng, 0.25).samples + mean)
+    reference, ref_delta = _right_side_field_by_field(u, k, order, factor)
+    bundle = transform(u, k, order, factor)
+    terms = bundle.terms(u)
+    rhs, delta, term_scale = bundle.right_side(u)
+    scale = max(np.max(np.abs(t)) for t in (*reference.values(), ref_delta))
+    assert terms.keys() == reference.keys()
+    for name, ref in reference.items():
+        assert np.max(np.abs(terms[name].samples - ref)) <= 1e-13 * scale, name
+    # B_rem vanishes when u_ll does: mean-zero u and a trivial gauge
+    live = [name for name in reference if name != "B_rem" or mean or factor < 100.0]
+    assert all(np.max(np.abs(reference[name])) > 1e-6 * scale for name in live)
+    assert np.max(np.abs(delta - ref_delta)) <= 1e-13 * scale
+    assert abs(term_scale - max(np.max(np.abs(t)) for t in reference.values())) <= 1e-13 * scale
+    if factor < 100.0:
+        assert np.max(np.abs(bundle.phi_ll)) > 0.0 and np.max(np.abs(bundle.u_ll)) > 0.0
 
 
 @pytest.mark.parametrize("n_snapshots", [3, 5])
