@@ -433,6 +433,14 @@ def _check_counts(config: dict, *names: str) -> None:
             raise ConfigError(f"{name} must be at least 1, got {value!r}")
 
 
+def _check_normal_form(config: dict) -> None:
+    from .normal_form import _check_separation  # bolab.normal_form imports this module
+
+    _check_counts(config, "trials_per_case")
+    for order in config["orders"]:  # the gauge rule of measure-decay
+        _check_separation(order, config["ll_factor"])
+
+
 def _check_kernels(config: dict) -> None:
     _check_counts(config, "schro_points")
     # the t-sweep is fitted against log2 t
@@ -445,8 +453,7 @@ def _check_kernels(config: dict) -> None:
 COMMANDS = {
     "verify-operators": (OPERATOR_DEFAULTS, run_verify_operators,
                          lambda config: _check_counts(config, "n_fields", "commutator.n_fields")),
-    "verify-normal-form": (NORMAL_FORM_DEFAULTS, run_verify_normal_form,
-                           lambda config: _check_counts(config, "trials_per_case")),
+    "verify-normal-form": (NORMAL_FORM_DEFAULTS, run_verify_normal_form, _check_normal_form),
     "verify-kernels": (KERNEL_DEFAULTS, run_verify_kernels, _check_kernels),
     "evolve": (_experiment_defaults, run_evolve, None),
     "measure-decay": (_experiment_defaults, run_measure_decay, None),

@@ -125,26 +125,6 @@ def hilbert(f: Field | ComplexField) -> Field | ComplexField:
     return ComplexField(grid, out)
 
 
-def half_projector_values(grid: Grid, sign: str) -> np.ndarray:
-    """Indicator of the open half-line {sign * xi > 0}, Nyquist zeroed."""
-    if sign == "+":
-        v = (grid.xi > 0).astype(float)
-    elif sign == "-":
-        v = (grid.xi < 0).astype(float)
-    else:
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    v[0] = 0.0
-    return v
-
-
-def half_project(f: Field | ComplexField, sign: str) -> ComplexField:
-    """P^+ / P^- : restriction to positive / negative frequencies."""
-    grid = f.grid
-    return ComplexField(
-        grid, _apply_values(half_projector_values(grid, sign), np.asarray(f.samples), grid)
-    )
-
-
 def lp_values(grid: Grid, k: float, variant: str) -> np.ndarray:
     """Multiplier values for the Littlewood-Paley projection of a given variant."""
     axi = np.abs(grid.xi)

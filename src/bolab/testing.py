@@ -1,6 +1,7 @@
 """Deterministic random-field builders, the verification measurements
-shared by the test suite and the CLI verification commands, and the dense
-oracle of ``pseudoproduct.assemble_B``.
+shared by the test suite and the CLI verification commands, and the
+field-by-field oracles of the normal form: the half-line projection of a
+field and the dense branch symbols of ``pseudoproduct.assemble_B``.
 
 All generators work in frequency space so fields are exactly band-limited,
 mean-zero and Nyquist-free (the conventions every projector assumes), with
@@ -166,8 +167,17 @@ def kernel_exponents(
 
 
 # ---------------------------------------------------------------------------
-# the dense oracle of assemble_B: the closed-form branch symbols
+# the field-by-field oracles of the normal form
 # ---------------------------------------------------------------------------
+
+
+def half_project(f: Field | ComplexField, sign: str) -> ComplexField:
+    """P^+ / P^- of a field, Nyquist zeroed; the normal form applies them to
+    coefficients as the masks ``BandKernel.plus`` and ``minus``."""
+    mask = np.sign(f.grid.xi) == (1 if sign == "+" else -1)
+    mask[0] = False  # the unpaired Nyquist mode
+    return apply_multiplier(lambda xi: mask, f)
+
 
 #: sign patterns (xi, xi - eta, eta) of the nonzero branches; the other five
 #: (two negative input frequencies, or a negative output) vanish

@@ -291,6 +291,11 @@ def test_threads_flag_is_gone(capsys):
     ("verify-operators", "n_fields=0", "n_fields must be at least 1"),
     ("verify-operators", "commutator.n_fields=0", "commutator.n_fields must be at least 1"),
     ("verify-normal-form", "trials_per_case=0", "trials_per_case must be at least 1"),
+    ("verify-normal-form", "ll_factor=0", "need order >= 1 and ll_factor * order >= 2"),
+    ("verify-normal-form", "ll_factor=-1", "need order >= 1 and ll_factor * order >= 2"),
+    ("verify-normal-form", "orders=[0]", "need order >= 1 and ll_factor * order >= 2"),
+    ("verify-normal-form", "orders=[-1]", "need order >= 1 and ll_factor * order >= 2"),
+    ("verify-normal-form", "orders=[2, 0]", "need order >= 1 and ll_factor * order >= 2"),
 ])
 def test_verify_rejects_bad_config(tmp_path, capsys, command, override, message):
     code = main([command, "--output-dir", str(tmp_path), "--override", override])
@@ -343,6 +348,18 @@ def test_experiment_value_out_of_domain_exits_2(tmp_path, capsys, command, overr
         args += ["--override", item]
     assert main(args) == 2
     assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("gauge", [["gauge.order=0"], ["gauge.order=-1", "gauge.ll_factor=-3"],
+                                   ["gauge.ll_factor=0.25"]])
+def test_measure_decay_rejects_a_gauge_not_separated_from_its_band(tmp_path, capsys, gauge):
+    # the rule verify-normal-form applies to each of its orders
+    args = ["measure-decay", "--output-dir", str(tmp_path)]
+    for item in (*OUT_OF_DOMAIN_RUN, "gauge.enabled=true", *gauge):
+        args += ["--override", item]
+    assert main(args) == 2
+    assert "need order >= 1 and ll_factor * order >= 2" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 

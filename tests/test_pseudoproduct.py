@@ -22,8 +22,8 @@ from bolab.pseudoproduct import (
     verify_nf_cancellation,
 )
 from bolab.solver import soliton
-from bolab.spectral import coeffs_of, derivative, half_project, lp_project, multiply
-from bolab.testing import BRANCHES, nf_branch_symbol, random_band_limited
+from bolab.spectral import coeffs_of, derivative, lp_project, multiply
+from bolab.testing import BRANCHES, half_project, nf_branch_symbol, random_band_limited
 
 ONE = BilinearSymbol(fn=lambda xi, eta: np.ones(np.broadcast(xi, eta).shape))
 
@@ -357,8 +357,10 @@ def test_cancellation_takes_half_the_2n_transforms(fft_lengths, rng):
 
 
 def test_cancellation_transforms_u_once_and_builds_one_kernel(fft_lengths, rng, monkeypatch):
-    # 22 grid-length transforms (29 field by field, which transforms u seven
-    # times and i d^2u/dx^2 twice) and one BandKernel for the three B_k terms
+    # at most 10 grid-length transforms: u and u^2 forward, then one inverse
+    # each for u_ll, u_k^+ and the six terms (29 field by field, which
+    # transforms u seven times and i d^2u/dx^2 twice), and one BandKernel for
+    # the three B_k terms
     built = []
     init = BandKernel.__init__
 
@@ -371,7 +373,7 @@ def test_cancellation_transforms_u_once_and_builds_one_kernel(fft_lengths, rng, 
     u = random_band_limited(grid, rng, 0.25)
     fft_lengths.clear()
     verify_nf_cancellation(u, 2.0, 4)
-    assert fft_lengths.count(1024) == 22
+    assert fft_lengths.count(1024) <= 10
     assert fft_lengths.count(2048) == 15
     assert len(built) == 1
 
@@ -379,7 +381,7 @@ def test_cancellation_transforms_u_once_and_builds_one_kernel(fft_lengths, rng, 
 def _generator_terms_field_by_field(u, k, order, ll_factor):
     """The six generator terms formed field by field, one projection,
     derivative or ``assemble_B`` per piece: the reference that
-    ``nf_generator_terms`` equals bit for bit."""
+    ``nf_generator_terms`` matches to roundoff."""
     check_dealias_margin(u)
     grid = u.grid
     u_ll = lp_project(u, k - ll_factor * order, "leq")
@@ -415,13 +417,15 @@ def _terms_and_warnings(generator, *args):
     # chi_{<<k} resolves lattice modes, so the second paraproduct is not empty
     (1024, 2000.0, 0.25, -2.0, 1, 2.0, 0),
 ])
-def test_generator_terms_equal_the_field_by_field_terms_bitwise(
+def test_generator_terms_match_the_field_by_field_terms(
         rng, n, box, fraction, k, order, factor, band_edge):
     u = random_band_limited(Grid(n, box), rng, fraction)
     reference, expected = _terms_and_warnings(_generator_terms_field_by_field, u, k, order, factor)
     terms, caught = _terms_and_warnings(nf_generator_terms, u, k, order, factor)
     assert terms.keys() == reference.keys()
-    assert all(np.array_equal(terms[name].samples, reference[name]) for name in reference)
+    scale = max(np.max(np.abs(term)) for term in reference.values())
+    for name, ref in reference.items():
+        assert np.max(np.abs(terms[name].samples - ref)) <= 1e-13 * scale, name
     assert all(np.max(np.abs(reference[name])) > 0.0
                for name in ("transport", "b_left", "b_right", "b_derivative"))
     assert caught == expected and caught.count(BandEdgeWarning) == band_edge
