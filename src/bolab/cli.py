@@ -132,6 +132,13 @@ def merge_config(defaults: dict, config: dict, where: str = "") -> dict:
     return out
 
 
+def check_distinct_integers(name: str, values: list) -> None:
+    """Raise ConfigError unless the numbers ``values`` of the list ``name`` are
+    integers (2.0 is one) and no two are equal."""
+    if not all(float(v).is_integer() for v in values) or len(set(values)) < len(values):
+        raise ConfigError(f"{name} must be distinct integers, got {values!r}")
+
+
 def config_hash(config: dict) -> str:
     return hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()
@@ -437,7 +444,10 @@ def _check_normal_form(config: dict) -> None:
     from .normal_form import _check_separation  # bolab.normal_form imports this module
 
     _check_counts(config, "trials_per_case")
-    for order in config["orders"]:  # the gauge rule of measure-decay
+    # measure-decay's rules for gauge.bands and for the gauge's separation
+    check_distinct_integers("bands", config["bands"])
+    check_distinct_integers("orders", config["orders"])
+    for order in config["orders"]:
         _check_separation(order, config["ll_factor"])
 
 

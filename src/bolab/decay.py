@@ -24,7 +24,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .cli import atomic_write_text, is_number, json_text, merge_config, read_json_object
+from .cli import (atomic_write_text, check_distinct_integers, is_number, json_text, merge_config,
+                  read_json_object)
 from .errors import ConfigError, DegenerateSeriesError
 from .grid import Field, Grid
 from .kernels import fit_decay
@@ -87,9 +88,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"initial.bump_width must be positive, got {self.initial['bump_width']}")
         self.gauge = merge_config(GAUGE_DEFAULTS, self.gauge, "gauge.")
-        bands = self.gauge["bands"]
-        if not all(float(k).is_integer() for k in bands) or len(set(bands)) < len(bands):
-            raise ConfigError(f"gauge.bands must be distinct integers, got {bands!r}")
+        check_distinct_integers("gauge.bands", self.gauge["bands"])
         self.sponge = merge_config(SPONGE_DEFAULTS, self.sponge, "sponge.")
         SpongeConfig(**self.sponge)  # its value checks, before any run
 
@@ -295,68 +294,87 @@ def contamination_time(config: ExperimentConfig, j: float) -> float:
 BLOCK_ROWS = 4
 
 
-def _fft_order_table(grid: Grid, specs: list[tuple[float, str]]) -> np.ndarray:
-    """The ``lp_values`` multipliers of (k, variant) in ``specs`` as the FFT-order rows
-    of one table, filled row by row."""
+def _fft_order_table(grid: Grid, specs: list[tuple[float, str]], scale: float) -> np.ndarray:
+    """The ``lp_values`` multipliers of (k, variant) in ``specs``, times ``scale``, as the
+    FFT-order rows of one table, filled row by row."""
     table = np.empty((len(specs), grid.n_points))
     for row, (k, variant) in zip(table, specs):
-        row[:] = np.fft.ifftshift(lp_values(grid, k, variant))
+        np.multiply(np.fft.ifftshift(lp_values(grid, k, variant)), scale, out=row)
     return table
 
 
 class SnapshotTables:
     """The snapshot-invariant tables of a run: the +- shell weights on their supports, the
     multipliers of the positive bands that some shell sums and each shell's low-pass
-    multiplier as two stacked tables in FFT order, and one ``GaugeBand`` per band."""
+    multiplier as two stacked tables in FFT order, and one ``GaugeBand`` per band.
+
+    Each table row carries the factor sqrt(2 pi) / dx of ``samples_of``.  A low-pass
+    multiplier is real, even and zero at the Nyquist mode, so the low-pass of the real
+    field is real: its rows keep only xi = 0, dxi, .., (n/2 - 1) dxi, which ``irfft``
+    inverts, and their xi = 0 entry is zeroed, so that they act on the mean-removed field
+    (the box zero mode is a constant 2pi/L background absent on the line; its size is in
+    budgets.mass_over_L).  The band rows are one-sided and stay whole."""
 
     def __init__(self, config: ExperimentConfig):
         grid = self.grid = config.grid()
+        n = grid.n_points
         self.shells = [float(j) for j in config.shells]
         self.weights = {j: {s: shell_weight(grid, j, s) for s in "+-"} for j in self.shells}
         self.k0 = {j: -(1.0 - config.epsilon_assumed) / 2.0 * j for j in self.shells}
         k_min, k_max = lp_partition_bounds(grid)
         # a shell sums only the bands k > k0(j): the bands no shell sums are not inverted
         self.band_ks = [k for k in range(k_min + 1, k_max + 1) if k > min(self.k0.values())]
-        self.band_table = _fft_order_table(grid, [(k, "plus") for k in self.band_ks])
-        self.low_table = _fft_order_table(grid, [(self.k0[j], "leq") for j in self.shells])
-        self._work = np.empty((BLOCK_ROWS, grid.n_points), dtype=complex)
-        self._mags = np.empty(grid.n_points)
+        scale = np.sqrt(2.0 * np.pi) / grid.dx
+        self.band_table = _fft_order_table(grid, [(k, "plus") for k in self.band_ks], scale)
+        low = _fft_order_table(grid, [(self.k0[j], "leq") for j in self.shells], scale)
+        self.low_table = low[:, :n // 2].copy()
+        self.low_table[:, 0] = 0.0
+        # one work buffer: a block of complex band rows, or a block of half spectra
+        # followed by their real inverses
+        self._work = np.empty((BLOCK_ROWS, n), dtype=complex)
+        flat = self._work.reshape(-1)
+        self._half = flat[:BLOCK_ROWS * n // 2].reshape(BLOCK_ROWS, n // 2)
+        self._real = flat[BLOCK_ROWS * n // 2:].view(float).reshape(BLOCK_ROWS, n)
+        self._mags = np.empty(n)
         gauge = config.gauge
         self.gauge = {int(k): GaugeBand(grid, int(k), gauge["order"], gauge["ll_factor"])
                       for k in (gauge["bands"] if gauge["enabled"] else [])}
 
-    def _projected_abs(self, table: np.ndarray, c: np.ndarray):
-        """|samples_of(row * c)| for each FFT-order row of ``table``, in turn, bit for bit:
-        c is shifted once, and each block of rows is inverted in one ifft call.  The
-        array yielded is overwritten by the next row."""
-        cf = fft_ordered(c, self.grid)
-        scale = np.sqrt(2.0 * np.pi) / self.grid.dx
+    def _projected_abs(self, table: np.ndarray, cf: np.ndarray):
+        """|samples_of(row * c)| for each row of ``table``, in turn, from cf =
+        ``fft_ordered(c)``: each block of rows is inverted in one call, by ``irfft`` for
+        the half rows of ``low_table`` and by ``ifft`` for whole rows.  The array
+        yielded is overwritten by the next row."""
+        n = self.grid.n_points
         for start in range(0, len(table), BLOCK_ROWS):
             block = table[start:start + BLOCK_ROWS]
-            work = self._work[:len(block)]
-            np.multiply(block, cf, out=work)
-            np.fft.ifft(work, axis=-1, out=work)
-            work *= scale
-            for row in work:
+            if block.shape[1] < n:
+                spectrum, out = self._half[:len(block)], self._real[:len(block)]
+                np.multiply(block, cf[:n // 2], out=spectrum)
+                np.fft.irfft(spectrum, n, axis=-1, out=out)
+            else:
+                spectrum = out = self._work[:len(block)]
+                np.multiply(block, cf, out=spectrum)
+                np.fft.ifft(spectrum, axis=-1, out=out)
+            for row in out:
                 yield np.abs(row, out=self._mags)
 
     def measure(self, w: Field) -> tuple[dict, dict, dict, dict]:
         """(sups[j][sign] as from ``weighted_shell_sup``, lowpass[j], bandsum[j], gauge[k][j])
-        of one snapshot, from one transform of the field and one of it centered."""
+        of one snapshot, from one forward transform of the field: the low-pass and band
+        rows are inverted in blocks, and each gauge band takes one inverse (see
+        ``GaugeBand.bundle``)."""
         plus = {j: weights["+"] for j, weights in self.weights.items()}
         a = np.abs(w.samples)
         sups = {j: {sign: weighted_sup(weight, a) for sign, weight in weights.items()}
                 for j, weights in self.weights.items()}
-        # the low-pass acts on the mean-removed field (the box zero mode is a
-        # constant 2pi/L background absent on the line; its size is in
-        # budgets.mass_over_L)
-        c_centered = coeffs_of(w.samples - np.mean(w.samples), self.grid)
-        lowpass = {j: weighted_sup(plus[j], mags)
-                   for j, mags in zip(self.shells, self._projected_abs(self.low_table, c_centered))}
-        # the sum of |w_k^+| over the bands k > k0, on each shell's support
         c = coeffs_of(w.samples, self.grid)
+        cf = fft_ordered(c, self.grid)
+        lowpass = {j: weighted_sup(plus[j], mags)
+                   for j, mags in zip(self.shells, self._projected_abs(self.low_table, cf))}
+        # the sum of |w_k^+| over the bands k > k0, on each shell's support
         totals = {j: np.zeros(len(values)) for j, (_, values) in plus.items()}
-        for k, mags in zip(self.band_ks, self._projected_abs(self.band_table, c)):
+        for k, mags in zip(self.band_ks, self._projected_abs(self.band_table, cf)):
             for j, total in totals.items():
                 if k > self.k0[j]:
                     total += mags[plus[j][0]]

@@ -34,10 +34,12 @@ step-halving studies.
 Each snapshot is transformed once: ``transform`` builds one ``GaugeBand``
 and returns its ``Bundle`` (see there).  B_k(u, u) is formed from the first
 paraproduct ``BandKernel.paraproduct``, which a decay run computes once per
-snapshot for all of its bands.  The residual forms the four terms and
-Delta_box from the bundle, each projection and derivative a multiplier on
-coefficients in hand, inverted once; they agree with the field-by-field
-formula to 1e-13 times the largest term.
+snapshot for all of its bands.  phi is formed on coefficients, and A =
+u_k^+ + B_k(u, u) is inverted once; when the gauge low-pass keeps no mode of
+phi (the default factor on a desk-scale grid), v_k is A.  The residual forms
+the four terms and Delta_box from the bundle, each projection and derivative
+a multiplier on coefficients in hand, inverted once; they agree with the
+field-by-field formula to 1e-13 times the largest term.
 
 The gauge low-pass threshold is 2^(k - factor*N) with factor configurable
 (default 100); desk-scale grids often resolve no modes below it, in which
@@ -59,7 +61,6 @@ from .errors import BolabError
 from .grid import ComplexField, Field, Grid
 from .pseudoproduct import QUARTIC_MARGIN, BandKernel, check_dealias_margin
 from .spectral import (
-    antiderivative_mean_removed,
     coeffs_of,
     derivative,
     derivative_values,
@@ -106,29 +107,39 @@ class GaugeBand:
     def bundle(self, c: np.ndarray, phi_c: np.ndarray, shared: np.ndarray) -> Bundle:
         """The pieces of v_k at one snapshot, from the coefficients c of u, those
         of phi (see ``phi_coeffs``) and ``shared`` = ``kernel.paraproduct(c)``,
-        which every band of the grid shares (see ``BandKernel.square``)."""
+        which every band of the grid shares (see ``BandKernel.square``).
+
+        A = u_k^+ + B_k(u, u) is one inverse transform, of chi_k^+ c + b_c.  When
+        the gauge low-pass keeps no coefficient of phi, phi_ll = 0 and E_N(0) = 1
+        exactly, so v is A itself: phi_ll is not inverted and E_N not evaluated."""
         warn_band_edge(self.grid, self.k)
-        u_kp = samples_of(self.plus * c, self.grid)
         b_c = self.kernel.square(c, shared)
-        a = u_kp + samples_of(b_c, self.grid)
-        phi_ll = samples_of(self.low * phi_c, self.grid)
-        return Bundle(self, c, b_c, u_kp, a, phi_ll, a * gauge_polynomial(self.order, phi_ll))
+        a = samples_of(self.plus * c + b_c, self.grid)
+        phi_ll_c = self.low * phi_c
+        if not phi_ll_c.any():
+            return Bundle(self, c, b_c, a, np.zeros_like(a), a)
+        phi_ll = samples_of(phi_ll_c, self.grid)
+        return Bundle(self, c, b_c, a, phi_ll, a * gauge_polynomial(self.order, phi_ll))
 
 
 @dataclass
 class Bundle:
     """One snapshot's pieces of v_k in one band, each computed once: the
-    coefficients c of u and b_c of B_k(u, u), and the samples of u_k^+,
-    A = u_k^+ + B_k(u, u), phi_ll and v_k = A E_N(phi_ll); u_ll on first
-    use.  The four literal terms and Delta_box are formed from them."""
+    coefficients c of u and b_c of B_k(u, u), and the samples of
+    A = u_k^+ + B_k(u, u), phi_ll and v_k = A E_N(phi_ll), which is A itself
+    when phi_ll = 0; u_k^+ and u_ll on first use, which only the terms make.
+    The four literal terms and Delta_box are formed from them."""
 
     band: GaugeBand
     c: np.ndarray
     b_c: np.ndarray
-    u_kp: np.ndarray
     a: np.ndarray
     phi_ll: np.ndarray
     v: np.ndarray
+
+    @cached_property
+    def u_kp(self) -> np.ndarray:
+        return samples_of(self.band.plus * self.c, self.band.grid)
 
     @cached_property
     def u_ll(self) -> np.ndarray:
@@ -191,9 +202,14 @@ class Bundle:
 
 
 def phi_coeffs(u: Field, c: np.ndarray) -> np.ndarray:
-    """Coefficients of the mean-removed antiderivative phi of u, given those of u."""
-    phi, _ = antiderivative_mean_removed(u, c)
-    return coeffs_of(phi.samples, u.grid)
+    """Coefficients c / (i xi) of the mean-removed antiderivative phi of u, from
+    those c of u, with no transform: zero at xi = 0, which removes the mean, and
+    at the unpaired Nyquist mode.  ``bolab.testing.antiderivative_mean_removed``,
+    a round trip through samples, is its oracle."""
+    xi = u.grid.xi
+    out = np.divide(c, 1j * xi, out=np.zeros_like(c), where=xi != 0)
+    out[0] = 0.0  # Nyquist
+    return out
 
 
 def transform(u: Field, k: float, order: int, ll_factor: float = 100.0) -> Bundle:

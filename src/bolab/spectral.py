@@ -238,24 +238,6 @@ def weighted_sup(weight: tuple[slice, np.ndarray], a: np.ndarray) -> float:
     return float(np.max(values * a[s]))
 
 
-def antiderivative_mean_removed(u: Field, c: np.ndarray | None = None) -> tuple[Field, float]:
-    """Mean-removed spectral antiderivative.
-
-    Returns (phi, mass) with d/dx phi = u - mean(u), mean(phi) = 0 and
-    mass = integral of u over the box.  The sign matches the convention that
-    phi increases where u > mean(u).  ``c`` may pass in the coefficients of u.
-    """
-    grid = u.grid
-    c = coeffs_of(u.samples, grid) if c is None else c
-    out = np.zeros_like(c)
-    nz = np.abs(grid.xi) > 0
-    out[nz] = c[nz] / (1j * grid.xi[nz])
-    out[0] = 0.0  # Nyquist
-    phi = samples_of(out, grid)
-    mass = float(grid.dx * np.sum(u.samples))
-    return Field(grid, phi.real), mass
-
-
 # ---------------------------------------------------------------------------
 # small conveniences shared by the higher modules
 # ---------------------------------------------------------------------------

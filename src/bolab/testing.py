@@ -1,7 +1,8 @@
 """Deterministic random-field builders, the verification measurements
 shared by the test suite and the CLI verification commands, and the
-field-by-field oracles of the normal form: the half-line projection of a
-field and the dense branch symbols of ``pseudoproduct.assemble_B``.
+field-by-field oracles of the normal form: the mean-removed antiderivative
+and the half-line projection of a field, and the dense branch symbols of
+``pseudoproduct.assemble_B``.
 
 All generators work in frequency space so fields are exactly band-limited,
 mean-zero and Nyquist-free (the conventions every projector assumes), with
@@ -169,6 +170,25 @@ def kernel_exponents(
 # ---------------------------------------------------------------------------
 # the field-by-field oracles of the normal form
 # ---------------------------------------------------------------------------
+
+
+def antiderivative_mean_removed(u: Field) -> tuple[Field, float]:
+    """Mean-removed spectral antiderivative, by a round trip through samples.
+
+    Returns (phi, mass) with d/dx phi = u - mean(u), mean(phi) = 0 and
+    mass = integral of u over the box.  The sign matches the convention that
+    phi increases where u > mean(u).  ``normal_form.phi_coeffs`` forms the
+    coefficients of phi directly from those of u.
+    """
+    grid = u.grid
+    c = coeffs_of(u.samples, grid)
+    out = np.zeros_like(c)
+    nz = np.abs(grid.xi) > 0
+    out[nz] = c[nz] / (1j * grid.xi[nz])
+    out[0] = 0.0  # Nyquist
+    phi = samples_of(out, grid)
+    mass = float(grid.dx * np.sum(u.samples))
+    return Field(grid, phi.real), mass
 
 
 def half_project(f: Field | ComplexField, sign: str) -> ComplexField:

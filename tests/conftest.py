@@ -21,9 +21,11 @@ def grid_medium():
 
 @pytest.fixture
 def fft_lengths(monkeypatch):
-    """The length of every np.fft.fft and np.fft.ifft call made in the test."""
+    """The length of every np.fft.fft, ifft, rfft and irfft call made in the test:
+    the length of the input's last axis, or the ``n`` passed (for irfft, the
+    length of its real output)."""
     lengths = []
-    for name in ("fft", "ifft"):
+    for name in ("fft", "ifft", "rfft", "irfft"):
         original = getattr(np.fft, name)
 
         def counted(a, n=None, *args, _original=original, **kwargs):

@@ -296,6 +296,11 @@ def test_threads_flag_is_gone(capsys):
     ("verify-normal-form", "orders=[0]", "need order >= 1 and ll_factor * order >= 2"),
     ("verify-normal-form", "orders=[-1]", "need order >= 1 and ll_factor * order >= 2"),
     ("verify-normal-form", "orders=[2, 0]", "need order >= 1 and ll_factor * order >= 2"),
+    ("verify-normal-form", "orders=[2.5]", "orders must be distinct integers, got [2.5]"),
+    ("verify-normal-form", "orders=[4, 4]", "orders must be distinct integers, got [4, 4]"),
+    ("verify-normal-form", "bands=[1.5]", "bands must be distinct integers, got [1.5]"),
+    ("verify-normal-form", "bands=[1, 1]", "bands must be distinct integers, got [1, 1]"),
+    ("verify-normal-form", "bands=[1, 1.0]", "bands must be distinct integers, got [1, 1.0]"),
 ])
 def test_verify_rejects_bad_config(tmp_path, capsys, command, override, message):
     code = main([command, "--output-dir", str(tmp_path), "--override", override])

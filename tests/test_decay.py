@@ -18,16 +18,19 @@ from bolab.decay import (
 )
 from bolab.errors import AcceptanceFailure, ConfigError, DegenerateSeriesError
 from bolab.grid import Field, Grid
-from bolab.normal_form import phi_coeffs, transform
+from bolab.normal_form import gauge_polynomial, phi_coeffs, transform
+from bolab.pseudoproduct import assemble_B
 from bolab.solver import SolverState, SpongeConfig, evolve, soliton
 from bolab.spectral import (
     coeffs_of,
+    fft_ordered,
     lp_partition_bounds,
     lp_project,
     lp_values,
     samples_of,
     spatial_cutoff_values,
 )
+from bolab.testing import antiderivative_mean_removed
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +285,25 @@ def test_gauge_tables_reused_over_a_run_match_fresh_transform():
                 assert rep.gauge_sup[f"{k}"][f"{j}"][i] == float(np.max(weights * np.abs(fresh)))
 
 
+def test_resolved_gauge_low_pass_matches_the_field_by_field_transform():
+    # 2^(k - 2 * 2) resolves lattice modes on (2048, 400), so phi_ll is not zero
+    # and v = (u_k^+ + B_k(u, u)) E_N(phi_ll) takes the gauge polynomial
+    gauge = {"enabled": True, "order": 2, "ll_factor": 2.0, "bands": [0, 1]}
+    cfg = _small_config(gauge=gauge)
+    tables = SnapshotTables(cfg)
+    g, w = cfg.grid(), _soliton_bump(cfg)
+    gauge_sups = tables.measure(w)[3]
+    phi = antiderivative_mean_removed(w)[0]
+    for k in (0, 1):
+        phi_ll = lp_project(phi, k - 4.0, "leq").samples
+        assert np.max(np.abs(phi_ll)) > 1e-3 * phi.sup_norm()
+        a = lp_project(w, k, "plus").samples + assemble_B(k, 2, w, w, 2.0).samples
+        v_abs = np.abs(a * gauge_polynomial(2, phi_ll))
+        for j in tables.shells:
+            expected = float(np.max(spatial_cutoff_values(g, j, "+") * v_abs))
+            assert abs(gauge_sups[k][j] - expected) <= 1e-12 * expected
+
+
 def test_streamed_run_equals_in_process_evolve_and_measure():
     # the snapshots reach the measurement through a pipe, as pickles: every
     # series and the ledger equal an in-process evolve and measure, bit for bit
@@ -351,7 +373,11 @@ def test_gauge_bands_sharing_the_paraproduct_match_fresh_transform():
 
 def test_gauge_snapshot_takes_one_paraproduct_of_length_2n(fft_lengths):
     # n = 4096, two gauge bands: 3 transforms of length 2n per snapshot (12
-    # when each band made both of its paraproducts)
+    # when each band made both of its paraproducts), and 7 of length n: one
+    # forward transform, 2 irfft blocks of the 7 low-pass rows, 2 ifft blocks
+    # of the 8 band rows and one inverse per gauge band (14 with a second
+    # forward transform of the centered field, the round trip of phi and
+    # three inverses per gauge band)
     gauge = {"enabled": True, "order": 4, "ll_factor": 100.0, "bands": [0, 1]}
     cfg = _small_config(n_points=4096, gauge=gauge)
     tables = SnapshotTables(cfg)
@@ -359,6 +385,7 @@ def test_gauge_snapshot_takes_one_paraproduct_of_length_2n(fft_lengths):
     fft_lengths.clear()
     tables.measure(w)
     assert fft_lengths.count(8192) == 3
+    assert fft_lengths.count(4096) <= 7
 
 
 def _soliton_bump(cfg):
@@ -366,7 +393,10 @@ def _soliton_bump(cfg):
     return Field(w.grid, w.samples + 0.05 * np.exp(-((w.grid.x - 2.0) ** 2)))
 
 
-def test_snapshot_projections_equal_per_row_transforms_bitwise():
+def test_snapshot_projections_match_per_row_transforms():
+    # every row carries the inverse's factor, and the low-pass rows are real
+    # inverses of the half spectrum of the uncentered field: each row, and the
+    # sups measure() reports, match the per-row transforms to 1e-12 x the row's max
     cfg = _small_config(n_points=2048)
     tables = SnapshotTables(cfg)
     g, w = cfg.grid(), _soliton_bump(cfg)
@@ -380,21 +410,21 @@ def test_snapshot_projections_equal_per_row_transforms_bitwise():
     bands = [full[k] for k in tables.band_ks]
     lows = [np.abs(samples_of(lp_values(g, tables.k0[j], "leq") * c_centered, g))
             for j in tables.shells]
-    for table, coeffs, expected in ((tables.band_table, c, bands),
-                                    (tables.low_table, c_centered, lows)):
-        rows = [mags.copy() for mags in tables._projected_abs(table, coeffs)]
+    cf = fft_ordered(c, g)
+    for table, expected in ((tables.band_table, bands), (tables.low_table, lows)):
+        rows = [mags.copy() for mags in tables._projected_abs(table, cf)]
         assert len(rows) == len(expected)
-        assert all(np.array_equal(row, ref) for row, ref in zip(rows, expected))
+        for row, ref in zip(rows, expected):
+            assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(ref)
     # and measure() reports them as the per-row transforms give them
     _, lowpass, bandsum, _ = tables.measure(w)
     for j, low in zip(tables.shells, lows):
         s, weight = tables.weights[j]["+"]
-        assert lowpass[j] == float(np.max(weight * low[s]))
-        total = np.zeros(len(weight))
-        for k, mags in full.items():
-            if k > tables.k0[j]:
-                total += mags[s]
-        assert bandsum[j] == float(np.max(weight * total))
+        assert abs(lowpass[j] - float(np.max(weight * low[s]))) <= 1e-12 * np.max(low)
+        summed = [mags for k, mags in full.items() if k > tables.k0[j]]
+        total = np.sum([mags[s] for mags in summed], axis=0)
+        bound = 1e-12 * sum(np.max(mags) for mags in summed)
+        assert abs(bandsum[j] - float(np.max(weight * total))) <= bound
 
 
 def test_snapshot_measurement_memory_is_bounded():

@@ -4,12 +4,13 @@ import pytest
 from bolab.errors import BolabError
 from bolab.grid import ComplexField, Field, Grid
 from bolab.kernels import fit_decay
-from bolab.normal_form import GaugeBand, gauge_polynomial, transform, transformed_residual
+from bolab.normal_form import (GaugeBand, gauge_polynomial, phi_coeffs, transform,
+                               transformed_residual)
 from bolab.pseudoproduct import BandKernel, assemble_B
 from bolab.solver import SolverState, evolve, soliton
-from bolab.spectral import (antiderivative_mean_removed, coeffs_of, derivative, hilbert,
-                            lp_project, lp_values, multiply, weighted_shell_sup)
-from bolab.testing import half_project, random_band_limited
+from bolab.spectral import (coeffs_of, derivative, hilbert, lp_project, lp_values, multiply,
+                            weighted_shell_sup)
+from bolab.testing import antiderivative_mean_removed, half_project, random_band_limited
 
 pytestmark = pytest.mark.filterwarnings("ignore::bolab.errors.AliasingWarning")
 
@@ -128,6 +129,33 @@ def test_transform_frequency_support_audit(rng):
     energy = np.abs(c) ** 2
     window = (g.xi > 0) & (g.xi >= 2.0 ** (k - 2)) & (g.xi <= 2.0 ** (k + 2))
     assert energy[~window].sum() < 1e-4 * energy.sum()
+
+
+def test_phi_coeffs_match_the_round_trip_antiderivative(rng):
+    # c / (i xi) on coefficients against the inverse of c / (i xi) transformed
+    # back, for fields with and without a mean
+    for grid, mean in ((Grid(512, 16 * np.pi), 0.0), (Grid(512, 16 * np.pi), 0.3),
+                       (Grid(4096, 400.0), None)):
+        u = soliton(1.0, 0.5, grid) if mean is None else Field(
+            grid, random_band_limited(grid, rng, 0.5).samples + mean)
+        phi_c = phi_coeffs(u, coeffs_of(u.samples, grid))
+        oracle = coeffs_of(antiderivative_mean_removed(u)[0].samples, grid)
+        assert phi_c[0] == 0.0 and phi_c[grid.n_points // 2] == 0.0
+        assert np.max(np.abs(phi_c - oracle)) <= 1e-13 * np.max(np.abs(phi_c))
+
+
+@pytest.mark.parametrize("n, box, k", [(512, 16 * np.pi, 2.0), (4096, 400.0, 1.0)])
+def test_trivial_gauge_bundle_is_a_itself(rng, n, box, k):
+    # with the factor 100 the gauge low-pass keeps no mode of phi: phi_ll = 0,
+    # E_N(0) = 1 exactly and v is A, with no transform of phi_ll
+    grid = Grid(n, box)
+    u = Field(grid, random_band_limited(grid, rng, 0.25).samples + 0.2)
+    bundle = transform(u, k, 4, ll_factor=100.0)
+    assert not np.any(bundle.phi_ll)
+    assert np.array_equal(bundle.v, bundle.a)
+    assert np.array_equal(bundle.v, bundle.a * gauge_polynomial(4, bundle.phi_ll))
+    a = lp_project(u, k, "plus").samples + assemble_B(k, 4, u, u).samples
+    assert np.max(np.abs(bundle.a - a)) <= 1e-13 * np.max(np.abs(a))
 
 
 def test_transform_reduces_to_band_plus_correction_when_gauge_trivial(rng):
@@ -407,14 +435,15 @@ def test_residual_builds_and_applies_one_kernel_per_snapshot(monkeypatch, n_snap
 
 
 def test_residual_forms_its_terms_from_coefficients(fft_lengths):
-    # per snapshot 6 grid-length transforms for the bundle, and per interior
-    # snapshot 8 more for the terms and Delta_box and 2 for d^2 v/dx^2: 92
-    # over 7 snapshots (132 when every derivative and projection was a round
-    # trip on samples)
+    # per snapshot 2 grid-length transforms for the bundle (u and A; phi_ll
+    # is zero), and per interior snapshot 9 more for the terms and Delta_box
+    # and 2 for d^2 v/dx^2: 69 over 7 snapshots (92 when the bundle also
+    # inverted u_k^+, B and phi_ll and round-tripped phi, 132 when every
+    # derivative and projection was a round trip on samples)
     g = Grid(1024, 400.0)
     dt = 1e-3
     snaps = evolve(SolverState(w=soliton(1.0, 0.0, g), frame="lab", dt=dt), 6 * dt,
                    snapshot_stride=1, record_ledger=False)
     fft_lengths.clear()
     transformed_residual([(s.t, s.w) for s in snaps], 1.0, 4, 3.0)
-    assert fft_lengths.count(1024) <= 92
+    assert fft_lengths.count(1024) <= 69

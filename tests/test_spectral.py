@@ -10,7 +10,6 @@ from bolab.errors import (
 from bolab.grid import ComplexField, Field, Grid
 from bolab.solver import soliton
 from bolab.spectral import (
-    antiderivative_mean_removed,
     apply_multiplier,
     coeffs_of,
     derivative,
@@ -23,7 +22,7 @@ from bolab.spectral import (
     weighted_shell_sup,
 )
 from bolab.kernels import fit_decay
-from bolab.testing import random_band_limited
+from bolab.testing import antiderivative_mean_removed, random_band_limited
 
 # ---------------------------------------------------------------------------
 # transforms
