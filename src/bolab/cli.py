@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .errors import AcceptanceFailure, BolabError, ConfigError
+from .pseudoproduct import LL_FACTOR, _check_separation
 
 DEFAULT_OUTDIR_ENV = "BOLAB_OUTDIR"
 
@@ -130,6 +131,13 @@ def merge_config(defaults: dict, config: dict, where: str = "") -> dict:
             value = merge_config(defaults[key], value, name + ".")
         out[key] = value
     return out
+
+
+def check_distinct(name: str, values: list) -> None:
+    """Raise ConfigError when two of the numbers ``values`` of the list ``name``
+    are equal."""
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{name} must be distinct, got {values!r}")
 
 
 def check_distinct_integers(name: str, values: list) -> None:
@@ -266,7 +274,7 @@ NORMAL_FORM_DEFAULTS = {
     "bands": [0, 1, 2, 3, 4],
     "orders": [2, 4],
     "trials_per_case": 5,
-    "ll_factor": 100.0,
+    "ll_factor": LL_FACTOR,
     "threshold": 1e-8,
     "seed": 0,
 }
@@ -357,16 +365,10 @@ def run_verify_kernels(config: dict, outdir: str, args: argparse.Namespace) -> l
 
 def run_evolve(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
     from .decay import ExperimentConfig
-    from .solver import SolverState, SpongeConfig, dump_snapshot, ledger_to_csv, stream
+    from .solver import dump_snapshot, ledger_to_csv, stream
 
     cfg = ExperimentConfig.from_dict(config)
-    state = SolverState(
-        w=cfg.initial_field(),
-        frame="moving",
-        speed=cfg.frame_speed,
-        dt=cfg.dt,
-        sponge=SpongeConfig(**cfg.sponge),
-    )
+    state = cfg.solver_state()
     outputs = []
     # each snapshot is written as the solver's process sends it
     for i, snap in enumerate(stream(state, cfg.t_final, cfg.snapshot_stride)):
@@ -441,8 +443,6 @@ def _check_counts(config: dict, *names: str) -> None:
 
 
 def _check_normal_form(config: dict) -> None:
-    from .normal_form import _check_separation  # bolab.normal_form imports this module
-
     _check_counts(config, "trials_per_case")
     # measure-decay's rules for gauge.bands and for the gauge's separation
     check_distinct_integers("bands", config["bands"])
@@ -453,6 +453,10 @@ def _check_normal_form(config: dict) -> None:
 
 def _check_kernels(config: dict) -> None:
     _check_counts(config, "schro_points")
+    # each sweep is fitted against its parameter, which no two points may share
+    # (measure-decay's rule for its shells)
+    for sweep, key in (("t_sweep", "times"), ("j_sweep", "shells"), ("right_sweep", "times")):
+        check_distinct(f"{sweep}.{key}", config[sweep][key])
     # the t-sweep is fitted against log2 t
     if min(config["t_sweep"]["times"]) <= 0:
         raise ConfigError(f"t_sweep.times must be positive, got {config['t_sweep']['times']!r}")

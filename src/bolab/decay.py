@@ -24,12 +24,13 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .cli import (atomic_write_text, check_distinct_integers, is_number, json_text, merge_config,
-                  read_json_object)
+from .cli import (atomic_write_text, check_distinct, check_distinct_integers, is_number, json_text,
+                  merge_config, read_json_object)
 from .errors import ConfigError, DegenerateSeriesError
 from .grid import Field, Grid
 from .kernels import fit_decay
-from .normal_form import GaugeBand, phi_coeffs
+from .normal_form import Bundle, phi_coeffs
+from .pseudoproduct import LL_FACTOR, BandKernel
 from .solver import SolverState, SpongeConfig, soliton, stream
 from .spectral import (
     coeffs_of,
@@ -45,8 +46,8 @@ from .spectral import (
 #: (see cli.merge_config); each object is merged over its defaults
 INITIAL_DEFAULTS = {"kind": "soliton", "c": 1.0, "x0": 0.0, "bump_amplitude": 0.05,
                     "bump_width": 1.0, "bump_center": 2.0, "path": ""}
-GAUGE_DEFAULTS = {"enabled": False, "order": 4, "ll_factor": 100.0, "bands": [0, 1]}
-SPONGE_DEFAULTS = {"enabled": False, "width_fraction": 0.1, "strength": 1.0}
+GAUGE_DEFAULTS = {"enabled": False, "order": 4, "ll_factor": LL_FACTOR, "bands": [0, 1]}
+SPONGE_DEFAULTS = asdict(SpongeConfig())
 
 
 @dataclass
@@ -75,8 +76,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"largest shell 2^{max(self.shells)} exceeds box_length/4"
             )
-        if len(set(self.shells)) < len(self.shells):
-            raise ConfigError(f"shells must be distinct, got {self.shells!r}")
+        check_distinct("shells", self.shells)
         if self.front_speed is not None and not self.front_speed > 0:
             raise ConfigError(f"front_speed must be null or positive, got {self.front_speed}")
         # the range measure_epsilon clamps the measured value to
@@ -102,6 +102,11 @@ class ExperimentConfig:
 
     def grid(self) -> Grid:
         return Grid(self.n_points, self.box_length)
+
+    def solver_state(self) -> SolverState:
+        """The moving-frame solver state of the run at t = 0."""
+        return SolverState(w=self.initial_field(), frame="moving", speed=self.frame_speed,
+                           dt=self.dt, sponge=SpongeConfig(**self.sponge))
 
     def initial_field(self) -> Field:
         grid = self.grid()
@@ -306,7 +311,7 @@ def _fft_order_table(grid: Grid, specs: list[tuple[float, str]], scale: float) -
 class SnapshotTables:
     """The snapshot-invariant tables of a run: the +- shell weights on their supports, the
     multipliers of the positive bands that some shell sums and each shell's low-pass
-    multiplier as two stacked tables in FFT order, and one ``GaugeBand`` per band.
+    multiplier as two stacked tables in FFT order, and one ``BandKernel`` per gauge band.
 
     Each table row carries the factor sqrt(2 pi) / dx of ``samples_of``.  A low-pass
     multiplier is real, even and zero at the Nyquist mode, so the low-pass of the real
@@ -337,7 +342,7 @@ class SnapshotTables:
         self._real = flat[BLOCK_ROWS * n // 2:].view(float).reshape(BLOCK_ROWS, n)
         self._mags = np.empty(n)
         gauge = config.gauge
-        self.gauge = {int(k): GaugeBand(grid, int(k), gauge["order"], gauge["ll_factor"])
+        self.gauge = {int(k): BandKernel(grid, int(k), gauge["order"], gauge["ll_factor"])
                       for k in (gauge["bands"] if gauge["enabled"] else [])}
 
     def _projected_abs(self, table: np.ndarray, cf: np.ndarray):
@@ -363,7 +368,7 @@ class SnapshotTables:
         """(sups[j][sign] as from ``weighted_shell_sup``, lowpass[j], bandsum[j], gauge[k][j])
         of one snapshot, from one forward transform of the field: the low-pass and band
         rows are inverted in blocks, and each gauge band takes one inverse (see
-        ``GaugeBand.bundle``)."""
+        ``normal_form.Bundle``)."""
         plus = {j: weights["+"] for j, weights in self.weights.items()}
         a = np.abs(w.samples)
         sups = {j: {sign: weighted_sup(weight, a) for sign, weight in weights.items()}
@@ -383,9 +388,9 @@ class SnapshotTables:
         if self.gauge:
             phi_c = phi_coeffs(w, c)
             # the first paraproduct of B_k(u, u) does not depend on k: one per snapshot
-            shared = next(iter(self.gauge.values())).kernel.paraproduct(c)
-            for k, band in self.gauge.items():
-                v_abs = np.abs(band.bundle(c, phi_c, shared).v)
+            shared = next(iter(self.gauge.values())).paraproduct(c)
+            for k, kernel in self.gauge.items():
+                v_abs = np.abs(Bundle(kernel, c, phi_c, shared).v)
                 gauge[k] = {j: weighted_sup(plus[j], v_abs) for j in self.shells}
         return sups, lowpass, bandsum, gauge
 
@@ -394,16 +399,8 @@ def run(config: ExperimentConfig) -> DecayReport:
     """Evolve the configured data and measure shell decay over time, each
     snapshot as ``solver.stream`` yields it."""
     grid = config.grid()
-    w0 = config.initial_field()
-    sponge = SpongeConfig(**config.sponge)
-    state = SolverState(
-        w=w0,
-        t=0.0,
-        frame="moving",
-        speed=config.frame_speed,
-        dt=config.dt,
-        sponge=sponge,
-    )
+    state = config.solver_state()
+    w0 = state.w
     eps_meas = measure_epsilon(w0, config.shells)
     tables = SnapshotTables(config)
     shells = tables.shells
@@ -443,7 +440,7 @@ def run(config: ExperimentConfig) -> DecayReport:
     budgets = {
         "box_wrap_tail": 2.0 * c0 / (c0**2 * (config.box_length / 2.0) ** 2 + 1.0),
         "contamination_time": {f"{j}": contamination_time(config, j) for j in shells},
-        "sponge": asdict(sponge),
+        "sponge": asdict(state.sponge),
         "mass_over_L": float(grid.dx * np.sum(w0.samples)) / config.box_length,
     }
     return DecayReport(

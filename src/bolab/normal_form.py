@@ -31,8 +31,11 @@ Delta_box as an explicit additive budget) and against the box-exact right
 side, whose residual converges at O(dt^2); both behaviours were verified by
 step-halving studies.
 
-Each snapshot is transformed once: ``transform`` builds one ``GaugeBand``
-and returns its ``Bundle`` (see there).  B_k(u, u) is formed from the first
+One band is one ``pseudoproduct.BandKernel``: its tables of B_k, chi_k^+
+(the multiplier of u_k^+) and the gauge low-pass serve every snapshot, so
+``transformed_residual`` builds one per call and a decay run one per gauge
+band.  Each snapshot is transformed once: ``transform`` returns its
+``Bundle`` (see there).  B_k(u, u) is ``BandKernel.apply`` given the first
 paraproduct ``BandKernel.paraproduct``, which a decay run computes once per
 snapshot for all of its bands.  phi is formed on coefficients, and A =
 u_k^+ + B_k(u, u) is inverted once; when the gauge low-pass keeps no mode of
@@ -42,10 +45,10 @@ a multiplier on coefficients in hand, inverted once; they agree with the
 field-by-field formula to 1e-13 times the largest term.
 
 The gauge low-pass threshold is 2^(k - factor*N) with factor configurable
-(default 100); desk-scale grids often resolve no modes below it, in which
-case phi_ll vanishes (mean-removed) and the gauge degenerates to 1.  What the
-decay arguments actually need is support separation from the 2^k band, which
-``GaugeBand`` asserts directly.
+(default ``pseudoproduct.LL_FACTOR``, 100); desk-scale grids often resolve
+no modes below it, in which case phi_ll vanishes (mean-removed) and the
+gauge degenerates to 1.  What the decay arguments actually need is support
+separation from the 2^k band, which ``BandKernel`` asserts directly.
 """
 
 from __future__ import annotations
@@ -57,9 +60,8 @@ from functools import cached_property
 import numpy as np
 
 from .cli import atomic_write_text
-from .errors import BolabError
-from .grid import ComplexField, Field, Grid
-from .pseudoproduct import QUARTIC_MARGIN, BandKernel, check_dealias_margin
+from .grid import ComplexField, Field
+from .pseudoproduct import LL_FACTOR, QUARTIC_MARGIN, BandKernel, check_dealias_margin
 from .spectral import (
     coeffs_of,
     derivative,
@@ -85,65 +87,38 @@ def gauge_polynomial(order: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_separation(order: int, ll_factor: float) -> None:
-    if order < 1 or ll_factor * order < 2:
-        raise BolabError(
-            f"gauge low-pass threshold 2^(k - {ll_factor}*{order}) is not "
-            "separated from the band; need order >= 1 and ll_factor * order >= 2"
-        )
-
-
-class GaugeBand:
-    """The tables of v_k for one band (the multiplier of u_k^+, the gauge
-    low-pass and the ``BandKernel`` of B_k), reused by a decay run at every snapshot."""
-
-    def __init__(self, grid: Grid, k: float, order: int, ll_factor: float = 100.0):
-        _check_separation(order, ll_factor)
-        self.grid, self.k, self.order = grid, k, order
-        self.kernel = BandKernel(grid, k, order, ll_factor)
-        # chi_k^+ is the multiplier of u_k^+, and ll the gauge low-pass: one table each
-        self.plus, self.low = self.kernel.chi, self.kernel.low
-
-    def bundle(self, c: np.ndarray, phi_c: np.ndarray, shared: np.ndarray) -> Bundle:
-        """The pieces of v_k at one snapshot, from the coefficients c of u, those
-        of phi (see ``phi_coeffs``) and ``shared`` = ``kernel.paraproduct(c)``,
-        which every band of the grid shares (see ``BandKernel.square``).
-
-        A = u_k^+ + B_k(u, u) is one inverse transform, of chi_k^+ c + b_c.  When
-        the gauge low-pass keeps no coefficient of phi, phi_ll = 0 and E_N(0) = 1
-        exactly, so v is A itself: phi_ll is not inverted and E_N not evaluated."""
-        warn_band_edge(self.grid, self.k)
-        b_c = self.kernel.square(c, shared)
-        a = samples_of(self.plus * c + b_c, self.grid)
-        phi_ll_c = self.low * phi_c
-        if not phi_ll_c.any():
-            return Bundle(self, c, b_c, a, np.zeros_like(a), a)
-        phi_ll = samples_of(phi_ll_c, self.grid)
-        return Bundle(self, c, b_c, a, phi_ll, a * gauge_polynomial(self.order, phi_ll))
-
-
-@dataclass
 class Bundle:
-    """One snapshot's pieces of v_k in one band, each computed once: the
-    coefficients c of u and b_c of B_k(u, u), and the samples of
-    A = u_k^+ + B_k(u, u), phi_ll and v_k = A E_N(phi_ll), which is A itself
-    when phi_ll = 0; u_k^+ and u_ll on first use, which only the terms make.
-    The four literal terms and Delta_box are formed from them."""
+    """One snapshot's pieces of v_k in the band of ``kernel``, each computed
+    once from the coefficients c of u, those phi_c of phi (see ``phi_coeffs``)
+    and ``shared`` = ``kernel.paraproduct(c)``, which every band of the grid
+    shares: the coefficients b_c of B_k(u, u), and the samples of
+    A = u_k^+ + B_k(u, u) (one inverse transform, of chi_k^+ c + b_c), phi_ll
+    and v_k = A E_N(phi_ll); u_k^+ and u_ll on first use, which only the terms
+    make.  When the gauge low-pass keeps no coefficient of phi, phi_ll = 0 and
+    E_N(0) = 1 exactly, so v is A itself: phi_ll is not inverted and E_N not
+    evaluated.  The four literal terms and Delta_box are formed from them."""
 
-    band: GaugeBand
-    c: np.ndarray
-    b_c: np.ndarray
-    a: np.ndarray
-    phi_ll: np.ndarray
-    v: np.ndarray
+    def __init__(self, kernel: BandKernel, c: np.ndarray, phi_c: np.ndarray,
+                 shared: np.ndarray):
+        grid = kernel.grid
+        warn_band_edge(grid, kernel.k)
+        self.kernel, self.c = kernel, c
+        self.b_c = kernel.apply(c, c, shared)
+        self.a = samples_of(kernel.chi * c + self.b_c, grid)
+        phi_ll_c = kernel.low * phi_c
+        if not phi_ll_c.any():
+            self.phi_ll, self.v = np.zeros_like(self.a), self.a
+        else:
+            self.phi_ll = samples_of(phi_ll_c, grid)
+            self.v = self.a * gauge_polynomial(kernel.order, self.phi_ll)
 
     @cached_property
     def u_kp(self) -> np.ndarray:
-        return samples_of(self.band.plus * self.c, self.band.grid)
+        return samples_of(self.kernel.chi * self.c, self.kernel.grid)
 
     @cached_property
     def u_ll(self) -> np.ndarray:
-        return samples_of(self.band.low * self.c, self.band.grid)
+        return samples_of(self.kernel.low * self.c, self.kernel.grid)
 
     def terms(self, u: Field | ComplexField) -> dict[str, ComplexField]:
         """The four nonlinear terms of the transformed equation, assembled
@@ -151,16 +126,16 @@ class Bundle:
         realized as 2i P^-.  Keys: B_rem (quadratic remainder), C_tilde,
         C (cubic), Q (quartic)."""
         check_dealias_margin(u, QUARTIC_MARGIN, self.c)
-        grid, band = u.grid, self.band
+        grid, kernel = u.grid, self.kernel
         c_usq = coeffs_of(multiply(u, u).samples, grid)
         # B_k is symmetric bit for bit: B(d_usq, u) + B(u, d_usq) = 2 B(d_usq, u);
         # its length-2n transforms set the peak memory, so it comes first
         c_tilde = -2j * samples_of(
-            band.kernel.apply(derivative_values(grid, 1) * c_usq, self.c), grid)
-        usq_ll = samples_of(band.low * c_usq, grid)
+            kernel.apply(derivative_values(grid, 1) * c_usq, self.c), grid)
+        usq_ll = samples_of(kernel.low * c_usq, grid)
         d1 = derivative_values(grid, 1)
-        hpi_du_ll = 2j * samples_of(band.kernel.minus * d1 * band.low * self.c, grid)
-        d_u_kp = samples_of(d1 * band.plus * self.c, grid)
+        hpi_du_ll = 2j * samples_of(kernel.minus * d1 * kernel.low * self.c, grid)
+        d_u_kp = samples_of(d1 * kernel.chi * self.c, grid)
         b_rem = hpi_du_ll * self.u_kp + 2j * self.u_ll * d_u_kp
         d_bu = samples_of(d1 * self.b_c, grid)
         bu = self.a - self.u_kp
@@ -182,7 +157,7 @@ class Bundle:
         expansion (identically zero whenever the low-pass resolves only the mean).
         """
         terms = self.terms(u)
-        order = self.band.order
+        order = self.kernel.order
         e_nm1 = gauge_polynomial(order - 1, self.phi_ll)
         g_top = (-1j * self.phi_ll) ** order / math.factorial(order)
         rhs = (
@@ -195,7 +170,7 @@ class Bundle:
         ubar = float(np.mean(u.samples))
         mean_sq = float(np.mean(u.samples**2))
         e_nm2 = gauge_polynomial(order - 2, self.phi_ll)
-        da = samples_of(derivative_values(u.grid, 1) * (self.band.plus * self.c + self.b_c),
+        da = samples_of(derivative_values(u.grid, 1) * (self.kernel.chi * self.c + self.b_c),
                         u.grid)
         delta = mean_sq * a * e_nm1 - 2j * ubar * da * e_nm1 + a * (self.u_ll - ubar) ** 2 * e_nm2
         return rhs, delta, max(term.sup_norm() for term in terms.values())
@@ -212,11 +187,11 @@ def phi_coeffs(u: Field, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def transform(u: Field, k: float, order: int, ll_factor: float = 100.0) -> Bundle:
-    """The bundle of v_k = (u_k^+ + B_k(u,u)) E_N(phi_ll), whose ``v`` holds its samples."""
+def transform(u: Field, kernel: BandKernel) -> Bundle:
+    """The bundle of v_k = (u_k^+ + B_k(u,u)) E_N(phi_ll) in the band of
+    ``kernel``, whose ``v`` holds its samples."""
     c = coeffs_of(u.samples, u.grid)
-    band = GaugeBand(u.grid, k, order, ll_factor)
-    return band.bundle(c, phi_coeffs(u, c), band.kernel.paraproduct(c))
+    return Bundle(kernel, c, phi_coeffs(u, c), kernel.paraproduct(c))
 
 
 #: CSV column names of the ``ResidualReport`` fields named differently
@@ -251,7 +226,7 @@ def transformed_residual(
     snapshots: list[tuple[float, Field]],
     k: float,
     order: int,
-    ll_factor: float = 100.0,
+    ll_factor: float = LL_FACTOR,
 ) -> ResidualReport:
     """Centered-difference residual of the transformed equation.
 
@@ -269,11 +244,12 @@ def transformed_residual(
     if not np.allclose(dts, dt, rtol=1e-8, atol=1e-12):
         raise ValueError("snapshots must be uniformly spaced in time")
     grid = snapshots[0][1].grid
+    kernel = BandKernel(grid, k, order, ll_factor)
 
     vs, sides = [], []
     scale = budget_alias = 0.0
     for i, (_, u) in enumerate(snapshots):
-        bundle = transform(u, k, order, ll_factor)
+        bundle = transform(u, kernel)
         vs.append(bundle.v)
         if 0 < i < len(snapshots) - 1:
             rhs, delta, term_scale = bundle.right_side(u)
@@ -283,7 +259,7 @@ def transformed_residual(
                 budget_alias,
                 spectral_tail_mass(u, QUARTIC_MARGIN, bundle.c) * (1.0 + u.sup_norm()),
             )
-        del bundle  # one snapshot's bundle and tables at a time
+        del bundle  # one snapshot's bundle at a time
     worst_literal = worst_exact = budget_mass = 0.0
     for i, (rhs, delta) in enumerate(sides, start=1):
         lhs = 1j * (vs[i + 1] - vs[i - 1]) / (2.0 * dt) - derivative(

@@ -62,7 +62,7 @@ from typing import Callable
 import numpy as np
 
 from . import cutoffs
-from .errors import AliasingWarning
+from .errors import AliasingWarning, BolabError
 from .grid import ComplexField, Field, Grid
 from .spectral import (
     coeffs_of,
@@ -82,6 +82,9 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: products contribute symbols with a 1/sqrt(2 pi) factor under the symmetric
 #: transform convention, and the solved symbol enters with a minus sign.
 NF_NORMALIZATION = -1.0 / SQRT_2PI
+
+#: default factor of the gauge low-pass threshold 2^(k - factor * order)
+LL_FACTOR = 100.0
 
 #: dealiasing margin of the quartic terms of the transformed equation, as a
 #: fraction of the Nyquist frequency
@@ -192,26 +195,37 @@ def _lattice_conv(a: np.ndarray, b: np.ndarray, grid: Grid,
     return out
 
 
-class BandKernel:
-    """The tables of B_k for one band (chi = chi_k^+, ll = chi_{<<k}, 1/(2 xi),
-    the half-line projectors as boolean masks, the output mask), applied to any
-    number of inputs.
+def _check_separation(order: int, ll_factor: float) -> None:
+    if order < 1 or ll_factor * order < 2:
+        raise BolabError(
+            f"gauge low-pass threshold 2^(k - {ll_factor}*{order}) is not "
+            "separated from the band; need order >= 1 and ll_factor * order >= 2"
+        )
 
-    A ``GaugeBand`` shares ``chi``, which vanishes for xi <= 0 and so equals
-    ``lp_values(grid, k, "plus")``, and ``low``, the gauge low-pass of
-    ``lp_values`` (Nyquist zeroed); ``half`` only multiplies ``low`` into
-    inputs that ``both`` has zeroed at the Nyquist mode, where it could differ
-    from chi_{<<k}.  A boolean mask multiplies a complex array as 1+0j or 0j,
-    as a 0/1 float table does, so the products are the same bit for bit.
+
+class BandKernel:
+    """One band k of the normal form at truncation order N: the tables of B_k
+    (chi = chi_k^+, ll = chi_{<<k}, 1/(2 xi), the half-line projectors as
+    boolean masks, the output mask), applied to any number of inputs, which
+    also serve v_k (``normal_form.Bundle``).  A gauge low-pass that is not
+    separated from the band raises BolabError.
+
+    ``chi`` vanishes for xi <= 0 and so equals ``lp_values(grid, k, "plus")``,
+    the multiplier of u_k^+; ``low`` is the gauge low-pass of ``lp_values``
+    (Nyquist zeroed), which ``half`` only multiplies into inputs that
+    ``both`` has zeroed at the Nyquist mode, where it could differ from
+    chi_{<<k}.  A boolean mask multiplies a complex array as 1+0j or 0j, as a
+    0/1 float table does, so the products are the same bit for bit.
 
     ``chi_range`` and ``ll_range`` are the index ranges on which chi and
     ll / (2 xi) can be nonzero; the second paraproduct of ``half`` convolves
     only those, and is empty, with no transform, when ll resolves only
     xi = 0.  The first paraproduct uses no table of the band, so the bands of
-    one grid can share it (``paraproduct``, ``square``)."""
+    one grid can share it (``paraproduct``)."""
 
-    def __init__(self, grid: Grid, k: float, order: int, ll_factor: float = 100.0):
-        self.grid = grid
+    def __init__(self, grid: Grid, k: float, order: int, ll_factor: float = LL_FACTOR):
+        _check_separation(order, ll_factor)
+        self.grid, self.k, self.order = grid, k, order
         self.chi = cutoffs.shell(k, grid.xi)
         self.low = lp_values(grid, k - ll_factor * order, "leq")
         self.inv2xi = np.divide(0.5, grid.xi, out=np.zeros(grid.n_points), where=grid.xi != 0)
@@ -239,33 +253,29 @@ class BandKernel:
     def paraproduct(self, c: np.ndarray) -> np.ndarray:
         """conv(P+u, Pu / (2 xi)) from the coefficients c of u: the first
         paraproduct of B_k(u, u), built from grid-only masks, so one serves
-        every band of the grid (see ``square``)."""
+        every band of the grid (see ``apply``)."""
         return _lattice_conv(self.plus * c, self.both * c * self.inv2xi, self.grid)
 
-    def apply(self, fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
+    def apply(self, fc: np.ndarray, gc: np.ndarray, shared: np.ndarray | None = None) -> np.ndarray:
         """Coefficients of B_k(f, g) from the coefficients of f and g: the sum
-        of the branches, masked to the output band and normalized."""
-        return self._coeffs(*_branches(self, fc, gc))
-
-    def square(self, c: np.ndarray, shared: np.ndarray) -> np.ndarray:
-        """Coefficients of B_k(u, u) from the coefficients c of u and
-        ``shared`` = ``paraproduct(c)``, which the bands of one snapshot share;
-        equal to ``apply(c, c)`` bit for bit."""
-        part = self.half(self.plus * c, self.both * c, shared)
-        return self._coeffs(part, part)
-
-    def _coeffs(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        of the branches, masked to the output band and normalized.  For
+        ``gc is fc``, ``shared`` may pass in ``paraproduct(fc)``, which the
+        bands of one snapshot share; the result is the same bit for bit."""
+        if shared is not None and gc is not fc:
+            raise ValueError("a shared paraproduct serves only B_k(u, u)")
+        first, second = _branches(self, fc, gc, shared)
         out = first + second
         out[self.outside] = 0.0
         return NF_NORMALIZATION * out
 
 
-def _branches(kernel: BandKernel, fc: np.ndarray, gc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _branches(kernel: BandKernel, fc: np.ndarray, gc: np.ndarray,
+              shared: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of half(P+f, Pg) and half(P+g, Pf), whose sum is the sum
     of the three nonzero branches of B_k(f, g) before the output mask and the
     normalization.  For ``gc is fc`` the two halves are equal and the one is
-    computed once."""
-    first = kernel.half(kernel.plus * fc, kernel.both * gc)
+    computed once, from ``shared`` when it is given."""
+    first = kernel.half(kernel.plus * fc, kernel.both * gc, shared)
     return first, first if gc is fc else kernel.half(kernel.plus * gc, kernel.both * fc)
 
 
@@ -274,7 +284,7 @@ def assemble_B(
     order: int,
     f: Field | ComplexField,
     g: Field | ComplexField,
-    ll_factor: float = 100.0,
+    ll_factor: float = LL_FACTOR,
 ) -> ComplexField:
     """The quadratic normal-form correction B_k(f, g), in O(n log n) time
     and O(n) memory.
@@ -318,7 +328,7 @@ def nf_generator_terms(
     u: Field | ComplexField,
     k: float,
     order: int,
-    ll_factor: float = 100.0,
+    ll_factor: float = LL_FACTOR,
 ) -> dict[str, ComplexField]:
     """The six terms of the quadratic generator whose sum must vanish.
 
@@ -360,7 +370,7 @@ def verify_nf_cancellation(
     u: Field | ComplexField,
     k: float,
     order: int,
-    ll_factor: float = 100.0,
+    ll_factor: float = LL_FACTOR,
 ) -> tuple[float, float]:
     """(residual, scale): the sup norm of the assembled quadratic generator,
     zero when the branch symbols solve the cancellation equation, and the

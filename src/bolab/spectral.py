@@ -186,15 +186,13 @@ def _check_shell(grid: Grid, j: float) -> None:
 
 
 def spatial_cutoff_values(grid: Grid, j: float, sign: str = "+") -> np.ndarray:
-    """Values of the dyadic shell chi_j on the grid points, at x, -x or |x|."""
+    """Values of the dyadic shell chi_j on the grid points, at x or -x."""
     _check_shell(grid, j)
     x = grid.x
     if sign == "+":
         y = x
     elif sign == "-":
         y = -x
-    elif sign == "both":
-        y = np.abs(x)
     else:
         raise ValueError(f"unknown sign {sign!r}")
     return np.asarray(cutoffs.shell(j, y), dtype=float)

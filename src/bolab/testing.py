@@ -17,7 +17,7 @@ import numpy as np
 from . import cutoffs
 from .grid import ComplexField, Field, Grid
 from .kernels import KernelSpec, fit_decay, phase_integral, sweep
-from .pseudoproduct import BilinearSymbol, verify_nf_cancellation
+from .pseudoproduct import LL_FACTOR, BilinearSymbol, verify_nf_cancellation
 from .spectral import (apply_multiplier, coeffs_of, derivative, hilbert, lp_partition_bounds,
                        lp_project, samples_of, spatial_cutoff)
 
@@ -226,7 +226,8 @@ def _complement_ratio(k: float, order: int, factor: float, den) -> np.ndarray:
     return np.where(small, 0.0, numer / (2.0 * np.where(small, 1.0, den)))
 
 
-def nf_branch_symbol(k: float, order: int, branch: str, ll_factor: float = 100.0) -> BilinearSymbol:
+def nf_branch_symbol(k: float, order: int, branch: str,
+                     ll_factor: float = LL_FACTOR) -> BilinearSymbol:
     """Closed-form symbol of one nonzero branch of the quadratic normal-form
     correction; with ``pseudoproduct.bilinear_apply`` the dense O(n^2) oracle
     of ``assemble_B``.

@@ -301,6 +301,12 @@ def test_threads_flag_is_gone(capsys):
     ("verify-normal-form", "bands=[1.5]", "bands must be distinct integers, got [1.5]"),
     ("verify-normal-form", "bands=[1, 1]", "bands must be distinct integers, got [1, 1]"),
     ("verify-normal-form", "bands=[1, 1.0]", "bands must be distinct integers, got [1, 1.0]"),
+    # a sweep fitted through repeated parameters would report a made-up slope
+    ("verify-kernels", "t_sweep.times=[64.0,64.0,64.0,64.0]",
+     "t_sweep.times must be distinct, got [64.0, 64.0, 64.0, 64.0]"),
+    ("verify-kernels", "j_sweep.shells=[5,6,7,7]", "j_sweep.shells must be distinct"),
+    ("verify-kernels", "right_sweep.times=[46.0,52.0,52.0,58.0]",
+     "right_sweep.times must be distinct"),
 ])
 def test_verify_rejects_bad_config(tmp_path, capsys, command, override, message):
     code = main([command, "--output-dir", str(tmp_path), "--override", override])

@@ -18,9 +18,9 @@ from bolab.decay import (
 )
 from bolab.errors import AcceptanceFailure, ConfigError, DegenerateSeriesError
 from bolab.grid import Field, Grid
-from bolab.normal_form import gauge_polynomial, phi_coeffs, transform
-from bolab.pseudoproduct import assemble_B
-from bolab.solver import SolverState, SpongeConfig, evolve, soliton
+from bolab.normal_form import Bundle, gauge_polynomial, phi_coeffs, transform
+from bolab.pseudoproduct import BandKernel, assemble_B
+from bolab.solver import evolve, soliton
 from bolab.spectral import (
     coeffs_of,
     fft_ordered,
@@ -270,16 +270,15 @@ def test_gauge_tables_reused_over_a_run_match_fresh_transform():
     cfg = _small_config(t_final=0.06, snapshot_stride=10, gauge=gauge)
     rep = run(cfg)
     tables = SnapshotTables(cfg)
-    state = SolverState(w=cfg.initial_field(), frame="moving", speed=cfg.frame_speed, dt=cfg.dt)
-    snaps = evolve(state, cfg.t_final, snapshot_stride=cfg.snapshot_stride)
+    snaps = evolve(cfg.solver_state(), cfg.t_final, snapshot_stride=cfg.snapshot_stride)
     assert [s.t for s in snaps] == rep.times and len(snaps) == 4
     g = cfg.grid()
     for i, snap in enumerate(snaps):
         c = coeffs_of(snap.w.samples, g)
         phi_c = phi_coeffs(snap.w, c)
-        for k, band in tables.gauge.items():
-            fresh = transform(snap.w, k, 4, 100.0).v
-            assert np.array_equal(band.bundle(c, phi_c, band.kernel.paraproduct(c)).v, fresh)
+        for k, kernel in tables.gauge.items():
+            fresh = transform(snap.w, BandKernel(g, k, 4, 100.0)).v
+            assert np.array_equal(Bundle(kernel, c, phi_c, kernel.paraproduct(c)).v, fresh)
             for j in rep.shells:
                 weights = spatial_cutoff_values(g, j, "+")
                 assert rep.gauge_sup[f"{k}"][f"{j}"][i] == float(np.max(weights * np.abs(fresh)))
@@ -313,9 +312,7 @@ def test_streamed_run_equals_in_process_evolve_and_measure():
                         initial={"kind": "soliton_bump"})
     rep = run(cfg)
     tables = SnapshotTables(cfg)
-    state = SolverState(w=cfg.initial_field(), frame="moving", speed=cfg.frame_speed,
-                        dt=cfg.dt, sponge=SpongeConfig(**cfg.sponge))
-    snaps = evolve(state, cfg.t_final, snapshot_stride=cfg.snapshot_stride)
+    snaps = evolve(cfg.solver_state(), cfg.t_final, snapshot_stride=cfg.snapshot_stride)
     measured = [tables.measure(snap.w) for snap in snaps]
     assert rep.times == [snap.t for snap in snaps] and len(snaps) == 4
     for j in rep.shells:
@@ -353,18 +350,17 @@ def test_gauge_bands_sharing_the_paraproduct_match_fresh_transform():
     cfg = _small_config(t_final=0.04, snapshot_stride=10, gauge=gauge)
     rep = run(cfg)
     tables = SnapshotTables(cfg)
-    state = SolverState(w=cfg.initial_field(), frame="moving", speed=cfg.frame_speed, dt=cfg.dt)
-    snaps = evolve(state, cfg.t_final, snapshot_stride=cfg.snapshot_stride)
+    snaps = evolve(cfg.solver_state(), cfg.t_final, snapshot_stride=cfg.snapshot_stride)
     assert [s.t for s in snaps] == rep.times and len(snaps) == 3
     g = cfg.grid()
     for i, snap in enumerate(snaps):
         gauge_sups = tables.measure(snap.w)[3]
         c = coeffs_of(snap.w.samples, g)
         phi_c = phi_coeffs(snap.w, c)
-        shared = tables.gauge[0].kernel.paraproduct(c)
-        for k, band in tables.gauge.items():
-            fresh = transform(snap.w, k, 4, 100.0).v
-            assert np.array_equal(band.bundle(c, phi_c, shared).v, fresh)
+        shared = tables.gauge[0].paraproduct(c)
+        for k, kernel in tables.gauge.items():
+            fresh = transform(snap.w, BandKernel(g, k, 4, 100.0)).v
+            assert np.array_equal(Bundle(kernel, c, phi_c, shared).v, fresh)
             for j in rep.shells:
                 weights = spatial_cutoff_values(g, j, "+")
                 expected = float(np.max(weights * np.abs(fresh)))

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bolab import cutoffs
+from bolab import cutoffs, kernels
 from bolab.errors import DegenerateSeriesError, KernelDomainError, QuadratureWarning
 from bolab.kernels import (
     KernelSpec,
@@ -181,18 +181,15 @@ def test_batched_rule_matches_quad_oracle(spec, points):
         assert abs(value - _quad_oracle(spec, x, y, 0.1 * tol)) <= tol
 
 
-def test_nonconvergence_is_flagged():
-    spec = KernelSpec(variant="lowfreq-left", j=0.0, t=2048.0, a=1, quad_tol=1e-12,
-                      quad_limit=8)
+def test_nonconvergence_is_flagged(monkeypatch):
+    monkeypatch.setattr(kernels, "QUAD_LIMIT", 8)
+    spec = KernelSpec(variant="lowfreq-left", j=0.0, t=2048.0, a=1, quad_tol=1e-12)
     with pytest.warns(QuadratureWarning, match="did not converge"):
         res = phase_integral(spec, np.array([0.5, 2.0]), np.array([-2.0, 0.0]))
     assert res.converged is False
     with pytest.warns(QuadratureWarning):
         rows = sweep(spec, "t", [1024.0, 2048.0], nx=3, ny=3)
     assert [r["quad_flag"] for r in rows] == [1, 1]
-    # one panel leaves no coarser rule to estimate the error against
-    with pytest.raises(KernelDomainError):
-        KernelSpec(variant="lowfreq-left", j=0.0, t=2048.0, quad_limit=1)
 
 
 def test_scalar_kernel_value_matches_batched_sup():
@@ -233,6 +230,8 @@ def test_fit_constant_series():
 def test_fit_rejects_degenerate_series():
     with pytest.raises(DegenerateSeriesError):
         fit_decay([(1.0, 1.0), (2.0, 0.5), (3.0, 0.25)])  # too short
+    with pytest.raises(DegenerateSeriesError, match="distinct"):
+        fit_decay([(3.0, 1e-3), (3.0, 1e-3), (3.0, 2e-3), (3.0, 1e-3)])  # one parameter
     with pytest.raises(DegenerateSeriesError):
         fit_decay([(1.0, 1.0), (2.0, 0.5), (3.0, 0.0), (4.0, 0.1)])  # zero value
 

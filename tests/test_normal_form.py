@@ -4,9 +4,8 @@ import pytest
 from bolab.errors import BolabError
 from bolab.grid import ComplexField, Field, Grid
 from bolab.kernels import fit_decay
-from bolab.normal_form import (GaugeBand, gauge_polynomial, phi_coeffs, transform,
-                               transformed_residual)
-from bolab.pseudoproduct import BandKernel, assemble_B
+from bolab.normal_form import gauge_polynomial, phi_coeffs, transform, transformed_residual
+from bolab.pseudoproduct import BandKernel, assemble_B, nf_generator_terms
 from bolab.solver import SolverState, evolve, soliton
 from bolab.spectral import (coeffs_of, derivative, hilbert, lp_project, lp_values, multiply,
                             weighted_shell_sup)
@@ -17,10 +16,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::bolab.errors.AliasingWarning")
 
 def rhs_terms(u, k, order, ll_factor=100.0):
     """The four nonlinear terms of the transformed equation (``Bundle.terms``)."""
-    band = GaugeBand(u.grid, k, order, ll_factor)
-    c = coeffs_of(u.samples, u.grid)
-    # the terms do not read phi, whose coefficients are left zero
-    return band.bundle(c, np.zeros_like(c), band.kernel.paraproduct(c)).terms(u)
+    return transform(u, BandKernel(u.grid, k, order, ll_factor)).terms(u)
 
 
 def phi_equation_residual(snapshots):
@@ -68,7 +64,7 @@ def test_gauge_polynomial_values():
 
 def test_gauge_context_zero_field(grid_small):
     z = Field(grid_small, np.zeros(grid_small.n_points))
-    bundle = transform(z, 2.0, 4)
+    bundle = transform(z, BandKernel(z.grid, 2.0, 4))
     phi, mass = antiderivative_mean_removed(z)
     assert phi.sup_norm() == 0.0 and np.max(np.abs(bundle.phi_ll)) == 0.0
     assert np.allclose(gauge_polynomial(4, bundle.phi_ll), 1.0)
@@ -76,9 +72,17 @@ def test_gauge_context_zero_field(grid_small):
 
 
 def test_gauge_context_requires_support_separation(grid_small, rng):
+    # the band object checks the separation, so every entry point that builds
+    # one raises the same error
     u = random_band_limited(grid_small, rng, 0.25)
-    with pytest.raises(BolabError):
-        transform(u, 2.0, 1, ll_factor=1.0)
+    snaps = [(0.0, u), (1e-3, u), (2e-3, u)]
+    for build in (lambda: BandKernel(u.grid, 2.0, 1, 1.0),
+                  lambda: assemble_B(2.0, 1, u, u, 1.0),
+                  lambda: nf_generator_terms(u, 2.0, 1, 1.0),
+                  lambda: transformed_residual(snaps, 2.0, 1, 1.0),
+                  lambda: BandKernel(u.grid, 2.0, 0)):
+        with pytest.raises(BolabError, match="not separated"):
+            build()
 
 
 def test_gauge_boundedness_for_soliton():
@@ -87,7 +91,7 @@ def test_gauge_boundedness_for_soliton():
     s = soliton(1.0, 0.0, g)
     assert antiderivative_mean_removed(s)[0].sup_norm() < 1.1 * np.pi
     for order in (6, 8):
-        phi_ll = transform(s, 2.0, order, ll_factor=1.0).phi_ll
+        phi_ll = transform(s, BandKernel(s.grid, 2.0, order, 1.0)).phi_ll
         mags = np.abs(gauge_polynomial(order, phi_ll))
         assert np.min(mags) >= 0.5
         assert np.max(mags) <= 2.0
@@ -115,7 +119,7 @@ def test_phi_equation_residual_along_run(rng):
 
 def test_transform_zero_field(grid_small):
     z = Field(grid_small, np.zeros(grid_small.n_points))
-    bundle = transform(z, 2.0, 4)
+    bundle = transform(z, BandKernel(z.grid, 2.0, 4))
     assert np.max(np.abs(bundle.v)) == 0.0
 
 
@@ -124,7 +128,7 @@ def test_transform_frequency_support_audit(rng):
     g = Grid(512, 16 * np.pi)
     u = random_band_limited(g, rng, 0.25)
     k, order, factor = 3.0, 2, 2.0
-    bundle = transform(u, k, order, ll_factor=factor)
+    bundle = transform(u, BandKernel(u.grid, k, order, factor))
     c = coeffs_of(bundle.v, g)
     energy = np.abs(c) ** 2
     window = (g.xi > 0) & (g.xi >= 2.0 ** (k - 2)) & (g.xi <= 2.0 ** (k + 2))
@@ -150,7 +154,7 @@ def test_trivial_gauge_bundle_is_a_itself(rng, n, box, k):
     # E_N(0) = 1 exactly and v is A, with no transform of phi_ll
     grid = Grid(n, box)
     u = Field(grid, random_band_limited(grid, rng, 0.25).samples + 0.2)
-    bundle = transform(u, k, 4, ll_factor=100.0)
+    bundle = transform(u, BandKernel(u.grid, k, 4, 100.0))
     assert not np.any(bundle.phi_ll)
     assert np.array_equal(bundle.v, bundle.a)
     assert np.array_equal(bundle.v, bundle.a * gauge_polynomial(4, bundle.phi_ll))
@@ -165,7 +169,7 @@ def test_transform_reduces_to_band_plus_correction_when_gauge_trivial(rng):
     u = random_band_limited(g, rng, 0.25)
     from bolab.spectral import lp_project
 
-    bundle = transform(u, 2.0, 4, ll_factor=100.0)
+    bundle = transform(u, BandKernel(u.grid, 2.0, 4, 100.0))
     direct = lp_project(u, 2.0, "plus").samples + assemble_B(2.0, 4, u, u).samples
     assert np.max(np.abs(bundle.v - direct)) < 1e-14
 
@@ -178,16 +182,17 @@ def test_transform_reduces_to_band_plus_correction_when_gauge_trivial(rng):
 @pytest.mark.parametrize("n, k, order, factor", [(2048, 1.0, 4, 3.0), (4096, 0.0, 4, 100.0),
                                                  (256, -2.0, 2, 1.0)])
 def test_gauge_band_shares_the_kernel_tables(n, k, order, factor):
-    # one table each for chi_k^+ and the gauge low-pass, byte for byte the
-    # lp_values multipliers; the kernel's projectors are boolean masks
+    # one band object: its tables of B_k include chi_k^+ and the gauge
+    # low-pass of v_k, byte for byte the lp_values multipliers; its
+    # projectors are boolean masks
     g = Grid(n, 400.0)
-    band = GaugeBand(g, k, order, factor)
-    assert band.plus is band.kernel.chi and band.low is band.kernel.low
-    assert band.plus.tobytes() == lp_values(g, k, "plus").tobytes()
-    assert band.low.tobytes() == lp_values(g, k - factor * order, "leq").tobytes()
-    assert band.kernel.plus.dtype == band.kernel.both.dtype == bool
-    assert np.array_equal(band.kernel.plus, g.xi > 0)
-    assert np.array_equal(band.kernel.both, (g.xi != 0) & (np.arange(n) > 0))
+    kernel = BandKernel(g, k, order, factor)
+    assert (kernel.k, kernel.order) == (k, order)
+    assert kernel.chi.tobytes() == lp_values(g, k, "plus").tobytes()
+    assert kernel.low.tobytes() == lp_values(g, k - factor * order, "leq").tobytes()
+    assert kernel.plus.dtype == kernel.both.dtype == bool
+    assert np.array_equal(kernel.plus, g.xi > 0)
+    assert np.array_equal(kernel.both, (g.xi != 0) & (np.arange(n) > 0))
 
 
 def test_rhs_terms_zero_field(grid_small):
@@ -334,7 +339,7 @@ def test_box_correction_vanishes_for_mean_free_trivial_gauge(grid_medium, rng):
     # with factor 100 the gauge low-pass is empty and the data mean-zero, so
     # only the mean(u^2) piece survives
     u = random_band_limited(grid_medium, rng, 0.25)
-    _, corr, _ = transform(u, 2.0, 4, ll_factor=100.0).right_side(u)
+    _, corr, _ = transform(u, BandKernel(u.grid, 2.0, 4, 100.0)).right_side(u)
     from bolab.spectral import lp_project
 
     a = lp_project(u, 2.0, "plus").samples + assemble_B(2.0, 4, u, u).samples
@@ -385,7 +390,7 @@ def test_right_side_matches_the_field_by_field_terms(rng, n, box, k, order, fact
     grid = Grid(n, box)
     u = Field(grid, random_band_limited(grid, rng, 0.25).samples + mean)
     reference, ref_delta = _right_side_field_by_field(u, k, order, factor)
-    bundle = transform(u, k, order, factor)
+    bundle = transform(u, BandKernel(u.grid, k, order, factor))
     terms = bundle.terms(u)
     rhs, delta, term_scale = bundle.right_side(u)
     scale = max(np.max(np.abs(t)) for t in (*reference.values(), ref_delta))
@@ -403,34 +408,29 @@ def test_right_side_matches_the_field_by_field_terms(rng, n, box, k, order, fact
 
 @pytest.mark.parametrize("n_snapshots", [3, 5])
 def test_residual_builds_and_applies_one_kernel_per_snapshot(monkeypatch, n_snapshots):
-    # each snapshot's transform builds one BandKernel and applies B_k(u, u)
-    # once (``square``); each interior snapshot adds one application,
-    # B_k(d(u^2), u) (``apply``)
+    # one BandKernel per call, whatever the number of snapshots; each
+    # snapshot's transform applies B_k(u, u) once, and each interior snapshot
+    # adds one application, B_k(d(u^2), u)
     builds, applies = [], []
-    init, apply, square = BandKernel.__init__, BandKernel.apply, BandKernel.square
+    init, apply = BandKernel.__init__, BandKernel.apply
 
     def counted_init(self, *args, **kwargs):
         builds.append(1)
         init(self, *args, **kwargs)
 
-    def counted_apply(self, fc, gc):
+    def counted_apply(self, *args, **kwargs):
         applies.append(1)
-        return apply(self, fc, gc)
-
-    def counted_square(self, c, shared):
-        applies.append(1)
-        return square(self, c, shared)
+        return apply(self, *args, **kwargs)
 
     monkeypatch.setattr(BandKernel, "__init__", counted_init)
     monkeypatch.setattr(BandKernel, "apply", counted_apply)
-    monkeypatch.setattr(BandKernel, "square", counted_square)
     g = Grid(2048, 400.0)
     dt = 1e-3
     st = SolverState(w=soliton(1.0, 0.0, g), frame="lab", dt=dt)
     snaps = evolve(st, (n_snapshots - 1) * dt, snapshot_stride=1, record_ledger=False)
     assert len(snaps) == n_snapshots
     transformed_residual([(s.t, s.w) for s in snaps], 1.0, 4, 3.0)
-    assert len(builds) <= n_snapshots
+    assert len(builds) == 1
     assert len(applies) == 2 * n_snapshots - 2
 
 

@@ -433,7 +433,7 @@ def test_generator_terms_match_the_field_by_field_terms(
     assert (ll_hi > ll_lo) == (factor < 100.0)
 
 
-def test_band_kernel_square_with_the_shared_paraproduct_equals_apply_bitwise(rng):
+def test_band_kernel_apply_with_the_shared_paraproduct_equals_apply_bitwise(rng):
     # also where chi_{<<k} covers lattice modes (factor 1, order 2), so that
     # the second paraproduct runs on a nonempty short range
     grid = Grid(1024, 2000.0)
@@ -443,7 +443,10 @@ def test_band_kernel_square_with_the_shared_paraproduct_equals_apply_bitwise(rng
     assert kernels[0].ll_range == (0, 0) and kernels[2].ll_range[1] - kernels[2].ll_range[0] > 100
     shared = kernels[0].paraproduct(c)
     for kernel in kernels:
-        assert np.array_equal(kernel.square(c, shared), kernel.apply(c, c))
+        assert np.array_equal(kernel.apply(c, c, shared), kernel.apply(c, c))
+    # a paraproduct of u serves only B_k(u, u)
+    with pytest.raises(ValueError):
+        kernels[0].apply(c, c.copy(), shared)
 
 
 def test_assemble_B_memory_is_flat():

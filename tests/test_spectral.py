@@ -238,9 +238,9 @@ def test_spatial_telescoping(grid_small):
     g = grid_small
     one = Field(g, np.ones(g.n_points))
     jmax = 3
-    total = np.asarray(
-        sum(spatial_cutoff(one, float(j), "both").samples for j in range(1, jmax + 1))
-    )
+    # the shells at x and at -x together: chi_j(|x|)
+    total = np.asarray(sum(spatial_cutoff(one, float(j), sign).samples
+                           for j in range(1, jmax + 1) for sign in "+-"))
     from bolab import cutoffs
 
     total += cutoffs.le_abs(0, g.x)

@@ -2,8 +2,9 @@
 the shared test helpers and oracles), against its callers: ``src/bolab``
 itself, ``perfbench/*.py`` and ``tests/test_acceptance.py``.
 
-* Every top-level function and class has a caller: a name or attribute
-  reference to it somewhere outside its own definition.
+* Every top-level function and class, and every method of a top-level class
+  (dunder methods aside, which Python calls), has a caller: a name or
+  attribute reference to it somewhere outside its own definition.
 * Every defaulted parameter of a function or method is passed by some call
   of that name: by keyword, or by position (a method's ``self`` is not
   passed, and ``__init__`` is called by its class's name), or through
@@ -39,15 +40,26 @@ def _references(tree: ast.AST) -> Counter:
                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
 
 
-def test_every_top_level_name_has_a_caller():
+def _definitions(tree: ast.Module):
+    """(qualified name, node) for each top-level function and class of
+    ``tree`` and each method of its classes but the dunder ones."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                    yield f"{node.name}.{method.name}", method
+
+
+def test_every_top_level_name_and_method_has_a_caller():
     trees = _trees()
     total = sum((_references(tree) for tree in trees.values()), Counter())
     unreferenced = [
-        f"{path.stem}.{node.name}"
+        f"{path.stem}.{name}"
         for path in CHECKED
-        for node in trees[path].body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and total[node.name] == _references(node)[node.name]
+        for name, node in _definitions(trees[path])
+        if total[node.name] == _references(node)[node.name]
     ]
     assert unreferenced == []
 
