@@ -171,6 +171,16 @@ def atomic_write_text(path: str, text: str | bytes) -> None:
         raise
 
 
+def write_csv(path: str, header: str, rows) -> None:
+    """Write the line ``header``, then one line per row of ``rows``, each
+    value as itself if it is a string and as its ``repr`` otherwise, as the
+    CSV ``path``: the one writer of every CSV artifact (LF line ends, written
+    atomically)."""
+    lines = [header, *(",".join(v if isinstance(v, str) else repr(v) for v in row)
+                       for row in rows)]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 def json_text(data) -> str:
     """``data`` as indented, key-sorted JSON; a NaN or infinity raises AcceptanceFailure."""
     try:
@@ -220,17 +230,12 @@ OPERATOR_DEFAULTS = {
 }
 
 
-def _write_checks(path: str, rows: list[tuple], extra: list[str] = ()) -> bool:
+def _write_checks(path: str, rows: list[tuple], extra: list[tuple] = ()) -> bool:
     """Write (measurement, value, threshold) rows and their pass flags, then
-    ``extra`` lines, as one CSV; True when every row passes."""
-    lines = ["measurement,value,threshold,pass"]
-    passed = True
-    for name, value, thresh in rows:
-        ok = value <= thresh
-        passed = passed and ok
-        lines.append(f"{name},{value!r},{thresh!r},{int(ok)}")
-    atomic_write_text(path, "\n".join([*lines, *extra]) + "\n")
-    return passed
+    the ``extra`` rows, as one CSV; True when every row passes."""
+    checks = [(name, value, thresh, int(value <= thresh)) for name, value, thresh in rows]
+    write_csv(path, "measurement,value,threshold,pass", [*checks, *extra])
+    return all(ok for *_, ok in checks)
 
 
 def run_verify_operators(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
@@ -258,7 +263,7 @@ def run_verify_operators(config: dict, outdir: str, args: argparse.Namespace) ->
         ("commutator_d2_spread", spread[2], 10.0),
     ]
     path = os.path.join(outdir, "operator_suite.csv")
-    extra = [f"commutator_constant_j{j},{c!r},," for j, c in consts[0].items()]
+    extra = [(f"commutator_constant_j{j}", c, "", "") for j, c in consts[0].items()]
     if not _write_checks(path, rows, extra):
         raise AcceptanceFailure("operator suite exceeded a threshold; see CSV")
     return [path]
@@ -303,16 +308,20 @@ def run_verify_normal_form(config: dict, outdir: str, args: argparse.Namespace) 
     finally:
         pseudoproduct._branches = original
 
-    lines = ["k,N,trial,residual,scale,relative,pass"]
-    failed = False
+    # a case whose every generator term is zero (a band with no mode below
+    # the grid's Nyquist) has nothing to cancel, and fails rather than pass
+    rows = []
     for k, order, trial, resid, scale in cases:
         rel = resid / max(scale, 1e-300)
-        ok = rel <= config["threshold"]
-        failed = failed or not ok
-        lines.append(f"{k},{order},{trial},{resid!r},{scale!r},{rel!r},{int(ok)}")
+        rows.append((k, order, trial, resid, scale, rel,
+                     int(scale > 0 and rel <= config["threshold"])))
     path = os.path.join(outdir, "normal_form_residuals.csv")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    if failed:
+    write_csv(path, "k,N,trial,residual,scale,relative,pass", rows)
+    empty = sorted({(k, order) for k, order, _, _, scale in cases if scale == 0})
+    if empty:
+        raise AcceptanceFailure(f"nothing to cancel at (k, N) = {', '.join(map(str, empty))}: "
+                                "every generator term is zero on this grid")
+    if not all(row[-1] for row in rows):
         raise AcceptanceFailure("normal-form cancellation residual above threshold")
     return [path]
 
@@ -453,10 +462,14 @@ def _check_normal_form(config: dict) -> None:
 
 def _check_kernels(config: dict) -> None:
     _check_counts(config, "schro_points")
-    # each sweep is fitted against its parameter, which no two points may share
-    # (measure-decay's rule for its shells)
+    # each sweep is fitted against its parameter, at four or more points
+    # (kernels.fit_decay's rule) no two of which may share it (measure-decay's
+    # rule for its shells); checked here, before any quadrature
     for sweep, key in (("t_sweep", "times"), ("j_sweep", "shells"), ("right_sweep", "times")):
-        check_distinct(f"{sweep}.{key}", config[sweep][key])
+        values = config[sweep][key]
+        if len(values) < 4:
+            raise ConfigError(f"{sweep}.{key} must hold 4 or more entries, got {values!r}")
+        check_distinct(f"{sweep}.{key}", values)
     # the t-sweep is fitted against log2 t
     if min(config["t_sweep"]["times"]) <= 0:
         raise ConfigError(f"t_sweep.times must be positive, got {config['t_sweep']['times']!r}")

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .cli import (atomic_write_text, check_distinct, check_distinct_integers, is_number, json_text,
-                  merge_config, read_json_object)
+                  merge_config, read_json_object, write_csv)
 from .errors import ConfigError, DegenerateSeriesError
 from .grid import Field, Grid
 from .kernels import fit_decay
@@ -272,12 +272,11 @@ class DecayReport:
         blocks = [("sup", sign, by_shell) for sign, by_shell in self.sup.items()]
         blocks += [("lowpass_sup", "+", self.lowpass_sup), ("bandsum_sup", "+", self.bandsum_sup)]
         blocks += [(f"gauge_sup_k{k}", "+", by_shell) for k, by_shell in self.gauge_sup.items()]
-        lines = ["time,quantity,sign,shell,value"]
-        for quantity, sign, by_shell in blocks:
-            for shell, series in by_shell.items():
-                lines += [f"{t!r},{quantity},{sign},{shell},{v!r}"
-                          for t, v in zip(self.times, series)]
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        write_csv(path, "time,quantity,sign,shell,value",
+                  ((t, quantity, sign, shell, v)
+                   for quantity, sign, by_shell in blocks
+                   for shell, series in by_shell.items()
+                   for t, v in zip(self.times, series)))
 
 
 def contamination_time(config: ExperimentConfig, j: float) -> float:

@@ -30,11 +30,12 @@ class Grid:
     """
 
     def __init__(self, n_points: int, box_length: float):
-        n = int(n_points)
+        # 1000.5 points are not 1000, and an infinite box has no spacing
+        n = int(n_points) if float(n_points).is_integer() else -1
         if n < 4 or n % 2 != 0:
             raise ConfigError(f"n_points must be an even integer >= 4, got {n_points}")
-        if not box_length > 0:
-            raise ConfigError(f"box_length must be positive, got {box_length}")
+        if not 0 < box_length < np.inf:
+            raise ConfigError(f"box_length must be positive and finite, got {box_length}")
         self.n_points = n
         self.box_length = float(box_length)
         self.dx = self.box_length / n

@@ -12,11 +12,10 @@ with variant-dependent frequency cutoff and source region:
     lowfreq-left   cut = chi_{<= k0}(|xi|),  src = chi^+_{<= j-10}(y),
                    k0 = -(1 - eps)/2 * j
     dyadic-left    cut = chi_k(|xi|),        src = chi^+_{<= j-10}(y)
-    lowfreq-right  cut = chi_{<= k0},        src = chi^+_ell(y),  t > 2^(ell+10)
     dyadic-right   cut = chi_k,              src = chi^+_ell(y),
                    t > 2^(ell+10) / <2^k>
-    schro-left/right   cut = chi^+_k(xi) (positive half-line only),
-                   phase xi (x - y + t) + t xi^2
+    schro-left     cut = chi^+_k(xi) (positive half-line only),
+                   src = chi^+_{<= j-10}(y), phase xi (x - y + t) + t xi^2
 
 On xi > 0 the drifting phase equals the Schroedinger-with-drift phase, which
 is the reduction identity checked to quadrature accuracy.
@@ -39,8 +38,6 @@ never silent.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -49,11 +46,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import cutoffs
-from .cli import atomic_write_text
+from .cli import write_csv
 from .errors import DegenerateSeriesError, KernelDomainError, QuadratureWarning
 
 LEFT_VARIANTS = ("lowfreq-left", "dyadic-left", "schro-left")
-RIGHT_VARIANTS = ("lowfreq-right", "dyadic-right", "schro-right")
+RIGHT_VARIANTS = ("dyadic-right",)
 VARIANTS = LEFT_VARIANTS + RIGHT_VARIANTS
 
 #: cap on the panels of the composite rule on one piece of the frequency range
@@ -75,8 +72,8 @@ class KernelSpec:
 
     j is the measurement shell, a the derivative count, t the elapsed time.
     Low-frequency variants use k0 = -(1 - epsilon)/2 * j; dyadic and
-    Schroedinger variants use the band index k.  Right-moving variants need a
-    source shell ell > j - 10 and a time above the crossing threshold.
+    Schroedinger variants use the band index k.  The right-moving variant
+    needs a source shell ell > j - 10 and a time above the crossing threshold.
     """
 
     variant: str
@@ -118,10 +115,7 @@ class KernelSpec:
     def time_threshold(self) -> float:
         if self.variant not in RIGHT_VARIANTS:
             return 0.0
-        thresh = 2.0 ** (self.ell + 10)
-        if self.variant in ("dyadic-right", "schro-right"):
-            thresh /= math.sqrt(1.0 + 4.0**self.k)  # japanese bracket <2^k>
-        return thresh
+        return 2.0 ** (self.ell + 10) / math.sqrt(1.0 + 4.0**self.k)  # japanese bracket <2^k>
 
     # -- geometry --
 
@@ -173,11 +167,12 @@ class KernelSpec:
 
 @dataclass
 class QuadResult:
-    """Value and error estimate per point (scalars for a scalar point);
-    ``converged`` is one flag for the whole batch."""
+    """Value and error estimate per point, arrays of the broadcast shape of
+    the points (0-d for a scalar point); ``converged`` is one flag for the
+    whole batch."""
 
-    value: complex | np.ndarray
-    error: float | np.ndarray
+    value: np.ndarray
+    error: np.ndarray
     converged: bool
 
 
@@ -257,8 +252,6 @@ def phase_integral(
             QuadratureWarning,
             stacklevel=2,
         )
-    if shape == ():
-        return QuadResult(value=complex(total[0]), error=float(err[0]), converged=ok)
     return QuadResult(value=total.reshape(shape), error=err.reshape(shape), converged=ok)
 
 
@@ -281,7 +274,7 @@ class SupResult:
     all_converged: bool
 
 
-def kernel_sup(spec: KernelSpec, nx: int = 9, ny: int = 9) -> SupResult:
+def kernel_sup(spec: KernelSpec, nx: int, ny: int) -> SupResult:
     """Max of |K| over an (nx, ny) sample grid of the declared support regions,
     evaluated as one batch over the points where the spatial cutoffs are
     nonzero."""
@@ -334,8 +327,7 @@ def fit_decay(pairs: Sequence[tuple[float, float]]) -> FitResult:
                      r_squared=r2, n_points=len(pairs))
 
 
-def sweep(spec: KernelSpec, name: str, values: Iterable[float], nx: int = 9,
-          ny: int = 9) -> list[dict]:
+def sweep(spec: KernelSpec, name: str, values: Iterable[float], nx: int, ny: int) -> list[dict]:
     """Kernel sup with the field ``name`` of ``spec`` (the time t or the
     shell j) set to each of ``values`` in turn; one row each, for fitting."""
     rows = []
@@ -360,9 +352,4 @@ def _row(spec: KernelSpec, res: SupResult) -> dict:
 
 def rows_to_csv(rows: list[dict], path: str) -> None:
     fields = ["variant", "j", "k", "a", "ell", "t", "sup", "quad_flag"]
-    buffer = io.StringIO(newline="")
-    writer = csv.DictWriter(buffer, fieldnames=fields)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({f: row[f] for f in fields})
-    atomic_write_text(path, buffer.getvalue())
+    write_csv(path, ",".join(fields), ([row[f] for f in fields] for row in rows))

@@ -54,12 +54,12 @@ separation from the 2^k band, which ``BandKernel`` asserts directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .cli import atomic_write_text
+from .cli import write_csv
 from .grid import ComplexField, Field
 from .pseudoproduct import LL_FACTOR, QUARTIC_MARGIN, BandKernel, check_dealias_margin
 from .spectral import (
@@ -125,7 +125,7 @@ class Bundle:
         exactly as written, for the u whose coefficients are c; (H + i) is
         realized as 2i P^-.  Keys: B_rem (quadratic remainder), C_tilde,
         C (cubic), Q (quartic)."""
-        check_dealias_margin(u, QUARTIC_MARGIN, self.c)
+        check_dealias_margin(u, self.c)
         grid, kernel = u.grid, self.kernel
         c_usq = coeffs_of(multiply(u, u).samples, grid)
         # B_k is symmetric bit for bit: B(d_usq, u) + B(u, d_usq) = 2 B(d_usq, u);
@@ -194,14 +194,10 @@ def transform(u: Field, kernel: BandKernel) -> Bundle:
     return Bundle(kernel, c, phi_coeffs(u, c), kernel.paraproduct(c))
 
 
-#: CSV column names of the ``ResidualReport`` fields named differently
-_CSV_NAMES = {"order": "N", "box_length": "L"}
-
-
 @dataclass
 class ResidualReport:
     """Residual of the transformed equation over a snapshot window; the
-    fields are in CSV column order."""
+    fields are in the column order of ``residual_reports_to_csv``."""
 
     k: float
     order: int
@@ -213,13 +209,6 @@ class ResidualReport:
     budget_alias: float          # spectral-tail proxy beyond the quartic margin
     residual_box_exact: float    # literal terms + exact box correction
     term_scale: float            # largest single right-side term
-
-    def csv_row(self) -> str:
-        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(_CSV_NAMES.get(f.name, f.name) for f in fields(ResidualReport))
 
 
 def transformed_residual(
@@ -291,5 +280,7 @@ def transformed_residual(
 
 
 def residual_reports_to_csv(reports: list[ResidualReport], path: str) -> None:
-    lines = [ResidualReport.csv_header(), *(rep.csv_row() for rep in reports)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """One row per report, its fields in order; ``order`` is column N and
+    ``box_length`` column L."""
+    write_csv(path, "k,N,dt,L,residual_inf,budget_dt2,budget_massL,budget_alias,"
+                    "residual_box_exact,term_scale", map(astuple, reports))

@@ -309,15 +309,16 @@ def assemble_B(
 # ---------------------------------------------------------------------------
 
 
-def check_dealias_margin(u: Field | ComplexField, fraction: float = QUARTIC_MARGIN,
-                         c: np.ndarray | None = None) -> None:
-    """Warn when the spectrum carries mass beyond the requested margin; ``c``
-    may pass in the coefficients of u."""
-    tail = spectral_tail_mass(u, fraction, c)
+def check_dealias_margin(u: Field | ComplexField, c: np.ndarray | None = None) -> None:
+    """Warn when the spectrum carries mass beyond QUARTIC_MARGIN * Nyquist;
+    ``c`` may pass in the coefficients of u."""
+    if c is None:
+        c = coeffs_of(np.asarray(u.samples), u.grid)
+    tail = spectral_tail_mass(u, QUARTIC_MARGIN, c)
     scale = max(np.max(np.abs(np.asarray(u.samples))), 1e-300)
     if tail > 1e-12 * scale:
         warnings.warn(
-            f"spectral tail beyond {fraction:.2f}*Nyquist has mass {tail:.2e}; "
+            f"spectral tail beyond {QUARTIC_MARGIN:.2f}*Nyquist has mass {tail:.2e}; "
             "multilinear lattice sums may alias",
             AliasingWarning,
             stacklevel=3,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cli import atomic_write_text
+from .cli import atomic_write_text, write_csv
 from .cutoffs import smoothstep
 from .errors import BolabError, ConfigError, SolverInstabilityError
 from .grid import Field, Grid
@@ -402,5 +402,4 @@ def load_snapshot(path: str) -> SolverState:
 
 
 def ledger_to_csv(ledger: list[tuple[float, float, float, float]], path: str) -> None:
-    lines = ["t,mass,l2,hamiltonian", *(",".join(repr(v) for v in row) for row in ledger)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, "t,mass,l2,hamiltonian", ledger)

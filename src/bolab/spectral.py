@@ -150,7 +150,7 @@ def warn_band_edge(grid: Grid, k: float) -> None:
                       BandEdgeWarning, stacklevel=3)
 
 
-def lp_project(f: Field | ComplexField, k: float, variant: str = "full") -> ComplexField:
+def lp_project(f: Field | ComplexField, k: float, variant: str) -> ComplexField:
     """Dyadic frequency projection P_k (and its half-line / cumulative variants).
 
     Warns (BandEdgeWarning) when the band 2^{k+1} reaches the grid Nyquist.
@@ -185,7 +185,7 @@ def _check_shell(grid: Grid, j: float) -> None:
         )
 
 
-def spatial_cutoff_values(grid: Grid, j: float, sign: str = "+") -> np.ndarray:
+def spatial_cutoff_values(grid: Grid, j: float, sign: str) -> np.ndarray:
     """Values of the dyadic shell chi_j on the grid points, at x or -x."""
     _check_shell(grid, j)
     x = grid.x
@@ -198,7 +198,7 @@ def spatial_cutoff_values(grid: Grid, j: float, sign: str = "+") -> np.ndarray:
     return np.asarray(cutoffs.shell(j, y), dtype=float)
 
 
-def spatial_cutoff(f: Field | ComplexField, j: float, sign: str = "+") -> Field | ComplexField:
+def spatial_cutoff(f: Field | ComplexField, j: float, sign: str) -> Field | ComplexField:
     """Pointwise product with the shell cutoff; errors on shells leaving the box."""
     w = spatial_cutoff_values(f.grid, j, sign)
     out = w * np.asarray(f.samples)
@@ -255,11 +255,9 @@ def multiply(f: Field | ComplexField, g: Field | ComplexField) -> ComplexField:
     return ComplexField(f.grid, np.asarray(f.samples) * np.asarray(g.samples))
 
 
-def spectral_tail_mass(f: Field | ComplexField, fraction: float,
-                       c: np.ndarray | None = None) -> float:
-    """dxi * sum of |coefficients| beyond fraction * Nyquist (aliasing proxy);
-    ``c`` may pass in the coefficients of f."""
+def spectral_tail_mass(f: Field | ComplexField, fraction: float, c: np.ndarray) -> float:
+    """dxi * sum of |coefficients| c of f beyond fraction * Nyquist (aliasing
+    proxy)."""
     grid = f.grid
-    c = coeffs_of(np.asarray(f.samples), grid) if c is None else c
     tail = np.abs(grid.xi) > fraction * grid.nyquist
     return float(grid.dxi * np.sum(np.abs(c[tail])))

@@ -98,6 +98,18 @@ def test_verify_normal_form_fault_injection_exits_3(tmp_path, capsys):
     assert "residual" in capsys.readouterr().err
 
 
+def test_verify_normal_form_fails_a_band_with_nothing_to_cancel(tmp_path, capsys):
+    # chi_9^+ has no mode below the default grid's Nyquist (128): every
+    # generator term is zero, and a zero residual of nothing is no pass
+    code = main(["verify-normal-form", "--output-dir", str(tmp_path),
+                 "--override", "bands=[9]", "--override", "trials_per_case=1"])
+    assert code == 3
+    assert "nothing to cancel at (k, N) = (9, 2), (9, 4)" in capsys.readouterr().err
+    table = (tmp_path / "normal_form_residuals.csv").read_text().strip().split("\n")
+    assert table[1:] == ["9,2,0,0.0,0.0,0.0,0", "9,4,0,0.0,0.0,0.0,0"]
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_manifest_determinism(tmp_path):
     hashes = []
     for name in ("a", "b"):
@@ -307,12 +319,44 @@ def test_threads_flag_is_gone(capsys):
     ("verify-kernels", "j_sweep.shells=[5,6,7,7]", "j_sweep.shells must be distinct"),
     ("verify-kernels", "right_sweep.times=[46.0,52.0,52.0,58.0]",
      "right_sweep.times must be distinct"),
+    # a fit needs four points; a shorter sweep is refused before its quadrature
+    ("verify-kernels", "t_sweep.times=[45.0,64.0,90.0]",
+     "t_sweep.times must hold 4 or more entries, got [45.0, 64.0, 90.0]"),
+    ("verify-kernels", "j_sweep.shells=[3,4,5]",
+     "j_sweep.shells must hold 4 or more entries, got [3, 4, 5]"),
+    ("verify-kernels", "right_sweep.times=[46.0]",
+     "right_sweep.times must hold 4 or more entries, got [46.0]"),
 ])
 def test_verify_rejects_bad_config(tmp_path, capsys, command, override, message):
     code = main([command, "--output-dir", str(tmp_path), "--override", override])
     assert code == 2
     assert message in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_every_csv_artifact_has_lf_line_ends(tmp_path):
+    runs = [
+        ("verify-operators", ["n_fields=2", "commutator.n_fields=2"]),
+        ("verify-normal-form", ["n_points=256", "trials_per_case=1", "bands=[1]", "orders=[2]"]),
+        ("verify-kernels", []),
+        ("evolve", SMALL_DECAY),
+        ("measure-decay", SMALL_DECAY),
+        ("report", ["input=" + str(tmp_path / "measure-decay" / "decay_report.json")]),
+    ]
+    for command, overrides in runs:
+        args = [command, "--output-dir", str(tmp_path / command)]
+        for override in overrides:
+            args += ["--override", override]
+        assert main(args) == 0, command
+    written = sorted(tmp_path.glob("*/*.csv"))
+    assert [f"{p.parent.name}/{p.name}" for p in written] == [
+        "evolve/ledger.csv", "measure-decay/decay_report.csv", "report/decay_report.csv",
+        "verify-kernels/kernel_summary.csv", "verify-kernels/kernel_sweeps.csv",
+        "verify-normal-form/normal_form_residuals.csv", "verify-operators/operator_suite.csv",
+    ]
+    for path in written:
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), path
 
 
 @pytest.mark.parametrize("override, message", [

@@ -36,8 +36,10 @@ def kernel_value(spec, x, y):
 
 
 def test_spec_rejects_bad_parameters():
-    with pytest.raises(KernelDomainError):
-        KernelSpec(variant="nonsense", j=1.0, t=1.0)
+    # the right-moving low-frequency and Schroedinger variants are not kernels
+    for variant in ("nonsense", "lowfreq-right", "schro-right"):
+        with pytest.raises(KernelDomainError, match="unknown variant"):
+            KernelSpec(variant=variant, j=1.0, t=100.0, k=0.0, ell=0.0)
     with pytest.raises(KernelDomainError):
         KernelSpec(variant="lowfreq-left", j=-1.0, t=1.0)
     with pytest.raises(KernelDomainError):
@@ -50,8 +52,9 @@ def test_right_variant_time_threshold_guarded():
     # below the admissible time the spec must refuse to evaluate
     with pytest.raises(KernelDomainError):
         KernelSpec(variant="dyadic-right", j=2.0, t=10.0, k=0.0, ell=-4.0)
-    with pytest.raises(KernelDomainError):
-        KernelSpec(variant="lowfreq-right", j=2.0, t=100.0, ell=0.0)
+    # the threshold is 2^(ell + 10) / <2^k> = 64 / sqrt(2) = 45.25...
+    with pytest.raises(KernelDomainError, match="below the admissible threshold"):
+        KernelSpec(variant="dyadic-right", j=2.0, t=45.0, k=0.0, ell=-4.0)
     # and ell must exceed j - 10
     with pytest.raises(KernelDomainError):
         KernelSpec(variant="dyadic-right", j=12.0, t=1e6, k=0.0, ell=1.0)

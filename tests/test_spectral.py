@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from bolab.errors import (
     BandEdgeWarning,
+    ConfigError,
     DegenerateShellError,
     MultiplierDomainError,
 )
@@ -65,6 +68,23 @@ def test_half_swap_transforms_match_the_fftshift_path(rng, n):
     for coeffs in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
         ref = np.fft.ifft(np.fft.ifftshift(coeffs * g._phase)) * (np.sqrt(2.0 * np.pi) / g.dx)
         assert np.array_equal(samples_of(coeffs, g), ref)
+
+
+@pytest.mark.parametrize("n_points, box_length, message", [
+    (1000.5, 10.0, "n_points must be an even integer >= 4, got 1000.5"),
+    (4, float("inf"), "box_length must be positive and finite, got inf"),
+    (4, float("nan"), "box_length must be positive and finite, got nan"),
+])
+def test_grid_rejects_sizes_it_cannot_honour(n_points, box_length, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=message):
+            Grid(n_points, box_length)
+
+
+def test_grid_takes_integral_point_counts():
+    assert Grid(4096, 400.0).n_points == 4096
+    assert Grid(np.int64(8), 10.0).n_points == 8
 
 
 def test_parseval(grid_medium, rng):

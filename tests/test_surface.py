@@ -9,8 +9,12 @@ itself, ``perfbench/*.py`` and ``tests/test_acceptance.py``.
   of that name: by keyword, or by position (a method's ``self`` is not
   passed, and ``__init__`` is called by its class's name), or through
   ``*args`` or ``**kwargs``.
+* Dually, every defaulted parameter is omitted by some call of that name in
+  ``src/bolab``, ``perfbench`` or ``tests``: a default that every call
+  overrides is a required parameter.  A call through ``*args`` or
+  ``**kwargs`` may pass it, so it omits nothing.
 
-Both checks are name-level.  Any reference or call of the same name counts,
+The checks are name-level.  Any reference or call of the same name counts,
 so they cannot see a function whose name is also used for something else,
 such as a function kept as a documented oracle: ``solver.rhs``, the oracle
 of ``solver.step``, passes through the local ``rhs`` of
@@ -28,10 +32,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "bolab").glob("*.py"))
 CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 CHECKED = [path for path in SOURCES if path.name != "testing.py"]
+#: the callers that may omit a default: every test, not only the acceptance run
+ALL_CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
-def _trees() -> dict:
-    return {path: ast.parse(path.read_text()) for path in SOURCES + CALLERS}
+def _trees(callers=CALLERS) -> dict:
+    return {path: ast.parse(path.read_text()) for path in SOURCES + callers}
 
 
 def _references(tree: ast.AST) -> Counter:
@@ -100,13 +106,19 @@ def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
     return position is not None and len(call.args) > position
 
 
-def test_every_defaulted_parameter_is_passed_by_some_call():
-    trees = _trees()
+def _calls(trees: dict) -> dict:
+    """The calls in ``trees`` by the name they call."""
     calls = {}
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 calls.setdefault(_call_name(node), []).append(node)
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    trees = _trees()
+    calls = _calls(trees)
     never_passed = [
         f"{name}({parameter})"
         for path in CHECKED
@@ -114,3 +126,15 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
         if not any(_passes(call, parameter, position) for call in calls.get(name, []))
     ]
     assert never_passed == []
+
+
+def test_every_defaulted_parameter_is_omitted_by_some_call():
+    trees = _trees(ALL_CALLERS)
+    calls = _calls(trees)
+    always_passed = [
+        f"{name}({parameter})"
+        for path in CHECKED
+        for name, parameter, position in _defaulted_parameters(trees[path])
+        if all(_passes(call, parameter, position) for call in calls.get(name, []))
+    ]
+    assert always_passed == []
