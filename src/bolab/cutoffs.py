@@ -26,10 +26,13 @@ caller (the tested property is support separation from the 2^k band, which
 callers assert).
 
 Indices may be any real number: members are continuous functions of 2^-j y,
-vectorized over y.
+vectorized over y.  ``shell_holds`` tells whether a shell meets a set of
+points, also for an index whose 2^j over- or underflows.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -88,6 +91,19 @@ def shell(j: float, y) -> np.ndarray:
 
 def shell_deriv(j: float, y) -> np.ndarray:
     return le_deriv(j, y) - le_deriv(j - 1, y)
+
+
+def shell_holds(j: float, points: np.ndarray) -> bool:
+    """Whether chi^+_j is nonzero at one of ``points``, evaluated only at the
+    points inside its support [2^{j-1}, 2^{j+1}].  A support that misses the
+    range of the positive points is found in log2, without forming 2^j, which
+    could over- or underflow."""
+    positive = points[points > 0]
+    if not (positive.size and math.log2(positive.min()) - 1.0 < j
+            < math.log2(positive.max()) + 1.0):
+        return False
+    inside = positive[(positive > 2.0 ** (j - 1)) & (positive < 2.0 ** (j + 1))]
+    return bool(np.any(shell(j, inside)))
 
 
 def le_abs(j: float, y) -> np.ndarray:

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
+from . import cutoffs
 from .cli import (atomic_write_text, check_distinct, check_distinct_integers, is_number, json_text,
                   merge_config, read_json_object, write_csv)
 from .errors import ConfigError, DegenerateSeriesError
@@ -72,10 +73,6 @@ class ExperimentConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.t_final >= 0:
             raise ConfigError(f"t_final must be non-negative, got {self.t_final}")
-        if 2.0 ** max(self.shells) > self.box_length / 4.0:
-            raise ConfigError(
-                f"largest shell 2^{max(self.shells)} exceeds box_length/4"
-            )
         check_distinct("shells", self.shells)
         if self.front_speed is not None and not self.front_speed > 0:
             raise ConfigError(f"front_speed must be null or positive, got {self.front_speed}")
@@ -91,6 +88,24 @@ class ExperimentConfig:
         check_distinct_integers("gauge.bands", self.gauge["bands"])
         self.sponge = merge_config(SPONGE_DEFAULTS, self.sponge, "sponge.")
         SpongeConfig(**self.sponge)  # its value checks, before any run
+        self._check_scales(self.grid())
+
+    def _check_scales(self, grid: Grid) -> None:
+        """Each shell fits in the box and weighs some grid point, and each gauge
+        band keeps some grid mode: no series is measured as all zeros.  Decided
+        in log2 where 2^j would over- or underflow (``cutoffs.shell_holds``)."""
+        if max(self.shells) > math.log2(self.box_length / 4.0):
+            raise ConfigError(f"shells: the largest, 2^{max(self.shells)}, exceeds box_length/4")
+        empty = [j for j in self.shells if not cutoffs.shell_holds(j, grid.x)]
+        if empty:
+            raise ConfigError(f"shells {empty} weigh no grid point: no grid point lies inside "
+                              f"their supports [2^(j-1), 2^(j+1)] (dx = {grid.dx:.3g})")
+        bands = self.gauge["bands"] if self.gauge["enabled"] else []
+        empty = [k for k in bands if not cutoffs.shell_holds(k, grid.xi)]
+        if empty:
+            raise ConfigError(f"gauge.bands {empty} keep no grid mode: chi_k^+ vanishes at "
+                              f"every grid frequency (dxi = {grid.dxi:.3g}, "
+                              f"Nyquist {grid.nyquist:.3g})")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -130,8 +145,10 @@ class ExperimentConfig:
         raise ConfigError(f"unknown initial-data kind {kind!r}")
 
 
-#: the defaults of an experiment config, which also serve as its schema
-EXPERIMENT_DEFAULTS = ExperimentConfig().to_dict()
+#: the defaults of an experiment config, which also serve as its schema; read
+#: off the fields, since an instance checks its scales on a grid
+EXPERIMENT_DEFAULTS = {f.name: f.default_factory() if f.default is MISSING else f.default
+                       for f in fields(ExperimentConfig)}
 
 
 def bootstrap_predict(epsilon: float) -> float:

@@ -28,19 +28,23 @@ Oscillatory integrals are evaluated by a composite 16-node Gauss-Legendre
 rule on each side of xi = 0, where the phase curvature jumps.  The phase
 depends on (x, y) only through d = x - y + t, so every sample point of a
 batch shares the nodes, the weights and the d-free factor
-cut(xi) xi^a exp(i t |xi| xi); the batch is one product
-exp(i outer(d, xi)) @ amp.  The panel count starts from the largest |phi'|
-on the piece and doubles until the rule agrees with the same rule on half
-as many panels to quad_tol times the integrand scale at every point, or
-until QUAD_LIMIT panels; non-convergence is flagged on the result and
-never silent.
+amp = w cut(xi) xi^a exp(i t |xi| xi).  Each node is xi = m_p + s_g, the
+midpoint m_p of panel p plus a Gauss offset s_g that is the same in every
+panel, so exp(i d xi) = exp(i d m_p) exp(i d s_g): the batch forms the
+panel sums exp(i outer(d, s)) @ amp_p in one matrix product and weights
+them by exp(i outer(d, m)), D (P + 16) complex exponentials for D points
+and P panels in place of the 16 D P of exp(i outer(d, xi)) @ amp.  The
+panel count starts from the largest |phi'| on the piece and doubles until
+the rule agrees with the same rule on half as many panels to quad_tol times
+the integrand scale at every point, or until QUAD_LIMIT panels;
+non-convergence is flagged on the result and never silent.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -62,8 +66,11 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_NODES)
 PANEL_PHASE = 8.0
 #: panels of the first rule on a piece with little or no oscillation
 MIN_PANELS = 4
-#: entries of one block of the exp(i outer(d, xi)) matrix
+#: entries of one block of the exp(i outer(d, m)) and panel-sum matrices
 _BLOCK = 2**18
+#: largest |j|, |k| and |ell| of a kernel: every scale a spec forms, up to
+#: 4^k and 2^(ell + 10), is then a finite double
+INDEX_MAX = 500.0
 
 
 @dataclass
@@ -88,6 +95,13 @@ class KernelSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise KernelDomainError(f"unknown variant {self.variant!r}")
+        for name in ("j", "k", "ell"):
+            value = getattr(self, name)
+            if value is not None and not abs(value) <= INDEX_MAX:
+                raise KernelDomainError(f"{name} = {value:g} lies outside [-{INDEX_MAX:g}, "
+                                        f"{INDEX_MAX:g}]: its dyadic scales would overflow")
+        if self.a < 0:
+            raise KernelDomainError(f"derivative count a must be nonnegative, got {self.a}")
         if self.j < 0:
             raise KernelDomainError("shell index j must be nonnegative")
         if not (0.0 < self.epsilon < 1.0):
@@ -176,13 +190,12 @@ class QuadResult:
     converged: bool
 
 
-def _panel_rule(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite Gauss-Legendre rule with ``panels``
-    equal panels on [a, b]."""
+def _panel_rule(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mid, offsets, weights) of the composite Gauss-Legendre rule with
+    ``panels`` equal panels on [a, b]: node g of panel p is mid[p] + offsets[g]
+    and has the weight weights[g]."""
     h = (b - a) / panels
-    mid = a + h * (np.arange(panels) + 0.5)
-    nodes = (mid[:, None] + 0.5 * h * _GL_X).ravel()
-    return nodes, np.tile(0.5 * h * _GL_W, panels)
+    return a + h * (np.arange(panels) + 0.5), 0.5 * h * _GL_X, 0.5 * h * _GL_W
 
 
 def phase_integral(
@@ -214,12 +227,17 @@ def phase_integral(
     epsabs = max(spec.quad_tol * max(scale, 1e-300), 1e-300)
 
     def rule(a_: float, b_: float, panels: int) -> np.ndarray:
-        xi, w = _panel_rule(a_, b_, panels)
-        amp = w * cut(xi) * xi**spec.a * np.exp(1j * spec.dispersive_phase(xi))
+        # exp(i d (m_p + s_g)) = exp(i d m_p) exp(i d s_g): per panel, one
+        # exponential of its midpoint times the panel sum over the shared offsets
+        mid, offsets, weights = _panel_rule(a_, b_, panels)
+        xi = mid[:, None] + offsets
+        amp = weights * cut(xi) * xi**spec.a * np.exp(1j * spec.dispersive_phase(xi))
+        e_off = np.exp(1j * np.outer(d, offsets))
         out = np.zeros(d.size, dtype=complex)
         step = max(1, _BLOCK // max(d.size, 1))
-        for s in range(0, xi.size, step):
-            out += np.exp(1j * np.outer(d, xi[s : s + step])) @ amp[s : s + step]
+        for s in range(0, panels, step):
+            sums = e_off @ amp[s : s + step].T
+            out += np.einsum("dp,dp->d", np.exp(1j * np.outer(d, mid[s : s + step])), sums)
         return out
 
     total = np.zeros(d.size, dtype=complex)
@@ -327,14 +345,9 @@ def fit_decay(pairs: Sequence[tuple[float, float]]) -> FitResult:
                      r_squared=r2, n_points=len(pairs))
 
 
-def sweep(spec: KernelSpec, name: str, values: Iterable[float], nx: int, ny: int) -> list[dict]:
-    """Kernel sup with the field ``name`` of ``spec`` (the time t or the
-    shell j) set to each of ``values`` in turn; one row each, for fitting."""
-    rows = []
-    for value in values:
-        s = replace(spec, **{name: float(value)})
-        rows.append(_row(s, kernel_sup(s, nx=nx, ny=ny)))
-    return rows
+def sweep(specs: Iterable[KernelSpec], nx: int, ny: int) -> list[dict]:
+    """Kernel sup of each of ``specs`` in turn; one row each, for fitting."""
+    return [_row(spec, kernel_sup(spec, nx=nx, ny=ny)) for spec in specs]
 
 
 def _row(spec: KernelSpec, res: SupResult) -> dict:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import cutoffs
+from .errors import ConfigError, KernelDomainError
 from .grid import ComplexField, Field, Grid
 from .kernels import KernelSpec, fit_decay, phase_integral, sweep
 from .pseudoproduct import LL_FACTOR, BilinearSymbol, verify_nf_cancellation
@@ -122,12 +123,32 @@ def nf_cancellation_sweep(
     grid: Grid, rng: np.random.Generator, bands: list, orders: list, trials: int, ll_factor: float
 ) -> list[tuple]:
     """``(k, N, trial, residual, scale)`` of the normal-form cancellation for
-    ``trials`` random band-limited fields per band k and order N."""
-    return [
-        (k, order, trial,
-         *verify_nf_cancellation(random_band_limited(grid, rng, 0.25), k, order, ll_factor))
-        for k in bands for order in orders for trial in range(trials)
-    ]
+    ``trials`` random band-limited fields per band k and order N.  A band whose
+    chi_k^+ keeps no grid mode has no generator term, and (residual, scale) =
+    (0.0, 0.0) without forming its 2^k, which may overflow; its fields are
+    drawn all the same, so that each other band sees the same fields."""
+    rows = []
+    for k in bands:
+        empty = not cutoffs.shell_holds(k, grid.xi)
+        for order in orders:
+            for trial in range(trials):
+                u = random_band_limited(grid, rng, 0.25)
+                pair = (0.0, 0.0) if empty else verify_nf_cancellation(u, k, order, ll_factor)
+                rows.append((k, order, trial, *pair))
+    return rows
+
+
+def _sweep_specs(name: str, field: str, values: list, **params) -> list[KernelSpec]:
+    """The KernelSpec of ``params`` with ``field`` set to each of ``values``: the
+    points of the verify-kernels sweep ``name``.  A point out of its variant's
+    domain raises ConfigError naming the sweep and the point."""
+    specs = []
+    for value in values:
+        try:
+            specs.append(KernelSpec(**params, **{field: float(value)}, quad_tol=1e-12))
+        except KernelDomainError as exc:
+            raise ConfigError(f"{name} at {field} = {value!r}: {exc}") from exc
+    return specs
 
 
 def kernel_exponents(
@@ -137,17 +158,18 @@ def kernel_exponents(
     kernel in log2 t and in j and of the dyadic right kernel in log2 t, and the
     largest dyadic-left minus Schroedinger kernel difference on a
     schro_points^2 grid.  The sweep dicts are those of the verify-kernels
-    config; their ``slope_max`` and the right sweep's ``M`` are not read."""
-    spec = KernelSpec(variant="lowfreq-left", j=t_sweep["j"], t=t_sweep["times"][0],
-                      a=t_sweep["a"], epsilon=epsilon, quad_tol=1e-12)
-    t_rows = sweep(spec, "t", t_sweep["times"], nx=5, ny=5)
-    spec = KernelSpec(variant="lowfreq-left", j=j_sweep["shells"][0], t=j_sweep["t"],
-                      a=j_sweep["a"], epsilon=epsilon, quad_tol=1e-12)
-    j_rows = sweep(spec, "j", j_sweep["shells"], nx=5, ny=5)
-    spec = KernelSpec(variant="dyadic-right", j=right_sweep["j"], t=right_sweep["times"][0],
-                      a=right_sweep["a"], k=right_sweep["k"], ell=right_sweep["ell"],
-                      quad_tol=1e-12)
-    r_rows = sweep(spec, "t", right_sweep["times"], nx=5, ny=5)
+    config; their ``slope_max`` and the right sweep's ``M`` are not read.
+    Every point of every sweep is checked before the first quadrature."""
+    sweeps = (
+        _sweep_specs("t_sweep", "t", t_sweep["times"], variant="lowfreq-left",
+                     j=t_sweep["j"], a=t_sweep["a"], epsilon=epsilon),
+        _sweep_specs("j_sweep", "j", j_sweep["shells"], variant="lowfreq-left",
+                     t=j_sweep["t"], a=j_sweep["a"], epsilon=epsilon),
+        _sweep_specs("right_sweep", "t", right_sweep["times"], variant="dyadic-right",
+                     j=right_sweep["j"], a=right_sweep["a"], k=right_sweep["k"],
+                     ell=right_sweep["ell"]),
+    )
+    t_rows, j_rows, r_rows = (sweep(specs, nx=5, ny=5) for specs in sweeps)
 
     # Schroedinger reduction on the positive half-line band
     bo = KernelSpec(variant="dyadic-left", j=3.0, t=2.0, a=0, k=1.0, quad_tol=1e-12)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bolab.decay
+import bolab.kernels
 import bolab.solver
 from bolab.cli import apply_overrides, config_hash, load_config, main, write_manifest
 from bolab.decay import DecayReport, lowfreq_decay_check
@@ -100,14 +101,19 @@ def test_verify_normal_form_fault_injection_exits_3(tmp_path, capsys):
 
 def test_verify_normal_form_fails_a_band_with_nothing_to_cancel(tmp_path, capsys):
     # chi_9^+ has no mode below the default grid's Nyquist (128): every
-    # generator term is zero, and a zero residual of nothing is no pass
-    code = main(["verify-normal-form", "--output-dir", str(tmp_path),
-                 "--override", "bands=[9]", "--override", "trials_per_case=1"])
-    assert code == 3
-    assert "nothing to cancel at (k, N) = (9, 2), (9, 4)" in capsys.readouterr().err
-    table = (tmp_path / "normal_form_residuals.csv").read_text().strip().split("\n")
-    assert table[1:] == ["9,2,0,0.0,0.0,0.0,0", "9,4,0,0.0,0.0,0.0,0"]
-    assert not (tmp_path / "manifest.json").exists()
+    # generator term is zero, and a zero residual of nothing is no pass; the
+    # same for a band whose 2^k overflows or underflows
+    for band in (9, 5000, -5000):
+        out = tmp_path / f"k{band}"
+        code = main(["verify-normal-form", "--output-dir", str(out),
+                     "--override", f"bands=[{band}]", "--override", "trials_per_case=1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"nothing to cancel at (k, N) = ({band}, 2), ({band}, 4)" in err
+        assert "Traceback" not in err
+        table = (out / "normal_form_residuals.csv").read_text().strip().split("\n")
+        assert table[1:] == [f"{band},2,0,0.0,0.0,0.0,0", f"{band},4,0,0.0,0.0,0.0,0"]
+        assert not (out / "manifest.json").exists()
 
 
 def test_manifest_determinism(tmp_path):
@@ -326,8 +332,24 @@ def test_threads_flag_is_gone(capsys):
      "j_sweep.shells must hold 4 or more entries, got [3, 4, 5]"),
     ("verify-kernels", "right_sweep.times=[46.0]",
      "right_sweep.times must hold 4 or more entries, got [46.0]"),
+    # a point out of its kernel's domain is refused before the first quadrature
+    ("verify-kernels", "j_sweep.shells=[5,6,7,2000]",
+     "j_sweep at j = 2000: j = 2000 lies outside [-500, 500]"),
+    ("verify-kernels", "t_sweep.j=2000", "t_sweep at t = 16.0: j = 2000 lies outside"),
+    ("verify-kernels", "right_sweep.ell=1e6",
+     "right_sweep at t = 46.0: ell = 1e+06 lies outside [-500, 500]"),
+    ("verify-kernels", "right_sweep.k=-5000", "k = -5000 lies outside"),
+    ("verify-kernels", "j_sweep.shells=[5,6,7,-1]",
+     "j_sweep at j = -1: shell index j must be nonnegative"),
+    ("verify-kernels", "t_sweep.a=-1",
+     "t_sweep at t = 16.0: derivative count a must be nonnegative, got -1"),
 ])
-def test_verify_rejects_bad_config(tmp_path, capsys, command, override, message):
+def test_verify_rejects_bad_config(tmp_path, capsys, command, override, message, monkeypatch):
+    # no rejected config may reach a kernel quadrature
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran on a rejected config")
+
+    monkeypatch.setattr(bolab.kernels, "phase_integral", no_quadrature)
     code = main([command, "--output-dir", str(tmp_path), "--override", override])
     assert code == 2
     assert message in capsys.readouterr().err
@@ -396,13 +418,30 @@ OUT_OF_DOMAIN_RUN = ("n_points=512", "box_length=200", "t_final=0.01", "dt=0.001
     (["sponge.enabled=true", "sponge.strength=-50"], "sponge.strength must be non-negative"),
     (["initial.kind=soliton_bump", "initial.bump_width=0"], "initial.bump_width must be positive"),
     (["initial.kind=soliton_bump", "initial.bump_width=-1"], "initial.bump_width must be positive"),
+    # 2^j overflows, or no grid point lies in the shell (dx = 0.39): no
+    # series may come out as all zeros
+    (["shells=[2.5, 3.0, 3.5, 1e6]"], "shells: the largest, 2^1000000.0, exceeds box_length/4"),
+    (["shells=[2.5, 3.0, 3.5, -2000]"], "shells [-2000] weigh no grid point"),
+    (["shells=[-3, 2.5, 3.0, 3.5]"], "shells [-3] weigh no grid point"),
+    # chi_k^+ keeps no grid mode (Nyquist 8.04, or 2.01 at n = 128)
+    (["gauge.enabled=true", "gauge.bands=[0, 5000]"], "gauge.bands [5000] keep no grid mode"),
+    (["gauge.enabled=true", "gauge.bands=[-5000]"], "gauge.bands [-5000] keep no grid mode"),
+    (["n_points=128", "gauge.enabled=true", "gauge.bands=[9]"], "gauge.bands [9] keep no grid mode"),
 ])
-def test_experiment_value_out_of_domain_exits_2(tmp_path, capsys, command, overrides, message):
+def test_experiment_value_out_of_domain_exits_2(tmp_path, capsys, command, overrides, message,
+                                                monkeypatch):
+    # no rejected config may reach the solver
+    def no_stream(*args):
+        raise AssertionError("the solver ran on a rejected config")
+
+    monkeypatch.setattr(bolab.solver, "stream", no_stream)
+    monkeypatch.setattr(bolab.decay, "stream", no_stream)
     args = [command, "--output-dir", str(tmp_path)]
     for item in (*OUT_OF_DOMAIN_RUN, *overrides):
         args += ["--override", item]
     assert main(args) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert os.listdir(tmp_path) == []
 
 

@@ -1,6 +1,8 @@
+import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,6 +48,27 @@ def test_spec_rejects_bad_parameters():
         KernelSpec(variant="lowfreq-left", j=1.0, t=1.0, epsilon=1.5)
     with pytest.raises(KernelDomainError):
         KernelSpec(variant="dyadic-left", j=1.0, t=1.0)  # missing k
+    # xi^-1 is not integrable across xi = 0
+    with pytest.raises(KernelDomainError, match="a must be nonnegative, got -1"):
+        KernelSpec(variant="lowfreq-left", j=1.0, t=1.0, a=-1)
+
+
+@pytest.mark.parametrize("field, value, params", [
+    ("j", 2000.0, dict(variant="lowfreq-left", t=4.0)),
+    ("j", 500.5, dict(variant="lowfreq-left", t=4.0)),
+    ("k", -5000.0, dict(variant="dyadic-left", j=3.0, t=4.0)),
+    ("ell", 1e6, dict(variant="dyadic-right", j=2.0, t=46.0, k=0.0)),
+])
+def test_spec_rejects_an_index_whose_scale_overflows(field, value, params):
+    # 2^(j + 1), 4^k and 2^(ell + 10) would overflow (or 2^k underflow to 0)
+    with pytest.raises(KernelDomainError, match=re.escape(f"{field} = {value:g} lies outside")):
+        KernelSpec(**params, **{field: value})
+
+
+def test_spec_takes_indices_up_to_the_bound():
+    assert KernelSpec(variant="lowfreq-left", j=kernels.INDEX_MAX, t=4.0).shell_window()[1] > 0
+    spec = KernelSpec(variant="dyadic-left", j=3.0, t=4.0, k=-kernels.INDEX_MAX)
+    assert spec.frequency_range()[1] > 0
 
 
 def test_right_variant_time_threshold_guarded():
@@ -162,7 +185,9 @@ def _integrand_scale(spec):
     return float(np.max(np.abs(spec.frequency_cutoff()(xi) * xi**spec.a)) * (hi - lo))
 
 
-@pytest.mark.parametrize("spec, points", [
+#: (spec, sample points) of the rule's oracle tests: both half-lines, a late
+#: time, a far shell, the right variant and the Schroedinger half-line band
+ORACLE_CASES = [
     (KernelSpec(variant="lowfreq-left", j=0.0, t=16.0, a=1, quad_tol=1e-12),
      [(0.5, -2.0), (2.0, 2.0**-9), (1.25, -1.0)]),
     (KernelSpec(variant="lowfreq-left", j=0.0, t=2048.0, a=1, quad_tol=1e-12),
@@ -173,7 +198,10 @@ def _integrand_scale(spec):
                 quad_tol=1e-12), [(2.0, 0.125), (8.0, 0.03125)]),
     (KernelSpec(variant="schro-left", j=3.0, t=2.0, a=0, k=1.0, quad_tol=1e-12),
      [(16.0, -4.0)]),
-])
+]
+
+
+@pytest.mark.parametrize("spec, points", ORACLE_CASES)
 def test_batched_rule_matches_quad_oracle(spec, points):
     xs = np.array([p[0] for p in points])
     ys = np.array([p[1] for p in points])
@@ -184,6 +212,68 @@ def test_batched_rule_matches_quad_oracle(spec, points):
         assert abs(value - _quad_oracle(spec, x, y, 0.1 * tol)) <= tol
 
 
+def _panel_calls(monkeypatch) -> list[tuple[float, float, int]]:
+    """The (a, b, panels) of each rule ``phase_integral`` evaluates from now on."""
+    calls = []
+    panel_rule = kernels._panel_rule
+
+    def recorded(a, b, panels):
+        calls.append((a, b, panels))
+        return panel_rule(a, b, panels)
+
+    monkeypatch.setattr(kernels, "_panel_rule", recorded)
+    return calls
+
+
+def _direct_rule(spec, d, a, b, panels):
+    """The composite rule on [a, b] as one product exp(i outer(d, xi)) @ amp,
+    one exponential per point and node, at the nodes, weights and amplitudes
+    of ``kernels.phase_integral``."""
+    mid, offsets, weights = kernels._panel_rule(a, b, panels)
+    xi = (mid[:, None] + offsets).ravel()
+    amp = (np.tile(weights, panels) * spec.frequency_cutoff()(xi) * xi**spec.a
+           * np.exp(1j * spec.dispersive_phase(xi)))
+    return np.exp(1j * np.outer(d, xi)) @ amp
+
+
+@pytest.mark.parametrize("spec, points", ORACLE_CASES)
+def test_factored_rule_matches_direct_rule(spec, points, monkeypatch):
+    # the per-panel factoring exp(i d m_p) exp(i d s_g) of exp(i d xi) moves the
+    # result by roundoff only; compared at the panels the refinement settled on
+    calls = _panel_calls(monkeypatch)
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    res = phase_integral(spec, xs, ys)
+    final = {(a, b): panels for a, b, panels in calls}  # each piece's last rule
+    direct = sum(_direct_rule(spec, xs - ys + spec.t, a, b, panels)
+                 for (a, b), panels in final.items())
+    assert len(final) in (1, 2)
+    assert np.max(np.abs(res.value - direct)) <= 1e-13 * _integrand_scale(spec)
+
+
+def test_rule_takes_one_exponential_per_point_and_panel(monkeypatch):
+    # D (P + 16) phase exponentials per rule (16 offsets and P midpoints per
+    # point) and 16 P for the amplitudes, where one exponential per point and
+    # node took 16 D P; real exponentials (the cutoffs) are not counted
+    counted = [0]
+    exp = np.exp
+
+    def counting_exp(z, *args, **kwargs):
+        out = exp(z, *args, **kwargs)
+        if np.iscomplexobj(out):
+            counted[0] += np.size(out)
+        return out
+
+    spec, points = ORACLE_CASES[0]
+    calls = _panel_calls(monkeypatch)
+    monkeypatch.setattr(np, "exp", counting_exp)
+    phase_integral(spec, np.array([p[0] for p in points]), np.array([p[1] for p in points]))
+    monkeypatch.undo()
+    d = len(points)
+    assert [panels for *_, panels in calls] == [10, 21, 42, 10, 21, 42]
+    assert counted[0] == sum(d * (panels + 16) + 16 * panels for *_, panels in calls) == 3062
+
+
 def test_nonconvergence_is_flagged(monkeypatch):
     monkeypatch.setattr(kernels, "QUAD_LIMIT", 8)
     spec = KernelSpec(variant="lowfreq-left", j=0.0, t=2048.0, a=1, quad_tol=1e-12)
@@ -191,7 +281,7 @@ def test_nonconvergence_is_flagged(monkeypatch):
         res = phase_integral(spec, np.array([0.5, 2.0]), np.array([-2.0, 0.0]))
     assert res.converged is False
     with pytest.warns(QuadratureWarning):
-        rows = sweep(spec, "t", [1024.0, 2048.0], nx=3, ny=3)
+        rows = sweep([replace(spec, t=t) for t in (1024.0, 2048.0)], nx=3, ny=3)
     assert [r["quad_flag"] for r in rows] == [1, 1]
 
 
@@ -258,9 +348,9 @@ def test_fit_soliton_shell_sups():
 
 def test_sweep_rows_and_csv(tmp_path):
     spec = KernelSpec(variant="lowfreq-left", j=1.0, t=4.0, a=1, quad_tol=1e-10)
-    rows = sweep(spec, "t", [4.0, 8.0], nx=3, ny=3)
+    rows = sweep([replace(spec, t=t) for t in (4.0, 8.0)], nx=3, ny=3)
     assert len(rows) == 2 and rows[0]["sup"] > rows[1]["sup"] > 0.0
-    rows += sweep(spec, "j", [2.0, 3.0], nx=3, ny=3)
+    rows += sweep([replace(spec, j=j) for j in (2.0, 3.0)], nx=3, ny=3)
     path = str(tmp_path / "rows.csv")
     rows_to_csv(rows, path)
     lines = open(path).read().strip().split("\n")
