@@ -26,8 +26,9 @@ caller (the tested property is support separation from the 2^k band, which
 callers assert).
 
 Indices may be any real number: members are continuous functions of 2^-j y,
-vectorized over y.  ``shell_holds`` tells whether a shell meets a set of
-points, also for an index whose 2^j over- or underflows.
+vectorized over y, also where 2^j is not a normal double (``le`` then takes
+its limit).  ``shell_holds`` tells whether a shell meets a set of points,
+also for an index whose 2^j over- or underflows.
 """
 
 from __future__ import annotations
@@ -51,10 +52,7 @@ def _bump(t: np.ndarray) -> np.ndarray:
 def _bump_deriv(t: np.ndarray) -> np.ndarray:
     """d/dt exp(-1/t) = exp(-1/t)/t^2 on t > 0."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos]) / t[pos] ** 2
-    return out
+    return np.divide(_bump(t), t**2, out=np.zeros_like(t), where=t > 0)
 
 
 def smoothstep(t: np.ndarray) -> np.ndarray:
@@ -76,12 +74,19 @@ def smoothstep_deriv(t: np.ndarray) -> np.ndarray:
 
 
 def le(j: float, y) -> np.ndarray:
-    """chi^+_{<=j}: one for y <= 2^j (negative y included), zero for y >= 2^{j+1}."""
-    return smoothstep(2.0 - np.asarray(y, dtype=float) / 2.0**j)
+    """chi^+_{<=j}: one for y <= 2^j (negative y included), zero for y >= 2^{j+1}.
+    Where 2^j is not a normal double, the indicator of y <= 0 below, one above."""
+    y = np.asarray(y, dtype=float)
+    if not -1022 <= j < 1024:
+        return np.where(y <= 0.0, 1.0, 0.0) if j < 0 else np.ones_like(y)
+    return smoothstep(2.0 - y / 2.0**j)
 
 
 def le_deriv(j: float, y) -> np.ndarray:
-    return -smoothstep_deriv(2.0 - np.asarray(y, dtype=float) / 2.0**j) / 2.0**j
+    y = np.asarray(y, dtype=float)
+    if not -1022 <= j < 1024:
+        return np.zeros_like(y)
+    return -smoothstep_deriv(2.0 - y / 2.0**j) / 2.0**j
 
 
 def shell(j: float, y) -> np.ndarray:

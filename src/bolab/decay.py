@@ -39,7 +39,6 @@ from .spectral import (
     lp_partition_bounds,
     lp_values,
     shell_weight,
-    weighted_shell_sup,
     weighted_sup,
 )
 
@@ -177,15 +176,12 @@ def bootstrap_iteration_count(epsilon: float) -> int:
     return count
 
 
-def measure_epsilon(w: Field, shells: list[float]) -> float:
-    """Excess of the fitted positive-shell decay exponent over 1, clamped to
-    [0.05, 1]; this estimates the hypothesis parameter from the data itself."""
-    sups = weighted_shell_sup(w, shells)
-    pairs = [(j, v["+"]) for j, v in sups.items() if v["+"] > 0.0]
-    if len(pairs) < 4:
+def measure_epsilon(fit: dict | None) -> float:
+    """Excess over 1 of a ``sup_plus`` fit row's decay exponent, clamped to [0.05, 1];
+    0.05 without a row (fewer than four positive shells)."""
+    if fit is None:
         return 0.05
-    fit = fit_decay(pairs)
-    return float(np.clip(-fit.slope - 1.0, 0.05, 1.0))
+    return float(np.clip(-fit["slope"] - 1.0, 0.05, 1.0))
 
 
 def _series(value, depth: int, leaf) -> bool:
@@ -253,7 +249,7 @@ class DecayReport:
     ledger: list
 
     def to_json(self, path: str) -> None:
-        atomic_write_text(path, json_text(asdict(self)))
+        atomic_write_text(path, json_text(vars(self)))
 
     @staticmethod
     def from_json(path: str) -> "DecayReport":
@@ -414,12 +410,10 @@ class SnapshotTables:
 def run(config: ExperimentConfig) -> DecayReport:
     """Evolve the configured data and measure shell decay over time, each
     snapshot as ``solver.stream`` yields it."""
-    grid = config.grid()
     state = config.solver_state()
-    w0 = state.w
-    eps_meas = measure_epsilon(w0, config.shells)
     tables = SnapshotTables(config)
     shells = tables.shells
+    horizon = {j: contamination_time(config, j) for j in shells}
 
     times: list[float] = []
     sup = {"+": {f"{j}": [] for j in shells}, "-": {f"{j}": [] for j in shells}}
@@ -437,7 +431,7 @@ def run(config: ExperimentConfig) -> DecayReport:
         for j in shells:
             sup["+"][f"{j}"].append(sups[j]["+"])
             sup["-"][f"{j}"].append(sups[j]["-"])
-            clean[f"{j}"].append(bool(t <= contamination_time(config, j)))
+            clean[f"{j}"].append(bool(t <= horizon[j]))
             lowpass_sup[f"{j}"].append(lowpass[j])
             bandsum_sup[f"{j}"].append(bandsum[j])
             for k, by_shell in gauge.items():
@@ -452,12 +446,14 @@ def run(config: ExperimentConfig) -> DecayReport:
     if agg is not None:
         fits.append(agg)
 
+    # the first snapshot is t = 0: its fit measures epsilon, its ledger row the mass
+    eps_meas = measure_epsilon(fits[0] if fits and fits[0]["time"] == times[0] else None)
     c0 = config.initial["c"]
     budgets = {
         "box_wrap_tail": 2.0 * c0 / (c0**2 * (config.box_length / 2.0) ** 2 + 1.0),
-        "contamination_time": {f"{j}": contamination_time(config, j) for j in shells},
+        "contamination_time": {f"{j}": horizon[j] for j in shells},
         "sponge": asdict(state.sponge),
-        "mass_over_L": float(grid.dx * np.sum(w0.samples)) / config.box_length,
+        "mass_over_L": snap.ledger[0][1] / config.box_length,
     }
     return DecayReport(
         config=config.to_dict(),

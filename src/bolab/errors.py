@@ -18,7 +18,7 @@ class MultiplierDomainError(BolabError):
 
 
 class DegenerateShellError(BolabError):
-    """A dyadic spatial shell does not fit inside the periodic box."""
+    """A dyadic spatial shell does not fit inside the periodic box or weighs no grid point."""
 
 
 class SolverInstabilityError(BolabError):

@@ -309,11 +309,9 @@ def assemble_B(
 # ---------------------------------------------------------------------------
 
 
-def check_dealias_margin(u: Field | ComplexField, c: np.ndarray | None = None) -> None:
-    """Warn when the spectrum carries mass beyond QUARTIC_MARGIN * Nyquist;
-    ``c`` may pass in the coefficients of u."""
-    if c is None:
-        c = coeffs_of(np.asarray(u.samples), u.grid)
+def check_dealias_margin(u: Field | ComplexField, c: np.ndarray) -> None:
+    """Warn when the spectrum of u, whose coefficients are ``c``, carries mass
+    beyond QUARTIC_MARGIN * Nyquist."""
     tail = spectral_tail_mass(u, QUARTIC_MARGIN, c)
     scale = max(np.max(np.abs(np.asarray(u.samples))), 1e-300)
     if tail > 1e-12 * scale:
@@ -342,7 +340,7 @@ def nf_generator_terms(
     """
     grid = u.grid
     c = coeffs_of(np.asarray(u.samples), grid)
-    check_dealias_margin(u, c=c)
+    check_dealias_margin(u, c)
     kernel = BandKernel(grid, k, order, ll_factor)
     # chi = lp_values(grid, k, "plus") and low the "leq" low-pass (see BandKernel)
     chi, low, minus = kernel.chi, kernel.low, kernel.minus

@@ -19,6 +19,7 @@ mean-zero fields.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Callable, Iterable
 
@@ -145,7 +146,7 @@ def lp_values(grid: Grid, k: float, variant: str) -> np.ndarray:
 
 def warn_band_edge(grid: Grid, k: float) -> None:
     """Warn (BandEdgeWarning) when the band 2^{k+1} reaches the grid Nyquist."""
-    if 2.0 ** (k + 1) >= grid.nyquist:
+    if k + 1 >= math.log2(grid.nyquist):
         warnings.warn(f"band k={k} touches the Nyquist frequency {grid.nyquist:.3g}",
                       BandEdgeWarning, stacklevel=3)
 
@@ -178,33 +179,23 @@ def lp_partition_bounds(grid: Grid) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _check_shell(grid: Grid, j: float) -> None:
-    if 2.0**j > grid.box_length / 4.0:
-        raise DegenerateShellError(
-            f"shell 2^{j} = {2.0**j:.3g} exceeds box_length/4 = {grid.box_length / 4:.3g}"
-        )
+def _fits_box(grid: Grid, j: float) -> bool:
+    """Whether 2^j <= box_length/4, decided in log2, where 2^j cannot overflow."""
+    return j <= math.log2(grid.box_length / 4.0)
 
 
 def spatial_cutoff_values(grid: Grid, j: float, sign: str) -> np.ndarray:
     """Values of the dyadic shell chi_j on the grid points, at x or -x."""
-    _check_shell(grid, j)
-    x = grid.x
-    if sign == "+":
-        y = x
-    elif sign == "-":
-        y = -x
-    else:
+    if not _fits_box(grid, j):
+        raise DegenerateShellError(f"shell 2^{j} exceeds box_length/4 = {grid.box_length / 4:.3g}")
+    if sign not in ("+", "-"):
         raise ValueError(f"unknown sign {sign!r}")
-    return np.asarray(cutoffs.shell(j, y), dtype=float)
+    return np.asarray(cutoffs.shell(j, grid.x if sign == "+" else -grid.x), dtype=float)
 
 
 def spatial_cutoff(f: Field | ComplexField, j: float, sign: str) -> Field | ComplexField:
     """Pointwise product with the shell cutoff; errors on shells leaving the box."""
-    w = spatial_cutoff_values(f.grid, j, sign)
-    out = w * np.asarray(f.samples)
-    if isinstance(f, Field):
-        return Field(f.grid, out)
-    return ComplexField(f.grid, out)
+    return type(f)(f.grid, spatial_cutoff_values(f.grid, j, sign) * np.asarray(f.samples))
 
 
 def weighted_shell_sup(f: Field | ComplexField,
@@ -212,21 +203,25 @@ def weighted_shell_sup(f: Field | ComplexField,
     """Per-shell, per-sign weighted sup norms sup_x |chi_j^{+-}(x) f(x)|.
 
     Shells whose support [2^{j-1}, 2^{j+1}] does not fit in the half-box are
-    absent from the result (not reported as zero).
+    absent from the result (not reported as zero); a shell that weighs no grid
+    point raises DegenerateShellError.
     """
     a = np.abs(np.asarray(f.samples))
     return {
         float(j): {sign: weighted_sup(shell_weight(f.grid, j, sign), a) for sign in "+-"}
         for j in shells
-        if 2.0 ** (float(j) + 1) <= f.grid.box_length / 2.0
+        if _fits_box(f.grid, float(j))
     }
 
 
 def shell_weight(grid: Grid, j: float, sign: str) -> tuple[slice, np.ndarray]:
-    """chi_j(sign * x) on its support: (s, values), the weight being zero off the slice s."""
-    w = np.asarray(cutoffs.shell(j, grid.x if sign == "+" else -grid.x))
+    """``spatial_cutoff_values`` on its support: (s, values), the weight being zero off
+    the slice s.  Raises DegenerateShellError when chi_j vanishes at every grid point."""
+    w = spatial_cutoff_values(grid, j, sign)
     nz = np.flatnonzero(w)
-    s = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 1)
+    if not nz.size:
+        raise DegenerateShellError(f"shell 2^{j} weighs no grid point (dx = {grid.dx:.3g})")
+    s = slice(nz[0], nz[-1] + 1)
     return s, w[s].copy()
 
 

@@ -624,6 +624,23 @@ def test_measure_decay_integral_float_bands_keep_integer_keys(tmp_path):
     assert sorted(report["gauge_sup"]) == ["0", "1"]
 
 
+def test_measure_decay_with_a_very_low_pass_below_the_normal_range(tmp_path):
+    # ll_factor 1e6 puts chi_{<<k} at index k - 4e6, whose 2^j underflows; at
+    # ll_factor 200 (index k - 800) the formula gives the same multiplier
+    out = {}
+    for factor in (1e6, 200.0):
+        out[factor] = tmp_path / f"ll{factor:g}"
+        args = ["measure-decay", "--output-dir", str(out[factor])]
+        for override in ("n_points=256", "t_final=0.01", "dt=0.001", "snapshot_stride=5",
+                         "gauge.enabled=true", f"gauge.ll_factor={factor!r}"):
+            args += ["--override", override]
+        assert main(args) == 0
+        manifest = json.loads((out[factor] / "manifest.json").read_text())
+        assert "RuntimeWarning" not in manifest["warnings"]
+    reports = [json.loads((path / "decay_report.json").read_text()) for path in out.values()]
+    assert reports[0]["gauge_sup"] == reports[1]["gauge_sup"]
+
+
 def test_measure_decay_counts_band_edge_warnings_per_snapshot(tmp_path):
     # bands whose 2^(k+1) reaches Nyquist warn once per snapshot, as lp_project does
     bands = [1, 2, 3]

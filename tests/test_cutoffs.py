@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 
 from bolab import cutoffs
-from bolab.cutoffs import smoothstep
+from bolab.cutoffs import smoothstep, smoothstep_deriv
+from bolab.grid import Grid
+from bolab.spectral import lp_values
 
 
 def test_smoothstep_endpoints():
@@ -74,3 +78,30 @@ def test_fractional_indices():
     vals = [cutoffs.shell(j, y)[0] for j in np.linspace(1.0, 2.0, 11)]
     assert np.all(np.isfinite(vals))
     assert cutoffs.shell(1.5849625007211562, np.array([3.0]))[0] == 1.0  # log2(3)
+
+
+def test_indices_whose_dyadic_scale_is_normal_keep_the_formula_bit_for_bit():
+    for j in (-1022.0, -500.5, 0.0, 3.25, 1023.0):
+        y = np.linspace(-1.0, 3.0, 101) * 2.0 ** (j - 1)
+        t = 2.0 - y / 2.0**j
+        assert np.array_equal(cutoffs.le(j, y), smoothstep(t))
+        assert np.array_equal(cutoffs.le_deriv(j, y), -smoothstep_deriv(t) / 2.0**j)
+
+
+def test_indices_whose_dyadic_scale_under_or_overflows():
+    # below the normal range chi_{<=j} is the indicator of y <= 0, above it one,
+    # with derivative zero, and no warning is raised
+    y = np.array([-3.0, -1e-300, 0.0, 1e-300, 2.0, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j in (-1023.0, -1075.0, -4e6):
+            assert np.array_equal(cutoffs.le(j, y), [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+            assert np.array_equal(cutoffs.le_deriv(j, y), np.zeros(6))
+            assert cutoffs.le_abs(j, 0.0) == 1.0
+        for j in (1024.0, 1100.0, 4e6):
+            assert np.array_equal(cutoffs.le(j, y), np.ones(6))
+            assert np.array_equal(cutoffs.le_deriv(j, y), np.zeros(6))
+            assert np.array_equal(cutoffs.shell(j, y), np.zeros(6))
+        # the low-pass multiplier keeps the zero mode at any depth
+        grid = Grid(256, 400.0)
+        assert lp_values(grid, -4e6, "leq")[128] == lp_values(grid, -400.0, "leq")[128] == 1.0

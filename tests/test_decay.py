@@ -18,9 +18,10 @@ from bolab.decay import (
 )
 from bolab.errors import AcceptanceFailure, ConfigError, DegenerateSeriesError
 from bolab.grid import Field, Grid
+from bolab.kernels import fit_decay
 from bolab.normal_form import Bundle, gauge_polynomial, phi_coeffs, transform
 from bolab.pseudoproduct import BandKernel, assemble_B
-from bolab.solver import evolve, soliton
+from bolab.solver import SolverState, dump_snapshot, evolve, soliton
 from bolab.spectral import (
     coeffs_of,
     fft_ordered,
@@ -29,6 +30,7 @@ from bolab.spectral import (
     lp_values,
     samples_of,
     spatial_cutoff_values,
+    weighted_shell_sup,
 )
 from bolab.testing import antiderivative_mean_removed
 
@@ -110,14 +112,29 @@ def test_initial_field_kinds():
     assert wb.sup_norm() > s.sup_norm()
 
 
+def _epsilon_of_field(w: Field, shells: list[float]) -> float:
+    """The measured epsilon as computed from a field before ``measure_epsilon`` took
+    the report's t = 0 fit row: its own weights, positive sups and fit (the oracle)."""
+    sups = weighted_shell_sup(w, shells)
+    pairs = [(j, v["+"]) for j, v in sups.items() if v["+"] > 0.0]
+    if len(pairs) < 4:
+        return 0.05
+    return float(np.clip(-fit_decay(pairs).slope - 1.0, 0.05, 1.0))
+
+
 def test_epsilon_measurement_clamped():
     g = Grid(2048, 400.0)
     shells = [2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5]
-    s = soliton(1.0, 0.0, g)
-    eps = measure_epsilon(s, shells)
+
+    def fit_row(w):
+        sups = weighted_shell_sup(w, shells)
+        return {"slope": fit_decay([(j, v["+"]) for j, v in sups.items()]).slope}
+
+    eps = measure_epsilon(fit_row(soliton(1.0, 0.0, g)))
     assert 0.9 <= eps <= 1.0  # soliton decays one power above the hypothesis
     flat = Field(g, np.ones(g.n_points))
-    assert measure_epsilon(flat, shells) == 0.05  # clamped from below
+    assert measure_epsilon(fit_row(flat)) == 0.05  # clamped from below
+    assert measure_epsilon(None) == 0.05  # no fit: fewer than four positive shells
 
 
 def test_contamination_time_policy():
@@ -144,6 +161,44 @@ def _small_config(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+ORACLE_CONFIGS = {
+    "soliton": {},
+    "bump_sponge_gauge": {
+        "initial": {"kind": "soliton_bump", "bump_amplitude": 0.05, "bump_center": 2.0},
+        "sponge": {"enabled": True},
+        "gauge": {"enabled": True, "order": 4, "ll_factor": 100.0, "bands": [0, 1]},
+    },
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CONFIGS)
+def test_report_numbers_match_their_formulas_on_the_initial_field(name):
+    # epsilon, the mass budget and the contamination horizons, bit for bit as
+    # measured on the initial field by the formulas the run no longer repeats
+    cfg = _small_config(**ORACLE_CONFIGS[name])
+    rep = run(cfg)
+    w0 = cfg.initial_field()
+    grid = cfg.grid()
+    assert rep.epsilon_measured == _epsilon_of_field(w0, cfg.shells)
+    assert rep.predicted_exponent == bootstrap_predict(rep.epsilon_measured)
+    assert rep.budgets["mass_over_L"] == float(grid.dx * np.sum(w0.samples)) / cfg.box_length
+    assert rep.budgets["contamination_time"] == {
+        f"{j}": contamination_time(cfg, j) for j in rep.shells}
+    for j in rep.shells:
+        assert rep.clean[f"{j}"] == [t <= contamination_time(cfg, j) for t in rep.times]
+
+
+def test_flat_and_zero_fields_report_the_epsilon_floor(tmp_path):
+    grid = Grid(2048, 400.0)
+    path = str(tmp_path / "flat.bosnap")
+    dump_snapshot(SolverState(w=Field(grid, np.ones(grid.n_points))), path)
+    for initial in ({"kind": "file", "path": path}, {"kind": "zero"}):
+        cfg = _small_config(initial=initial, t_final=0.02, snapshot_stride=5)
+        rep = run(cfg)
+        assert rep.epsilon_measured == 0.05
+        assert rep.epsilon_measured == _epsilon_of_field(cfg.initial_field(), cfg.shells)
 
 
 def test_zero_data_all_sups_zero_fits_skipped():

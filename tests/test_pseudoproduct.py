@@ -382,8 +382,8 @@ def _generator_terms_field_by_field(u, k, order, ll_factor):
     """The six generator terms formed field by field, one projection,
     derivative or ``assemble_B`` per piece: the reference that
     ``nf_generator_terms`` matches to roundoff."""
-    check_dealias_margin(u)
     grid = u.grid
+    check_dealias_margin(u, coeffs_of(np.asarray(u.samples), grid))
     u_ll = lp_project(u, k - ll_factor * order, "leq")
     u_kp = lp_project(u, k, "plus")
     du = derivative(u)

@@ -21,7 +21,9 @@ from bolab.spectral import (
     lp_project,
     samples_of,
     spatial_cutoff,
+    shell_weight,
     spatial_cutoff_values,
+    warn_band_edge,
     weighted_shell_sup,
 )
 from bolab.kernels import fit_decay
@@ -356,6 +358,31 @@ def test_shell_sups_absent_outside_box(grid_small):
     f = Field(grid_small, np.ones(grid_small.n_points))
     sups = weighted_shell_sup(f, [1.0, 30.0])
     assert 1.0 in sups and 30.0 not in sups
+
+
+def test_shell_that_weighs_no_grid_point_raises():
+    g = Grid(512, 200.0)
+    s = soliton(1.0, 0.0, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j in (-2000.0, -20.0):
+            with pytest.raises(DegenerateShellError, match="weighs no grid point"):
+                weighted_shell_sup(s, [3.0, j])
+            for sign in "+-":
+                with pytest.raises(DegenerateShellError, match="weighs no grid point"):
+                    shell_weight(g, j, sign)
+
+
+def test_shells_whose_dyadic_scale_overflows():
+    # 2^1100 overflows a double: the box-size tests decide in log2
+    g = Grid(512, 200.0)
+    s = soliton(1.0, 0.0, g)
+    assert weighted_shell_sup(s, [1100.0]) == {}
+    assert list(weighted_shell_sup(s, [3.0, 1100.0])) == [3.0]
+    with pytest.raises(DegenerateShellError, match="exceeds box_length/4"):
+        spatial_cutoff_values(g, 1100.0, "+")
+    with pytest.warns(BandEdgeWarning):
+        warn_band_edge(g, 1100.0)
 
 
 # ---------------------------------------------------------------------------
