@@ -73,20 +73,30 @@ def smoothstep_deriv(t: np.ndarray) -> np.ndarray:
     return (ap * b + a * bp) / s**2
 
 
+def _scaled(j: float, y: np.ndarray) -> np.ndarray:
+    """2^-j y for a normal 2^j, with y first clamped to [-2^(j+2), 2^(j+2)]: below
+    and above that range ``le`` is exactly 1 and 0 and ``le_deriv`` 0, so the clamp
+    changes no value and keeps the quotient finite (no overflow warning) where 2^j is
+    tiny.  The bound is a Python float, which is inf, with no warning, where 2^(j+2)
+    overflows."""
+    scale = 2.0 ** float(j)
+    return np.maximum(np.minimum(y, 4.0 * scale), -4.0 * scale) / scale
+
+
 def le(j: float, y) -> np.ndarray:
     """chi^+_{<=j}: one for y <= 2^j (negative y included), zero for y >= 2^{j+1}.
     Where 2^j is not a normal double, the indicator of y <= 0 below, one above."""
     y = np.asarray(y, dtype=float)
     if not -1022 <= j < 1024:
         return np.where(y <= 0.0, 1.0, 0.0) if j < 0 else np.ones_like(y)
-    return smoothstep(2.0 - y / 2.0**j)
+    return smoothstep(2.0 - _scaled(j, y))
 
 
 def le_deriv(j: float, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not -1022 <= j < 1024:
         return np.zeros_like(y)
-    return -smoothstep_deriv(2.0 - y / 2.0**j) / 2.0**j
+    return -smoothstep_deriv(2.0 - _scaled(j, y)) / 2.0**j
 
 
 def shell(j: float, y) -> np.ndarray:

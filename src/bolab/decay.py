@@ -39,7 +39,6 @@ from .spectral import (
     lp_partition_bounds,
     lp_values,
     shell_weight,
-    weighted_sup,
 )
 
 #: defaults of the nested config objects, which also serve as their schemas
@@ -330,7 +329,12 @@ class SnapshotTables:
     field is real: its rows keep only xi = 0, dxi, .., (n/2 - 1) dxi, which ``irfft``
     inverts, and their xi = 0 entry is zeroed, so that they act on the mean-removed field
     (the box zero mode is a constant 2pi/L background absent on the line; its size is in
-    budgets.mass_over_L).  The band rows are one-sided and stay whole."""
+    budgets.mass_over_L).  The band rows are one-sided and stay whole.
+
+    The work arrays of ``measure`` are held with the tables: the inverse blocks, the
+    gathered weighted field, the magnitudes on the window of the + supports (every
+    projection is weighted only there) and the band sums; the first gauge band's kernel
+    holds the length-2n workspace of the shared paraproduct."""
 
     def __init__(self, config: ExperimentConfig):
         grid = self.grid = config.grid()
@@ -352,16 +356,34 @@ class SnapshotTables:
         flat = self._work.reshape(-1)
         self._half = flat[:BLOCK_ROWS * n // 2].reshape(BLOCK_ROWS, n // 2)
         self._real = flat[BLOCK_ROWS * n // 2:].view(float).reshape(BLOCK_ROWS, n)
-        self._mags = np.empty(n)
+        # the field's weighted sups: every (shell, sign) weight gathered from the window
+        # of all supports, one segment each
+        weights = [weight for by_sign in self.weights.values() for weight in by_sign.values()]
+        window = self._window = _window(s for s, _ in weights)
+        self._index = np.concatenate([np.arange(s.start, s.stop) - window.start
+                                      for s, _ in weights])
+        self._values = np.concatenate([values for _, values in weights])
+        self._starts = np.cumsum([0] + [len(values) for _, values in weights[:-1]])
+        self._abs = np.empty(window.stop - window.start)
+        self._gathered = np.empty(len(self._index))
+        # the projections' weighted sups: each + weight on the window of the + supports
+        plus = self._plus = _window(self.weights[j]["+"][0] for j in self.shells)
+        self._plus_weights = {}
+        for j in self.shells:
+            s, values = self.weights[j]["+"]
+            self._plus_weights[j] = (slice(s.start - plus.start, s.stop - plus.start), values)
+        self._mags = np.empty(plus.stop - plus.start)
+        self._products = np.empty(plus.stop - plus.start)
+        self._totals = np.empty((len(self.shells), plus.stop - plus.start))
         gauge = config.gauge
         self.gauge = {int(k): BandKernel(grid, int(k), gauge["order"], gauge["ll_factor"])
                       for k in (gauge["bands"] if gauge["enabled"] else [])}
 
-    def _projected_abs(self, table: np.ndarray, cf: np.ndarray):
-        """|samples_of(row * c)| for each row of ``table``, in turn, from cf =
+    def _projected(self, table: np.ndarray, cf: np.ndarray):
+        """samples_of(row * c) for each row of ``table``, in turn, from cf =
         ``fft_ordered(c)``: each block of rows is inverted in one call, by ``irfft`` for
-        the half rows of ``low_table`` and by ``ifft`` for whole rows.  The array
-        yielded is overwritten by the next row."""
+        the half rows of ``low_table`` and by ``ifft`` for whole rows.  The row view
+        yielded is overwritten by the next block."""
         n = self.grid.n_points
         for start in range(0, len(table), BLOCK_ROWS):
             block = table[start:start + BLOCK_ROWS]
@@ -373,38 +395,57 @@ class SnapshotTables:
                 spectrum = out = self._work[:len(block)]
                 np.multiply(block, cf, out=spectrum)
                 np.fft.ifft(spectrum, axis=-1, out=out)
-            for row in out:
-                yield np.abs(row, out=self._mags)
+            yield from out
+
+    def _plus_abs(self, samples: np.ndarray) -> np.ndarray:
+        """|samples| on the window of the + supports, in a held array."""
+        return np.abs(samples[self._plus], out=self._mags)
+
+    def _plus_sup(self, j: float, mags: np.ndarray) -> float:
+        """sup_x chi_j^+(x) mags(x) for ``mags`` on the window of the + supports."""
+        s, values = self._plus_weights[j]
+        return float(np.max(np.multiply(values, mags[s], out=self._products[:len(values)])))
 
     def measure(self, w: Field) -> tuple[dict, dict, dict, dict]:
         """(sups[j][sign] as from ``weighted_shell_sup``, lowpass[j], bandsum[j], gauge[k][j])
         of one snapshot, from one forward transform of the field: the low-pass and band
         rows are inverted in blocks, and each gauge band takes one inverse (see
-        ``normal_form.Bundle``)."""
-        plus = {j: weights["+"] for j, weights in self.weights.items()}
-        a = np.abs(w.samples)
-        sups = {j: {sign: weighted_sup(weight, a) for sign, weight in weights.items()}
-                for j, weights in self.weights.items()}
+        ``normal_form.Bundle``).  The field's sups, two per shell, are one gather and
+        one ``np.maximum.reduceat``; each sup is the same float as ``weighted_sup``'s."""
+        np.abs(w.samples[self._window], out=self._abs)
+        gathered = np.take(self._abs, self._index, out=self._gathered)
+        gathered *= self._values
+        flat = iter(np.maximum.reduceat(gathered, self._starts).tolist())
+        sups = {j: {sign: next(flat) for sign in weights} for j, weights in self.weights.items()}
         c = coeffs_of(w.samples, self.grid)
         cf = fft_ordered(c, self.grid)
-        lowpass = {j: weighted_sup(plus[j], mags)
-                   for j, mags in zip(self.shells, self._projected_abs(self.low_table, cf))}
+        lowpass = {j: self._plus_sup(j, self._plus_abs(row))
+                   for j, row in zip(self.shells, self._projected(self.low_table, cf))}
         # the sum of |w_k^+| over the bands k > k0, on each shell's support
-        totals = {j: np.zeros(len(values)) for j, (_, values) in plus.items()}
-        for k, mags in zip(self.band_ks, self._projected_abs(self.band_table, cf)):
-            for j, total in totals.items():
+        totals = self._totals
+        totals.fill(0.0)
+        for k, row in zip(self.band_ks, self._projected(self.band_table, cf)):
+            mags = self._plus_abs(row)
+            for total, j in zip(totals, self.shells):
                 if k > self.k0[j]:
-                    total += mags[plus[j][0]]
-        bandsum = {j: float(np.max(plus[j][1] * totals[j])) for j in self.shells}
+                    s = self._plus_weights[j][0]
+                    total[s] += mags[s]
+        bandsum = {j: self._plus_sup(j, total) for j, total in zip(self.shells, totals)}
         gauge = {}
         if self.gauge:
             phi_c = phi_coeffs(w, c)
             # the first paraproduct of B_k(u, u) does not depend on k: one per snapshot
-            shared = next(iter(self.gauge.values())).paraproduct(c)
+            shared = next(iter(self.gauge.values())).paraproduct(c, c)
             for k, kernel in self.gauge.items():
-                v_abs = np.abs(Bundle(kernel, c, phi_c, shared).v)
-                gauge[k] = {j: weighted_sup(plus[j], v_abs) for j in self.shells}
+                mags = self._plus_abs(Bundle(kernel, c, phi_c, shared).v)
+                gauge[k] = {j: self._plus_sup(j, mags) for j in self.shells}
         return sups, lowpass, bandsum, gauge
+
+
+def _window(supports) -> slice:
+    """The smallest slice that holds every slice of ``supports``."""
+    supports = list(supports)
+    return slice(min(s.start for s in supports), max(s.stop for s in supports))
 
 
 def run(config: ExperimentConfig) -> DecayReport:

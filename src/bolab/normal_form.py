@@ -90,7 +90,7 @@ def gauge_polynomial(order: int, z: np.ndarray) -> np.ndarray:
 class Bundle:
     """One snapshot's pieces of v_k in the band of ``kernel``, each computed
     once from the coefficients c of u, those phi_c of phi (see ``phi_coeffs``)
-    and ``shared`` = ``kernel.paraproduct(c)``, which every band of the grid
+    and ``shared`` = ``kernel.paraproduct(c, c)``, which every band of the grid
     shares: the coefficients b_c of B_k(u, u), and the samples of
     A = u_k^+ + B_k(u, u) (one inverse transform, of chi_k^+ c + b_c), phi_ll
     and v_k = A E_N(phi_ll); u_k^+ and u_ll on first use, which only the terms
@@ -104,7 +104,9 @@ class Bundle:
         warn_band_edge(grid, kernel.k)
         self.kernel, self.c = kernel, c
         self.b_c = kernel.apply(c, c, shared)
-        self.a = samples_of(kernel.chi * c + self.b_c, grid)
+        a_c = kernel.chi * c
+        a_c += self.b_c
+        self.a = samples_of(a_c, grid)
         phi_ll_c = kernel.low * phi_c
         if not phi_ll_c.any():
             self.phi_ll, self.v = np.zeros_like(self.a), self.a
@@ -191,7 +193,7 @@ def transform(u: Field, kernel: BandKernel) -> Bundle:
     """The bundle of v_k = (u_k^+ + B_k(u,u)) E_N(phi_ll) in the band of
     ``kernel``, whose ``v`` holds its samples."""
     c = coeffs_of(u.samples, u.grid)
-    return Bundle(kernel, c, phi_coeffs(u, c), kernel.paraproduct(c))
+    return Bundle(kernel, c, phi_coeffs(u, c), kernel.paraproduct(c, c))
 
 
 @dataclass

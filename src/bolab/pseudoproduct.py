@@ -165,33 +165,47 @@ def _support(values: np.ndarray) -> tuple[int, int]:
     return (int(nonzero[0]), int(nonzero[-1]) + 1) if len(nonzero) else (0, 0)
 
 
-def _lattice_conv(a: np.ndarray, b: np.ndarray, grid: Grid,
-                  a_range: tuple[int, int] | None = None,
-                  b_range: tuple[int, int] | None = None) -> np.ndarray:
-    """sum_eta a(xi - eta) b(eta) * dxi on the grid frequencies.
+def _lattice_conv(a: np.ndarray, a_lo: int, b: np.ndarray, b_lo: int, grid: Grid,
+                  rows: Callable[[int], np.ndarray]) -> np.ndarray:
+    """sum_eta a(xi - eta) b(eta) * dxi on the grid frequencies, for pieces a
+    and b whose first entries sit at the grid indices a_lo and b_lo and off
+    which they vanish.
 
-    ``a_range`` and ``b_range`` are index ranges [lo, hi) outside of which a
-    and b vanish, by default the whole grid.  The convolution of the two
-    pieces is a linear one, zero-padded to the smaller of 2n and the next
-    power of two at least la + lb - 1, so frequencies outside the grid range
-    are zero (the lattice's zero extension, no circular wrap).  With full
-    ranges that is one length-2n transform of each input; an empty range
-    takes no transform.
+    The convolution of the two pieces is a linear one, zero-padded to the
+    smaller of 2n and the next power of two at least la + lb - 1, so
+    frequencies outside the grid range are zero (the lattice's zero
+    extension, no circular wrap).  With whole-grid pieces that is one
+    length-2n transform of each; an empty piece takes no transform.  The
+    padded pieces and their transforms live in ``rows(size)``, two complex
+    rows of the padded length (``BandKernel._rows``).
     """
+    if not (len(a) and len(b)):
+        return np.zeros(grid.n_points, dtype=complex)
+    length = len(a) + len(b) - 1
+    fa, fb = rows(min(2 * grid.n_points, 1 << (length - 1).bit_length()))
+    fa[:len(a)] = a
+    fa[len(a):] = 0.0
+    fb[:len(b)] = b
+    fb[len(b):] = 0.0
+    return _padded_conv(fa, fb, a_lo + b_lo, length, grid)
+
+
+def _padded_conv(fa: np.ndarray, fb: np.ndarray, offset: int, length: int,
+                 grid: Grid) -> np.ndarray:
+    """The lattice convolution from its zero-padded pieces fa and fb, which
+    start at the grid indices summing to ``offset``: three transforms in place
+    in fa and fb, whose first ``length`` entries of the inverse, times dxi,
+    land at the grid indices from offset - n/2 on, clipped to the grid."""
     n = grid.n_points
-    a_lo, a_hi = a_range or (0, n)
-    b_lo, b_hi = b_range or (0, n)
-    length = (a_hi - a_lo) + (b_hi - b_lo) - 1
+    np.fft.fft(fa, out=fa)
+    np.fft.fft(fb, out=fb)
+    fa *= fb
+    np.fft.ifft(fa, out=fa)
     out = np.zeros(n, dtype=complex)
-    if a_hi <= a_lo or b_hi <= b_lo:
-        return out
-    size = min(2 * n, 1 << (length - 1).bit_length())
-    full = np.fft.ifft(np.fft.fft(a[a_lo:a_hi], size) * np.fft.fft(b[b_lo:b_hi], size))
-    # full[r] sits at output index r + a_lo + b_lo - n/2
-    shift = a_lo + b_lo - n // 2
+    shift = offset - n // 2
     lo, hi = max(0, shift), min(n, shift + length)
     if lo < hi:
-        out[lo:hi] = full[lo - shift:hi - shift] * grid.dxi
+        np.multiply(fa[lo - shift:hi - shift], grid.dxi, out=out[lo:hi])
     return out
 
 
@@ -221,7 +235,15 @@ class BandKernel:
     ll / (2 xi) can be nonzero; the second paraproduct of ``half`` convolves
     only those, and is empty, with no transform, when ll resolves only
     xi = 0.  The first paraproduct uses no table of the band, so the bands of
-    one grid can share it (``paraproduct``)."""
+    one grid can share it (``paraproduct``).
+
+    The kernel holds the workspace of its paraproducts' transforms, two
+    complex rows allocated on first use, as long as the longest convolution
+    asked of it (2n once ``paraproduct`` runs), and kept while the kernel
+    lives: every caller (``SnapshotTables``, ``transformed_residual``,
+    ``nf_generator_terms``, ``assemble_B``) runs its length-2n transforms in
+    it.  A kernel handed a shared paraproduct holds only what its second
+    paraproduct needs, nothing when that one is empty."""
 
     def __init__(self, grid: Grid, k: float, order: int, ll_factor: float = LL_FACTOR):
         _check_separation(order, ll_factor)
@@ -239,34 +261,60 @@ class BandKernel:
         pad = 2.0 ** (k - ll_factor * order + 1)
         lo, hi = 2.0 ** (k - 1) - pad, 2.0 ** (k + 1) + pad
         self.outside = (grid.xi <= 0) | (grid.xi < lo) | (grid.xi > hi)
+        self._work = np.empty((2, 0), dtype=complex)
 
-    def half(self, a: np.ndarray, b: np.ndarray, shared: np.ndarray | None = None) -> np.ndarray:
-        """chi * conv(a, b / (2 xi)) - conv(chi * a, ll * b / (2 xi)); ``shared``
-        may pass in conv(a, b / (2 xi)), which does not depend on the band."""
-        b = b * self.inv2xi
+    def _rows(self, size: int) -> np.ndarray:
+        """Two complex rows of length ``size`` for the paraproducts: views of a
+        workspace allocated on first use, grown to the longest length asked
+        and held as long as the kernel."""
+        if self._work.shape[1] < size:
+            self._work = np.empty((2, size), dtype=complex)
+        return self._work[:, :size]
+
+    def half(self, fc: np.ndarray, gc: np.ndarray, shared: np.ndarray | None = None) -> np.ndarray:
+        """chi * conv(a, b / (2 xi)) - conv(chi * a, ll * b / (2 xi)) for a = P+f and
+        b = Pg, from the coefficients fc and gc of f and g; ``shared`` may pass in
+        ``paraproduct(fc, gc)``, the first convolution, which does not depend on the
+        band.  The second convolves only its pieces on ``chi_range`` and
+        ``ll_range``, and is skipped, with no transform, when one is empty."""
         if shared is None:
-            shared = _lattice_conv(a, b, self.grid)
-        return (self.chi * shared
-                - _lattice_conv(self.chi * a, self.low * b, self.grid,
-                                self.chi_range, self.ll_range))
+            shared = self.paraproduct(fc, gc)
+        out = self.chi * shared
+        (a_lo, a_hi), (b_lo, b_hi) = self.chi_range, self.ll_range
+        if a_lo < a_hi and b_lo < b_hi:
+            a = self.chi[a_lo:a_hi] * (self.plus[a_lo:a_hi] * fc[a_lo:a_hi])
+            b = self.low[b_lo:b_hi] * (self.both[b_lo:b_hi] * gc[b_lo:b_hi]
+                                       * self.inv2xi[b_lo:b_hi])
+            out -= _lattice_conv(a, a_lo, b, b_lo, self.grid, self._rows)
+        return out
 
-    def paraproduct(self, c: np.ndarray) -> np.ndarray:
-        """conv(P+u, Pu / (2 xi)) from the coefficients c of u: the first
-        paraproduct of B_k(u, u), built from grid-only masks, so one serves
-        every band of the grid (see ``apply``)."""
-        return _lattice_conv(self.plus * c, self.both * c * self.inv2xi, self.grid)
+    def paraproduct(self, fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
+        """conv(P+f, Pg / (2 xi)) from the coefficients fc and gc of f and g: the
+        first paraproduct of ``half``, built from grid-only masks, so for
+        fc = gc = c one serves B_k(u, u) in every band of the grid (see
+        ``apply``).  The masked inputs are formed in place in the kernel's
+        workspace, so a steady call allocates no length-2n array."""
+        n = self.grid.n_points
+        fa, fb = self._rows(2 * n)
+        np.multiply(self.plus, fc, out=fa[:n])
+        fa[n:] = 0.0
+        np.multiply(self.both, gc, out=fb[:n])
+        fb[:n] *= self.inv2xi
+        fb[n:] = 0.0
+        return _padded_conv(fa, fb, 0, 2 * n - 1, self.grid)
 
     def apply(self, fc: np.ndarray, gc: np.ndarray, shared: np.ndarray | None = None) -> np.ndarray:
         """Coefficients of B_k(f, g) from the coefficients of f and g: the sum
         of the branches, masked to the output band and normalized.  For
-        ``gc is fc``, ``shared`` may pass in ``paraproduct(fc)``, which the
+        ``gc is fc``, ``shared`` may pass in ``paraproduct(fc, fc)``, which the
         bands of one snapshot share; the result is the same bit for bit."""
         if shared is not None and gc is not fc:
             raise ValueError("a shared paraproduct serves only B_k(u, u)")
         first, second = _branches(self, fc, gc, shared)
         out = first + second
         out[self.outside] = 0.0
-        return NF_NORMALIZATION * out
+        out *= NF_NORMALIZATION
+        return out
 
 
 def _branches(kernel: BandKernel, fc: np.ndarray, gc: np.ndarray,
@@ -275,8 +323,8 @@ def _branches(kernel: BandKernel, fc: np.ndarray, gc: np.ndarray,
     of the three nonzero branches of B_k(f, g) before the output mask and the
     normalization.  For ``gc is fc`` the two halves are equal and the one is
     computed once, from ``shared`` when it is given."""
-    first = kernel.half(kernel.plus * fc, kernel.both * gc, shared)
-    return first, first if gc is fc else kernel.half(kernel.plus * gc, kernel.both * fc)
+    first = kernel.half(fc, gc, shared)
+    return first, first if gc is fc else kernel.half(gc, fc)
 
 
 def assemble_B(

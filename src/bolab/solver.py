@@ -34,7 +34,6 @@ from .cli import atomic_write_text, write_csv
 from .cutoffs import smoothstep
 from .errors import BolabError, ConfigError, SolverInstabilityError
 from .grid import Field, Grid
-from .spectral import derivative, hilbert
 
 SNAPSHOT_MAGIC = b"BOSNAP01"
 
@@ -103,15 +102,17 @@ def linear_symbol(grid: Grid, drift: float) -> np.ndarray:
 
 
 def conserved(state: SolverState) -> tuple[float, float, float]:
-    """(mass, L2 norm, energy) of the current field."""
+    """(mass, L2 norm, energy) of the current field.  H w_x, the energy's
+    nonlocal factor, is the multiplier |xi| (Nyquist zeroed) on the half
+    spectrum: one rfft and one irfft.  The mass and L2 norm need no transform."""
     w = state.w
     grid = w.grid
     mass = grid.dx * float(np.sum(w.samples))
     l2 = w.l2_norm()
-    hw = hilbert(Field(grid, derivative(w).samples.real))
-    energy = grid.dx * float(
-        np.sum(0.5 * w.samples * hw.samples - w.samples**3 / 3.0)
-    )
+    abs_xi = np.abs(grid.xi)
+    abs_xi[0] = 0.0  # the unpaired Nyquist mode
+    hw = np.fft.irfft(_half_spectrum(abs_xi) * np.fft.rfft(w.samples), grid.n_points)
+    energy = grid.dx * float(np.sum(0.5 * w.samples * hw - w.samples**3 / 3.0))
     return mass, l2, energy
 
 
@@ -176,52 +177,74 @@ def step(state: SolverState) -> SolverState:
 
 
 def _advance(state: SolverState, n_steps: int) -> SolverState:
-    """n_steps RK4 steps on the half spectrum v = rfft(samples), m = 0 .. n/2.
+    """n_steps RK4 steps from ``state``, by an ``_Integrator`` built for this
+    call; the new state shares the input's ledger list.  A non-finite sup
+    norm raises SolverInstabilityError."""
+    return _Integrator(state).advance(state, n_steps)[0]
 
+
+class _Integrator:
+    """The RK4 stepper of one run, built once from its first state: the phase
+    factors of theta, the stage nonlinearity with its buffers (see
+    ``_nonlinearity``) and the stage arrays.  The grid, frame, dt, sponge and
+    nonlinearity of every state it advances are those of that first state.
+
+    It works on the half spectrum v = rfft(samples), m = 0 .. n/2.
     ``coeffs_of`` gives c = scale * (-1)^m * fftshift(fft(w)), so each stage
     in v is the stage in c without the shifts, the scale and the phase, and
     stays real by construction.  A stage is one irfft and one rfft (of two
-    rows with the sponge, see ``_nonlinearity``) in preallocated buffers, so
-    n_steps steps make 4 n_steps + 1 calls of each.  The new state shares the
-    input's ledger list.
-    """
-    grid = state.w.grid
-    dt = state.dt
-    theta = _half_spectrum(linear_symbol(grid, state.drift()))
-    half = np.exp(1j * theta * dt / 2.0)
-    full = half * half
-    dt_half = dt * half
-    two_half = 2.0 * half
-    nl = _nonlinearity(grid, state.sponge.profile(grid), state.nonlinear)
+    rows with the sponge), so n_steps steps make 4 n_steps + 1 calls of each,
+    all in the held arrays but the last irfft, whose samples are the new
+    state's.  Each stride starts from rfft of the state's samples, so strides
+    of one integrator give the same samples, bit for bit, as one integrator
+    per stride."""
 
-    v = np.fft.rfft(state.w.samples)
-    k1, k2, k3, k4, stage, tmp = (np.empty_like(v) for _ in range(6))
-    for _ in range(n_steps):
-        nl(v, k1)
-        np.multiply(k1, dt / 2.0, out=stage)
-        stage += v
-        stage *= half
-        nl(stage, k2)
-        np.multiply(half, v, out=stage)
-        stage += np.multiply(k2, dt / 2.0, out=tmp)
-        nl(stage, k3)
-        np.multiply(dt_half, k3, out=stage)
-        stage += np.multiply(full, v, out=tmp)
-        nl(stage, k4)
-        k2 += k3
-        k2 *= two_half
-        k1 *= full
-        k1 += k2
-        k1 += k4
-        k1 *= dt / 6.0
-        v *= full
-        v += k1
-    t = state.t + n_steps * dt
-    samples = np.fft.irfft(v, grid.n_points)
-    sup = float(np.max(np.abs(samples)))
-    if not np.isfinite(sup):
-        raise SolverInstabilityError(f"sup norm is {sup} at t = {t:.4g}")
-    return replace(state, w=Field(grid, samples), t=t)
+    def __init__(self, state: SolverState):
+        grid = state.w.grid
+        theta = _half_spectrum(linear_symbol(grid, state.drift()))
+        self.half = np.exp(1j * theta * state.dt / 2.0)
+        self.full = self.half * self.half
+        self.dt_half = state.dt * self.half
+        self.two_half = 2.0 * self.half
+        self.nl = _nonlinearity(grid, state.sponge.profile(grid), state.nonlinear)
+        # v, k1 .. k4, the stage input and a temporary
+        self.work = np.empty((7, grid.n_points // 2 + 1), dtype=complex)
+        self.mags = np.empty(grid.n_points)
+
+    def advance(self, state: SolverState, n_steps: int) -> tuple[SolverState, float]:
+        """The state n_steps steps on from ``state`` and its sup norm, computed
+        once; a non-finite sup norm raises SolverInstabilityError."""
+        half, full, dt_half, two_half, nl = (self.half, self.full, self.dt_half,
+                                             self.two_half, self.nl)
+        v, k1, k2, k3, k4, stage, tmp = self.work
+        dt = state.dt
+        np.fft.rfft(state.w.samples, out=v)
+        for _ in range(n_steps):
+            nl(v, k1)
+            np.multiply(k1, dt / 2.0, out=stage)
+            stage += v
+            stage *= half
+            nl(stage, k2)
+            np.multiply(half, v, out=stage)
+            stage += np.multiply(k2, dt / 2.0, out=tmp)
+            nl(stage, k3)
+            np.multiply(dt_half, k3, out=stage)
+            stage += np.multiply(full, v, out=tmp)
+            nl(stage, k4)
+            k2 += k3
+            k2 *= two_half
+            k1 *= full
+            k1 += k2
+            k1 += k4
+            k1 *= dt / 6.0
+            v *= full
+            v += k1
+        t = state.t + n_steps * dt
+        samples = np.fft.irfft(v, state.w.grid.n_points)
+        sup = float(np.max(np.abs(samples, out=self.mags)))
+        if not np.isfinite(sup):
+            raise SolverInstabilityError(f"sup norm is {sup} at t = {t:.4g}")
+        return replace(state, w=Field(state.w.grid, samples), t=t), sup
 
 
 def _step_count(state: SolverState, t_final: float, snapshot_stride: int) -> int:
@@ -241,18 +264,19 @@ def _step_count(state: SolverState, t_final: float, snapshot_stride: int) -> int
 def _snapshots(state: SolverState, n_steps: int, snapshot_stride: int,
                record_ledger: bool) -> Iterator[SolverState]:
     """The stepping loop of ``evolve`` and ``stream``: yields the initial state, as a
-    copy, then the state every ``snapshot_stride`` of ``n_steps`` steps."""
+    copy, then the state every ``snapshot_stride`` of ``n_steps`` steps, all
+    strides by one ``_Integrator``."""
     current = replace(state, ledger=list(state.ledger))
     if record_ledger:
         current.ledger.append((current.t, *conserved(current)))
     yield current
     prev_sup = max(current.w.sup_norm(), 1e-300)
+    integrator = _Integrator(current)
     done = 0
     while done < n_steps:
         todo = min(snapshot_stride, n_steps - done)
-        current = _advance(current, todo)
+        current, sup = integrator.advance(current, todo)
         done += todo
-        sup = current.w.sup_norm()
         if sup > 10.0 * prev_sup and sup > 1e-8:
             raise SolverInstabilityError(
                 f"sup norm grew from {prev_sup:.3e} to {sup:.3e} at t = {current.t:.4g}"

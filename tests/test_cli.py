@@ -641,6 +641,19 @@ def test_measure_decay_with_a_very_low_pass_below_the_normal_range(tmp_path):
     assert reports[0]["gauge_sup"] == reports[1]["gauge_sup"]
 
 
+def test_measure_decay_with_a_very_low_pass_at_the_bottom_of_the_normal_range(tmp_path):
+    # ll_factor 255.5 puts chi_{<<k} at index k - 1022, where 2^j is normal but
+    # xi / 2^j overflowed up to the Nyquist frequency: that emitted and counted
+    # two RuntimeWarnings
+    args = ["measure-decay", "--output-dir", str(tmp_path)]
+    for override in ("n_points=2048", "t_final=0.01", "dt=0.001", "snapshot_stride=5",
+                     "gauge.enabled=true", "gauge.ll_factor=255.5"):
+        args += ["--override", override]
+    assert main(args) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert "RuntimeWarning" not in manifest["warnings"]
+
+
 def test_measure_decay_counts_band_edge_warnings_per_snapshot(tmp_path):
     # bands whose 2^(k+1) reaches Nyquist warn once per snapshot, as lp_project does
     bands = [1, 2, 3]

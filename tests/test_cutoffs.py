@@ -88,6 +88,28 @@ def test_indices_whose_dyadic_scale_is_normal_keep_the_formula_bit_for_bit():
         assert np.array_equal(cutoffs.le_deriv(j, y), -smoothstep_deriv(t) / 2.0**j)
 
 
+def test_tiny_normal_dyadic_scales_divide_without_overflow():
+    # 2^j is normal but y / 2^j overflows for j near -1022 at |y| up to a grid's
+    # Nyquist: y is clamped at 2^(j+2), where the family is already constant, so
+    # no warning is raised and the values are the limits 0 and 1
+    y = np.array([-1e300, -32.0, -1e-300, 0.0, 1e-310, 32.0, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j in (-1022.0, -1020.5, -1014.0, -1000.0):
+            tiny = 2.0 ** j
+            assert cutoffs.le(j, 32.0) == 0.0
+            assert np.array_equal(cutoffs.le(j, y), [1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+            assert np.array_equal(cutoffs.le_deriv(j, y), np.zeros(7))
+            # inside the clamp the formula is kept bit for bit
+            inside = np.linspace(-4.0, 4.0, 81) * tiny
+            t = 2.0 - inside / tiny
+            assert np.array_equal(cutoffs.le(j, inside), smoothstep(t))
+            assert np.array_equal(cutoffs.le_deriv(j, inside), -smoothstep_deriv(t) / tiny)
+        # where 2^(j+2) overflows the clamp is infinite and changes nothing
+        assert np.array_equal(cutoffs.le(1023.5, [1e308, -1e308]),
+                              smoothstep(2.0 - np.array([1e308, -1e308]) / 2.0**1023.5))
+
+
 def test_indices_whose_dyadic_scale_under_or_overflows():
     # below the normal range chi_{<=j} is the indicator of y <= 0, above it one,
     # with derivative zero, and no warning is raised

@@ -32,7 +32,7 @@ from bolab.spectral import (
     spatial_cutoff_values,
     weighted_shell_sup,
 )
-from bolab.testing import antiderivative_mean_removed
+from bolab.testing import antiderivative_mean_removed, random_band_limited
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +333,7 @@ def test_gauge_tables_reused_over_a_run_match_fresh_transform():
         phi_c = phi_coeffs(snap.w, c)
         for k, kernel in tables.gauge.items():
             fresh = transform(snap.w, BandKernel(g, k, 4, 100.0)).v
-            assert np.array_equal(Bundle(kernel, c, phi_c, kernel.paraproduct(c)).v, fresh)
+            assert np.array_equal(Bundle(kernel, c, phi_c, kernel.paraproduct(c, c)).v, fresh)
             for j in rep.shells:
                 weights = spatial_cutoff_values(g, j, "+")
                 assert rep.gauge_sup[f"{k}"][f"{j}"][i] == float(np.max(weights * np.abs(fresh)))
@@ -412,7 +412,7 @@ def test_gauge_bands_sharing_the_paraproduct_match_fresh_transform():
         gauge_sups = tables.measure(snap.w)[3]
         c = coeffs_of(snap.w.samples, g)
         phi_c = phi_coeffs(snap.w, c)
-        shared = tables.gauge[0].paraproduct(c)
+        shared = tables.gauge[0].paraproduct(c, c)
         for k, kernel in tables.gauge.items():
             fresh = transform(snap.w, BandKernel(g, k, 4, 100.0)).v
             assert np.array_equal(Bundle(kernel, c, phi_c, shared).v, fresh)
@@ -439,6 +439,34 @@ def test_gauge_snapshot_takes_one_paraproduct_of_length_2n(fft_lengths):
     assert fft_lengths.count(4096) <= 7
 
 
+def test_steady_gauge_snapshot_allocates_no_length_2n_array(fft_lengths):
+    # the shared paraproduct forms its inputs and runs its 3 length-2n transforms
+    # in the first gauge kernel's workspace, allocated by the first call and held:
+    # one length-2n workspace per run, since the second band's own paraproduct
+    # is empty at ll_factor 100
+    gauge = {"enabled": True, "order": 4, "ll_factor": 100.0, "bands": [0, 1]}
+    cfg = _small_config(n_points=4096, gauge=gauge)
+    tables = SnapshotTables(cfg)
+    w = _soliton_bump(cfg)
+    first = tables.measure(w)
+    workspace = tables.gauge[0]._work
+    assert [kernel._work.shape for kernel in tables.gauge.values()] == [(2, 8192), (2, 0)]
+    fft_lengths.clear()
+    assert tables.measure(w) == first
+    assert fft_lengths.count(8192) == 3
+    assert all(out for length, out in zip(fft_lengths, fft_lengths.out) if length == 8192)
+    assert tables.gauge[0]._work is workspace
+
+
+def test_snapshot_field_sups_equal_weighted_shell_sup_bitwise(rng):
+    # one gather over the window of all supports and one np.maximum.reduceat give
+    # the floats of one weighted_sup of the whole field per shell and sign
+    cfg = _small_config()
+    tables = SnapshotTables(cfg)
+    for w in (_soliton_bump(cfg), random_band_limited(cfg.grid(), rng, 0.3)):
+        assert tables.measure(w)[0] == weighted_shell_sup(w, tables.shells)
+
+
 def _soliton_bump(cfg):
     w = cfg.initial_field()
     return Field(w.grid, w.samples + 0.05 * np.exp(-((w.grid.x - 2.0) ** 2)))
@@ -463,7 +491,7 @@ def test_snapshot_projections_match_per_row_transforms():
             for j in tables.shells]
     cf = fft_ordered(c, g)
     for table, expected in ((tables.band_table, bands), (tables.low_table, lows)):
-        rows = [mags.copy() for mags in tables._projected_abs(table, cf)]
+        rows = [np.abs(row) for row in tables._projected(table, cf)]
         assert len(rows) == len(expected)
         for row, ref in zip(rows, expected):
             assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(ref)

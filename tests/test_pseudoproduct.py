@@ -306,6 +306,10 @@ def test_assemble_B_diagonal_one_half_equals_two_halves(grid_medium, rng):
         assert np.max(np.abs(one)) > 0.0
 
 
+def _new_rows(size):
+    return np.empty((2, size), dtype=complex)
+
+
 @pytest.mark.parametrize("n", [256, 1000, 4096])
 def test_lattice_conv_full_ranges_equal_the_2n_convolution_bitwise(rng, n):
     grid = Grid(n, 100.0)
@@ -313,11 +317,13 @@ def test_lattice_conv_full_ranges_equal_the_2n_convolution_bitwise(rng, n):
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
     padded = np.fft.ifft(np.fft.fft(a, 2 * n) * np.fft.fft(b, 2 * n))
     expected = padded[n // 2 : n // 2 + n] * grid.dxi
-    assert np.array_equal(_lattice_conv(a, b, grid), expected)
-    assert np.array_equal(_lattice_conv(a, b, grid, (0, n), (0, n)), expected)
+    assert np.array_equal(_lattice_conv(a, 0, b, 0, grid, _new_rows), expected)
+    # in a held workspace longer than the padded length, as a kernel grows it
+    held = np.full((2, 4 * n), np.nan, dtype=complex)
+    assert np.array_equal(_lattice_conv(a, 0, b, 0, grid, lambda size: held[:, :size]), expected)
 
 
-def test_lattice_conv_on_compact_ranges_matches_full_ranges(rng):
+def test_lattice_conv_of_compact_pieces_matches_full_ranges(rng):
     n = 1024
     grid = Grid(n, 100.0)
     cases = [((0, n), (500, 520)), ((900, 1024), (800, 1000)), ((0, 30), (0, 40)),
@@ -333,15 +339,15 @@ def test_lattice_conv_on_compact_ranges_matches_full_ranges(rng):
             pieces.append(x[lo:hi])
         # the sup of the exact linear convolution, also where it leaves the grid
         scale = np.max(np.abs(np.convolve(*pieces))) * grid.dxi
-        short = _lattice_conv(a, b, grid, a_range, b_range)
-        assert np.max(np.abs(short - _lattice_conv(a, b, grid))) <= 1e-13 * scale
+        short = _lattice_conv(pieces[0], a_range[0], pieces[1], b_range[0], grid, _new_rows)
+        assert np.max(np.abs(short - _lattice_conv(a, 0, b, 0, grid, _new_rows))) <= 1e-13 * scale
 
 
-def test_lattice_conv_of_an_empty_range_takes_no_transform(fft_lengths, rng):
+def test_lattice_conv_of_an_empty_piece_takes_no_transform(fft_lengths, rng):
     grid = Grid(256, 100.0)
     a = rng.normal(size=256) + 0j
-    for a_range, b_range in [((7, 7), None), (None, (0, 0)), ((3, 2), (0, 256))]:
-        out = _lattice_conv(a, a, grid, a_range, b_range)
+    for a_piece, b_piece in [(a[7:7], a), (a, a[0:0]), (a[3:2], a[0:256])]:
+        out = _lattice_conv(a_piece, 0, b_piece, 0, grid, _new_rows)
         assert out.dtype == complex and np.array_equal(out, np.zeros(256))
     assert fft_lengths == []
 
@@ -441,7 +447,14 @@ def test_band_kernel_apply_with_the_shared_paraproduct_equals_apply_bitwise(rng)
     kernels = [BandKernel(grid, k, order, factor)
                for k, order, factor in [(0.0, 4, 100.0), (2.0, 4, 100.0), (1.0, 2, 1.0)]]
     assert kernels[0].ll_range == (0, 0) and kernels[2].ll_range[1] - kernels[2].ll_range[0] > 100
-    shared = kernels[0].paraproduct(c)
+    shared = kernels[0].paraproduct(c, c)
+    # formed in place in the kernel's workspace, it is the lattice convolution of
+    # the masked inputs bit for bit, and a second call reuses the workspace
+    first = kernels[0]
+    masked = (first.plus * c, first.both * c * first.inv2xi)
+    assert np.array_equal(shared, _lattice_conv(masked[0], 0, masked[1], 0, grid, _new_rows))
+    workspace = first._work
+    assert np.array_equal(first.paraproduct(c, c), shared) and first._work is workspace
     for kernel in kernels:
         assert np.array_equal(kernel.apply(c, c, shared), kernel.apply(c, c))
     # a paraproduct of u serves only B_k(u, u)

@@ -25,7 +25,7 @@ from bolab.solver import (
     step,
     stream,
 )
-from bolab.spectral import coeffs_of, derivative, samples_of
+from bolab.spectral import coeffs_of, derivative, hilbert, samples_of
 from bolab.testing import random_band_limited
 
 
@@ -264,6 +264,44 @@ def test_sponge_step_equals_two_call_stage_bitwise(monkeypatch, rng):
     assert np.array_equal(out.w.samples, _advance(st, 50).w.samples)
 
 
+def _per_stride_snapshots(state, n_steps, stride):
+    """The oracle of ``evolve``'s snapshots: one ``_advance``, so one integrator,
+    per stride, from the previous snapshot."""
+    snaps, done = [state], 0
+    while done < n_steps:
+        todo = min(stride, n_steps - done)
+        snaps.append(_advance(snaps[-1], todo))
+        done += todo
+    return snaps
+
+
+@pytest.mark.parametrize("sponge", [False, True])
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_evolve_builds_one_integrator_per_run(monkeypatch, rng, sponge, nonlinear):
+    # 23 steps in strides of 3 (the last one of 2): 8 strides, one stage
+    # nonlinearity, and the snapshots of one integrator per stride bit for bit
+    g = Grid(512, 100.0)
+    w0 = Field(g, soliton(1.0, -20.0, g).samples + 0.3 * random_band_limited(g, rng, 0.3).samples)
+    st = SolverState(w=w0, frame="moving", speed=1.0, dt=2e-3,
+                     sponge=SpongeConfig(enabled=sponge, strength=2.0), nonlinear=nonlinear)
+    expected = _per_stride_snapshots(st, 23, 3)
+    built = []
+    nonlinearity = bolab.solver._nonlinearity
+
+    def counted(*args):
+        built.append(args)
+        return nonlinearity(*args)
+
+    monkeypatch.setattr(bolab.solver, "_nonlinearity", counted)
+    snaps = evolve(st, 23 * st.dt, snapshot_stride=3)
+    assert len(built) == 1
+    assert len(snaps) == len(expected) == 9
+    for snap, ref in zip(snaps, expected):
+        assert snap.t == ref.t
+        assert np.array_equal(snap.w.samples, ref.w.samples)
+    assert not np.array_equal(snaps[-1].w.samples, w0.samples)
+
+
 @pytest.mark.parametrize("dt, t_final", [(0.0, 0.01), (-1e-3, 0.01), (1e-3, -0.01)])
 def test_evolve_rejects_steps_that_do_not_reach_t_final(dt, t_final):
     # backward evolution (dt and t_final both negative) stays allowed, see
@@ -287,6 +325,47 @@ def test_conserved_zero_field():
     g = Grid(256, 50.0)
     st = SolverState(w=Field(g, np.zeros(g.n_points)), dt=1e-3)
     assert conserved(st) == (0.0, 0.0, 0.0)
+
+
+def _oracle_conserved(w):
+    """(mass, L2 norm, energy) with H w_x formed as the Hilbert transform of the
+    spectral derivative, 4 complex transforms: the oracle of ``conserved``."""
+    g = w.grid
+    hw = hilbert(Field(g, derivative(w).samples.real))
+    energy = g.dx * float(np.sum(0.5 * w.samples * hw.samples - w.samples**3 / 3.0))
+    return g.dx * float(np.sum(w.samples)), w.l2_norm(), energy
+
+
+def _ledger_fields():
+    g = Grid(4096, 400.0)
+    rng = np.random.default_rng(11)
+    bump = soliton(1.0, 0.0, g).samples + 0.05 * np.exp(-((g.x - 2.0) ** 2))
+    yield Field(g, bump)
+    for cutoff in (0.05, 0.3, 0.6):
+        yield random_band_limited(g, rng, cutoff)
+    small = Grid(256, 50.0)
+    yield random_band_limited(small, rng, 0.5)
+    # white noise carries the unpaired Nyquist mode, which H w_x leaves out
+    yield Field(small, rng.normal(size=small.n_points))
+
+
+def test_conserved_matches_the_derivative_hilbert_energy():
+    # one multiplier |xi| moves the energy only at roundoff; mass and L2 are the
+    # same floats
+    for w in _ledger_fields():
+        mass, l2, energy = conserved(SolverState(w=w))
+        ref_mass, ref_l2, ref_energy = _oracle_conserved(w)
+        assert (mass, l2) == (ref_mass, ref_l2)
+        assert abs(energy - ref_energy) <= 1e-12 * abs(ref_energy)
+
+
+def test_conserved_takes_one_rfft_and_one_irfft(monkeypatch):
+    st = SolverState(w=next(_ledger_fields()))
+    calls = {name: [] for name in ("fft", "ifft", "rfft", "irfft")}
+    for name, made in calls.items():
+        _counting(monkeypatch, name, made)
+    conserved(st)
+    assert calls == {"fft": [], "ifft": [], "rfft": [1], "irfft": [1]}
 
 
 def test_energy_functional_is_conserved():
