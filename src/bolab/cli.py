@@ -32,9 +32,13 @@ from collections import Counter
 
 import numpy as np
 
-from . import __version__
-from .errors import AcceptanceFailure, BolabError, ConfigError
-from .pseudoproduct import LL_FACTOR, _check_separation
+from . import __version__, pseudoproduct
+from .errors import AcceptanceFailure, BolabError, ConfigError, DegenerateSeriesError
+from .grid import Grid
+from .pseudoproduct import LL_FACTOR, BilinearSymbol, _check_separation, leibnitz_check
+
+# decay, kernels, solver and testing (through kernels) import this module, so
+# the commands import them where they run them
 
 DEFAULT_OUTDIR_ENV = "BOLAB_OUTDIR"
 
@@ -239,8 +243,6 @@ def _write_checks(path: str, rows: list[tuple], extra: list[tuple] = ()) -> bool
 
 
 def run_verify_operators(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
-    from .grid import Grid
-    from .pseudoproduct import BilinearSymbol, leibnitz_check
     from .testing import commutator_constants, operator_identity_errors, random_band_limited
 
     rng = np.random.default_rng(config["seed"])
@@ -286,8 +288,6 @@ NORMAL_FORM_DEFAULTS = {
 
 
 def run_verify_normal_form(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
-    from .grid import Grid
-    from . import pseudoproduct
     from .testing import nf_cancellation_sweep
 
     rng = np.random.default_rng(config["seed"])
@@ -404,7 +404,6 @@ def run_measure_decay(config: dict, outdir: str, args: argparse.Namespace) -> li
 
 def run_report(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
     from .decay import DecayReport, lowfreq_decay_check
-    from .errors import DegenerateSeriesError
 
     if not config["input"]:
         raise ConfigError("report needs --input")

@@ -32,7 +32,7 @@ from .grid import Field, Grid
 from .kernels import fit_decay
 from .normal_form import Bundle, phi_coeffs
 from .pseudoproduct import LL_FACTOR, BandKernel
-from .solver import SolverState, SpongeConfig, soliton, stream
+from .solver import SolverState, SpongeConfig, load_snapshot, soliton, stream
 from .spectral import (
     coeffs_of,
     fft_ordered,
@@ -134,8 +134,6 @@ class ExperimentConfig:
                 w = Field(grid, w.samples + init["bump_amplitude"] * bump)
             return w
         if kind == "file":
-            from .solver import load_snapshot
-
             state = load_snapshot(init["path"])
             if state.w.grid != grid:
                 raise ConfigError("snapshot grid does not match the configured grid")
@@ -320,9 +318,11 @@ def _fft_order_table(grid: Grid, specs: list[tuple[float, str]], scale: float) -
 
 
 class SnapshotTables:
-    """The snapshot-invariant tables of a run: the +- shell weights on their supports, the
-    multipliers of the positive bands that some shell sums and each shell's low-pass
-    multiplier as two stacked tables in FFT order, and one ``BandKernel`` per gauge band.
+    """The snapshot-invariant tables of a run: per sign, ``weights[sign]``, the cutoffs
+    chi_j^{sign} of the shells as the rows of one array on ``windows[sign]``, the
+    smallest window that holds all of that sign's supports; the multipliers of the
+    positive bands that some shell sums and each shell's low-pass multiplier as two
+    stacked tables in FFT order; and one ``BandKernel`` per gauge band.
 
     Each table row carries the factor sqrt(2 pi) / dx of ``samples_of``.  A low-pass
     multiplier is real, even and zero at the Nyquist mode, so the low-pass of the real
@@ -331,20 +331,31 @@ class SnapshotTables:
     (the box zero mode is a constant 2pi/L background absent on the line; its size is in
     budgets.mass_over_L).  The band rows are one-sided and stay whole.
 
-    The work arrays of ``measure`` are held with the tables: the inverse blocks, the
-    gathered weighted field, the magnitudes on the window of the + supports (every
-    projection is weighted only there) and the band sums; the first gauge band's kernel
-    holds the length-2n workspace of the shared paraproduct."""
+    The work arrays of ``measure`` are held with the tables: the inverse blocks, one
+    magnitude row per sign (the field's, then each gauge band's |v|), the magnitudes of
+    the band rows and one row per shell (the low-pass rows', then the band totals) on the
+    + window (every projection is weighted only there), and the weighted products of
+    either sign; the first gauge band's kernel holds the length-2n workspace of the
+    shared paraproduct."""
 
     def __init__(self, config: ExperimentConfig):
         grid = self.grid = config.grid()
         n = grid.n_points
         self.shells = [float(j) for j in config.shells]
-        self.weights = {j: {s: shell_weight(grid, j, s) for s in "+-"} for j in self.shells}
+        self.windows, self.weights = {}, {}
+        for sign in "+-":
+            supports = [shell_weight(grid, j, sign) for j in self.shells]
+            lo, hi = min(s.start for s, _ in supports), max(s.stop for s, _ in supports)
+            self.windows[sign] = slice(lo, hi)
+            self.weights[sign] = np.zeros((len(self.shells), hi - lo))
+            for row, (s, values) in zip(self.weights[sign], supports):
+                row[s.start - lo:s.stop - lo] = values
         self.k0 = {j: -(1.0 - config.epsilon_assumed) / 2.0 * j for j in self.shells}
         k_min, k_max = lp_partition_bounds(grid)
         # a shell sums only the bands k > k0(j): the bands no shell sums are not inverted
         self.band_ks = [k for k in range(k_min + 1, k_max + 1) if k > min(self.k0.values())]
+        # the bands above k0(j) are the suffix of band_ks from this index on
+        self._first_band = [sum(k <= self.k0[j] for k in self.band_ks) for j in self.shells]
         scale = np.sqrt(2.0 * np.pi) / grid.dx
         self.band_table = _fft_order_table(grid, [(k, "plus") for k in self.band_ks], scale)
         low = _fft_order_table(grid, [(self.k0[j], "leq") for j in self.shells], scale)
@@ -356,25 +367,10 @@ class SnapshotTables:
         flat = self._work.reshape(-1)
         self._half = flat[:BLOCK_ROWS * n // 2].reshape(BLOCK_ROWS, n // 2)
         self._real = flat[BLOCK_ROWS * n // 2:].view(float).reshape(BLOCK_ROWS, n)
-        # the field's weighted sups: every (shell, sign) weight gathered from the window
-        # of all supports, one segment each
-        weights = [weight for by_sign in self.weights.values() for weight in by_sign.values()]
-        window = self._window = _window(s for s, _ in weights)
-        self._index = np.concatenate([np.arange(s.start, s.stop) - window.start
-                                      for s, _ in weights])
-        self._values = np.concatenate([values for _, values in weights])
-        self._starts = np.cumsum([0] + [len(values) for _, values in weights[:-1]])
-        self._abs = np.empty(window.stop - window.start)
-        self._gathered = np.empty(len(self._index))
-        # the projections' weighted sups: each + weight on the window of the + supports
-        plus = self._plus = _window(self.weights[j]["+"][0] for j in self.shells)
-        self._plus_weights = {}
-        for j in self.shells:
-            s, values = self.weights[j]["+"]
-            self._plus_weights[j] = (slice(s.start - plus.start, s.stop - plus.start), values)
-        self._mags = np.empty(plus.stop - plus.start)
-        self._products = np.empty(plus.stop - plus.start)
-        self._totals = np.empty((len(self.shells), plus.stop - plus.start))
+        self._row = {sign: np.empty(w.shape[1]) for sign, w in self.weights.items()}
+        self._products = np.empty((len(self.shells), max(r.size for r in self._row.values())))
+        self._shell_mags = np.empty_like(self.weights["+"])
+        self._band_mags = np.empty((len(self.band_ks), self._row["+"].size))
         gauge = config.gauge
         self.gauge = {int(k): BandKernel(grid, int(k), gauge["order"], gauge["ll_factor"])
                       for k in (gauge["bands"] if gauge["enabled"] else [])}
@@ -397,55 +393,45 @@ class SnapshotTables:
                 np.fft.ifft(spectrum, axis=-1, out=out)
             yield from out
 
-    def _plus_abs(self, samples: np.ndarray) -> np.ndarray:
-        """|samples| on the window of the + supports, in a held array."""
-        return np.abs(samples[self._plus], out=self._mags)
-
-    def _plus_sup(self, j: float, mags: np.ndarray) -> float:
-        """sup_x chi_j^+(x) mags(x) for ``mags`` on the window of the + supports."""
-        s, values = self._plus_weights[j]
-        return float(np.max(np.multiply(values, mags[s], out=self._products[:len(values)])))
+    def _sups(self, sign: str, mags: np.ndarray) -> list[float]:
+        """sup_x chi_j^{sign}(x) mags(x) of each shell j, for ``mags`` >= 0 on the window
+        of ``sign``: one row for every shell, or one row per shell."""
+        weights = self.weights[sign]
+        products = np.multiply(weights, mags, out=self._products[:, :weights.shape[1]])
+        return np.max(products, axis=1).tolist()
 
     def measure(self, w: Field) -> tuple[dict, dict, dict, dict]:
         """(sups[j][sign] as from ``weighted_shell_sup``, lowpass[j], bandsum[j], gauge[k][j])
         of one snapshot, from one forward transform of the field: the low-pass and band
         rows are inverted in blocks, and each gauge band takes one inverse (see
-        ``normal_form.Bundle``).  The field's sups, two per shell, are one gather and
-        one ``np.maximum.reduceat``; each sup is the same float as ``weighted_sup``'s."""
-        np.abs(w.samples[self._window], out=self._abs)
-        gathered = np.take(self._abs, self._index, out=self._gathered)
-        gathered *= self._values
-        flat = iter(np.maximum.reduceat(gathered, self._starts).tolist())
-        sups = {j: {sign: next(flat) for sign in weights} for j, weights in self.weights.items()}
+        ``normal_form.Bundle``).  Each series is one ``_sups`` per sign: the field's of
+        its magnitude, the low-pass rows' of theirs, the band sums' of each shell's total
+        of the bands above k0(j), and each gauge band's of |v|; every sup is the same
+        float as ``weighted_sup``'s of the same row."""
+        plus, minus = (self._sups(sign, np.abs(w.samples[self.windows[sign]],
+                                               out=self._row[sign])) for sign in "+-")
+        sups = {j: {"+": p, "-": m} for j, p, m in zip(self.shells, plus, minus)}
         c = coeffs_of(w.samples, self.grid)
         cf = fft_ordered(c, self.grid)
-        lowpass = {j: self._plus_sup(j, self._plus_abs(row))
-                   for j, row in zip(self.shells, self._projected(self.low_table, cf))}
-        # the sum of |w_k^+| over the bands k > k0, on each shell's support
-        totals = self._totals
-        totals.fill(0.0)
-        for k, row in zip(self.band_ks, self._projected(self.band_table, cf)):
-            mags = self._plus_abs(row)
-            for total, j in zip(totals, self.shells):
-                if k > self.k0[j]:
-                    s = self._plus_weights[j][0]
-                    total[s] += mags[s]
-        bandsum = {j: self._plus_sup(j, total) for j, total in zip(self.shells, totals)}
+        for table, mags in ((self.low_table, self._shell_mags), (self.band_table, self._band_mags)):
+            for row, out in zip(self._projected(table, cf), mags):
+                np.abs(row[self.windows["+"]], out=out)
+        lowpass = dict(zip(self.shells, self._sups("+", self._shell_mags)))
+        # the low-pass rows are measured: their array takes each shell's band total
+        for total, first in zip(self._shell_mags, self._first_band):
+            np.sum(self._band_mags[first:], axis=0, out=total)
+        bandsum = dict(zip(self.shells, self._sups("+", self._shell_mags)))
         gauge = {}
         if self.gauge:
             phi_c = phi_coeffs(w, c)
             # the first paraproduct of B_k(u, u) does not depend on k: one per snapshot
             shared = next(iter(self.gauge.values())).paraproduct(c, c)
             for k, kernel in self.gauge.items():
-                mags = self._plus_abs(Bundle(kernel, c, phi_c, shared).v)
-                gauge[k] = {j: self._plus_sup(j, mags) for j in self.shells}
+                # |v| only: a v held while the next band's is formed costs a heap trim
+                mags = np.abs(Bundle(kernel, c, phi_c, shared).v[self.windows["+"]],
+                              out=self._row["+"])
+                gauge[k] = dict(zip(self.shells, self._sups("+", mags)))
         return sups, lowpass, bandsum, gauge
-
-
-def _window(supports) -> slice:
-    """The smallest slice that holds every slice of ``supports``."""
-    supports = list(supports)
-    return slice(min(s.start for s in supports), max(s.stop for s in supports))
 
 
 def run(config: ExperimentConfig) -> DecayReport:

@@ -31,15 +31,17 @@ paraproducts
 
     half(a, b) = chi * conv(a, b / (2 xi)) - conv(chi * a, ll * b / (2 xi)).
 
-The convolutions are linear ones, which reproduces the zero extension of
-the lattice sum exactly, each zero-padded to the smaller of 2n and the next
-power of two that holds the linear convolution of its inputs' supports.
-The first convolves full-grid inputs at length 2n.  The second convolves
-chi_k^+ a against ll b / (2 xi), supported on |xi| below 2^(k - factor N + 1),
-and is empty, with no transform, when ll resolves only xi = 0, where
-1 / (2 xi) is taken as 0.  The first does not depend on k (its masks are
-grid-only), so the gauge bands of one snapshot share it
-(``BandKernel.paraproduct``).  The assembled operator carries
+Both are one routine, ``_lattice_conv``: it forms the two masked inputs on
+their index ranges in the kernel's workspace and convolves them linearly,
+which reproduces the zero extension of the lattice sum exactly, zero-padded
+to the smaller of 2n and the next power of two that holds the linear
+convolution of the ranges.  The first convolves full-grid inputs at length
+2n.  The second convolves chi_k^+ a against ll b / (2 xi), supported on |xi|
+below 2^(k - factor N + 1), and is empty, with no transform, when ll
+resolves only xi = 0; 1 / (2 xi) is taken as 0 at xi = 0 and at the Nyquist
+mode.  The first does not depend on k (its masks are grid-only), so the
+gauge bands of one snapshot share it (``BandKernel.paraproduct``).  The
+assembled operator carries
 the overall normalization -1/sqrt(2 pi) forced by the symmetric transform
 convention (pointwise products carry 1/sqrt(2 pi) relative to pseudoproduct
 symbols).
@@ -165,44 +167,40 @@ def _support(values: np.ndarray) -> tuple[int, int]:
     return (int(nonzero[0]), int(nonzero[-1]) + 1) if len(nonzero) else (0, 0)
 
 
-def _lattice_conv(a: np.ndarray, a_lo: int, b: np.ndarray, b_lo: int, grid: Grid,
+def _lattice_conv(a_mask: np.ndarray, fc: np.ndarray, a_range: tuple[int, int],
+                  b_mask: np.ndarray, gc: np.ndarray, b_range: tuple[int, int], grid: Grid,
                   rows: Callable[[int], np.ndarray]) -> np.ndarray:
-    """sum_eta a(xi - eta) b(eta) * dxi on the grid frequencies, for pieces a
-    and b whose first entries sit at the grid indices a_lo and b_lo and off
-    which they vanish.
+    """sum_eta a(xi - eta) b(eta) * dxi on the grid frequencies, for the pieces
+    a = a_mask * fc on the index range a_range = [lo, hi) and b = b_mask * gc
+    on b_range, off which they vanish.
 
-    The convolution of the two pieces is a linear one, zero-padded to the
-    smaller of 2n and the next power of two at least la + lb - 1, so
-    frequencies outside the grid range are zero (the lattice's zero
-    extension, no circular wrap).  With whole-grid pieces that is one
-    length-2n transform of each; an empty piece takes no transform.  The
-    padded pieces and their transforms live in ``rows(size)``, two complex
-    rows of the padded length (``BandKernel._rows``).
+    The pieces are formed in place in ``rows(size)``, two complex rows of the
+    padded length (``BandKernel._rows``), and their convolution is a linear
+    one, zero-padded to the smaller of 2n and the next power of two at least
+    la + lb - 1, so frequencies outside the grid range are zero (the lattice's
+    zero extension, no circular wrap): three transforms in place, of which the
+    first la + lb - 1 entries of the inverse, times dxi, land at the grid
+    indices from a_lo + b_lo - n/2 on, clipped to the grid.  With whole-grid
+    ranges that is one length-2n transform of each piece; an empty range takes
+    no transform.
     """
-    if not (len(a) and len(b)):
-        return np.zeros(grid.n_points, dtype=complex)
-    length = len(a) + len(b) - 1
-    fa, fb = rows(min(2 * grid.n_points, 1 << (length - 1).bit_length()))
-    fa[:len(a)] = a
-    fa[len(a):] = 0.0
-    fb[:len(b)] = b
-    fb[len(b):] = 0.0
-    return _padded_conv(fa, fb, a_lo + b_lo, length, grid)
-
-
-def _padded_conv(fa: np.ndarray, fb: np.ndarray, offset: int, length: int,
-                 grid: Grid) -> np.ndarray:
-    """The lattice convolution from its zero-padded pieces fa and fb, which
-    start at the grid indices summing to ``offset``: three transforms in place
-    in fa and fb, whose first ``length`` entries of the inverse, times dxi,
-    land at the grid indices from offset - n/2 on, clipped to the grid."""
     n = grid.n_points
+    (a_lo, a_hi), (b_lo, b_hi) = a_range, b_range
+    la, lb = a_hi - a_lo, b_hi - b_lo
+    if la <= 0 or lb <= 0:
+        return np.zeros(n, dtype=complex)
+    length = la + lb - 1
+    fa, fb = rows(min(2 * n, 1 << (length - 1).bit_length()))
+    np.multiply(a_mask[a_lo:a_hi], fc[a_lo:a_hi], out=fa[:la])
+    fa[la:] = 0.0
+    np.multiply(b_mask[b_lo:b_hi], gc[b_lo:b_hi], out=fb[:lb])
+    fb[lb:] = 0.0
     np.fft.fft(fa, out=fa)
     np.fft.fft(fb, out=fb)
     fa *= fb
     np.fft.ifft(fa, out=fa)
     out = np.zeros(n, dtype=complex)
-    shift = offset - n // 2
+    shift = a_lo + b_lo - n // 2
     lo, hi = max(0, shift), min(n, shift + length)
     if lo < hi:
         np.multiply(fa[lo - shift:hi - shift], grid.dxi, out=out[lo:hi])
@@ -225,15 +223,18 @@ class BandKernel:
     separated from the band raises BolabError.
 
     ``chi`` vanishes for xi <= 0 and so equals ``lp_values(grid, k, "plus")``,
-    the multiplier of u_k^+; ``low`` is the gauge low-pass of ``lp_values``
-    (Nyquist zeroed), which ``half`` only multiplies into inputs that
-    ``both`` has zeroed at the Nyquist mode, where it could differ from
-    chi_{<<k}.  A boolean mask multiplies a complex array as 1+0j or 0j, as a
-    0/1 float table does, so the products are the same bit for bit.
+    the multiplier of u_k^+ and the mask of P+ f in the band.  ``inv2xi``,
+    zero off ``both``, is the mask of P g / (2 xi).  ``low`` is the gauge
+    low-pass of ``lp_values`` (Nyquist zeroed, where it could differ from
+    chi_{<<k}), which ``half`` multiplies into ``inv2xi * g``, not into
+    ``inv2xi``, which would round differently.  A boolean mask multiplies a
+    complex array as 1+0j or 0j, as a 0/1 float table does, so the products
+    are the same bit for bit.
 
     ``chi_range`` and ``ll_range`` are the index ranges on which chi and
-    ll / (2 xi) can be nonzero; the second paraproduct of ``half`` convolves
-    only those, and is empty, with no transform, when ll resolves only
+    ll / (2 xi) can be nonzero.  Both paraproducts are one ``_lattice_conv``
+    of masked inputs: the first of the whole grid, the second of ``half``
+    of only those ranges, and none, with no transform, when ll resolves only
     xi = 0.  The first paraproduct uses no table of the band, so the bands of
     one grid can share it (``paraproduct``).
 
@@ -250,13 +251,14 @@ class BandKernel:
         self.grid, self.k, self.order = grid, k, order
         self.chi = cutoffs.shell(k, grid.xi)
         self.low = lp_values(grid, k - ll_factor * order, "leq")
-        self.inv2xi = np.divide(0.5, grid.xi, out=np.zeros(grid.n_points), where=grid.xi != 0)
         self.plus = grid.xi > 0
         self.both = grid.xi != 0
         self.both[0] = False  # the unpaired Nyquist mode
         self.minus = self.both & ~self.plus
+        # zero where ``both`` is, so that it is the mask of P g / (2 xi)
+        self.inv2xi = np.divide(0.5, grid.xi, out=np.zeros(grid.n_points), where=self.both)
         self.chi_range = _support(self.chi)
-        self.ll_range = _support(self.low * self.inv2xi * self.both)
+        self.ll_range = _support(self.low * self.inv2xi)
         # the 2^k band broadened by the width of the gauge low-pass
         pad = 2.0 ** (k - ll_factor * order + 1)
         lo, hi = 2.0 ** (k - 1) - pad, 2.0 ** (k + 1) + pad
@@ -276,32 +278,24 @@ class BandKernel:
         b = Pg, from the coefficients fc and gc of f and g; ``shared`` may pass in
         ``paraproduct(fc, gc)``, the first convolution, which does not depend on the
         band.  The second convolves only its pieces on ``chi_range`` and
-        ``ll_range``, and is skipped, with no transform, when one is empty."""
+        ``ll_range``, and is skipped, with no transform, when ``ll_range`` is empty."""
         if shared is None:
             shared = self.paraproduct(fc, gc)
         out = self.chi * shared
-        (a_lo, a_hi), (b_lo, b_hi) = self.chi_range, self.ll_range
-        if a_lo < a_hi and b_lo < b_hi:
-            a = self.chi[a_lo:a_hi] * (self.plus[a_lo:a_hi] * fc[a_lo:a_hi])
-            b = self.low[b_lo:b_hi] * (self.both[b_lo:b_hi] * gc[b_lo:b_hi]
-                                       * self.inv2xi[b_lo:b_hi])
-            out -= _lattice_conv(a, a_lo, b, b_lo, self.grid, self._rows)
+        b_lo, b_hi = self.ll_range
+        if b_lo < b_hi:
+            out -= _lattice_conv(self.chi, fc, self.chi_range, self.low, self.inv2xi * gc,
+                                 self.ll_range, self.grid, self._rows)
         return out
 
     def paraproduct(self, fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
         """conv(P+f, Pg / (2 xi)) from the coefficients fc and gc of f and g: the
         first paraproduct of ``half``, built from grid-only masks, so for
         fc = gc = c one serves B_k(u, u) in every band of the grid (see
-        ``apply``).  The masked inputs are formed in place in the kernel's
-        workspace, so a steady call allocates no length-2n array."""
-        n = self.grid.n_points
-        fa, fb = self._rows(2 * n)
-        np.multiply(self.plus, fc, out=fa[:n])
-        fa[n:] = 0.0
-        np.multiply(self.both, gc, out=fb[:n])
-        fb[:n] *= self.inv2xi
-        fb[n:] = 0.0
-        return _padded_conv(fa, fb, 0, 2 * n - 1, self.grid)
+        ``apply``).  Its masked inputs are formed in the kernel's workspace, so
+        a steady call allocates no length-2n array."""
+        whole = (0, self.grid.n_points)
+        return _lattice_conv(self.plus, fc, whole, self.inv2xi, gc, whole, self.grid, self._rows)
 
     def apply(self, fc: np.ndarray, gc: np.ndarray, shared: np.ndarray | None = None) -> np.ndarray:
         """Coefficients of B_k(f, g) from the coefficients of f and g: the sum

@@ -52,17 +52,18 @@ def random_band_limited(
     return Field(grid, samples_of(coeffs, grid).real)
 
 
-def random_compact_bump(
-    grid: Grid,
-    rng: np.random.Generator,
-    support_radius: float = 8.0,
-    n_bumps: int = 3,
-) -> Field:
-    """Real field supported (numerically) within |x| <= support_radius."""
+#: support radius and number of the Gaussian bumps of ``random_compact_bump``
+BUMP_SUPPORT_RADIUS = 8.0
+BUMP_COUNT = 3
+
+
+def random_compact_bump(grid: Grid, rng: np.random.Generator) -> Field:
+    """Real field supported (numerically) within |x| <= BUMP_SUPPORT_RADIUS, a sum
+    of BUMP_COUNT Gaussian bumps."""
     samples = np.zeros(grid.n_points)
-    for _ in range(n_bumps):
-        center = rng.uniform(-support_radius / 2.0, support_radius / 2.0)
-        width = rng.uniform(0.5, support_radius / 4.0)
+    for _ in range(BUMP_COUNT):
+        center = rng.uniform(-BUMP_SUPPORT_RADIUS / 2.0, BUMP_SUPPORT_RADIUS / 2.0)
+        width = rng.uniform(0.5, BUMP_SUPPORT_RADIUS / 4.0)
         amp = rng.normal()
         samples += amp * np.exp(-(((grid.x - center) / width) ** 2))
     return Field(grid, samples)

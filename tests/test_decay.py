@@ -459,8 +459,9 @@ def test_steady_gauge_snapshot_allocates_no_length_2n_array(fft_lengths):
 
 
 def test_snapshot_field_sups_equal_weighted_shell_sup_bitwise(rng):
-    # one gather over the window of all supports and one np.maximum.reduceat give
-    # the floats of one weighted_sup of the whole field per shell and sign
+    # the row maxima of each sign's weight rows times the field's magnitude on the
+    # window of that sign's supports are the floats of one weighted_sup of the whole
+    # field per shell and sign
     cfg = _small_config()
     tables = SnapshotTables(cfg)
     for w in (_soliton_bump(cfg), random_band_limited(cfg.grid(), rng, 0.3)):
@@ -497,13 +498,50 @@ def test_snapshot_projections_match_per_row_transforms():
             assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(ref)
     # and measure() reports them as the per-row transforms give them
     _, lowpass, bandsum, _ = tables.measure(w)
-    for j, low in zip(tables.shells, lows):
-        s, weight = tables.weights[j]["+"]
-        assert abs(lowpass[j] - float(np.max(weight * low[s]))) <= 1e-12 * np.max(low)
+    window = tables.windows["+"]
+    for j, weight, low in zip(tables.shells, tables.weights["+"], lows):
+        assert abs(lowpass[j] - float(np.max(weight * low[window]))) <= 1e-12 * np.max(low)
         summed = [mags for k, mags in full.items() if k > tables.k0[j]]
-        total = np.sum([mags[s] for mags in summed], axis=0)
+        total = np.sum([mags[window] for mags in summed], axis=0)
         bound = 1e-12 * sum(np.max(mags) for mags in summed)
         assert abs(bandsum[j] - float(np.max(weight * total))) <= bound
+
+
+def test_snapshot_series_equal_the_weighted_sups_of_their_rows_bitwise():
+    # each of the four series is, bit for bit, the sup over the whole grid of the
+    # shell cutoff times the magnitude of its row: the field, each low-pass row,
+    # each shell's sum of the band rows above k0(j) in increasing k, and each
+    # gauge band's v; the weight rows are the cutoffs on their sign's window
+    gauge = {"enabled": True, "order": 4, "ll_factor": 100.0, "bands": [0, 1]}
+    cfg = _small_config(gauge=gauge)
+    tables = SnapshotTables(cfg)
+    g, w = cfg.grid(), _soliton_bump(cfg)
+    sups, lowpass, bandsum, gauge_sups = tables.measure(w)
+
+    def sup(j, sign, x):
+        return float(np.max(spatial_cutoff_values(g, j, sign) * np.abs(x)))
+
+    for sign in "+-":
+        window = tables.windows[sign]
+        for j, weight in zip(tables.shells, tables.weights[sign]):
+            cutoff = spatial_cutoff_values(g, j, sign)
+            assert np.array_equal(cutoff[window], weight)
+            assert not cutoff[:window.start].any() and not cutoff[window.stop:].any()
+            assert sups[j][sign] == sup(j, sign, w.samples)
+    c = coeffs_of(w.samples, g)
+    cf = fft_ordered(c, g)
+    lows = [row.copy() for row in tables._projected(tables.low_table, cf)]
+    bands = np.array([np.abs(row) for row in tables._projected(tables.band_table, cf)])
+    for j, low in zip(tables.shells, lows):
+        assert lowpass[j] == sup(j, "+", low)
+        above = [k > tables.k0[j] for k in tables.band_ks]
+        assert bandsum[j] == sup(j, "+", np.sum(bands[above], axis=0))
+    phi_c = phi_coeffs(w, c)
+    shared = tables.gauge[0].paraproduct(c, c)
+    assert sorted(gauge_sups) == [0, 1]
+    for k, kernel in tables.gauge.items():
+        v = Bundle(kernel, c, phi_c, shared).v
+        assert gauge_sups[k] == {j: sup(j, "+", v) for j in tables.shells}
 
 
 def test_snapshot_measurement_memory_is_bounded():

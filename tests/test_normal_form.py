@@ -193,6 +193,8 @@ def test_gauge_band_shares_the_kernel_tables(n, k, order, factor):
     assert kernel.plus.dtype == kernel.both.dtype == bool
     assert np.array_equal(kernel.plus, g.xi > 0)
     assert np.array_equal(kernel.both, (g.xi != 0) & (np.arange(n) > 0))
+    # 1 / (2 xi) is zero where ``both`` is, at xi = 0 and the Nyquist mode
+    assert np.array_equal(kernel.inv2xi != 0, kernel.both)
 
 
 def test_rhs_terms_zero_field(grid_small):

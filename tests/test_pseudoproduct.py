@@ -310,6 +310,12 @@ def _new_rows(size):
     return np.empty((2, size), dtype=complex)
 
 
+def _conv(a, a_range, b, b_range, grid, rows=_new_rows):
+    """``_lattice_conv`` of a and b under unit masks, which leave them bit for bit."""
+    ones = np.ones(grid.n_points)
+    return _lattice_conv(ones, a, a_range, ones, b, b_range, grid, rows)
+
+
 @pytest.mark.parametrize("n", [256, 1000, 4096])
 def test_lattice_conv_full_ranges_equal_the_2n_convolution_bitwise(rng, n):
     grid = Grid(n, 100.0)
@@ -317,10 +323,16 @@ def test_lattice_conv_full_ranges_equal_the_2n_convolution_bitwise(rng, n):
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
     padded = np.fft.ifft(np.fft.fft(a, 2 * n) * np.fft.fft(b, 2 * n))
     expected = padded[n // 2 : n // 2 + n] * grid.dxi
-    assert np.array_equal(_lattice_conv(a, 0, b, 0, grid, _new_rows), expected)
+    whole = (0, n)
+    assert np.array_equal(_conv(a, whole, b, whole, grid), expected)
     # in a held workspace longer than the padded length, as a kernel grows it
     held = np.full((2, 4 * n), np.nan, dtype=complex)
-    assert np.array_equal(_lattice_conv(a, 0, b, 0, grid, lambda size: held[:, :size]), expected)
+    assert np.array_equal(_conv(a, whole, b, whole, grid, lambda size: held[:, :size]), expected)
+    # the masks multiply the inputs, formed in the workspace
+    mask = rng.uniform(size=n)
+    padded = np.fft.ifft(np.fft.fft(mask * a, 2 * n) * np.fft.fft(b, 2 * n))
+    masked = _lattice_conv(mask, a, whole, np.ones(n), b, whole, grid, _new_rows)
+    assert np.array_equal(masked, padded[n // 2 : n // 2 + n] * grid.dxi)
 
 
 def test_lattice_conv_of_compact_pieces_matches_full_ranges(rng):
@@ -339,15 +351,15 @@ def test_lattice_conv_of_compact_pieces_matches_full_ranges(rng):
             pieces.append(x[lo:hi])
         # the sup of the exact linear convolution, also where it leaves the grid
         scale = np.max(np.abs(np.convolve(*pieces))) * grid.dxi
-        short = _lattice_conv(pieces[0], a_range[0], pieces[1], b_range[0], grid, _new_rows)
-        assert np.max(np.abs(short - _lattice_conv(a, 0, b, 0, grid, _new_rows))) <= 1e-13 * scale
+        short = _conv(a, a_range, b, b_range, grid)
+        assert np.max(np.abs(short - _conv(a, (0, n), b, (0, n), grid))) <= 1e-13 * scale
 
 
 def test_lattice_conv_of_an_empty_piece_takes_no_transform(fft_lengths, rng):
     grid = Grid(256, 100.0)
     a = rng.normal(size=256) + 0j
-    for a_piece, b_piece in [(a[7:7], a), (a, a[0:0]), (a[3:2], a[0:256])]:
-        out = _lattice_conv(a_piece, 0, b_piece, 0, grid, _new_rows)
+    for a_range, b_range in [((7, 7), (0, 256)), ((0, 256), (0, 0)), ((3, 2), (0, 256))]:
+        out = _conv(a, a_range, a, b_range, grid)
         assert out.dtype == complex and np.array_equal(out, np.zeros(256))
     assert fft_lengths == []
 
@@ -452,7 +464,8 @@ def test_band_kernel_apply_with_the_shared_paraproduct_equals_apply_bitwise(rng)
     # the masked inputs bit for bit, and a second call reuses the workspace
     first = kernels[0]
     masked = (first.plus * c, first.both * c * first.inv2xi)
-    assert np.array_equal(shared, _lattice_conv(masked[0], 0, masked[1], 0, grid, _new_rows))
+    whole = (0, grid.n_points)
+    assert np.array_equal(shared, _conv(masked[0], whole, masked[1], whole, grid))
     workspace = first._work
     assert np.array_equal(first.paraproduct(c, c), shared) and first._work is workspace
     for kernel in kernels:

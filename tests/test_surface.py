@@ -1,6 +1,7 @@
-"""Lints of the surface of ``src/bolab`` (``testing.py`` aside, which holds
-the shared test helpers and oracles), against its callers: ``src/bolab``
-itself, ``perfbench/*.py`` and ``tests/test_acceptance.py``.
+"""Lints of the surface of ``src/bolab`` against its callers: ``src/bolab``
+itself, ``perfbench/*.py`` and ``tests/test_acceptance.py``.  ``testing.py``,
+which holds the shared test helpers and oracles, is linted apart, with every
+test module as a caller.
 
 * Every top-level function and class, and every method of a top-level class
   (dunder methods aside, which Python calls), has a caller: a name or
@@ -32,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "bolab").glob("*.py"))
 CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 CHECKED = [path for path in SOURCES if path.name != "testing.py"]
+TESTING = [path for path in SOURCES if path.name == "testing.py"]
 #: the callers that may omit a default: every test, not only the acceptance run
 ALL_CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
@@ -58,16 +60,19 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{method.name}", method
 
 
-def test_every_top_level_name_and_method_has_a_caller():
-    trees = _trees()
+def _unreferenced(checked, callers) -> list[str]:
+    trees = _trees(callers)
     total = sum((_references(tree) for tree in trees.values()), Counter())
-    unreferenced = [
+    return [
         f"{path.stem}.{name}"
-        for path in CHECKED
+        for path in checked
         for name, node in _definitions(trees[path])
         if total[node.name] == _references(node)[node.name]
     ]
-    assert unreferenced == []
+
+
+def test_every_top_level_name_and_method_has_a_caller():
+    assert _unreferenced(CHECKED, CALLERS) == []
 
 
 def _defaulted_parameters(tree: ast.AST):
@@ -116,25 +121,38 @@ def _calls(trees: dict) -> dict:
     return calls
 
 
-def test_every_defaulted_parameter_is_passed_by_some_call():
-    trees = _trees()
+def _never_passed(checked, callers) -> list[str]:
+    trees = _trees(callers)
     calls = _calls(trees)
-    never_passed = [
+    return [
         f"{name}({parameter})"
-        for path in CHECKED
+        for path in checked
         for name, parameter, position in _defaulted_parameters(trees[path])
         if not any(_passes(call, parameter, position) for call in calls.get(name, []))
     ]
-    assert never_passed == []
 
 
-def test_every_defaulted_parameter_is_omitted_by_some_call():
-    trees = _trees(ALL_CALLERS)
+def _always_passed(checked, callers) -> list[str]:
+    trees = _trees(callers)
     calls = _calls(trees)
-    always_passed = [
+    return [
         f"{name}({parameter})"
-        for path in CHECKED
+        for path in checked
         for name, parameter, position in _defaulted_parameters(trees[path])
         if all(_passes(call, parameter, position) for call in calls.get(name, []))
     ]
-    assert always_passed == []
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    assert _never_passed(CHECKED, CALLERS) == []
+
+
+def test_every_defaulted_parameter_is_omitted_by_some_call():
+    assert _always_passed(CHECKED, ALL_CALLERS) == []
+
+
+def test_testing_helpers_pass_every_lint_with_every_test_module_as_a_caller():
+    # the helpers serve the tests, so every test module counts as a caller
+    assert _unreferenced(TESTING, ALL_CALLERS) == []
+    assert _never_passed(TESTING, ALL_CALLERS) == []
+    assert _always_passed(TESTING, ALL_CALLERS) == []
