@@ -201,7 +201,7 @@ def file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(outdir: str, command: str, config: dict, seed: int, outputs: list[str],
+def write_manifest(outdir: str, command: str, config: dict, outputs: list[str],
                    warning_counts: dict) -> str:
     import scipy
 
@@ -212,7 +212,7 @@ def write_manifest(outdir: str, command: str, config: dict, seed: int, outputs: 
         "bolab_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
-        "seed": seed,
+        "seed": config.get("seed", 0),
         "outputs": {os.path.basename(p): file_sha256(p) for p in outputs},
         "warnings": warning_counts,
     }
@@ -516,15 +516,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         defaults, run, check = COMMANDS[args.command]
         defaults = defaults() if callable(defaults) else defaults
-        config = apply_overrides(load_config(args.config, defaults), args.override)
+        # --seed N is the override seed=N, after the others so that it wins
+        seed = [] if args.seed is None else [f"seed={args.seed}"]
+        config = apply_overrides(load_config(args.config, defaults), args.override + seed)
         if getattr(args, "input", None) is not None:
             config["input"] = args.input
         config = merge_config(defaults, config)
         if check is not None:
             check(config)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        if "seed" in config or args.seed is not None:
-            config["seed"] = seed
         outdir = args.output_dir or os.environ.get(DEFAULT_OUTDIR_ENV) or "bolab-out"
         os.makedirs(outdir, exist_ok=True)
 
@@ -536,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
         if counts:
             listed = ", ".join(f"{n} {name}" for name, n in sorted(counts.items()))
             print(f"warnings: {listed} (counts in manifest.json)", file=sys.stderr)
-        write_manifest(outdir, args.command, config, seed, outputs, counts)
+        write_manifest(outdir, args.command, config, outputs, counts)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

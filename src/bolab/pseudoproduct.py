@@ -31,20 +31,16 @@ paraproducts
 
     half(a, b) = chi * conv(a, b / (2 xi)) - conv(chi * a, ll * b / (2 xi)).
 
-Both are one routine, ``_lattice_conv``: it forms the two masked inputs on
-their index ranges in the kernel's workspace and convolves them linearly,
-which reproduces the zero extension of the lattice sum exactly, zero-padded
-to the smaller of 2n and the next power of two that holds the linear
-convolution of the ranges.  The first convolves full-grid inputs at length
-2n.  The second convolves chi_k^+ a against ll b / (2 xi), supported on |xi|
-below 2^(k - factor N + 1), and is empty, with no transform, when ll
-resolves only xi = 0; 1 / (2 xi) is taken as 0 at xi = 0 and at the Nyquist
-mode.  The first does not depend on k (its masks are grid-only), so the
-gauge bands of one snapshot share it (``BandKernel.paraproduct``).  The
-assembled operator carries
-the overall normalization -1/sqrt(2 pi) forced by the symmetric transform
-convention (pointwise products carry 1/sqrt(2 pi) relative to pseudoproduct
-symbols).
+Both are one routine, ``_lattice_conv``: it forms the two masked inputs in
+the kernel's workspace and convolves them linearly, zero-padded to length
+2n, which reproduces the zero extension of the lattice sum exactly.  The
+second convolves chi_k^+ a against ll b / (2 xi), and is not made, with no
+transform, when ll resolves only xi = 0, as on every shipped grid; 1 / (2 xi)
+is taken as 0 at xi = 0 and at the Nyquist mode.  The first does not depend
+on k (its masks are grid-only), so the gauge bands of one snapshot share it
+(``BandKernel.paraproduct``).  The assembled operator carries the overall
+normalization -1/sqrt(2 pi) forced by the symmetric transform convention
+(pointwise products carry 1/sqrt(2 pi) relative to pseudoproduct symbols).
 
 With these, the quadratic generator assembled in ``nf_generator_terms`` sums
 to zero at roundoff level, which is the decisive acceptance oracle.  It works
@@ -160,51 +156,29 @@ def leibnitz_check(
 # ---------------------------------------------------------------------------
 
 
-def _support(values: np.ndarray) -> tuple[int, int]:
-    """The smallest index range [lo, hi) outside of which ``values`` vanish;
-    (0, 0) when they vanish everywhere."""
-    nonzero = np.flatnonzero(values)
-    return (int(nonzero[0]), int(nonzero[-1]) + 1) if len(nonzero) else (0, 0)
-
-
-def _lattice_conv(a_mask: np.ndarray, fc: np.ndarray, a_range: tuple[int, int],
-                  b_mask: np.ndarray, gc: np.ndarray, b_range: tuple[int, int], grid: Grid,
-                  rows: Callable[[int], np.ndarray]) -> np.ndarray:
+def _lattice_conv(a_mask: np.ndarray, fc: np.ndarray, b_mask: np.ndarray, gc: np.ndarray,
+                  grid: Grid, rows: Callable[[], np.ndarray]) -> np.ndarray:
     """sum_eta a(xi - eta) b(eta) * dxi on the grid frequencies, for the pieces
-    a = a_mask * fc on the index range a_range = [lo, hi) and b = b_mask * gc
-    on b_range, off which they vanish.
+    a = a_mask * fc and b = b_mask * gc.
 
-    The pieces are formed in place in ``rows(size)``, two complex rows of the
-    padded length (``BandKernel._rows``), and their convolution is a linear
-    one, zero-padded to the smaller of 2n and the next power of two at least
-    la + lb - 1, so frequencies outside the grid range are zero (the lattice's
-    zero extension, no circular wrap): three transforms in place, of which the
-    first la + lb - 1 entries of the inverse, times dxi, land at the grid
-    indices from a_lo + b_lo - n/2 on, clipped to the grid.  With whole-grid
-    ranges that is one length-2n transform of each piece; an empty range takes
-    no transform.
+    The pieces are formed in place in the first n entries of ``rows()``, two
+    complex rows of length 2n (``BandKernel._rows``), whose other n entries
+    are zeroed, so the convolution is a linear one and frequencies outside
+    the grid range are zero (the lattice's zero extension, no circular wrap):
+    three transforms in place, of which the n entries of the inverse from
+    n/2 on, times dxi, are the grid's.
     """
     n = grid.n_points
-    (a_lo, a_hi), (b_lo, b_hi) = a_range, b_range
-    la, lb = a_hi - a_lo, b_hi - b_lo
-    if la <= 0 or lb <= 0:
-        return np.zeros(n, dtype=complex)
-    length = la + lb - 1
-    fa, fb = rows(min(2 * n, 1 << (length - 1).bit_length()))
-    np.multiply(a_mask[a_lo:a_hi], fc[a_lo:a_hi], out=fa[:la])
-    fa[la:] = 0.0
-    np.multiply(b_mask[b_lo:b_hi], gc[b_lo:b_hi], out=fb[:lb])
-    fb[lb:] = 0.0
+    fa, fb = rows()
+    np.multiply(a_mask, fc, out=fa[:n])
+    fa[n:] = 0.0
+    np.multiply(b_mask, gc, out=fb[:n])
+    fb[n:] = 0.0
     np.fft.fft(fa, out=fa)
     np.fft.fft(fb, out=fb)
     fa *= fb
     np.fft.ifft(fa, out=fa)
-    out = np.zeros(n, dtype=complex)
-    shift = a_lo + b_lo - n // 2
-    lo, hi = max(0, shift), min(n, shift + length)
-    if lo < hi:
-        np.multiply(fa[lo - shift:hi - shift], grid.dxi, out=out[lo:hi])
-    return out
+    return fa[n // 2:n // 2 + n] * grid.dxi
 
 
 def _check_separation(order: int, ll_factor: float) -> None:
@@ -231,20 +205,17 @@ class BandKernel:
     complex array as 1+0j or 0j, as a 0/1 float table does, so the products
     are the same bit for bit.
 
-    ``chi_range`` and ``ll_range`` are the index ranges on which chi and
-    ll / (2 xi) can be nonzero.  Both paraproducts are one ``_lattice_conv``
-    of masked inputs: the first of the whole grid, the second of ``half``
-    of only those ranges, and none, with no transform, when ll resolves only
-    xi = 0.  The first paraproduct uses no table of the band, so the bands of
-    one grid can share it (``paraproduct``).
+    Both paraproducts are one ``_lattice_conv`` of masked inputs at length
+    2n.  ``ll_resolved`` says whether ll / (2 xi) keeps a mode; when it does
+    not, as on every shipped grid, ``half`` makes no second paraproduct and
+    takes no transform.  The first paraproduct uses no table of the band, so
+    the bands of one grid can share it (``paraproduct``).
 
     The kernel holds the workspace of its paraproducts' transforms, two
-    complex rows allocated on first use, as long as the longest convolution
-    asked of it (2n once ``paraproduct`` runs), and kept while the kernel
-    lives: every caller (``SnapshotTables``, ``transformed_residual``,
-    ``nf_generator_terms``, ``assemble_B``) runs its length-2n transforms in
-    it.  A kernel handed a shared paraproduct holds only what its second
-    paraproduct needs, nothing when that one is empty."""
+    complex rows of length 2n allocated on first use and kept while the
+    kernel lives: every caller (``SnapshotTables``, ``transformed_residual``,
+    ``nf_generator_terms``, ``assemble_B``) runs its transforms in it.  A
+    kernel handed a shared paraproduct holds none unless ``ll_resolved``."""
 
     def __init__(self, grid: Grid, k: float, order: int, ll_factor: float = LL_FACTOR):
         _check_separation(order, ll_factor)
@@ -257,35 +228,31 @@ class BandKernel:
         self.minus = self.both & ~self.plus
         # zero where ``both`` is, so that it is the mask of P g / (2 xi)
         self.inv2xi = np.divide(0.5, grid.xi, out=np.zeros(grid.n_points), where=self.both)
-        self.chi_range = _support(self.chi)
-        self.ll_range = _support(self.low * self.inv2xi)
+        # whether chi_{<<k} / (2 xi) keeps a mode, so that the second paraproduct runs
+        self.ll_resolved = bool(np.any(self.low * self.inv2xi))
         # the 2^k band broadened by the width of the gauge low-pass
         pad = 2.0 ** (k - ll_factor * order + 1)
         lo, hi = 2.0 ** (k - 1) - pad, 2.0 ** (k + 1) + pad
         self.outside = (grid.xi <= 0) | (grid.xi < lo) | (grid.xi > hi)
         self._work = np.empty((2, 0), dtype=complex)
 
-    def _rows(self, size: int) -> np.ndarray:
-        """Two complex rows of length ``size`` for the paraproducts: views of a
-        workspace allocated on first use, grown to the longest length asked
-        and held as long as the kernel."""
-        if self._work.shape[1] < size:
-            self._work = np.empty((2, size), dtype=complex)
-        return self._work[:, :size]
+    def _rows(self) -> np.ndarray:
+        """The two complex rows of length 2n of the paraproducts' transforms,
+        allocated on first use and held as long as the kernel."""
+        if not self._work.size:
+            self._work = np.empty((2, 2 * self.grid.n_points), dtype=complex)
+        return self._work
 
     def half(self, fc: np.ndarray, gc: np.ndarray, shared: np.ndarray | None = None) -> np.ndarray:
         """chi * conv(a, b / (2 xi)) - conv(chi * a, ll * b / (2 xi)) for a = P+f and
         b = Pg, from the coefficients fc and gc of f and g; ``shared`` may pass in
         ``paraproduct(fc, gc)``, the first convolution, which does not depend on the
-        band.  The second convolves only its pieces on ``chi_range`` and
-        ``ll_range``, and is skipped, with no transform, when ``ll_range`` is empty."""
+        band.  The second is skipped, with no transform, unless ``ll_resolved``."""
         if shared is None:
             shared = self.paraproduct(fc, gc)
         out = self.chi * shared
-        b_lo, b_hi = self.ll_range
-        if b_lo < b_hi:
-            out -= _lattice_conv(self.chi, fc, self.chi_range, self.low, self.inv2xi * gc,
-                                 self.ll_range, self.grid, self._rows)
+        if self.ll_resolved:
+            out -= _lattice_conv(self.chi, fc, self.low, self.inv2xi * gc, self.grid, self._rows)
         return out
 
     def paraproduct(self, fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
@@ -294,8 +261,7 @@ class BandKernel:
         fc = gc = c one serves B_k(u, u) in every band of the grid (see
         ``apply``).  Its masked inputs are formed in the kernel's workspace, so
         a steady call allocates no length-2n array."""
-        whole = (0, self.grid.n_points)
-        return _lattice_conv(self.plus, fc, whole, self.inv2xi, gc, whole, self.grid, self._rows)
+        return _lattice_conv(self.plus, fc, self.inv2xi, gc, self.grid, self._rows)
 
     def apply(self, fc: np.ndarray, gc: np.ndarray, shared: np.ndarray | None = None) -> np.ndarray:
         """Coefficients of B_k(f, g) from the coefficients of f and g: the sum
@@ -332,11 +298,12 @@ def assemble_B(
     and O(n) memory.
 
     Sums the three nonzero branches, computed as two half kernels of
-    separated paraproducts: Fourier multipliers around linear convolutions
-    of the half-line projected inputs, each sized by its inputs' supports
-    (see the module docstring).  B_k(f, f) takes one transform and one half
-    kernel.  The output is kept on xi > 0 inside the 2^k band broadened by
-    the width of the gauge low-pass, and scaled by ``NF_NORMALIZATION``.
+    separated paraproducts: Fourier multipliers around length-2n linear
+    convolutions of the half-line projected inputs, the second not made when
+    the gauge low-pass resolves only xi = 0 (see the module docstring).
+    B_k(f, f) takes one transform and one half kernel.  The output is kept
+    on xi > 0 inside the 2^k band broadened by the width of the gauge
+    low-pass, and scaled by ``NF_NORMALIZATION``.
     ``bilinear_apply`` of ``bolab.testing.nf_branch_symbol``'s branches is
     the dense oracle it matches to roundoff.
     """

@@ -240,6 +240,34 @@ def test_report_rejects_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "report").exists()
 
 
+def test_report_refuses_a_seed_given_as_a_flag_as_in_a_config_file(tmp_path, capsys):
+    # report draws no random numbers, and its config has no seed
+    source = tmp_path / "input"
+    source.write_text(_report_with())
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"input": str(source), "seed": 7}))
+    out = tmp_path / "out"
+    for args in (["--input", str(source), "--seed", "7"], ["--config", str(config)]):
+        assert main(["report", *args, "--output-dir", str(out)]) == 2
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_seed_flag_is_the_seed_override_and_wins_over_it(tmp_path):
+    small = ["--override", "n_points=256", "--override", "trials_per_case=1",
+             "--override", "bands=[1]", "--override", "orders=[2]"]
+    runs = {"flag": ["--seed", "3"], "override": ["--override", "seed=3"],
+            "both": ["--override", "seed=5", "--seed", "3"], "other": ["--seed", "5"]}
+    outputs = {}
+    for name, args in runs.items():
+        out = tmp_path / name
+        assert main(["verify-normal-form", "--output-dir", str(out), *small, *args]) == 0
+        outputs[name] = {file: (out / file).read_bytes() for file in sorted(os.listdir(out))}
+    assert outputs["flag"] == outputs["override"] == outputs["both"]
+    assert json.loads(outputs["flag"]["manifest.json"])["seed"] == 3
+    assert outputs["other"] != outputs["flag"]
+
+
 def test_config_hash_key_order_invariant():
     assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
 
@@ -727,9 +755,9 @@ def test_measure_decay_nan_report_exits_3_and_keeps_previous_files(tmp_path, mon
 
 
 def test_manifest_with_nan_is_refused(tmp_path):
-    path = write_manifest(str(tmp_path), "evolve", {"dt": 0.1}, 0, [], {})
+    path = write_manifest(str(tmp_path), "evolve", {"dt": 0.1}, [], {})
     before = open(path, "rb").read()
     with pytest.raises(AcceptanceFailure):
-        write_manifest(str(tmp_path), "evolve", {"dt": float("nan")}, 0, [], {})
+        write_manifest(str(tmp_path), "evolve", {"dt": float("nan")}, [], {})
     assert open(path, "rb").read() == before
     assert os.listdir(tmp_path) == ["manifest.json"]

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from bolab import cutoffs
+from bolab.cli import NORMAL_FORM_DEFAULTS
+from bolab.decay import EXPERIMENT_DEFAULTS
 from bolab.errors import BandEdgeWarning, GridMismatchError
 from bolab.grid import ComplexField, Field, Grid
 from bolab.kernels import fit_decay
@@ -306,62 +308,64 @@ def test_assemble_B_diagonal_one_half_equals_two_halves(grid_medium, rng):
         assert np.max(np.abs(one)) > 0.0
 
 
-def _new_rows(size):
-    return np.empty((2, size), dtype=complex)
+def _new_rows(n):
+    return lambda: np.empty((2, 2 * n), dtype=complex)
 
 
-def _conv(a, a_range, b, b_range, grid, rows=_new_rows):
+def _conv(a, b, grid, rows=None):
     """``_lattice_conv`` of a and b under unit masks, which leave them bit for bit."""
     ones = np.ones(grid.n_points)
-    return _lattice_conv(ones, a, a_range, ones, b, b_range, grid, rows)
+    return _lattice_conv(ones, a, ones, b, grid, rows or _new_rows(grid.n_points))
 
 
 @pytest.mark.parametrize("n", [256, 1000, 4096])
-def test_lattice_conv_full_ranges_equal_the_2n_convolution_bitwise(rng, n):
+def test_lattice_conv_equals_the_2n_convolution_bitwise(rng, n):
     grid = Grid(n, 100.0)
     a = rng.normal(size=n) + 1j * rng.normal(size=n)
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
     padded = np.fft.ifft(np.fft.fft(a, 2 * n) * np.fft.fft(b, 2 * n))
     expected = padded[n // 2 : n // 2 + n] * grid.dxi
-    whole = (0, n)
-    assert np.array_equal(_conv(a, whole, b, whole, grid), expected)
-    # in a held workspace longer than the padded length, as a kernel grows it
-    held = np.full((2, 4 * n), np.nan, dtype=complex)
-    assert np.array_equal(_conv(a, whole, b, whole, grid, lambda size: held[:, :size]), expected)
+    assert np.array_equal(_conv(a, b, grid), expected)
+    # in held rows left full of other values, which it must overwrite
+    held = np.full((2, 2 * n), np.nan, dtype=complex)
+    assert np.array_equal(_conv(a, b, grid, lambda: held), expected)
     # the masks multiply the inputs, formed in the workspace
     mask = rng.uniform(size=n)
     padded = np.fft.ifft(np.fft.fft(mask * a, 2 * n) * np.fft.fft(b, 2 * n))
-    masked = _lattice_conv(mask, a, whole, np.ones(n), b, whole, grid, _new_rows)
+    masked = _lattice_conv(mask, a, np.ones(n), b, grid, _new_rows(n))
     assert np.array_equal(masked, padded[n // 2 : n // 2 + n] * grid.dxi)
 
 
-def test_lattice_conv_of_compact_pieces_matches_full_ranges(rng):
-    n = 1024
-    grid = Grid(n, 100.0)
-    cases = [((0, n), (500, 520)), ((900, 1024), (800, 1000)), ((0, 30), (0, 40)),
-             ((510, 515), (511, 512)), ((1000, 1024), (1010, 1024))]
-    for _ in range(20):
-        ends = [np.sort(rng.choice(n + 1, size=2, replace=False)) for _ in range(2)]
-        cases.append(tuple((int(lo), int(hi)) for lo, hi in ends))
-    for a_range, b_range in cases:
-        a, b = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
-        pieces = []
-        for x, (lo, hi) in ((a, a_range), (b, b_range)):
-            x[lo:hi] = rng.normal(size=hi - lo) + 1j * rng.normal(size=hi - lo)
-            pieces.append(x[lo:hi])
-        # the sup of the exact linear convolution, also where it leaves the grid
-        scale = np.max(np.abs(np.convolve(*pieces))) * grid.dxi
-        short = _conv(a, a_range, b, b_range, grid)
-        assert np.max(np.abs(short - _conv(a, (0, n), b, (0, n), grid))) <= 1e-13 * scale
+def _shipped_kernels():
+    """The kernels of every shipped configuration: verify-normal-form's
+    defaults (criterion 6's grid and sweep), measure-decay's default gauge,
+    and criterion 7's residual."""
+    nf = NORMAL_FORM_DEFAULTS
+    nf_grid = Grid(nf["n_points"], nf["box_length"])
+    yield from (BandKernel(nf_grid, k, order, nf["ll_factor"])
+                for k in nf["bands"] for order in nf["orders"])
+    gauge = EXPERIMENT_DEFAULTS["gauge"]
+    decay_grid = Grid(EXPERIMENT_DEFAULTS["n_points"], EXPERIMENT_DEFAULTS["box_length"])
+    yield from (BandKernel(decay_grid, k, gauge["order"], gauge["ll_factor"])
+                for k in gauge["bands"])
+    yield BandKernel(Grid(8192, 400.0), 1.0, 4, 3.0)
 
 
-def test_lattice_conv_of_an_empty_piece_takes_no_transform(fft_lengths, rng):
-    grid = Grid(256, 100.0)
-    a = rng.normal(size=256) + 0j
-    for a_range, b_range in [((7, 7), (0, 256)), ((0, 256), (0, 0)), ((3, 2), (0, 256))]:
-        out = _conv(a, a_range, a, b_range, grid)
-        assert out.dtype == complex and np.array_equal(out, np.zeros(256))
-    assert fft_lengths == []
+def test_second_paraproduct_runs_on_no_shipped_config_and_at_length_2n_where_it_does(
+        fft_lengths, rng):
+    kernels = list(_shipped_kernels())
+    assert len(kernels) == 13
+    assert not any(kernel.ll_resolved for kernel in kernels)
+    # chi_{<<k} resolves lattice modes: 3 transforms for each paraproduct,
+    # all of length 2n in the kernel's one workspace
+    grid = Grid(1024, 2000.0)
+    kernel = BandKernel(grid, 1.0, 2, 1.0)
+    assert kernel.ll_resolved
+    c = coeffs_of(random_band_limited(grid, rng, 0.25).samples, grid)
+    fft_lengths.clear()
+    kernel.apply(c, c)
+    assert fft_lengths == [2048] * 6 and all(fft_lengths.out)
+    assert kernel._work.shape == (2, 2048)
 
 
 def test_cancellation_takes_half_the_2n_transforms(fft_lengths, rng):
@@ -447,25 +451,23 @@ def test_generator_terms_match_the_field_by_field_terms(
     assert all(np.max(np.abs(reference[name])) > 0.0
                for name in ("transport", "b_left", "b_right", "b_derivative"))
     assert caught == expected and caught.count(BandEdgeWarning) == band_edge
-    ll_lo, ll_hi = BandKernel(u.grid, k, order, factor).ll_range
-    assert (ll_hi > ll_lo) == (factor < 100.0)
+    assert BandKernel(u.grid, k, order, factor).ll_resolved == (factor < 100.0)
 
 
 def test_band_kernel_apply_with_the_shared_paraproduct_equals_apply_bitwise(rng):
     # also where chi_{<<k} covers lattice modes (factor 1, order 2), so that
-    # the second paraproduct runs on a nonempty short range
+    # the second paraproduct runs
     grid = Grid(1024, 2000.0)
     c = coeffs_of(random_band_limited(grid, rng, 0.25).samples, grid)
     kernels = [BandKernel(grid, k, order, factor)
                for k, order, factor in [(0.0, 4, 100.0), (2.0, 4, 100.0), (1.0, 2, 1.0)]]
-    assert kernels[0].ll_range == (0, 0) and kernels[2].ll_range[1] - kernels[2].ll_range[0] > 100
+    assert [kernel.ll_resolved for kernel in kernels] == [False, False, True]
     shared = kernels[0].paraproduct(c, c)
     # formed in place in the kernel's workspace, it is the lattice convolution of
     # the masked inputs bit for bit, and a second call reuses the workspace
     first = kernels[0]
     masked = (first.plus * c, first.both * c * first.inv2xi)
-    whole = (0, grid.n_points)
-    assert np.array_equal(shared, _conv(masked[0], whole, masked[1], whole, grid))
+    assert np.array_equal(shared, _conv(masked[0], masked[1], grid))
     workspace = first._work
     assert np.array_equal(first.paraproduct(c, c), shared) and first._work is workspace
     for kernel in kernels:
