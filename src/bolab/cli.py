@@ -203,15 +203,12 @@ def file_sha256(path: str) -> str:
 
 def write_manifest(outdir: str, command: str, config: dict, outputs: list[str],
                    warning_counts: dict) -> str:
-    import scipy
-
     manifest = {
         "command": command,
         "config": config,
         "config_hash": config_hash(config),
         "bolab_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "seed": config.get("seed", 0),
         "outputs": {os.path.basename(p): file_sha256(p) for p in outputs},
         "warnings": warning_counts,

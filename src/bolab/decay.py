@@ -279,14 +279,20 @@ class DecayReport:
 
     def to_csv(self, path: str) -> None:
         """Flat long-format CSV: time, quantity, sign, shell, value."""
-        blocks = [("sup", sign, by_shell) for sign, by_shell in self.sup.items()]
-        blocks += [("lowpass_sup", "+", self.lowpass_sup), ("bandsum_sup", "+", self.bandsum_sup)]
-        blocks += [(f"gauge_sup_k{k}", "+", by_shell) for k, by_shell in self.gauge_sup.items()]
         write_csv(path, "time,quantity,sign,shell,value",
                   ((t, quantity, sign, shell, v)
-                   for quantity, sign, by_shell in blocks
+                   for quantity, sign, by_shell in _blocks(self.sup, self.lowpass_sup,
+                                                           self.bandsum_sup, self.gauge_sup)
                    for shell, series in by_shell.items()
                    for t, v in zip(self.times, series)))
+
+
+def _blocks(sup: dict, lowpass_sup: dict, bandsum_sup: dict, gauge_sup: dict):
+    """(quantity, sign, shell(str) -> series) of each measured series, in the one order
+    of the CSV's blocks and of ``SnapshotTables.measure``'s values."""
+    yield from (("sup", sign, by_shell) for sign, by_shell in sup.items())
+    yield from (("lowpass_sup", "+", lowpass_sup), ("bandsum_sup", "+", bandsum_sup))
+    yield from ((f"gauge_sup_k{k}", "+", by_shell) for k, by_shell in gauge_sup.items())
 
 
 def contamination_time(config: ExperimentConfig, j: float) -> float:
@@ -400,74 +406,63 @@ class SnapshotTables:
         products = np.multiply(weights, mags, out=self._products[:, :weights.shape[1]])
         return np.max(products, axis=1).tolist()
 
-    def measure(self, w: Field) -> tuple[dict, dict, dict, dict]:
-        """(sups[j][sign] as from ``weighted_shell_sup``, lowpass[j], bandsum[j], gauge[k][j])
-        of one snapshot, from one forward transform of the field: the low-pass and band
-        rows are inverted in blocks, and each gauge band takes one inverse (see
-        ``normal_form.Bundle``).  Each series is one ``_sups`` per sign: the field's of
-        its magnitude, the low-pass rows' of theirs, the band sums' of each shell's total
-        of the bands above k0(j), and each gauge band's of |v|; every sup is the same
-        float as ``weighted_sup``'s of the same row."""
-        plus, minus = (self._sups(sign, np.abs(w.samples[self.windows[sign]],
-                                               out=self._row[sign])) for sign in "+-")
-        sups = {j: {"+": p, "-": m} for j, p, m in zip(self.shells, plus, minus)}
+    def measure(self, w: Field) -> list[float]:
+        """The values of one snapshot in ``_blocks`` order, shell by shell within each
+        series, from one forward transform of the field: the low-pass and band rows are
+        inverted in blocks, and each gauge band takes one inverse (see
+        ``normal_form.Bundle``).  Each series is one ``_sups``: the field's of its
+        magnitude per sign, the low-pass rows' of theirs, the band sums' of each shell's
+        total of the bands above k0(j), and each gauge band's of |v|; every sup is the
+        same float as ``weighted_sup``'s of the same row."""
+        values = [sup for sign in "+-"
+                  for sup in self._sups(sign, np.abs(w.samples[self.windows[sign]],
+                                                     out=self._row[sign]))]
         c = coeffs_of(w.samples, self.grid)
         cf = fft_ordered(c, self.grid)
         for table, mags in ((self.low_table, self._shell_mags), (self.band_table, self._band_mags)):
             for row, out in zip(self._projected(table, cf), mags):
                 np.abs(row[self.windows["+"]], out=out)
-        lowpass = dict(zip(self.shells, self._sups("+", self._shell_mags)))
+        values += self._sups("+", self._shell_mags)
         # the low-pass rows are measured: their array takes each shell's band total
         for total, first in zip(self._shell_mags, self._first_band):
             np.sum(self._band_mags[first:], axis=0, out=total)
-        bandsum = dict(zip(self.shells, self._sups("+", self._shell_mags)))
-        gauge = {}
+        values += self._sups("+", self._shell_mags)
         if self.gauge:
             phi_c = phi_coeffs(w, c)
             # the first paraproduct of B_k(u, u) does not depend on k: one per snapshot
             shared = next(iter(self.gauge.values())).paraproduct(c, c)
-            for k, kernel in self.gauge.items():
+            for kernel in self.gauge.values():
                 # |v| only: a v held while the next band's is formed costs a heap trim
                 mags = np.abs(Bundle(kernel, c, phi_c, shared).v[self.windows["+"]],
                               out=self._row["+"])
-                gauge[k] = dict(zip(self.shells, self._sups("+", mags)))
-        return sups, lowpass, bandsum, gauge
+                values += self._sups("+", mags)
+        return values
 
 
 def run(config: ExperimentConfig) -> DecayReport:
     """Evolve the configured data and measure shell decay over time, each
-    snapshot as ``solver.stream`` yields it."""
+    snapshot as ``solver.stream`` yields it; the clean flags and the fits are
+    formed from the measured series after the last snapshot."""
     state = config.solver_state()
     tables = SnapshotTables(config)
     shells = tables.shells
-    horizon = {j: contamination_time(config, j) for j in shells}
-
     times: list[float] = []
-    sup = {"+": {f"{j}": [] for j in shells}, "-": {f"{j}": [] for j in shells}}
+    sup = {sign: {f"{j}": [] for j in shells} for sign in "+-"}
     lowpass_sup = {f"{j}": [] for j in shells}
     bandsum_sup = {f"{j}": [] for j in shells}
     gauge_sup = {f"{k}": {f"{j}": [] for j in shells} for k in tables.gauge}
-    clean = {f"{j}": [] for j in shells}
-    fits: list[dict] = []
-
+    columns = [column for _, _, by_shell in _blocks(sup, lowpass_sup, bandsum_sup, gauge_sup)
+               for column in by_shell.values()]
     # each snapshot is measured as the solver's process sends it, and dropped
     for snap in stream(state, config.t_final, config.snapshot_stride):
-        t = snap.t
-        times.append(t)
-        sups, lowpass, bandsum, gauge = tables.measure(snap.w)
-        for j in shells:
-            sup["+"][f"{j}"].append(sups[j]["+"])
-            sup["-"][f"{j}"].append(sups[j]["-"])
-            clean[f"{j}"].append(bool(t <= horizon[j]))
-            lowpass_sup[f"{j}"].append(lowpass[j])
-            bandsum_sup[f"{j}"].append(bandsum[j])
-            for k, by_shell in gauge.items():
-                gauge_sup[f"{k}"][f"{j}"].append(by_shell[j])
+        times.append(snap.t)
+        for column, value in zip(columns, tables.measure(snap.w)):
+            column.append(value)
 
-        fit = _fit_snapshot(shells, sup["+"], clean, t)
-        if fit is not None:
-            fits.append(fit)
-
+    horizon = {f"{j}": contamination_time(config, j) for j in shells}
+    clean = {j: [t <= h for t in times] for j, h in horizon.items()}
+    fits = [fit for i, t in enumerate(times)
+            if (fit := _fit_snapshot(shells, sup["+"], clean, i, t)) is not None]
     # aggregate (uniform-in-time) fit over the max of each shell series
     agg = _fit_row(_clean_peaks(shells, sup["+"], clean), None, "aggregate_sup_plus")
     if agg is not None:
@@ -478,34 +473,24 @@ def run(config: ExperimentConfig) -> DecayReport:
     c0 = config.initial["c"]
     budgets = {
         "box_wrap_tail": 2.0 * c0 / (c0**2 * (config.box_length / 2.0) ** 2 + 1.0),
-        "contamination_time": {f"{j}": horizon[j] for j in shells},
+        "contamination_time": horizon,
         "sponge": asdict(state.sponge),
         "mass_over_L": snap.ledger[0][1] / config.box_length,
     }
     return DecayReport(
-        config=config.to_dict(),
-        times=times,
-        shells=shells,
-        sup=sup,
-        lowpass_sup=lowpass_sup,
-        bandsum_sup=bandsum_sup,
-        gauge_sup=gauge_sup,
-        clean=clean,
-        fits=fits,
-        epsilon_measured=eps_meas,
-        predicted_exponent=bootstrap_predict(eps_meas),
-        budgets=budgets,
-        ledger=[list(row) for row in snap.ledger],
-    )
+        config=config.to_dict(), times=times, shells=shells, sup=sup, lowpass_sup=lowpass_sup,
+        bandsum_sup=bandsum_sup, gauge_sup=gauge_sup, clean=clean, fits=fits,
+        epsilon_measured=eps_meas, predicted_exponent=bootstrap_predict(eps_meas),
+        budgets=budgets, ledger=[list(row) for row in snap.ledger])
 
 
 def _clean_peaks(shells: list[float], series: dict, clean: dict,
-                 start: int = 0) -> list[tuple[float, float]]:
-    """(j, largest clean positive value of series[j][start:]) for each shell
+                 times: slice = slice(None)) -> list[tuple[float, float]]:
+    """(j, largest clean positive value of series[j][times]) for each shell
     that has one, series and clean mapping shell(str) -> [value per time]."""
     pairs = []
     for j in shells:
-        values = [v for v, ok in zip(series[f"{j}"][start:], clean[f"{j}"][start:])
+        values = [v for v, ok in zip(series[f"{j}"][times], clean[f"{j}"][times])
                   if ok and v > 0.0]
         if values:
             pairs.append((j, max(values)))
@@ -521,9 +506,9 @@ def _fit_row(pairs: list[tuple[float, float]], time: float | None, kind: str) ->
             "r_squared": fit.r_squared, "n_points": fit.n_points}
 
 
-def _fit_snapshot(shells: list[float], sup_plus: dict, clean: dict, t: float) -> dict | None:
-    """The shell fit of the latest snapshot's clean positive sups."""
-    return _fit_row(_clean_peaks(shells, sup_plus, clean, -1), t, "sup_plus")
+def _fit_snapshot(shells: list[float], sup_plus: dict, clean: dict, i: int, t: float) -> dict | None:
+    """The shell fit of the clean positive sups of snapshot i, at time t."""
+    return _fit_row(_clean_peaks(shells, sup_plus, clean, slice(i, i + 1)), t, "sup_plus")
 
 
 @dataclass

@@ -414,12 +414,15 @@ def load_snapshot(path: str) -> SolverState:
         raise ConfigError(f"snapshot header gives n = {n}, not a positive even number: {path}")
     if len(data) != 56 + 8 * n:
         raise ConfigError(f"snapshot body holds {len(data) - 56} bytes, not 8 * {n}: {path}")
+    if frame_flag not in (0, 1):
+        raise ConfigError(f"snapshot header gives frame flag {frame_flag}, not 0 (lab) or "
+                          f"1 (moving): {path}")
     samples = np.frombuffer(data, dtype="<f8", count=n, offset=56).copy()
     grid = Grid(n, box)
     return SolverState(
         w=Field(grid, samples),
         t=t,
-        frame="lab" if frame_flag == 0 else "moving",
+        frame=("lab", "moving")[frame_flag],
         speed=speed,
         dt=dt,
     )

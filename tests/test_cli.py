@@ -285,6 +285,21 @@ def test_verify_kernels_default_run_passes(tmp_path):
     assert manifest["config"]["right_sweep"]["M"] == 6
 
 
+@pytest.mark.parametrize("args", [
+    ["measure-decay", *(arg for item in SMALL_DECAY for arg in ("--override", item))],
+    ["verify-kernels", "--override", "schro_points=2"],
+], ids=["measure-decay", "verify-kernels"])
+def test_commands_run_without_scipy(tmp_path, args):
+    # scipy serves only the tests' quadrature oracles: a command, manifest
+    # included, runs without importing it
+    code = ("import sys; from bolab.cli import main; "
+            "print(main(sys.argv[1:]), 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, *args, "--output-dir", str(tmp_path)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]
+    assert "scipy_version" not in json.loads((tmp_path / "manifest.json").read_text())
+
+
 @pytest.mark.parametrize("override, message", [
     ("t_sweep=3", "t_sweep must be an object"),
     ("t_sweep.times=3", "t_sweep.times must be a non-empty list"),
@@ -708,6 +723,10 @@ def _with_n(data: bytes, n: int) -> bytes:
     return data[:8] + n.to_bytes(8, "little", signed=True) + data[16:]
 
 
+def _with_frame_flag(data: bytes, flag: int) -> bytes:
+    return data[:32] + flag.to_bytes(8, "little", signed=True) + data[40:]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (None, "cannot read snapshot file ''"),
     (lambda data: None, "cannot read snapshot file"),
@@ -716,8 +735,9 @@ def _with_n(data: bytes, n: int) -> bytes:
     (lambda data: data[:-8], "body holds"),
     (lambda data: _with_n(data, 511), "not a positive even number"),
     (lambda data: _with_n(data, -512), "not a positive even number"),
+    (lambda data: _with_frame_flag(data, 2), "frame flag 2, not 0 (lab) or 1 (moving)"),
 ], ids=["no-path", "missing-file", "bad-magic", "truncated-header", "truncated-body", "odd-n",
-        "negative-n"])
+        "negative-n", "frame-flag-2"])
 def test_measure_decay_bad_initial_file_exits_2(tmp_path, capsys, corrupt, message):
     out = tmp_path / "out"
     overrides = ["initial.kind=\"file\""]

@@ -229,6 +229,37 @@ def test_soliton_run_exponent_and_report_shape():
                                 "mass_over_L"}
 
 
+def test_fit_rows_are_the_fits_of_their_clean_positive_sups():
+    # a fast front leaves the last snapshots fewer than four clean shells: a
+    # snapshot's row is fit_decay of its clean positive sup["+"] values, it has
+    # none below four of them, and the aggregate row fits each shell's largest
+    gauge = {"enabled": True, "order": 4, "ll_factor": 100.0, "bands": [0, 1]}
+    sponge = {"enabled": True, "width_fraction": 0.1, "strength": 1.0}
+    cfg = _small_config(snapshot_stride=5, front_speed=1950.0, gauge=gauge, sponge=sponge,
+                        initial={"kind": "soliton_bump"})
+    rep = run(cfg)
+    sup = rep.sup["+"]
+    for j in rep.shells:
+        assert rep.clean[f"{j}"] == [t <= contamination_time(cfg, j) for t in rep.times]
+
+    def row(pairs, time, kind):
+        fit = fit_decay(pairs)
+        return {"time": time, "kind": kind, "slope": fit.slope, "intercept": fit.intercept,
+                "r_squared": fit.r_squared, "n_points": fit.n_points}
+
+    expected, counts = [], []
+    for i, t in enumerate(rep.times):
+        pairs = [(j, sup[f"{j}"][i]) for j in rep.shells
+                 if rep.clean[f"{j}"][i] and sup[f"{j}"][i] > 0.0]
+        counts.append(len(pairs))
+        if len(pairs) >= 4:
+            expected.append(row(pairs, t, "sup_plus"))
+    peaks = [(j, max(v for v, ok in zip(sup[f"{j}"], rep.clean[f"{j}"]) if ok and v > 0.0))
+             for j in rep.shells]
+    assert rep.fits == expected + [row(peaks, None, "aggregate_sup_plus")]
+    assert counts[0] == 7 and any(0 < n < 4 for n in counts) and counts[-1] == 0
+
+
 def test_report_json_csv_round_trip(tmp_path):
     rep = run(_small_config())
     jpath = os.path.join(tmp_path, "rep.json")
@@ -346,7 +377,7 @@ def test_resolved_gauge_low_pass_matches_the_field_by_field_transform():
     cfg = _small_config(gauge=gauge)
     tables = SnapshotTables(cfg)
     g, w = cfg.grid(), _soliton_bump(cfg)
-    gauge_sups = tables.measure(w)[3]
+    gauge_sups = _measured(tables, w)[3]
     phi = antiderivative_mean_removed(w)[0]
     for k in (0, 1):
         phi_ll = lp_project(phi, k - 4.0, "leq").samples
@@ -368,7 +399,7 @@ def test_streamed_run_equals_in_process_evolve_and_measure():
     rep = run(cfg)
     tables = SnapshotTables(cfg)
     snaps = evolve(cfg.solver_state(), cfg.t_final, snapshot_stride=cfg.snapshot_stride)
-    measured = [tables.measure(snap.w) for snap in snaps]
+    measured = [_measured(tables, snap.w) for snap in snaps]
     assert rep.times == [snap.t for snap in snaps] and len(snaps) == 4
     for j in rep.shells:
         for sign in "+-":
@@ -409,7 +440,7 @@ def test_gauge_bands_sharing_the_paraproduct_match_fresh_transform():
     assert [s.t for s in snaps] == rep.times and len(snaps) == 3
     g = cfg.grid()
     for i, snap in enumerate(snaps):
-        gauge_sups = tables.measure(snap.w)[3]
+        gauge_sups = _measured(tables, snap.w)[3]
         c = coeffs_of(snap.w.samples, g)
         phi_c = phi_coeffs(snap.w, c)
         shared = tables.gauge[0].paraproduct(c, c)
@@ -465,12 +496,26 @@ def test_snapshot_field_sups_equal_weighted_shell_sup_bitwise(rng):
     cfg = _small_config()
     tables = SnapshotTables(cfg)
     for w in (_soliton_bump(cfg), random_band_limited(cfg.grid(), rng, 0.3)):
-        assert tables.measure(w)[0] == weighted_shell_sup(w, tables.shells)
+        assert _measured(tables, w)[0] == weighted_shell_sup(w, tables.shells)
 
 
 def _soliton_bump(cfg):
     w = cfg.initial_field()
     return Field(w.grid, w.samples + 0.05 * np.exp(-((w.grid.x - 2.0) ** 2)))
+
+
+def _measured(tables, w):
+    """tables.measure(w) split into its series, in the CSV's block order: (sups[j][sign],
+    lowpass[j], bandsum[j], gauge[k][j])."""
+    values = iter(tables.measure(w))
+
+    def series():
+        return {j: next(values) for j in tables.shells}
+
+    plus, minus, lowpass, bandsum = series(), series(), series(), series()
+    gauge = {k: series() for k in tables.gauge}
+    assert next(values, None) is None
+    return {j: {"+": plus[j], "-": minus[j]} for j in tables.shells}, lowpass, bandsum, gauge
 
 
 def test_snapshot_projections_match_per_row_transforms():
@@ -497,7 +542,7 @@ def test_snapshot_projections_match_per_row_transforms():
         for row, ref in zip(rows, expected):
             assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(ref)
     # and measure() reports them as the per-row transforms give them
-    _, lowpass, bandsum, _ = tables.measure(w)
+    _, lowpass, bandsum, _ = _measured(tables, w)
     window = tables.windows["+"]
     for j, weight, low in zip(tables.shells, tables.weights["+"], lows):
         assert abs(lowpass[j] - float(np.max(weight * low[window]))) <= 1e-12 * np.max(low)
@@ -516,7 +561,7 @@ def test_snapshot_series_equal_the_weighted_sups_of_their_rows_bitwise():
     cfg = _small_config(gauge=gauge)
     tables = SnapshotTables(cfg)
     g, w = cfg.grid(), _soliton_bump(cfg)
-    sups, lowpass, bandsum, gauge_sups = tables.measure(w)
+    sups, lowpass, bandsum, gauge_sups = _measured(tables, w)
 
     def sup(j, sign, x):
         return float(np.max(spatial_cutoff_values(g, j, sign) * np.abs(x)))
