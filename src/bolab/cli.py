@@ -66,12 +66,6 @@ def read_json_object(path: str, what: str) -> dict:
     return data
 
 
-def load_config(path: str | None, defaults: dict) -> dict:
-    if path is None:
-        return json.loads(json.dumps(defaults))
-    return read_json_object(path, "config")
-
-
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
     for item in overrides:
         if "=" not in item:
@@ -515,7 +509,8 @@ def main(argv: list[str] | None = None) -> int:
         defaults = defaults() if callable(defaults) else defaults
         # --seed N is the override seed=N, after the others so that it wins
         seed = [] if args.seed is None else [f"seed={args.seed}"]
-        config = apply_overrides(load_config(args.config, defaults), args.override + seed)
+        config = {} if args.config is None else read_json_object(args.config, "config")
+        config = apply_overrides(config, args.override + seed)
         if getattr(args, "input", None) is not None:
             config["input"] = args.input
         config = merge_config(defaults, config)

@@ -29,8 +29,8 @@ from .cli import (atomic_write_text, check_distinct, check_distinct_integers, is
                   merge_config, read_json_object, write_csv)
 from .errors import ConfigError, DegenerateSeriesError
 from .grid import Field, Grid
-from .kernels import fit_decay
-from .normal_form import Bundle, phi_coeffs
+from .kernels import FitResult, fit_decay
+from .normal_form import Bundle
 from .pseudoproduct import LL_FACTOR, BandKernel
 from .solver import SolverState, SpongeConfig, load_snapshot, soliton, stream
 from .spectral import (
@@ -181,10 +181,8 @@ def measure_epsilon(fit: dict | None) -> float:
     return float(np.clip(-fit["slope"] - 1.0, 0.05, 1.0))
 
 
-def _series(value, depth: int, leaf) -> bool:
-    """Whether ``value`` nests ``depth`` JSON objects over lists whose items pass ``leaf``."""
-    if depth:
-        return isinstance(value, dict) and all(_series(v, depth - 1, leaf) for v in value.values())
+def _list_of(value, leaf) -> bool:
+    """Whether ``value`` is a JSON list whose items pass ``leaf``."""
     return isinstance(value, list) and all(map(leaf, value))
 
 
@@ -192,34 +190,26 @@ def _fit_entry(value) -> bool:
     """Whether ``value`` is a ``fits`` entry as ``_fit_row`` writes it."""
     return (isinstance(value, dict) and value.keys() == set(FIT_KEYS)
             and (value["time"] is None or is_number(value["time"]))
-            and isinstance(value["kind"], str)
-            and is_number(value["n_points"]) and isinstance(value["n_points"], int)
-            and all(is_number(value[key]) for key in ("slope", "intercept", "r_squared")))
+            and isinstance(value["kind"], str) and isinstance(value["n_points"], int)
+            and all(is_number(value[key]) for key in FIT_KEYS[2:]))
 
 
-def _series_lengths(value, depth: int) -> list[int]:
-    """The lengths of the lists that ``value`` nests under ``depth`` JSON objects."""
-    if depth:
-        return [n for v in value.values() for n in _series_lengths(v, depth - 1)]
-    return [len(value)]
-
-
-#: the report fields that hold one value per time, and how deep their series nest
-SERIES_DEPTHS = {"sup": 2, "lowpass_sup": 1, "bandsum_sup": 1, "gauge_sup": 2, "clean": 1}
+#: the test of each value of a per-shell series, and the kind it accepts
+NUMBER, FLAG = (is_number, "number"), (lambda x: isinstance(x, bool), "true or false")
 #: the keys of a ``fits`` entry
-FIT_KEYS = ("time", "kind", "slope", "intercept", "r_squared", "n_points")
-#: per report field: a test of its value and the kind the test accepts
+FIT_KEYS = ("time", "kind", *(f.name for f in fields(FitResult)))
+#: per report field: a test of its value and the kind the test accepts; the per-shell
+#: series of ``_blocks`` and ``clean`` are checked against ``shells`` and ``times``
 REPORT_KINDS = {
     "config": (lambda v: isinstance(v, dict), "an object"),
-    "times": (lambda v: bool(v) and _series(v, 0, is_number), "a non-empty list of numbers"),
-    "shells": (lambda v: bool(v) and _series(v, 0, is_number), "a non-empty list of numbers"),
-    "sup": (lambda v: _series(v, 2, is_number), "an object of objects of lists of numbers"),
-    "lowpass_sup": (lambda v: _series(v, 1, is_number), "an object of lists of numbers"),
-    "bandsum_sup": (lambda v: _series(v, 1, is_number), "an object of lists of numbers"),
-    "gauge_sup": (lambda v: _series(v, 2, is_number), "an object of objects of lists of numbers"),
-    "clean": (lambda v: _series(v, 1, lambda x: isinstance(x, bool)),
-              "an object of lists of true or false"),
-    "fits": (lambda v: _series(v, 0, _fit_entry), f"a list of objects with the keys {FIT_KEYS}"),
+    "times": (lambda v: bool(v) and _list_of(v, is_number), "a non-empty list of numbers"),
+    "shells": (lambda v: bool(v) and _list_of(v, is_number), "a non-empty list of numbers"),
+    "sup": (lambda v: isinstance(v, dict) and v.keys() == {"+", "-"},
+            'an object with exactly the keys "+" and "-"'),
+    "gauge_sup": (lambda v: isinstance(v, dict)
+                  and all(k.removeprefix("-").isdecimal() for k in v),
+                  "an object keyed by integer bands"),
+    "fits": (lambda v: _list_of(v, _fit_entry), f"a list of objects with the keys {FIT_KEYS}"),
     "epsilon_measured": (lambda v: is_number(v) and v > 0, "a positive number"),
     "predicted_exponent": (is_number, "a number"),
     "budgets": (lambda v: isinstance(v, dict), "an object"),
@@ -251,9 +241,9 @@ class DecayReport:
     @staticmethod
     def from_json(path: str) -> "DecayReport":
         """The report in ``path``; a file that does not hold a JSON object with
-        exactly the report's fields, each of its kind in ``REPORT_KINDS``,
-        with one value per time in each series of ``SERIES_DEPTHS`` and a
-        ``lowpass_sup`` and a ``clean`` series for each shell, raises
+        exactly the report's fields, each of its kind in ``REPORT_KINDS``, in which
+        each series of ``_blocks`` maps exactly the report's shells to one number
+        per time and ``clean`` maps them to one true or false per time, raises
         ConfigError."""
         data = read_json_object(path, "report input")
         names = {f.name for f in fields(DecayReport)}
@@ -264,35 +254,36 @@ class DecayReport:
             if not ok(data[name]):
                 raise ConfigError(f"report input {path!r}: field {name} must be {kind}, "
                                   f"got {reprlib.repr(data[name])}")
-        n_times = len(data["times"])
-        for name, depth in SERIES_DEPTHS.items():
-            wrong = [n for n in _series_lengths(data[name], depth) if n != n_times]
-            if wrong:
-                raise ConfigError(f"report input {path!r}: field {name} holds a series of "
-                                  f"length {wrong[0]}, not one value per time ({n_times})")
-        missing = [j for j in data["shells"]
-                   if f"{j}" not in data["lowpass_sup"] or f"{j}" not in data["clean"]]
-        if missing:
-            raise ConfigError(f"report input {path!r}: field shells names {missing}, "
-                              "which have no lowpass_sup or clean series")
+        shells, n_times = sorted(f"{j}" for j in data["shells"]), len(data["times"])
+        blocks = _blocks(data["sup"], data["lowpass_sup"], data["bandsum_sup"], data["gauge_sup"])
+        for quantity, sign, by_shell in (*blocks, ("clean", "+", data["clean"])):
+            leaf, kind = FLAG if quantity == "clean" else NUMBER
+            if not (isinstance(by_shell, dict) and sorted(by_shell) == shells and all(
+                    _list_of(s, leaf) and len(s) == n_times for s in by_shell.values())):
+                raise ConfigError(f"report input {path!r}: the {quantity} series of sign {sign} "
+                                  f"must map exactly the shells {data['shells']} to one {kind} "
+                                  f"per time ({n_times}), got {reprlib.repr(by_shell)}")
         return DecayReport(**data)
 
     def to_csv(self, path: str) -> None:
-        """Flat long-format CSV: time, quantity, sign, shell, value."""
+        """Flat long-format CSV: time, quantity, sign, shell, value; the blocks in
+        ``_blocks`` order, the shells of each in the order of ``shells``."""
         write_csv(path, "time,quantity,sign,shell,value",
-                  ((t, quantity, sign, shell, v)
+                  ((t, quantity, sign, f"{j}", v)
                    for quantity, sign, by_shell in _blocks(self.sup, self.lowpass_sup,
                                                            self.bandsum_sup, self.gauge_sup)
-                   for shell, series in by_shell.items()
-                   for t, v in zip(self.times, series)))
+                   for j in self.shells
+                   for t, v in zip(self.times, by_shell[f"{j}"])))
 
 
 def _blocks(sup: dict, lowpass_sup: dict, bandsum_sup: dict, gauge_sup: dict):
     """(quantity, sign, shell(str) -> series) of each measured series, in the one order
-    of the CSV's blocks and of ``SnapshotTables.measure``'s values."""
-    yield from (("sup", sign, by_shell) for sign, by_shell in sup.items())
+    of the CSV's blocks, of ``run``'s columns and of ``SnapshotTables.measure``'s values:
+    sup of sign + then -, the low-pass and band-sum sups, then the gauge bands in
+    increasing k.  Each caller takes a block's series in the order of the shells."""
+    yield from (("sup", sign, sup[sign]) for sign in "+-")
     yield from (("lowpass_sup", "+", lowpass_sup), ("bandsum_sup", "+", bandsum_sup))
-    yield from ((f"gauge_sup_k{k}", "+", by_shell) for k, by_shell in gauge_sup.items())
+    yield from ((f"gauge_sup_k{k}", "+", gauge_sup[k]) for k in sorted(gauge_sup, key=int))
 
 
 def contamination_time(config: ExperimentConfig, j: float) -> float:
@@ -328,7 +319,7 @@ class SnapshotTables:
     chi_j^{sign} of the shells as the rows of one array on ``windows[sign]``, the
     smallest window that holds all of that sign's supports; the multipliers of the
     positive bands that some shell sums and each shell's low-pass multiplier as two
-    stacked tables in FFT order; and one ``BandKernel`` per gauge band.
+    stacked tables in FFT order; and one ``BandKernel`` per gauge band, in increasing k.
 
     Each table row carries the factor sqrt(2 pi) / dx of ``samples_of``.  A low-pass
     multiplier is real, even and zero at the Nyquist mode, so the low-pass of the real
@@ -379,7 +370,7 @@ class SnapshotTables:
         self._band_mags = np.empty((len(self.band_ks), self._row["+"].size))
         gauge = config.gauge
         self.gauge = {int(k): BandKernel(grid, int(k), gauge["order"], gauge["ll_factor"])
-                      for k in (gauge["bands"] if gauge["enabled"] else [])}
+                      for k in (sorted(gauge["bands"]) if gauge["enabled"] else [])}
 
     def _projected(self, table: np.ndarray, cf: np.ndarray):
         """samples_of(row * c) for each row of ``table``, in turn, from cf =
@@ -428,12 +419,11 @@ class SnapshotTables:
             np.sum(self._band_mags[first:], axis=0, out=total)
         values += self._sups("+", self._shell_mags)
         if self.gauge:
-            phi_c = phi_coeffs(w, c)
             # the first paraproduct of B_k(u, u) does not depend on k: one per snapshot
             shared = next(iter(self.gauge.values())).paraproduct(c, c)
             for kernel in self.gauge.values():
                 # |v| only: a v held while the next band's is formed costs a heap trim
-                mags = np.abs(Bundle(kernel, c, phi_c, shared).v[self.windows["+"]],
+                mags = np.abs(Bundle(kernel, c, shared).v[self.windows["+"]],
                               out=self._row["+"])
                 values += self._sups("+", mags)
         return values
@@ -451,8 +441,8 @@ def run(config: ExperimentConfig) -> DecayReport:
     lowpass_sup = {f"{j}": [] for j in shells}
     bandsum_sup = {f"{j}": [] for j in shells}
     gauge_sup = {f"{k}": {f"{j}": [] for j in shells} for k in tables.gauge}
-    columns = [column for _, _, by_shell in _blocks(sup, lowpass_sup, bandsum_sup, gauge_sup)
-               for column in by_shell.values()]
+    columns = [by_shell[f"{j}"] for _, _, by_shell in _blocks(sup, lowpass_sup, bandsum_sup,
+                                                              gauge_sup) for j in shells]
     # each snapshot is measured as the solver's process sends it, and dropped
     for snap in stream(state, config.t_final, config.snapshot_stride):
         times.append(snap.t)
@@ -501,9 +491,7 @@ def _fit_row(pairs: list[tuple[float, float]], time: float | None, kind: str) ->
     """The ``fits`` entry of a shell fit of ``pairs``, or None below four shells."""
     if len(pairs) < 4:
         return None
-    fit = fit_decay(pairs)
-    return {"time": time, "kind": kind, "slope": fit.slope, "intercept": fit.intercept,
-            "r_squared": fit.r_squared, "n_points": fit.n_points}
+    return {"time": time, "kind": kind, **asdict(fit_decay(pairs))}
 
 
 def _fit_snapshot(shells: list[float], sup_plus: dict, clean: dict, i: int, t: float) -> dict | None:

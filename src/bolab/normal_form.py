@@ -37,12 +37,13 @@ One band is one ``pseudoproduct.BandKernel``: its tables of B_k, chi_k^+
 band.  Each snapshot is transformed once: ``transform`` returns its
 ``Bundle`` (see there).  B_k(u, u) is ``BandKernel.apply`` given the first
 paraproduct ``BandKernel.paraproduct``, which a decay run computes once per
-snapshot for all of its bands.  phi is formed on coefficients, and A =
-u_k^+ + B_k(u, u) is inverted once; when the gauge low-pass keeps no mode of
-phi (the default factor on a desk-scale grid), v_k is A.  The residual forms
-the four terms and Delta_box from the bundle, each projection and derivative
-a multiplier on coefficients in hand, inverted once; they agree with the
-field-by-field formula to 1e-13 times the largest term.
+snapshot for all of its bands.  A = u_k^+ + B_k(u, u) is inverted once; phi
+is formed, on coefficients, only when the band's gauge low-pass resolves a
+mode (``BandKernel.ll_resolved``), and otherwise (the default factor on a
+desk-scale grid) v_k is A.  The residual forms the four terms and Delta_box
+from the bundle, each projection and derivative a multiplier on coefficients
+in hand, inverted once; they agree with the field-by-field formula to 1e-13
+times the largest term.
 
 The gauge low-pass threshold is 2^(k - factor*N) with factor configurable
 (default ``pseudoproduct.LL_FACTOR``, 100); desk-scale grids often resolve
@@ -60,7 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from .cli import write_csv
-from .grid import ComplexField, Field
+from .grid import ComplexField, Field, Grid
 from .pseudoproduct import LL_FACTOR, QUARTIC_MARGIN, BandKernel, check_dealias_margin
 from .spectral import (
     coeffs_of,
@@ -89,17 +90,17 @@ def gauge_polynomial(order: int, z: np.ndarray) -> np.ndarray:
 
 class Bundle:
     """One snapshot's pieces of v_k in the band of ``kernel``, each computed
-    once from the coefficients c of u, those phi_c of phi (see ``phi_coeffs``)
-    and ``shared`` = ``kernel.paraproduct(c, c)``, which every band of the grid
-    shares: the coefficients b_c of B_k(u, u), and the samples of
-    A = u_k^+ + B_k(u, u) (one inverse transform, of chi_k^+ c + b_c), phi_ll
-    and v_k = A E_N(phi_ll); u_k^+ and u_ll on first use, which only the terms
-    make.  When the gauge low-pass keeps no coefficient of phi, phi_ll = 0 and
-    E_N(0) = 1 exactly, so v is A itself: phi_ll is not inverted and E_N not
-    evaluated.  The four literal terms and Delta_box are formed from them."""
+    once from the coefficients c of u and ``shared`` = ``kernel.paraproduct(c, c)``,
+    which every band of the grid shares: the coefficients b_c of B_k(u, u), and
+    the samples of A = u_k^+ + B_k(u, u) (one inverse transform, of
+    chi_k^+ c + b_c), phi_ll and v_k = A E_N(phi_ll); u_k^+ and u_ll on first
+    use, which only the terms make.  phi (``phi_coeffs``) is formed only when
+    the gauge low-pass keeps a paired mode (``kernel.ll_resolved``); otherwise
+    the low-pass keeps no coefficient of phi, phi_ll = 0 and E_N(0) = 1
+    exactly, so v is A itself: phi_ll is not inverted and E_N not evaluated.  The four literal
+    terms and Delta_box are formed from them."""
 
-    def __init__(self, kernel: BandKernel, c: np.ndarray, phi_c: np.ndarray,
-                 shared: np.ndarray):
+    def __init__(self, kernel: BandKernel, c: np.ndarray, shared: np.ndarray):
         grid = kernel.grid
         warn_band_edge(grid, kernel.k)
         self.kernel, self.c = kernel, c
@@ -107,12 +108,11 @@ class Bundle:
         a_c = kernel.chi * c
         a_c += self.b_c
         self.a = samples_of(a_c, grid)
-        phi_ll_c = kernel.low * phi_c
-        if not phi_ll_c.any():
-            self.phi_ll, self.v = np.zeros_like(self.a), self.a
-        else:
-            self.phi_ll = samples_of(phi_ll_c, grid)
+        if kernel.ll_resolved:
+            self.phi_ll = samples_of(kernel.low * phi_coeffs(grid, c), grid)
             self.v = self.a * gauge_polynomial(kernel.order, self.phi_ll)
+        else:
+            self.phi_ll, self.v = np.zeros_like(self.a), self.a
 
     @cached_property
     def u_kp(self) -> np.ndarray:
@@ -178,12 +178,13 @@ class Bundle:
         return rhs, delta, max(term.sup_norm() for term in terms.values())
 
 
-def phi_coeffs(u: Field, c: np.ndarray) -> np.ndarray:
-    """Coefficients c / (i xi) of the mean-removed antiderivative phi of u, from
-    those c of u, with no transform: zero at xi = 0, which removes the mean, and
-    at the unpaired Nyquist mode.  ``bolab.testing.antiderivative_mean_removed``,
-    a round trip through samples, is its oracle."""
-    xi = u.grid.xi
+def phi_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """Coefficients c / (i xi) of the mean-removed antiderivative phi of the u on
+    ``grid`` whose coefficients are c, with no transform: zero at xi = 0, which
+    removes the mean, and at the unpaired Nyquist mode.
+    ``bolab.testing.antiderivative_mean_removed``, a round trip through samples,
+    is its oracle."""
+    xi = grid.xi
     out = np.divide(c, 1j * xi, out=np.zeros_like(c), where=xi != 0)
     out[0] = 0.0  # Nyquist
     return out
@@ -193,7 +194,7 @@ def transform(u: Field, kernel: BandKernel) -> Bundle:
     """The bundle of v_k = (u_k^+ + B_k(u,u)) E_N(phi_ll) in the band of
     ``kernel``, whose ``v`` holds its samples."""
     c = coeffs_of(u.samples, u.grid)
-    return Bundle(kernel, c, phi_coeffs(u, c), kernel.paraproduct(c, c))
+    return Bundle(kernel, c, kernel.paraproduct(c, c))
 
 
 @dataclass

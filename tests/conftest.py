@@ -1,7 +1,19 @@
+import os
+
 import numpy as np
 import pytest
 
+import bolab
 from bolab.grid import Grid
+
+
+@pytest.fixture(autouse=True, scope="session")
+def child_pythonpath():
+    """The interpreters that tests start import the bolab that the tests import."""
+    src = os.path.dirname(os.path.dirname(bolab.__file__))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import pytest
 import bolab.decay
 import bolab.kernels
 import bolab.solver
-from bolab.cli import apply_overrides, config_hash, load_config, main, write_manifest
+from bolab.cli import apply_overrides, config_hash, main, read_json_object, write_manifest
 from bolab.decay import DecayReport, lowfreq_decay_check
 from bolab.errors import AcceptanceFailure, ConfigError, SolverInstabilityError
 from bolab.grid import Field, Grid
@@ -64,7 +64,7 @@ def test_config_round_trip(tmp_path):
     payload = {"n_points": 512, "box_length": 200.0, "t_final": 0.1}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
-    loaded = load_config(str(path), {})
+    loaded = read_json_object(str(path), "config")
     assert json.loads(json.dumps(loaded, sort_keys=True)) == payload
 
 
@@ -177,6 +177,21 @@ def test_report_prints_na_when_the_lowfreq_series_is_degenerate(tmp_path, capsys
     assert "low-frequency bound: n/a (only 3 clean shells" in capsys.readouterr().out
 
 
+def test_report_rewrites_the_measure_decay_csv_byte_for_byte(tmp_path):
+    # shells and gauge bands out of order: the CSV follows the report's shells,
+    # and its gauge blocks come in increasing k, whichever command writes it
+    assert _measure_decay(tmp_path, "shells=[3.0, 2.0, 2.5, 4.0]", "t_final=0.02",
+                          "gauge.enabled=true", "gauge.bands=[1, 0]") == 0
+    assert main(["report", "--input", str(tmp_path / "decay_report.json"),
+                 "--output-dir", str(tmp_path / "report")]) == 0
+    written = (tmp_path / "decay_report.csv").read_bytes()
+    assert (tmp_path / "report" / "decay_report.csv").read_bytes() == written
+    rows = [line.split(",") for line in written.decode().splitlines()[1:]]
+    quantities = list(dict.fromkeys(row[1] for row in rows))
+    assert quantities == ["sup", "lowpass_sup", "bandsum_sup", "gauge_sup_k0", "gauge_sup_k1"]
+    assert list(dict.fromkeys(row[3] for row in rows)) == ["3.0", "2.0", "2.5", "4.0"]
+
+
 def test_report_missing_input_exits_2(tmp_path):
     assert main(["report", "--output-dir", str(tmp_path)]) == 2
 
@@ -209,10 +224,19 @@ def test_report_reads_the_minimal_report(tmp_path, capsys):
     ('{"a": 1}', "has unknown fields ['a']"),
     (_report_with(times=[]), "field times must be a non-empty list of numbers"),
     (_report_with(shells="x"), "field shells must be a non-empty list of numbers"),
-    (_report_with(sup=[1]), "field sup must be an object of objects of lists of numbers"),
+    (_report_with(sup=[1]), 'field sup must be an object with exactly the keys "+" and "-"'),
     (_report_with(epsilon_measured="a"), "field epsilon_measured must be a positive number"),
     (_report_with(fits=[{"time": None}]), "field fits must be a list of objects with the keys"),
-    (_report_with(times=[0.0, 1.0]), "field sup holds a series of length 1, not one value per"),
+    (_report_with(times=[0.0, 1.0]),
+     "the sup series of sign + must map exactly the shells [2.0] to one number per time (2)"),
+    (_report_with(sup={"+": {}, "-": {"2.0": [1.0]}}),
+     "the sup series of sign + must map exactly the shells [2.0]"),
+    (_report_with(bandsum_sup={"2.0": [1.0], "3.0": [1.0]}),
+     "the bandsum_sup series of sign + must map exactly the shells [2.0]"),
+    (_report_with(gauge_sup={"x": {"2.0": [1.0]}}),
+     "field gauge_sup must be an object keyed by integer bands"),
+    (_report_with(sup={"+": {"2.0": [1.0]}}),
+     'field sup must be an object with exactly the keys "+" and "-"'),
 ])
 def test_report_unreadable_input_exits_2(tmp_path, capsys, content, message):
     source = tmp_path / "input"
@@ -548,9 +572,7 @@ def test_snapshot_stride_below_one_exits_2(tmp_path, command, stride):
     args = [sys.executable, "-m", "bolab.cli", command, "--output-dir", str(tmp_path / "out")]
     for item in (*TIME_STEPPING, f"snapshot_stride={stride}"):
         args += ["--override", item]
-    src = os.path.dirname(os.path.dirname(bolab.decay.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(args, capture_output=True, text=True, timeout=60, env=env)
+    out = subprocess.run(args, capture_output=True, text=True, timeout=60)
     assert out.returncode == 2
     assert "snapshot_stride must be at least 1" in out.stderr
     assert not os.path.exists(tmp_path / "out") or os.listdir(tmp_path / "out") == []

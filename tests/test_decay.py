@@ -19,7 +19,7 @@ from bolab.decay import (
 from bolab.errors import AcceptanceFailure, ConfigError, DegenerateSeriesError
 from bolab.grid import Field, Grid
 from bolab.kernels import fit_decay
-from bolab.normal_form import Bundle, gauge_polynomial, phi_coeffs, transform
+from bolab.normal_form import Bundle, gauge_polynomial, transform
 from bolab.pseudoproduct import BandKernel, assemble_B
 from bolab.solver import SolverState, dump_snapshot, evolve, soliton
 from bolab.spectral import (
@@ -361,10 +361,9 @@ def test_gauge_tables_reused_over_a_run_match_fresh_transform():
     g = cfg.grid()
     for i, snap in enumerate(snaps):
         c = coeffs_of(snap.w.samples, g)
-        phi_c = phi_coeffs(snap.w, c)
         for k, kernel in tables.gauge.items():
             fresh = transform(snap.w, BandKernel(g, k, 4, 100.0)).v
-            assert np.array_equal(Bundle(kernel, c, phi_c, kernel.paraproduct(c, c)).v, fresh)
+            assert np.array_equal(Bundle(kernel, c, kernel.paraproduct(c, c)).v, fresh)
             for j in rep.shells:
                 weights = spatial_cutoff_values(g, j, "+")
                 assert rep.gauge_sup[f"{k}"][f"{j}"][i] == float(np.max(weights * np.abs(fresh)))
@@ -442,11 +441,10 @@ def test_gauge_bands_sharing_the_paraproduct_match_fresh_transform():
     for i, snap in enumerate(snaps):
         gauge_sups = _measured(tables, snap.w)[3]
         c = coeffs_of(snap.w.samples, g)
-        phi_c = phi_coeffs(snap.w, c)
         shared = tables.gauge[0].paraproduct(c, c)
         for k, kernel in tables.gauge.items():
             fresh = transform(snap.w, BandKernel(g, k, 4, 100.0)).v
-            assert np.array_equal(Bundle(kernel, c, phi_c, shared).v, fresh)
+            assert np.array_equal(Bundle(kernel, c, shared).v, fresh)
             for j in rep.shells:
                 weights = spatial_cutoff_values(g, j, "+")
                 expected = float(np.max(weights * np.abs(fresh)))
@@ -581,11 +579,10 @@ def test_snapshot_series_equal_the_weighted_sups_of_their_rows_bitwise():
         assert lowpass[j] == sup(j, "+", low)
         above = [k > tables.k0[j] for k in tables.band_ks]
         assert bandsum[j] == sup(j, "+", np.sum(bands[above], axis=0))
-    phi_c = phi_coeffs(w, c)
     shared = tables.gauge[0].paraproduct(c, c)
     assert sorted(gauge_sups) == [0, 1]
     for k, kernel in tables.gauge.items():
-        v = Bundle(kernel, c, phi_c, shared).v
+        v = Bundle(kernel, c, shared).v
         assert gauge_sups[k] == {j: sup(j, "+", v) for j in tables.shells}
 
 

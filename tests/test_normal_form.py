@@ -142,7 +142,7 @@ def test_phi_coeffs_match_the_round_trip_antiderivative(rng):
                        (Grid(4096, 400.0), None)):
         u = soliton(1.0, 0.5, grid) if mean is None else Field(
             grid, random_band_limited(grid, rng, 0.5).samples + mean)
-        phi_c = phi_coeffs(u, coeffs_of(u.samples, grid))
+        phi_c = phi_coeffs(grid, coeffs_of(u.samples, grid))
         oracle = coeffs_of(antiderivative_mean_removed(u)[0].samples, grid)
         assert phi_c[0] == 0.0 and phi_c[grid.n_points // 2] == 0.0
         assert np.max(np.abs(phi_c - oracle)) <= 1e-13 * np.max(np.abs(phi_c))
