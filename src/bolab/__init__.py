@@ -1,13 +1,15 @@
 """bolab: a desk-scale numerical laboratory for a quadratic nonlocal
 dispersive wave equation, measuring how localized solutions decay in space.
 
-Modules: spectral discretization (grid, cutoffs, spectral), multilinear
+Modules: the config schema and artifact writers every layer shares (files),
+spectral discretization (grid, cutoffs, spectral), multilinear
 frequency-lattice operators and the normal-form correction B_k
 (pseudoproduct), time evolution (solver), the approximate-gauge
 transformation and its residual verifier (normal_form), localized propagator
 kernels (kernels), the decay-measurement harness (decay), and the random
 fields, verification measurements and dense oracles shared by the tests and
-the verify commands (testing).
+the verify commands (testing).  The command-line front end (cli) imports
+them, and no module imports it.
 """
 
 __version__ = "0.1.0"

@@ -16,7 +16,8 @@ atomically (temp file + rename).
 
 Configs are JSON key/value trees; ``--override path.to.key=value`` patches
 individual entries (values parsed as JSON when possible).  Unknown keys are
-rejected.
+rejected.  This module imports the computing layers, as modules so that a
+patched attribute reaches the commands, and no module imports it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import warnings
@@ -32,13 +32,12 @@ from collections import Counter
 
 import numpy as np
 
-from . import __version__, pseudoproduct
+from . import __version__, decay, kernels, pseudoproduct, solver, testing
 from .errors import AcceptanceFailure, BolabError, ConfigError, DegenerateSeriesError
+from .files import (atomic_write_text, check_distinct, check_distinct_integers, json_text,
+                    merge_config, read_json_object, write_csv)
 from .grid import Grid
 from .pseudoproduct import LL_FACTOR, BilinearSymbol, _check_separation, leibnitz_check
-
-# decay, kernels, solver and testing (through kernels) import this module, so
-# the commands import them where they run them
 
 DEFAULT_OUTDIR_ENV = "BOLAB_OUTDIR"
 
@@ -46,24 +45,6 @@ DEFAULT_OUTDIR_ENV = "BOLAB_OUTDIR"
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
-
-
-def read_json_object(path: str, what: str) -> dict:
-    """The JSON object in the file ``path``; a file that is missing or
-    unreadable, or holds no JSON or another JSON value, raises ConfigError
-    naming ``what``."""
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} file not found: {path}")
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} file {path!r}: {exc.strerror}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    return data
 
 
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
@@ -85,106 +66,10 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
     return config
 
 
-def is_number(value) -> bool:
-    """An integer or a finite float (a bool is neither)."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-
-
-def _kind(default, value) -> tuple[bool, str, str]:
-    """Whether ``value`` is of the kind of ``default``, and that kind's name
-    and description."""
-    if isinstance(default, dict):
-        return isinstance(value, dict), "dict", "an object"
-    if isinstance(default, list):
-        ok = isinstance(value, list) and bool(value) and all(map(is_number, value))
-        return ok, "list", "a non-empty list of numbers"
-    if isinstance(default, bool):
-        return isinstance(value, bool), "bool", "true or false"
-    if isinstance(default, str):
-        return isinstance(value, str), "str", "a string"
-    if isinstance(default, int):
-        return is_number(value) and isinstance(value, int), "int", "an integer"
-    if default is None:
-        return value is None or is_number(value), "float | None", "null or a number"
-    return is_number(value), "float", "a number"
-
-
-def merge_config(defaults: dict, config: dict, where: str = "") -> dict:
-    """``config`` merged over ``defaults``, which also serve as the schema:
-    an unknown key, or a value not of its default's kind (object, non-empty
-    list of numbers, bool, string, integer, finite number, or for a null
-    default null or a finite number), raises ConfigError."""
-    out = json.loads(json.dumps(defaults))
-    for key, value in config.items():
-        name = where + key
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {name!r}")
-        ok, kind, description = _kind(defaults[key], value)
-        if not ok:
-            raise ConfigError(f"{name} must be {description}, got {value!r} "
-                              f"({name} must be of kind {kind})")
-        if isinstance(defaults[key], dict):
-            value = merge_config(defaults[key], value, name + ".")
-        out[key] = value
-    return out
-
-
-def check_distinct(name: str, values: list) -> None:
-    """Raise ConfigError when two of the numbers ``values`` of the list ``name``
-    are equal."""
-    if len(set(values)) < len(values):
-        raise ConfigError(f"{name} must be distinct, got {values!r}")
-
-
-def check_distinct_integers(name: str, values: list) -> None:
-    """Raise ConfigError unless the numbers ``values`` of the list ``name`` are
-    integers (2.0 is one) and no two are equal."""
-    if not all(float(v).is_integer() for v in values) or len(set(values)) < len(values):
-        raise ConfigError(f"{name} must be distinct integers, got {values!r}")
-
-
 def config_hash(config: dict) -> str:
     return hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()
     ).hexdigest()
-
-
-def atomic_write_text(path: str, text: str | bytes) -> None:
-    """Write text (or bytes) to a temp file beside ``path``, then rename it
-    over ``path``: every artifact is either its old or its new content.  The
-    file gets the permissions ``open`` would give it (0666 less the umask)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".bolab-tmp-{os.getpid()}-{os.urandom(6).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "wb" if isinstance(text, bytes) else "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_csv(path: str, header: str, rows) -> None:
-    """Write the line ``header``, then one line per row of ``rows``, each
-    value as itself if it is a string and as its ``repr`` otherwise, as the
-    CSV ``path``: the one writer of every CSV artifact (LF line ends, written
-    atomically)."""
-    lines = [header, *(",".join(v if isinstance(v, str) else repr(v) for v in row)
-                       for row in rows)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def json_text(data) -> str:
-    """``data`` as indented, key-sorted JSON; a NaN or infinity raises AcceptanceFailure."""
-    try:
-        return json.dumps(data, indent=1, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise AcceptanceFailure(f"non-finite value in a JSON artifact: {exc}") from exc
 
 
 def file_sha256(path: str) -> str:
@@ -234,18 +119,16 @@ def _write_checks(path: str, rows: list[tuple], extra: list[tuple] = ()) -> bool
 
 
 def run_verify_operators(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
-    from .testing import commutator_constants, operator_identity_errors, random_band_limited
-
     rng = np.random.default_rng(config["seed"])
     grid = Grid(config["n_points"], config["box_length"])
     one = BilinearSymbol(fn=lambda xi, eta: np.ones(np.broadcast(xi, eta).shape))
     ccfg = config["commutator"]
-    errors = operator_identity_errors(grid, rng, config["n_fields"])
-    g2 = random_band_limited(grid, rng, 0.25)
-    f2 = random_band_limited(grid, rng, 0.25)
+    errors = testing.operator_identity_errors(grid, rng, config["n_fields"])
+    g2 = testing.random_band_limited(grid, rng, 0.25)
+    f2 = testing.random_band_limited(grid, rng, 0.25)
     leibnitz = leibnitz_check(one, f2, g2) / max(f2.sup_norm() * g2.sup_norm(), 1e-300)
     cgrid = Grid(ccfg["n_points"], ccfg["box_length"])
-    consts = commutator_constants(cgrid, rng, ccfg["n_fields"])
+    consts = testing.commutator_constants(cgrid, rng, ccfg["n_fields"])
 
     spread = {n: max(c.values()) / min(c.values()) for n, c in consts.items()}
     rows = [(f"{name}_rel", value, 1e-10) for name, value in errors.items()]
@@ -279,8 +162,6 @@ NORMAL_FORM_DEFAULTS = {
 
 
 def run_verify_normal_form(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
-    from .testing import nf_cancellation_sweep
-
     rng = np.random.default_rng(config["seed"])
     grid = Grid(config["n_points"], config["box_length"])
 
@@ -294,8 +175,8 @@ def run_verify_normal_form(config: dict, outdir: str, args: argparse.Namespace) 
     try:
         if args.inject_symbol_bug:
             pseudoproduct._branches = buggy
-        cases = nf_cancellation_sweep(grid, rng, config["bands"], config["orders"],
-                                      config["trials_per_case"], config["ll_factor"])
+        cases = testing.nf_cancellation_sweep(grid, rng, config["bands"], config["orders"],
+                                              config["trials_per_case"], config["ll_factor"])
     finally:
         pseudoproduct._branches = original
 
@@ -339,11 +220,9 @@ KERNEL_DEFAULTS = {
 
 
 def run_verify_kernels(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
-    from .kernels import rows_to_csv
-    from .testing import kernel_exponents
-
-    rows, exponents = kernel_exponents(config["epsilon"], config["t_sweep"], config["j_sweep"],
-                                       config["right_sweep"], config["schro_points"])
+    rows, exponents = testing.kernel_exponents(config["epsilon"], config["t_sweep"],
+                                               config["j_sweep"], config["right_sweep"],
+                                               config["schro_points"])
     limits = {
         "lowfreq_left_t_slope": config["t_sweep"]["slope_max"],
         "lowfreq_left_j_slope": config["j_sweep"]["slope_max"],
@@ -351,7 +230,7 @@ def run_verify_kernels(config: dict, outdir: str, args: argparse.Namespace) -> l
         "schro_reduction_max_diff": config["schro_tol"],
     }
     sweep_path = os.path.join(outdir, "kernel_sweeps.csv")
-    rows_to_csv(rows, sweep_path)
+    kernels.rows_to_csv(rows, sweep_path)
     summary_path = os.path.join(outdir, "kernel_summary.csv")
     if not _write_checks(summary_path, [(n, v, limits[n]) for n, v in exponents.items()]):
         raise AcceptanceFailure("kernel exponent check failed; see summary CSV")
@@ -364,28 +243,22 @@ def run_verify_kernels(config: dict, outdir: str, args: argparse.Namespace) -> l
 
 
 def run_evolve(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
-    from .decay import ExperimentConfig
-    from .solver import dump_snapshot, ledger_to_csv, stream
-
-    cfg = ExperimentConfig.from_dict(config)
+    cfg = decay.ExperimentConfig(**config)
     state = cfg.solver_state()
     outputs = []
     # each snapshot is written as the solver's process sends it
-    for i, snap in enumerate(stream(state, cfg.t_final, cfg.snapshot_stride)):
+    for i, snap in enumerate(solver.stream(state, cfg.t_final, cfg.snapshot_stride)):
         path = os.path.join(outdir, f"snapshot_{i:04d}.bosnap")
-        dump_snapshot(snap, path)
+        solver.dump_snapshot(snap, path)
         outputs.append(path)
     ledger_path = os.path.join(outdir, "ledger.csv")
-    ledger_to_csv(snap.ledger, ledger_path)
+    solver.ledger_to_csv(snap.ledger, ledger_path)
     outputs.append(ledger_path)
     return outputs
 
 
 def run_measure_decay(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
-    from .decay import ExperimentConfig, run
-
-    cfg = ExperimentConfig.from_dict(config)
-    report = run(cfg)
+    report = decay.run(decay.ExperimentConfig(**config))
     json_path = os.path.join(outdir, "decay_report.json")
     csv_path = os.path.join(outdir, "decay_report.csv")
     report.to_json(json_path)
@@ -394,11 +267,9 @@ def run_measure_decay(config: dict, outdir: str, args: argparse.Namespace) -> li
 
 
 def run_report(config: dict, outdir: str, args: argparse.Namespace) -> list[str]:
-    from .decay import DecayReport, lowfreq_decay_check
-
     if not config["input"]:
         raise ConfigError("report needs --input")
-    report = DecayReport.from_json(config["input"])
+    report = decay.DecayReport.from_json(config["input"])
     csv_path = os.path.join(outdir, "decay_report.csv")
     report.to_csv(csv_path)
     print(f"report over t in [{report.times[0]}, {report.times[-1]}], "
@@ -406,7 +277,7 @@ def run_report(config: dict, outdir: str, args: argparse.Namespace) -> list[str]
     print(f"epsilon_measured = {report.epsilon_measured:.4f}, "
           f"predicted exponent = {report.predicted_exponent:.4f}")
     try:
-        check = lowfreq_decay_check(report)
+        check = decay.lowfreq_decay_check(report)
         print(f"low-frequency bound: slope {check.slope:.3f}, target {check.target:.3f}, "
               f"{'pass' if check.passed else 'FAIL'}")
     except DegenerateSeriesError as exc:
@@ -422,12 +293,6 @@ def run_report(config: dict, outdir: str, args: argparse.Namespace) -> list[str]
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-
-def _experiment_defaults() -> dict:
-    from .decay import EXPERIMENT_DEFAULTS  # bolab.decay imports this module
-
-    return EXPERIMENT_DEFAULTS
 
 
 def _check_counts(config: dict, *names: str) -> None:
@@ -465,15 +330,15 @@ def _check_kernels(config: dict) -> None:
         raise ConfigError(f"t_sweep.times must be positive, got {config['t_sweep']['times']!r}")
 
 
-#: per command: its defaults, which also serve as its schema (or a function
-#: returning them), its runner and a further check of the merged config
+#: per command: its defaults, which also serve as its schema, its runner and
+#: a further check of the merged config
 COMMANDS = {
     "verify-operators": (OPERATOR_DEFAULTS, run_verify_operators,
                          lambda config: _check_counts(config, "n_fields", "commutator.n_fields")),
     "verify-normal-form": (NORMAL_FORM_DEFAULTS, run_verify_normal_form, _check_normal_form),
     "verify-kernels": (KERNEL_DEFAULTS, run_verify_kernels, _check_kernels),
-    "evolve": (_experiment_defaults, run_evolve, None),
-    "measure-decay": (_experiment_defaults, run_measure_decay, None),
+    "evolve": (decay.EXPERIMENT_DEFAULTS, run_evolve, None),
+    "measure-decay": (decay.EXPERIMENT_DEFAULTS, run_measure_decay, None),
     "report": ({"input": ""}, run_report, None),
 }
 
@@ -506,7 +371,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         defaults, run, check = COMMANDS[args.command]
-        defaults = defaults() if callable(defaults) else defaults
         # --seed N is the override seed=N, after the others so that it wins
         seed = [] if args.seed is None else [f"seed={args.seed}"]
         config = {} if args.config is None else read_json_object(args.config, "config")
@@ -517,7 +381,10 @@ def main(argv: list[str] | None = None) -> int:
         if check is not None:
             check(config)
         outdir = args.output_dir or os.environ.get(DEFAULT_OUTDIR_ENV) or "bolab-out"
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {outdir!r}: {exc.strerror}") from exc
 
         # every warning is counted, repeats included, and reported once
         with warnings.catch_warnings(record=True) as caught:

@@ -25,9 +25,9 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from . import cutoffs
-from .cli import (atomic_write_text, check_distinct, check_distinct_integers, is_number, json_text,
-                  merge_config, read_json_object, write_csv)
 from .errors import ConfigError, DegenerateSeriesError
+from .files import (atomic_write_text, check_distinct, check_distinct_integers, is_number,
+                    json_text, merge_config, read_json_object, write_csv)
 from .grid import Field, Grid
 from .kernels import FitResult, fit_decay
 from .normal_form import Bundle
@@ -42,7 +42,7 @@ from .spectral import (
 )
 
 #: defaults of the nested config objects, which also serve as their schemas
-#: (see cli.merge_config); each object is merged over its defaults
+#: (see files.merge_config); each object is merged over its defaults
 INITIAL_DEFAULTS = {"kind": "soliton", "c": 1.0, "x0": 0.0, "bump_amplitude": 0.05,
                     "bump_width": 1.0, "bump_center": 2.0, "path": ""}
 GAUGE_DEFAULTS = {"enabled": False, "order": 4, "ll_factor": LL_FACTOR, "bands": [0, 1]}
@@ -104,14 +104,6 @@ class ExperimentConfig:
             raise ConfigError(f"gauge.bands {empty} keep no grid mode: chi_k^+ vanishes at "
                               f"every grid frequency (dxi = {grid.dxi:.3g}, "
                               f"Nyquist {grid.nyquist:.3g})")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """The config ``data`` merged over the defaults (see cli.merge_config)."""
-        return cls(**merge_config(EXPERIMENT_DEFAULTS, data))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def grid(self) -> Grid:
         return Grid(self.n_points, self.box_length)
@@ -468,7 +460,7 @@ def run(config: ExperimentConfig) -> DecayReport:
         "mass_over_L": snap.ledger[0][1] / config.box_length,
     }
     return DecayReport(
-        config=config.to_dict(), times=times, shells=shells, sup=sup, lowpass_sup=lowpass_sup,
+        config=asdict(config), times=times, shells=shells, sup=sup, lowpass_sup=lowpass_sup,
         bandsum_sup=bandsum_sup, gauge_sup=gauge_sup, clean=clean, fits=fits,
         epsilon_measured=eps_meas, predicted_exponent=bootstrap_predict(eps_meas),
         budgets=budgets, ledger=[list(row) for row in snap.ledger])

@@ -50,8 +50,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import cutoffs
-from .cli import write_csv
 from .errors import DegenerateSeriesError, KernelDomainError, QuadratureWarning
+from .files import write_csv
 
 LEFT_VARIANTS = ("lowfreq-left", "dyadic-left", "schro-left")
 RIGHT_VARIANTS = ("dyadic-right",)

@@ -60,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cli import write_csv
+from .files import write_csv
 from .grid import ComplexField, Field, Grid
 from .pseudoproduct import LL_FACTOR, QUARTIC_MARGIN, BandKernel, check_dealias_margin
 from .spectral import (

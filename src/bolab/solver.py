@@ -30,9 +30,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cli import atomic_write_text, write_csv
 from .cutoffs import smoothstep
 from .errors import BolabError, ConfigError, SolverInstabilityError
+from .files import atomic_write_text, write_csv
 from .grid import Field, Grid
 
 SNAPSHOT_MAGIC = b"BOSNAP01"
@@ -249,9 +249,9 @@ class _Integrator:
 
 def _step_count(state: SolverState, t_final: float, snapshot_stride: int) -> int:
     """The steps of size state.dt from state.t to t_final.  dt = 0, dt and
-    t_final of opposite signs, a t_final off the dt lattice and
-    snapshot_stride < 1 raise ConfigError."""
-    if state.dt == 0 or not t_final / state.dt >= 0:
+    t_final of opposite signs, a dt so small that the count overflows, a
+    t_final off the dt lattice and snapshot_stride < 1 raise ConfigError."""
+    if state.dt == 0 or not 0 <= t_final / state.dt < np.inf:
         raise ConfigError(f"steps of dt {state.dt} do not reach t_final {t_final}")
     if snapshot_stride < 1:
         raise ConfigError(f"snapshot_stride must be at least 1, got {snapshot_stride}")

@@ -10,9 +10,10 @@ import pytest
 import bolab.decay
 import bolab.kernels
 import bolab.solver
-from bolab.cli import apply_overrides, config_hash, main, read_json_object, write_manifest
+from bolab.cli import apply_overrides, config_hash, main, write_manifest
 from bolab.decay import DecayReport, lowfreq_decay_check
 from bolab.errors import AcceptanceFailure, ConfigError, SolverInstabilityError
+from bolab.files import read_json_object
 from bolab.grid import Field, Grid
 from bolab.solver import (SolverState, SpongeConfig, dump_snapshot, evolve, ledger_to_csv,
                           soliton)
@@ -554,6 +555,8 @@ TIME_STEPPING = ("n_points=256", "t_final=0.01", "dt=0.001")
     ("dt=0", "dt must be positive"),
     ("dt=-0.001", "dt must be positive"),
     ("t_final=-0.01", "t_final must be non-negative"),
+    # t_final / dt overflows to infinity
+    ("dt=1e-320", "do not reach t_final"),
 ])
 def test_bad_time_stepping_exits_2(tmp_path, capsys, command, override, message):
     args = [command, "--output-dir", str(tmp_path)]
@@ -803,3 +806,22 @@ def test_manifest_with_nan_is_refused(tmp_path):
         write_manifest(str(tmp_path), "evolve", {"dt": float("nan")}, [], {})
     assert open(path, "rb").read() == before
     assert os.listdir(tmp_path) == ["manifest.json"]
+
+
+def test_output_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    assert main(["verify-kernels", "--output-dir", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "File exists" in err
+    assert os.listdir(tmp_path) == ["taken"]
+
+
+def test_output_that_cannot_be_written_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
+    # a directory stands where the sweeps CSV goes
+    (tmp_path / "kernel_sweeps.csv").mkdir()
+    assert main(["verify-kernels", "--output-dir", str(tmp_path),
+                 "--override", "schro_points=2"]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "kernel_sweeps.csv") in err and "Is a directory" in err
+    assert os.listdir(tmp_path) == ["kernel_sweeps.csv"]

@@ -1,11 +1,13 @@
 import os
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import bolab.cutoffs
 from bolab.decay import (
+    EXPERIMENT_DEFAULTS,
     DecayReport,
     ExperimentConfig,
     SnapshotTables,
@@ -17,6 +19,7 @@ from bolab.decay import (
     run,
 )
 from bolab.errors import AcceptanceFailure, ConfigError, DegenerateSeriesError
+from bolab.files import merge_config
 from bolab.grid import Field, Grid
 from bolab.kernels import fit_decay
 from bolab.normal_form import Bundle, gauge_polynomial, transform
@@ -70,7 +73,7 @@ def test_bootstrap_iteration_count_matches_oracle():
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"n_points": 256, "bogus": 1})
+        merge_config(EXPERIMENT_DEFAULTS, {"n_points": 256, "bogus": 1})
     with pytest.raises(ConfigError):
         ExperimentConfig(initial={"kind": "soliton", "what": 2})
     with pytest.raises(ConfigError):
@@ -84,8 +87,8 @@ def test_config_rejects_oversized_shells():
 
 def test_config_round_trip():
     cfg = ExperimentConfig(n_points=512, box_length=200.0, t_final=1.0)
-    again = ExperimentConfig.from_dict(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
+    again = ExperimentConfig(**asdict(cfg))
+    assert asdict(again) == asdict(cfg)
 
 
 def test_initial_field_kinds():

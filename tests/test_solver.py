@@ -302,7 +302,8 @@ def test_evolve_builds_one_integrator_per_run(monkeypatch, rng, sponge, nonlinea
     assert not np.array_equal(snaps[-1].w.samples, w0.samples)
 
 
-@pytest.mark.parametrize("dt, t_final", [(0.0, 0.01), (-1e-3, 0.01), (1e-3, -0.01)])
+@pytest.mark.parametrize("dt, t_final", [(0.0, 0.01), (-1e-3, 0.01), (1e-3, -0.01),
+                                         (1e-320, 0.01)])
 def test_evolve_rejects_steps_that_do_not_reach_t_final(dt, t_final):
     # backward evolution (dt and t_final both negative) stays allowed, see
     # test_time_reversal_symmetry; a stride below 1 is tested through the CLI

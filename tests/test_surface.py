@@ -15,7 +15,10 @@ test module as a caller.
   overrides is a required parameter.  A call through ``*args`` or
   ``**kwargs`` may pass it, so it omits nothing.
 
-The checks are name-level.  Any reference or call of the same name counts,
+* The package's imports form a DAG: one edge per relative import, function-
+  local ones included, and no cycle.
+
+The first three checks are name-level.  Any reference or call of the same name counts,
 so they cannot see a function whose name is also used for something else,
 such as a function kept as a documented oracle: ``solver.rhs``, the oracle
 of ``solver.step``, passes through the local ``rhs`` of
@@ -156,3 +159,43 @@ def test_testing_helpers_pass_every_lint_with_every_test_module_as_a_caller():
     assert _unreferenced(TESTING, ALL_CALLERS) == []
     assert _never_passed(TESTING, ALL_CALLERS) == []
     assert _always_passed(TESTING, ALL_CALLERS) == []
+
+
+def _imports(path: Path) -> set:
+    """The modules of ``src/bolab`` that the module ``path`` imports relatively,
+    inside functions too: ``from .x import y`` and ``from . import x``."""
+    names = {source.stem for source in SOURCES}
+    edges = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is not None:
+                edges.add(node.module.split(".")[0])
+            else:
+                edges.update(alias.name for alias in node.names if alias.name in names)
+    return edges - {path.stem}
+
+
+def _cycles(graph: dict) -> list[list]:
+    """One cycle, as the modules along it back to the first, per back edge of a
+    depth-first search of ``graph``; none when ``graph`` is a DAG."""
+    cycles, state = [], {}
+
+    def visit(node, path):
+        state[node] = "open"
+        for succ in sorted(graph.get(node, ())):
+            if state.get(succ) == "open":
+                cycles.append(path[path.index(succ):] + [succ])
+            elif succ not in state:
+                visit(succ, path + [succ])
+        state[node] = "done"
+
+    for node in sorted(graph):
+        if node not in state:
+            visit(node, [node])
+    return cycles
+
+
+def test_package_imports_form_a_dag():
+    graph = {path.stem: _imports(path) for path in SOURCES}
+    cycles = _cycles(graph)
+    assert not cycles, "import cycles: " + "; ".join(" -> ".join(c) for c in cycles)
