@@ -130,12 +130,11 @@ class Bundle:
         check_dealias_margin(u, self.c)
         grid, kernel = u.grid, self.kernel
         c_usq = coeffs_of(multiply(u, u).samples, grid)
+        d1 = derivative_values(grid, 1)
         # B_k is symmetric bit for bit: B(d_usq, u) + B(u, d_usq) = 2 B(d_usq, u);
         # its length-2n transforms set the peak memory, so it comes first
-        c_tilde = -2j * samples_of(
-            kernel.apply(derivative_values(grid, 1) * c_usq, self.c), grid)
+        c_tilde = -2j * samples_of(kernel.apply(d1 * c_usq, self.c), grid)
         usq_ll = samples_of(kernel.low * c_usq, grid)
-        d1 = derivative_values(grid, 1)
         hpi_du_ll = 2j * samples_of(kernel.minus * d1 * kernel.low * self.c, grid)
         d_u_kp = samples_of(d1 * kernel.chi * self.c, grid)
         b_rem = hpi_du_ll * self.u_kp + 2j * self.u_ll * d_u_kp

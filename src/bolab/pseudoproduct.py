@@ -230,9 +230,10 @@ class BandKernel:
         self.inv2xi = np.divide(0.5, grid.xi, out=np.zeros(grid.n_points), where=self.both)
         # whether chi_{<<k} / (2 xi) keeps a mode, so that the second paraproduct runs
         self.ll_resolved = bool(np.any(self.low * self.inv2xi))
-        # the 2^k band broadened by the width of the gauge low-pass
-        pad = 2.0 ** (k - ll_factor * order + 1)
-        lo, hi = 2.0 ** (k - 1) - pad, 2.0 ** (k + 1) + pad
+        # the 2^k band broadened by the width of the gauge low-pass; an exponent
+        # is capped at 1023, above which the band keeps no grid mode and B_k is 0
+        pad = 2.0 ** min(k - ll_factor * order + 1, 1023)
+        lo, hi = 2.0 ** min(k - 1, 1023) - pad, 2.0 ** min(k + 1, 1023) + pad
         self.outside = (grid.xi <= 0) | (grid.xi < lo) | (grid.xi > hi)
         self._work = np.empty((2, 0), dtype=complex)
 

@@ -42,6 +42,8 @@ def soliton(c: float, x0: float, grid: Grid) -> Field:
     """Traveling-wave profile 2c / (c^2 (x - x0)^2 + 1); peak value 2c at x0."""
     if c <= 0:
         raise ConfigError(f"soliton speed must be positive, got {c}")
+    if not np.isfinite(c * c):
+        raise ConfigError(f"soliton speed {c} is out of range: c * c is not finite")
     y = grid.x - x0
     return Field(grid, 2.0 * c / (c**2 * y**2 + 1.0))
 
@@ -265,12 +267,16 @@ def _snapshots(state: SolverState, n_steps: int, snapshot_stride: int,
                record_ledger: bool) -> Iterator[SolverState]:
     """The stepping loop of ``evolve`` and ``stream``: yields the initial state, as a
     copy, then the state every ``snapshot_stride`` of ``n_steps`` steps, all
-    strides by one ``_Integrator``."""
+    strides by one ``_Integrator``.  A non-finite initial state raises before the
+    first yield."""
     current = replace(state, ledger=list(state.ledger))
+    prev_sup = current.w.sup_norm()
+    if not np.isfinite(prev_sup):
+        raise SolverInstabilityError(f"sup norm is {prev_sup} at t = {current.t:.4g}")
     if record_ledger:
         current.ledger.append((current.t, *conserved(current)))
     yield current
-    prev_sup = max(current.w.sup_norm(), 1e-300)
+    prev_sup = max(prev_sup, 1e-300)
     integrator = _Integrator(current)
     done = 0
     while done < n_steps:

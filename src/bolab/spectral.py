@@ -185,16 +185,21 @@ def _fits_box(grid: Grid, j: float) -> bool:
 
 
 def spatial_cutoff_values(grid: Grid, j: float, sign: str) -> np.ndarray:
-    """Values of the dyadic shell chi_j on the grid points, at x or -x."""
+    """Values of the dyadic shell chi_j on the grid points, at x or -x.  Raises
+    DegenerateShellError for a shell that leaves the box or weighs no grid point."""
     if not _fits_box(grid, j):
         raise DegenerateShellError(f"shell 2^{j} exceeds box_length/4 = {grid.box_length / 4:.3g}")
     if sign not in ("+", "-"):
         raise ValueError(f"unknown sign {sign!r}")
-    return np.asarray(cutoffs.shell(j, grid.x if sign == "+" else -grid.x), dtype=float)
+    w = np.asarray(cutoffs.shell(j, grid.x if sign == "+" else -grid.x), dtype=float)
+    if not w.any():
+        raise DegenerateShellError(f"shell 2^{j} weighs no grid point (dx = {grid.dx:.3g})")
+    return w
 
 
 def spatial_cutoff(f: Field | ComplexField, j: float, sign: str) -> Field | ComplexField:
-    """Pointwise product with the shell cutoff; errors on shells leaving the box."""
+    """Pointwise product with the shell cutoff; errors on shells leaving the box or
+    weighing no grid point."""
     return type(f)(f.grid, spatial_cutoff_values(f.grid, j, sign) * np.asarray(f.samples))
 
 
@@ -216,11 +221,9 @@ def weighted_shell_sup(f: Field | ComplexField,
 
 def shell_weight(grid: Grid, j: float, sign: str) -> tuple[slice, np.ndarray]:
     """``spatial_cutoff_values`` on its support: (s, values), the weight being zero off
-    the slice s.  Raises DegenerateShellError when chi_j vanishes at every grid point."""
+    the slice s."""
     w = spatial_cutoff_values(grid, j, sign)
     nz = np.flatnonzero(w)
-    if not nz.size:
-        raise DegenerateShellError(f"shell 2^{j} weighs no grid point (dx = {grid.dx:.3g})")
     s = slice(nz[0], nz[-1] + 1)
     return s, w[s].copy()
 

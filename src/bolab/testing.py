@@ -35,7 +35,8 @@ def random_band_limited(
     """Real mean-zero field with spectrum supported in 0 < |xi| <= fraction * Nyquist.
 
     ``decay`` multiplies each coefficient by exp(-decay * |xi|), producing
-    smoother fields with soliton-like spectral tails when positive.
+    smoother fields with soliton-like spectral tails when positive.  A band
+    that holds no grid mode raises ConfigError.
     """
     n = grid.n_points
     coeffs = np.zeros(n, dtype=complex)
@@ -43,6 +44,9 @@ def random_band_limited(
     half = np.arange(1, n // 2)  # positive modes, Nyquist excluded
     xi_half = 2.0 * np.pi * half / grid.box_length
     live = xi_half <= limit
+    if not live.any():
+        raise ConfigError(f"no grid mode lies in 0 < |xi| <= {band_fraction} * Nyquist: "
+                          f"dxi = {grid.dxi:.3g}, Nyquist {grid.nyquist:.3g}")
     vals = (rng.normal(size=half.shape) + 1j * rng.normal(size=half.shape)) * live
     if decay > 0.0:
         vals = vals * np.exp(-decay * xi_half)
@@ -124,18 +128,13 @@ def nf_cancellation_sweep(
     grid: Grid, rng: np.random.Generator, bands: list, orders: list, trials: int, ll_factor: float
 ) -> list[tuple]:
     """``(k, N, trial, residual, scale)`` of the normal-form cancellation for
-    ``trials`` random band-limited fields per band k and order N.  A band whose
-    chi_k^+ keeps no grid mode has no generator term, and (residual, scale) =
-    (0.0, 0.0) without forming its 2^k, which may overflow; its fields are
-    drawn all the same, so that each other band sees the same fields."""
+    ``trials`` random band-limited fields per band k and order N."""
     rows = []
     for k in bands:
-        empty = not cutoffs.shell_holds(k, grid.xi)
         for order in orders:
             for trial in range(trials):
                 u = random_band_limited(grid, rng, 0.25)
-                pair = (0.0, 0.0) if empty else verify_nf_cancellation(u, k, order, ll_factor)
-                rows.append((k, order, trial, *pair))
+                rows.append((k, order, trial, *verify_nf_cancellation(u, k, order, ll_factor)))
     return rows
 
 

@@ -358,6 +358,30 @@ def test_verify_empty_config_runs_defaults(tmp_path, command, output):
     assert "threads" not in manifest
 
 
+def test_verify_operators_commutator_spread_failure_exits_3(tmp_path, capsys):
+    # one field per shell (seed 0) leaves the constants too uneven for the spread bounds
+    out = tmp_path / "out"
+    assert main(["verify-operators", "--output-dir", str(out),
+                 "--override", "commutator.n_fields=1"]) == 3
+    assert "operator suite exceeded a threshold" in capsys.readouterr().err
+    rows = [line.split(",") for line in (out / "operator_suite.csv").read_text().split("\n")[1:9]]
+    assert [row[3] for row in rows] == ["1"] * 5 + ["0"] * 3
+    assert [row[0] for row in rows[5:]] == ["commutator_constant_spread", "commutator_d1_spread",
+                                            "commutator_d2_spread"]
+    assert not (out / "manifest.json").exists()
+
+
+def test_verify_kernels_exponent_failure_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["verify-kernels", "--output-dir", str(out),
+                 "--override", "t_sweep.slope_max=-100"]) == 3
+    assert "kernel exponent check failed" in capsys.readouterr().err
+    summary = (out / "kernel_summary.csv").read_text().strip().split("\n")
+    assert [line.rsplit(",", 1)[1] for line in summary[1:]] == ["0", "1", "1", "1"]
+    assert summary[1].startswith("lowfreq_left_t_slope,") and ",-100," in summary[1]
+    assert not (out / "manifest.json").exists()
+
+
 def test_threads_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-kernels", "--threads", "2"])
@@ -370,6 +394,11 @@ def test_threads_flag_is_gone(capsys):
     ("verify-operators", "commutator.n_fields=2.5", "commutator.n_fields must be an integer"),
     ("verify-operators", "n_points=\"abc\"", "n_points must be an integer"),
     ("verify-operators", "n_points=1023", "n_points must be an even integer"),
+    # the one positive mode, 2 pi / L, lies above 0.45 * Nyquist
+    ("verify-operators", "n_points=4", "no grid mode lies in 0 < |xi| <= 0.45 * Nyquist"),
+    # the commutator grid's spacing 512 leaves every shell 2^3 .. 2^8 between its points
+    ("verify-operators", "commutator.n_points=4",
+     "error: shell 2^3 weighs no grid point (dx = 512)"),
     ("verify-normal-form", "commutator=1", "unknown config key 'commutator'"),
     ("verify-normal-form", "bands=2", "bands must be a non-empty list"),
     ("verify-normal-form", "threshold=\"tight\"", "threshold must be a number"),
@@ -495,6 +524,8 @@ OUT_OF_DOMAIN_RUN = ("n_points=512", "box_length=200", "t_final=0.01", "dt=0.001
     (["gauge.enabled=true", "gauge.bands=[0, 5000]"], "gauge.bands [5000] keep no grid mode"),
     (["gauge.enabled=true", "gauge.bands=[-5000]"], "gauge.bands [-5000] keep no grid mode"),
     (["n_points=128", "gauge.enabled=true", "gauge.bands=[9]"], "gauge.bands [9] keep no grid mode"),
+    (["initial.c=1e200"], "soliton speed 1e+200 is out of range: c * c is not finite"),
+    (["initial.kind=nope"], "unknown initial-data kind 'nope'"),
 ])
 def test_experiment_value_out_of_domain_exits_2(tmp_path, capsys, command, overrides, message,
                                                 monkeypatch):
@@ -630,6 +661,33 @@ def test_blow_up_in_the_solver_process_exits_2_with_its_message(tmp_path, capsys
     assert main(args) == 2
     assert f"error: {info.value}\n" in capsys.readouterr().err
     _no_process_left()
+
+
+@pytest.mark.parametrize("t_final", ["0.0", "0.01"])
+def test_evolve_from_a_non_finite_field_exits_2_before_the_first_snapshot(tmp_path, capsys,
+                                                                          t_final):
+    grid = Grid(512, 200.0)
+    samples = soliton(1.0, 0.0, grid).samples.copy()
+    samples[300] = np.nan
+    path = str(tmp_path / "nan.bosnap")
+    dump_snapshot(SolverState(w=Field(grid, samples), frame="moving", speed=1.0, dt=1e-3), path)
+    out = tmp_path / "out"
+    assert main(_args("evolve", out, 'initial.kind="file"', f"initial.path={json.dumps(path)}",
+                      f"t_final={t_final}")) == 2
+    assert "error: sup norm is nan at t = 0\n" in capsys.readouterr().err
+    assert os.listdir(out) == []
+    _no_process_left()
+
+
+@pytest.mark.parametrize("command", ["measure-decay", "evolve"])
+def test_initial_snapshot_on_another_grid_exits_2(tmp_path, capsys, command):
+    grid = Grid(256, 200.0)
+    path = str(tmp_path / "other.bosnap")
+    dump_snapshot(SolverState(w=soliton(1.0, 0.0, grid), frame="moving", speed=1.0, dt=1e-3), path)
+    out = tmp_path / "out"
+    assert main(_args(command, out, 'initial.kind="file"', f"initial.path={json.dumps(path)}")) == 2
+    assert "snapshot grid does not match the configured grid" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_warnings_in_the_solver_process_are_counted_once_per_snapshot(tmp_path, monkeypatch):

@@ -65,6 +65,13 @@ def test_soliton_speed_positive():
         soliton(0.0, 0.0, g)
 
 
+def test_soliton_speed_whose_square_overflows_raises():
+    g = Grid(256, 50.0)
+    with pytest.raises(ConfigError, match="c \\* c is not finite"):
+        soliton(1e200, 0.0, g)
+    assert soliton(1e150, 0.0, g).samples.max() == 2e150
+
+
 def test_soliton_mass_any_speed():
     g = Grid(4096, 400.0)
     for c in (0.5, 2.0):
@@ -409,6 +416,16 @@ def test_instability_detector_catches_nan():
     st = SolverState(w=Field(g, w0), frame="lab", dt=1e-3)
     with pytest.raises(SolverInstabilityError, match="nan"):
         evolve(st, 2e-3, snapshot_stride=1, record_ledger=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_initial_state_raises_before_the_first_snapshot(bad):
+    g = Grid(256, 25.0)
+    w0 = np.exp(-g.x**2)
+    w0[100] = bad
+    st = SolverState(w=Field(g, w0), frame="lab", dt=1e-3)
+    with pytest.raises(SolverInstabilityError, match=f"sup norm is {bad} at t = 0$"):
+        evolve(st, 0.0)
 
 
 def test_frame_equivalence():

@@ -371,6 +371,19 @@ def test_shell_that_weighs_no_grid_point_raises():
             for sign in "+-":
                 with pytest.raises(DegenerateShellError, match="weighs no grid point"):
                     shell_weight(g, j, sign)
+                with pytest.raises(DegenerateShellError, match="weighs no grid point"):
+                    spatial_cutoff_values(g, j, sign)
+    # a shell inside the box that falls between two grid points
+    coarse = Grid(4, 2048.0)
+    with pytest.raises(DegenerateShellError, match="shell 2\\^8 weighs no grid point"):
+        spatial_cutoff(Field(coarse, np.ones(4)), 8, "+")
+
+
+def test_random_band_limited_refuses_a_band_with_no_grid_mode(rng):
+    g = Grid(4, 201.0)  # one positive mode, above 0.45 * Nyquist
+    with pytest.raises(ConfigError, match="0.45 \\* Nyquist: dxi = 0.0313, Nyquist 0.0625"):
+        random_band_limited(g, rng, 0.45)
+    assert np.any(random_band_limited(g, rng, 0.9).samples)
 
 
 def test_shells_whose_dyadic_scale_overflows():
