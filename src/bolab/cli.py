@@ -32,7 +32,7 @@ from collections import Counter
 
 import numpy as np
 
-from . import __version__, decay, kernels, pseudoproduct, solver, testing
+from . import __version__, cutoffs, decay, kernels, pseudoproduct, solver, testing
 from .errors import AcceptanceFailure, BolabError, ConfigError, DegenerateSeriesError
 from .files import (atomic_write_text, check_distinct, check_distinct_integers, json_text,
                     merge_config, read_json_object, write_csv)
@@ -54,7 +54,7 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
         key, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer of more digits than Python parses
             value = raw
         node = config
         parts = key.split(".")
@@ -180,19 +180,23 @@ def run_verify_normal_form(config: dict, outdir: str, args: argparse.Namespace) 
     finally:
         pseudoproduct._branches = original
 
-    # a case whose every generator term is zero (a band with no mode below
-    # the grid's Nyquist) has nothing to cancel, and fails rather than pass
+    # a band that misses every mode the fields' products reach has nothing to
+    # cancel (its terms are roundoff at most), and fails rather than pass
+    reach = 2.0 * pseudoproduct.QUARTIC_MARGIN * grid.nyquist
+    modes = grid.xi[(grid.xi > 0) & (grid.xi <= reach)]
+    holds = {k: cutoffs.shell_holds(k, modes) for k in config["bands"]}
     rows = []
     for k, order, trial, resid, scale in cases:
         rel = resid / max(scale, 1e-300)
         rows.append((k, order, trial, resid, scale, rel,
-                     int(scale > 0 and rel <= config["threshold"])))
+                     int(holds[k] and rel <= config["threshold"])))
     path = os.path.join(outdir, "normal_form_residuals.csv")
     write_csv(path, "k,N,trial,residual,scale,relative,pass", rows)
-    empty = sorted({(k, order) for k, order, _, _, scale in cases if scale == 0})
+    empty = sorted({(k, order) for k, order, *_ in cases if not holds[k]})
     if empty:
         raise AcceptanceFailure(f"nothing to cancel at (k, N) = {', '.join(map(str, empty))}: "
-                                "every generator term is zero on this grid")
+                                f"the band misses every grid mode in 0 < xi <= {reach:.4g}, "
+                                "all that the test fields' products reach")
     if not all(row[-1] for row in rows):
         raise AcceptanceFailure("normal-form cancellation residual above threshold")
     return [path]
@@ -246,7 +250,7 @@ def run_evolve(config: dict, outdir: str, args: argparse.Namespace) -> list[str]
     cfg = decay.ExperimentConfig(**config)
     state = cfg.solver_state()
     outputs = []
-    # each snapshot is written as the solver's process sends it
+    # each snapshot is written as the solver yields it
     for i, snap in enumerate(solver.stream(state, cfg.t_final, cfg.snapshot_stride)):
         path = os.path.join(outdir, f"snapshot_{i:04d}.bosnap")
         solver.dump_snapshot(snap, path)

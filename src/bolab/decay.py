@@ -430,7 +430,7 @@ def run(config: ExperimentConfig) -> DecayReport:
     gauge_sup = {f"{k}": {f"{j}": [] for j in shells} for k in tables.gauge}
     columns = [by_shell[f"{j}"] for _, _, by_shell in _blocks(sup, lowpass_sup, bandsum_sup,
                                                               gauge_sup) for j in shells]
-    # each snapshot is measured as the solver's process sends it, and dropped
+    # each snapshot is measured as the solver yields it, and dropped
     for snap in stream(state, config.t_final, config.snapshot_stride):
         times.append(snap.t)
         for column, value in zip(columns, tables.measure(snap.w)):

@@ -23,7 +23,7 @@ def read_json_object(path: str, what: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path!r}: {exc.strerror}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON or an integer too long to parse
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{what} must be a JSON object")
@@ -31,10 +31,13 @@ def read_json_object(path: str, what: str) -> dict:
 
 
 def is_number(value) -> bool:
-    """An integer or a finite float (a bool is neither)."""
-    if isinstance(value, bool):
+    """An integer or float that converts to a finite float (a bool is neither)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the largest float
+        return False
 
 
 def _kind(default, value) -> tuple[bool, str, str]:

@@ -15,23 +15,21 @@ left-moving linear radiation before it wraps.
 The tracked invariants are mass, the physical L2 norm, and the energy
 functional E[w] = integral( w H w_x / 2 - w^3 / 3 ) dx, whose sign and
 coefficients were fixed by a discrete dE/dt ~ 0 calibration run.
+
+``evolve`` returns a run's snapshots as a list; ``stream`` yields the same
+snapshots one at a time, for a caller that writes or measures each in turn.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
 import struct
-import traceback
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cutoffs import smoothstep
-from .errors import BolabError, ConfigError, SolverInstabilityError
+from .errors import ConfigError, SolverInstabilityError
 from .files import atomic_write_text, write_csv
 from .grid import Field, Grid
 
@@ -313,80 +311,11 @@ def evolve(
 
 
 def stream(state: SolverState, t_final: float, snapshot_stride: int) -> Iterator[SolverState]:
-    """The snapshots of ``evolve(state, t_final, snapshot_stride)``, computed in a
-    forked child process while the caller consumes them.
-
-    The arguments are checked here, before any fork.  The child starts at the
-    first ``next`` and sends each snapshot's time, samples, ledger row and the
-    warnings recorded while computing it over a pipe, whose capacity bounds how
-    far it runs ahead.  The snapshots yielded share one ledger rebuilt from those
-    rows, and the warnings are issued again here, under the caller's filters.
-    An exception in the child is raised here with its type and message.  However
-    the caller stops, the child is ended and reaped.  Needs POSIX ``fork``.
-    """
+    """The snapshots of ``evolve(state, t_final, snapshot_stride)``, each
+    computed when the caller asks for the next, so that the caller holds one at
+    a time.  The arguments are checked at the call, before the first ``next``."""
     n_steps = _step_count(state, t_final, snapshot_stride)
-    return _received(state, _snapshots(state, n_steps, snapshot_stride, True))
-
-
-def _received(state: SolverState, snapshots: Iterator[SolverState]) -> Iterator[SolverState]:
-    """The parent side of ``stream``: forks a child that runs ``snapshots`` and
-    yields what it sends."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read_fd)
-        _send(snapshots, write_fd)
-    os.close(write_fd)
-    ledger = list(state.ledger)
-    grid = state.w.grid
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            while True:
-                try:
-                    kind, payload, caught = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    raise BolabError(
-                        f"the solver process {pid} ended before its last snapshot") from None
-                for message, category, filename, lineno in caught:
-                    warnings.warn_explicit(message, category, filename, lineno)
-                if kind == "error":
-                    raise payload
-                if kind == "end":
-                    return
-                t, samples, row = payload
-                ledger.append(row)
-                yield replace(state, w=Field(grid, samples), t=t, ledger=ledger)
-    finally:
-        # the child has sent all it will send, or is not to send more
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
-def _send(snapshots: Iterator[SolverState], write_fd: int) -> None:
-    """The child side of ``stream``: pickles each snapshot of ``snapshots`` to
-    ``write_fd``, then an end or an error message, and exits without returning."""
-    status = 1
-    try:
-        with os.fdopen(write_fd, "wb") as pipe, warnings.catch_warnings(record=True) as caught:
-            def send(kind: str, payload) -> None:
-                records = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-                caught.clear()
-                pipe.write(pickle.dumps((kind, payload, records), pickle.HIGHEST_PROTOCOL))
-                pipe.flush()
-
-            try:
-                for snap in snapshots:
-                    send("snapshot", (snap.t, snap.w.samples, snap.ledger[-1]))
-            except Exception as exc:
-                # the child's traceback travels as a note, which str(exc) leaves out
-                note = "raised in the solver process:\n" + traceback.format_exc()
-                exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
-                send("error", exc)
-            else:
-                send("end", None)
-        status = 0
-    finally:
-        os._exit(status)
+    return _snapshots(state, n_steps, snapshot_stride, True)
 
 
 # ---------------------------------------------------------------------------

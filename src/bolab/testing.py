@@ -18,7 +18,7 @@ from . import cutoffs
 from .errors import ConfigError, KernelDomainError
 from .grid import ComplexField, Field, Grid
 from .kernels import KernelSpec, fit_decay, phase_integral, sweep
-from .pseudoproduct import LL_FACTOR, BilinearSymbol, verify_nf_cancellation
+from .pseudoproduct import LL_FACTOR, QUARTIC_MARGIN, BilinearSymbol, verify_nf_cancellation
 from .spectral import (apply_multiplier, coeffs_of, derivative, hilbert, lp_partition_bounds,
                        lp_project, samples_of, spatial_cutoff)
 
@@ -128,12 +128,13 @@ def nf_cancellation_sweep(
     grid: Grid, rng: np.random.Generator, bands: list, orders: list, trials: int, ll_factor: float
 ) -> list[tuple]:
     """``(k, N, trial, residual, scale)`` of the normal-form cancellation for
-    ``trials`` random band-limited fields per band k and order N."""
+    ``trials`` random fields per band k and order N, each band-limited to
+    QUARTIC_MARGIN * Nyquist, so that their products stop at twice that."""
     rows = []
     for k in bands:
         for order in orders:
             for trial in range(trials):
-                u = random_band_limited(grid, rng, 0.25)
+                u = random_band_limited(grid, rng, QUARTIC_MARGIN)
                 rows.append((k, order, trial, *verify_nf_cancellation(u, k, order, ll_factor)))
     return rows
 

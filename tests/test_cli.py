@@ -18,6 +18,9 @@ from bolab.grid import Field, Grid
 from bolab.solver import (SolverState, SpongeConfig, dump_snapshot, evolve, ledger_to_csv,
                           soliton)
 
+#: an integer too large for a double, and one of more digits than Python parses
+HUGE, TOO_LONG = str(10**400), "1" + "0" * 5000
+
 SMALL_DECAY = ("n_points=512", "box_length=200.0", "t_final=0.01", "dt=0.01",
                "shells=[2.0, 2.5, 3.0, 3.5]")
 
@@ -115,6 +118,20 @@ def test_verify_normal_form_fails_a_band_with_nothing_to_cancel(tmp_path, capsys
         table = (out / "normal_form_residuals.csv").read_text().strip().split("\n")
         assert table[1:] == [f"{band},2,0,0.0,0.0,0.0,0", f"{band},4,0,0.0,0.0,0.0,0"]
         assert not (out / "manifest.json").exists()
+
+
+def test_verify_normal_form_fails_a_band_beyond_the_products_of_its_fields(tmp_path, capsys):
+    # the fields stop at 0.25 * Nyquist = 32, so their products stop at 64,
+    # where chi_7^+ (support (64, 256)) starts: its terms and residuals are
+    # roundoff, and pass no check however they compare
+    code = main(["verify-normal-form", "--output-dir", str(tmp_path),
+                 "--override", "bands=[7]", "--override", "trials_per_case=1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "nothing to cancel at (k, N) = (7, 2), (7, 4): the band misses every grid mode" in err
+    table = (tmp_path / "normal_form_residuals.csv").read_text().strip().split("\n")
+    assert [row.split(",")[:3] for row in table[1:]] == [["7", "2", "0"], ["7", "4", "0"]]
+    assert all(row.endswith(",0") for row in table[1:])
 
 
 def test_manifest_determinism(tmp_path):
@@ -248,6 +265,22 @@ def test_report_unreadable_input_exits_2(tmp_path, capsys, content, message):
     code = main(["report", "--input", str(source), "--output-dir", str(tmp_path / "out")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_config_holding_a_list_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    code = main(["measure-decay", "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+def test_config_file_with_an_integer_of_too_many_digits_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n_points": %s}' % TOO_LONG)
+    code = main(["measure-decay", "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "config is not valid JSON" in capsys.readouterr().err
 
 
 def test_config_directory_exits_2(tmp_path, capsys):
@@ -416,6 +449,8 @@ def test_threads_flag_is_gone(capsys):
     ("verify-normal-form", "bands=[1.5]", "bands must be distinct integers, got [1.5]"),
     ("verify-normal-form", "bands=[1, 1]", "bands must be distinct integers, got [1, 1]"),
     ("verify-normal-form", "bands=[1, 1.0]", "bands must be distinct integers, got [1, 1.0]"),
+    pytest.param("verify-normal-form", f"bands=[{HUGE}]",
+                 "bands must be a non-empty list of numbers", id="verify-normal-form-huge-band"),
     # a sweep fitted through repeated parameters would report a made-up slope
     ("verify-kernels", "t_sweep.times=[64.0,64.0,64.0,64.0]",
      "t_sweep.times must be distinct, got [64.0, 64.0, 64.0, 64.0]"),
@@ -489,6 +524,10 @@ def test_every_csv_artifact_has_lf_line_ends(tmp_path):
     ("gauge.enabled=1", "gauge.enabled must be true or false"),
     ("gauge.mystery=1", "unknown config key 'gauge.mystery'"),
     ("epsilon_assumed=NaN", "epsilon_assumed must be a number"),
+    ("dt=true", "dt must be a number"),
+    pytest.param(f"initial.c={HUGE}", "initial.c must be a number", id="huge-initial.c"),
+    pytest.param(f"n_points={HUGE}", "n_points must be an integer", id="huge-n_points"),
+    pytest.param(f"n_points={TOO_LONG}", "n_points must be an integer", id="too-long-n_points"),
     ("front_speed=Infinity", "front_speed must be null or a number"),
     ("shells=[2.5, -Infinity]", "shells must be a non-empty list of numbers"),
 ])
@@ -646,8 +685,8 @@ def test_evolve_writes_what_an_in_process_evolve_gives(tmp_path):
     assert sorted(os.listdir(tmp_path / "out")) == sorted((*names, "ledger.csv", "manifest.json"))
 
 
-def test_blow_up_in_the_solver_process_exits_2_with_its_message(tmp_path, capsys):
-    # a NaN sample makes the solver raise in its own process
+def test_blow_up_in_the_solver_exits_2_with_its_message(tmp_path, capsys):
+    # a NaN sample makes the solver raise, and the command reports its message
     grid = Grid(512, 200.0)
     samples = soliton(1.0, 0.0, grid).samples.copy()
     samples[300] = np.nan
@@ -690,7 +729,7 @@ def test_initial_snapshot_on_another_grid_exits_2(tmp_path, capsys, command):
     assert os.listdir(out) == []
 
 
-def test_warnings_in_the_solver_process_are_counted_once_per_snapshot(tmp_path, monkeypatch):
+def test_warnings_in_the_solver_are_counted_once_per_snapshot(tmp_path, monkeypatch):
     conserved = bolab.solver.conserved
 
     def warning_conserved(state):

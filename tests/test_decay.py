@@ -403,8 +403,8 @@ def test_resolved_gauge_low_pass_matches_the_field_by_field_transform():
 
 
 def test_streamed_run_equals_in_process_evolve_and_measure():
-    # the snapshots reach the measurement through a pipe, as pickles: every
-    # series and the ledger equal an in-process evolve and measure, bit for bit
+    # the snapshots are measured as the solver yields them: every series and
+    # the ledger equal an evolve followed by a measure, bit for bit
     gauge = {"enabled": True, "order": 4, "ll_factor": 100.0, "bands": [0, 1]}
     sponge = {"enabled": True, "width_fraction": 0.1, "strength": 1.0}
     cfg = _small_config(t_final=0.06, snapshot_stride=10, gauge=gauge, sponge=sponge,
@@ -424,7 +424,7 @@ def test_streamed_run_equals_in_process_evolve_and_measure():
     assert rep.ledger == [list(row) for row in snaps[-1].ledger]
 
 
-def test_exception_while_measuring_propagates_and_ends_the_solver_process(monkeypatch):
+def test_exception_while_measuring_propagates_and_leaves_no_process(monkeypatch):
     measure = SnapshotTables.measure
     failure = RuntimeError("measurement failed")
     calls = []

@@ -48,6 +48,10 @@ def test_spec_rejects_bad_parameters():
         KernelSpec(variant="lowfreq-left", j=1.0, t=1.0, epsilon=1.5)
     with pytest.raises(KernelDomainError):
         KernelSpec(variant="dyadic-left", j=1.0, t=1.0)  # missing k
+    with pytest.raises(KernelDomainError, match="time must be nonnegative"):
+        KernelSpec(variant="lowfreq-left", j=1.0, t=-1.0)
+    with pytest.raises(KernelDomainError, match="require a source shell ell"):
+        KernelSpec(variant="dyadic-right", j=2.0, t=100.0, k=0.0)
     # xi^-1 is not integrable across xi = 0
     with pytest.raises(KernelDomainError, match="a must be nonnegative, got -1"):
         KernelSpec(variant="lowfreq-left", j=1.0, t=1.0, a=-1)

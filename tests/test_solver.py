@@ -545,8 +545,8 @@ def test_evolve_leaves_the_input_ledger_alone():
     assert second == first
 
 
-def test_stream_checks_its_arguments_before_forking():
-    # the call itself raises, before any next() could start a process
+def test_stream_checks_its_arguments_at_the_call():
+    # the call itself raises, before any next(), and starts no process
     g = Grid(256, 50.0)
     st = SolverState(w=soliton(1.0, 0.0, g), frame="lab", dt=1e-3)
     for t_final, stride in ((2e-3, 0), (-2e-3, 1), (2.5e-3, 1)):
@@ -556,7 +556,7 @@ def test_stream_checks_its_arguments_before_forking():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_stream_yields_the_snapshots_of_evolve_and_ends_its_process_when_closed():
+def test_stream_yields_the_snapshots_of_evolve_and_stops_when_closed():
     g = Grid(256, 50.0)
     sponge = SpongeConfig(enabled=True)
     st = SolverState(w=soliton(1.0, 0.0, g), frame="moving", speed=1.0, dt=1e-2, sponge=sponge)

@@ -8,6 +8,7 @@ from bolab.errors import (
     BandEdgeWarning,
     ConfigError,
     DegenerateShellError,
+    InputShapeError,
     MultiplierDomainError,
 )
 from bolab.grid import ComplexField, Field, Grid
@@ -106,6 +107,17 @@ def test_multiplier_identity(grid_small, rng):
     f = random_band_limited(grid_small, rng)
     out = apply_multiplier(lambda xi: np.ones_like(xi), f)
     assert np.max(np.abs(out.samples - f.samples)) < 1e-12 * f.sup_norm()
+
+
+def test_constant_multiplier_is_broadcast(grid_small, rng):
+    f = random_band_limited(grid_small, rng)
+    out = apply_multiplier(lambda xi: 2.0, f)
+    assert np.max(np.abs(out.samples - 2.0 * f.samples)) < 1e-12 * f.sup_norm()
+
+
+def test_field_of_the_wrong_length_raises(grid_small):
+    with pytest.raises(InputShapeError, match=f"expected {grid_small.n_points} samples"):
+        Field(grid_small, np.zeros(grid_small.n_points - 1))
 
 
 def test_multiplier_exact_derivative_of_grid_mode(grid_small):

@@ -18,6 +18,10 @@ test module as a caller.
 * The package's imports form a DAG: one edge per relative import, function-
   local ones included, and no cycle.
 
+* A run is one process: no module imports ``pickle``, ``signal`` or
+  ``multiprocessing``, or calls or imports ``os.fork``, ``os.pipe``,
+  ``os.kill`` or ``os.waitpid``.
+
 The first three checks are name-level.  Any reference or call of the same name counts,
 so they cannot see a function whose name is also used for something else,
 such as a function kept as a documented oracle: ``solver.rhs``, the oracle
@@ -199,3 +203,33 @@ def test_package_imports_form_a_dag():
     graph = {path.stem: _imports(path) for path in SOURCES}
     cycles = _cycles(graph)
     assert not cycles, "import cycles: " + "; ".join(" -> ".join(c) for c in cycles)
+
+
+PROCESS_MODULES = {"pickle", "signal", "multiprocessing"}
+PROCESS_CALLS = {"fork", "pipe", "kill", "waitpid"}
+
+
+def _process_machinery(path: Path) -> list[str]:
+    """Each import of a module of PROCESS_MODULES and each use of an ``os``
+    function of PROCESS_CALLS in the module ``path``, as ``file:line name``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names
+                     if alias.name.split(".")[0] in PROCESS_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.split(".")[0] in PROCESS_MODULES:
+                names = [node.module]
+            elif node.module == "os":
+                names = [f"os.{a.name}" for a in node.names if a.name in PROCESS_CALLS]
+        elif (isinstance(node, ast.Attribute) and node.attr in PROCESS_CALLS
+              and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            names = [f"os.{node.attr}"]
+        found += [f"{path.name}:{node.lineno} {name}" for name in names]
+    return found
+
+
+def test_the_package_runs_in_one_process():
+    found = [hit for path in SOURCES for hit in _process_machinery(path)]
+    assert found == []
