@@ -18,7 +18,6 @@ fit rather than assumed away.
 
 from __future__ import annotations
 
-import math
 import reprlib
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
@@ -39,6 +38,7 @@ from .spectral import (
     lp_partition_bounds,
     lp_values,
     shell_weight,
+    spatial_cutoff_values,
 )
 
 #: defaults of the nested config objects, which also serve as their schemas
@@ -89,15 +89,11 @@ class ExperimentConfig:
         self._check_scales(self.grid())
 
     def _check_scales(self, grid: Grid) -> None:
-        """Each shell fits in the box and weighs some grid point, and each gauge
+        """Each shell is one that ``spatial_cutoff_values`` admits, and each gauge
         band keeps some grid mode: no series is measured as all zeros.  Decided
-        in log2 where 2^j would over- or underflow (``cutoffs.shell_holds``)."""
-        if max(self.shells) > math.log2(self.box_length / 4.0):
-            raise ConfigError(f"shells: the largest, 2^{max(self.shells)}, exceeds box_length/4")
-        empty = [j for j in self.shells if not cutoffs.shell_holds(j, grid.x)]
-        if empty:
-            raise ConfigError(f"shells {empty} weigh no grid point: no grid point lies inside "
-                              f"their supports [2^(j-1), 2^(j+1)] (dx = {grid.dx:.3g})")
+        in log2 where 2^k would over- or underflow (``cutoffs.shell_holds``)."""
+        for j in self.shells:
+            spatial_cutoff_values(grid, j, "+")
         bands = self.gauge["bands"] if self.gauge["enabled"] else []
         empty = [k for k in bands if not cutoffs.shell_holds(k, grid.xi)]
         if empty:
@@ -199,7 +195,8 @@ REPORT_KINDS = {
     "fits": (lambda v: _list_of(v, _fit_entry), f"a list of objects with the keys {FIT_KEYS}"),
     "epsilon_measured": (lambda v: is_number(v) and v > 0, "a positive number"),
     "predicted_exponent": (is_number, "a number"),
-    "budgets": (lambda v: isinstance(v, dict), "an object"),
+    "budgets": (lambda v: isinstance(v, dict) and is_number(v.get("mass_over_L")),
+                "an object with a number mass_over_L"),
     "ledger": (lambda v: isinstance(v, list), "a list"),
 }
 
@@ -475,10 +472,12 @@ def _clean_peaks(shells: list[float], series: dict, clean: dict,
 
 
 def _fit_row(pairs: list[tuple[float, float]], time: float | None, kind: str) -> dict | None:
-    """The ``fits`` entry of a shell fit of ``pairs``, or None below four shells."""
-    if len(pairs) < 4:
+    """The ``fits`` entry of a shell fit of ``pairs``, or None where ``fit_decay`` refuses them."""
+    try:
+        fit = fit_decay(pairs)
+    except DegenerateSeriesError:
         return None
-    return {"time": time, "kind": kind, **asdict(fit_decay(pairs))}
+    return {"time": time, "kind": kind, **asdict(fit)}
 
 
 def _fit_snapshot(shells: list[float], sup_plus: dict, clean: dict, i: int, t: float) -> dict | None:
@@ -491,6 +490,9 @@ class LowFreqCheck:
     slope: float
     target: float
     passed: bool
+    #: the smallest fitted sup, to hold against ``budgets.mass_over_L``: the low-pass
+    #: acts on the mean-removed field, about -mass/L wherever the field is smaller
+    smallest_sup: float
 
 
 #: slack of ``lowfreq_decay_check`` on the target slope
@@ -503,7 +505,7 @@ def lowfreq_decay_check(report: DecayReport) -> LowFreqCheck:
 
     The low-frequency piece is bounded by the sum of a left-waves 2^(-2j)
     term and a right-waves 2^(-(1+1.5 eps)j) term, so the testable exponent
-    is their minimum (the bootstrap-improved one).  Fails with
+    is their minimum (the bootstrap-improved one).  ``fit_decay`` raises
     DegenerateSeriesError when fewer than four clean shells carry signal.
     """
     eps = report.epsilon_measured
@@ -511,12 +513,9 @@ def lowfreq_decay_check(report: DecayReport) -> LowFreqCheck:
     all_values = [v for j in report.shells for v in report.lowpass_sup[f"{j}"]]
     if all_values and max(all_values) == 0.0:
         # nothing to bound: vacuous pass
-        return LowFreqCheck(slope=0.0, target=target, passed=True)
+        return LowFreqCheck(slope=0.0, target=target, passed=True, smallest_sup=0.0)
     pairs = _clean_peaks(report.shells, report.lowpass_sup, report.clean)
-    if len(pairs) < 4:
-        raise DegenerateSeriesError(
-            f"only {len(pairs)} clean shells with signal; need at least 4"
-        )
     fit = fit_decay(pairs)
     return LowFreqCheck(slope=fit.slope, target=target,
-                        passed=bool(fit.slope <= target + LOWFREQ_MARGIN))
+                        passed=bool(fit.slope <= target + LOWFREQ_MARGIN),
+                        smallest_sup=min(v for _, v in pairs))

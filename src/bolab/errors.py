@@ -17,10 +17,6 @@ class MultiplierDomainError(BolabError):
     """A Fourier multiplier is non-finite at a grid frequency."""
 
 
-class DegenerateShellError(BolabError):
-    """A dyadic spatial shell does not fit inside the periodic box or weighs no grid point."""
-
-
 class SolverInstabilityError(BolabError):
     """The time integrator detected blow-up between snapshots."""
 
@@ -36,6 +32,10 @@ class DegenerateSeriesError(BolabError):
 class ConfigError(BolabError, ValueError):
     """Invalid or incomplete experiment configuration, or an argument out of
     its domain (CLI exit code 2)."""
+
+
+class DegenerateShellError(ConfigError):
+    """A dyadic spatial shell does not fit inside the periodic box or weighs no grid point."""
 
 
 class AcceptanceFailure(BolabError):

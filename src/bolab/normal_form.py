@@ -56,13 +56,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .files import write_csv
 from .grid import ComplexField, Field, Grid
-from .pseudoproduct import LL_FACTOR, QUARTIC_MARGIN, BandKernel, check_dealias_margin
+from .pseudoproduct import (LL_FACTOR, QUARTIC_MARGIN, BandKernel, _gauge_projections,
+                            check_dealias_margin)
 from .spectral import (
     coeffs_of,
     derivative,
@@ -93,12 +93,11 @@ class Bundle:
     once from the coefficients c of u and ``shared`` = ``kernel.paraproduct(c, c)``,
     which every band of the grid shares: the coefficients b_c of B_k(u, u), and
     the samples of A = u_k^+ + B_k(u, u) (one inverse transform, of
-    chi_k^+ c + b_c), phi_ll and v_k = A E_N(phi_ll); u_k^+ and u_ll on first
-    use, which only the terms make.  phi (``phi_coeffs``) is formed only when
-    the gauge low-pass keeps a paired mode (``kernel.ll_resolved``); otherwise
-    the low-pass keeps no coefficient of phi, phi_ll = 0 and E_N(0) = 1
-    exactly, so v is A itself: phi_ll is not inverted and E_N not evaluated.  The four literal
-    terms and Delta_box are formed from them."""
+    chi_k^+ c + b_c), phi_ll and v_k = A E_N(phi_ll).  phi (``phi_coeffs``) is
+    formed only when the gauge low-pass keeps a paired mode (``kernel.ll_resolved``);
+    otherwise the low-pass keeps no coefficient of phi, phi_ll = 0 and E_N(0) = 1
+    exactly, so v is A itself: phi_ll is not inverted and E_N not evaluated.  The
+    four literal terms and Delta_box are formed from them and ``_gauge_projections``."""
 
     def __init__(self, kernel: BandKernel, c: np.ndarray, shared: np.ndarray):
         grid = kernel.grid
@@ -114,19 +113,11 @@ class Bundle:
         else:
             self.phi_ll, self.v = np.zeros_like(self.a), self.a
 
-    @cached_property
-    def u_kp(self) -> np.ndarray:
-        return samples_of(self.kernel.chi * self.c, self.kernel.grid)
-
-    @cached_property
-    def u_ll(self) -> np.ndarray:
-        return samples_of(self.kernel.low * self.c, self.kernel.grid)
-
-    def terms(self, u: Field | ComplexField) -> dict[str, ComplexField]:
+    def terms(self, u: Field | ComplexField) -> tuple[dict[str, ComplexField], np.ndarray]:
         """The four nonlinear terms of the transformed equation, assembled
-        exactly as written, for the u whose coefficients are c; (H + i) is
-        realized as 2i P^-.  Keys: B_rem (quadratic remainder), C_tilde,
-        C (cubic), Q (quartic)."""
+        exactly as written, for the u whose coefficients are c, and the samples
+        of u_ll, which Delta_box also takes; (H + i) is realized as 2i P^-.
+        Keys: B_rem (quadratic remainder), C_tilde, C (cubic), Q (quartic)."""
         check_dealias_margin(u, self.c)
         grid, kernel = u.grid, self.kernel
         c_usq = coeffs_of(multiply(u, u).samples, grid)
@@ -135,15 +126,14 @@ class Bundle:
         # its length-2n transforms set the peak memory, so it comes first
         c_tilde = -2j * samples_of(kernel.apply(d1 * c_usq, self.c), grid)
         usq_ll = samples_of(kernel.low * c_usq, grid)
-        hpi_du_ll = 2j * samples_of(kernel.minus * d1 * kernel.low * self.c, grid)
-        d_u_kp = samples_of(d1 * kernel.chi * self.c, grid)
-        b_rem = hpi_du_ll * self.u_kp + 2j * self.u_ll * d_u_kp
+        u_kp, u_ll, hpi_du_ll, d_u_kp = _gauge_projections(kernel, self.c)
+        b_rem = hpi_du_ll * u_kp + 2j * u_ll * d_u_kp
         d_bu = samples_of(d1 * self.b_c, grid)
-        bu = self.a - self.u_kp
-        c_full = c_tilde - usq_ll * self.u_kp + 2j * self.u_ll * d_bu + hpi_du_ll * bu
+        bu = self.a - u_kp
+        c_full = c_tilde - usq_ll * u_kp + 2j * u_ll * d_bu + hpi_du_ll * bu
         q = -usq_ll * bu
         return {"B_rem": ComplexField(grid, b_rem), "C_tilde": ComplexField(grid, c_tilde),
-                "C": ComplexField(grid, c_full), "Q": ComplexField(grid, q)}
+                "C": ComplexField(grid, c_full), "Q": ComplexField(grid, q)}, u_ll
 
     def right_side(self, u: Field) -> tuple[np.ndarray, np.ndarray, float]:
         """(rhs, Delta_box, scale) at the snapshot u whose coefficients are c:
@@ -157,7 +147,7 @@ class Bundle:
         third is the second-order gauge-polynomial term beyond the first-order
         expansion (identically zero whenever the low-pass resolves only the mean).
         """
-        terms = self.terms(u)
+        terms, u_ll = self.terms(u)
         order = self.kernel.order
         e_nm1 = gauge_polynomial(order - 1, self.phi_ll)
         g_top = (-1j * self.phi_ll) ** order / math.factorial(order)
@@ -173,7 +163,7 @@ class Bundle:
         e_nm2 = gauge_polynomial(order - 2, self.phi_ll)
         da = samples_of(derivative_values(u.grid, 1) * (self.kernel.chi * self.c + self.b_c),
                         u.grid)
-        delta = mean_sq * a * e_nm1 - 2j * ubar * da * e_nm1 + a * (self.u_ll - ubar) ** 2 * e_nm2
+        delta = mean_sq * a * e_nm1 - 2j * ubar * da * e_nm1 + a * (u_ll - ubar) ** 2 * e_nm2
         return rhs, delta, max(term.sup_norm() for term in terms.values())
 
 

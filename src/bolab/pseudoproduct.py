@@ -333,6 +333,18 @@ def check_dealias_margin(u: Field | ComplexField, c: np.ndarray) -> None:
         )
 
 
+def _gauge_projections(kernel: BandKernel, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Samples of u_k^+, u_ll, 2i P^- d/dx u_ll and d/dx u_k^+ in the band of ``kernel``,
+    u having the coefficients c: the projections that the gauge terms of
+    ``nf_generator_terms`` and ``normal_form.Bundle.terms`` multiply, each one inverse
+    transform of a multiplier on c (chi and the gauge low-pass; see ``BandKernel``)."""
+    grid = kernel.grid
+    d1 = derivative_values(grid, 1)
+    hpi_du_ll = 2j * samples_of(kernel.minus * d1 * kernel.low * c, grid)
+    d_u_kp = samples_of(d1 * kernel.chi * c, grid)
+    return samples_of(kernel.chi * c, grid), samples_of(kernel.low * c, grid), hpi_du_ll, d_u_kp
+
+
 def nf_generator_terms(
     u: Field | ComplexField,
     k: float,
@@ -352,20 +364,17 @@ def nf_generator_terms(
     c = coeffs_of(np.asarray(u.samples), grid)
     check_dealias_margin(u, c)
     kernel = BandKernel(grid, k, order, ll_factor)
-    # chi = lp_values(grid, k, "plus") and low the "leq" low-pass (see BandKernel)
-    chi, low, minus = kernel.chi, kernel.low, kernel.minus
     d1 = derivative_values(grid, 1)
-    u_ll = samples_of(low * c, grid)
-    warn_band_edge(grid, k)
-    u_kp = samples_of(chi * c, grid)
-    c_hpi = 2j * minus * derivative_values(grid, 2) * c
+    warn_band_edge(grid, k)  # the P_k^+ of u_k^+
+    u_kp, u_ll, hpi_du_ll, d_u_kp = _gauge_projections(kernel, c)
+    c_hpi = 2j * kernel.minus * derivative_values(grid, 2) * c
     c_du = d1 * c
     c_usq = coeffs_of(multiply(u, u).samples, grid)
     warn_band_edge(grid, k)  # the P_k^+ of the transport term
     terms = {
-        "transport": -1j * samples_of(chi * d1 * c_usq, grid),
-        "gauge_hilbert": 2j * samples_of(minus * d1 * low * c, grid) * u_kp,
-        "gauge_derivative": 2j * u_ll * samples_of(d1 * chi * c, grid),
+        "transport": -1j * samples_of(kernel.chi * d1 * c_usq, grid),
+        "gauge_hilbert": hpi_du_ll * u_kp,
+        "gauge_derivative": 2j * u_ll * d_u_kp,
         # both orders, not twice one: B_k(f, g) = B_k(g, f) holds only while its
         # two half kernels are right, and the cancellation must see either one fail
         "b_left": 1j * samples_of(kernel.apply(c_hpi, c), grid),

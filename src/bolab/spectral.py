@@ -179,15 +179,11 @@ def lp_partition_bounds(grid: Grid) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _fits_box(grid: Grid, j: float) -> bool:
-    """Whether 2^j <= box_length/4, decided in log2, where 2^j cannot overflow."""
-    return j <= math.log2(grid.box_length / 4.0)
-
-
 def spatial_cutoff_values(grid: Grid, j: float, sign: str) -> np.ndarray:
-    """Values of the dyadic shell chi_j on the grid points, at x or -x.  Raises
-    DegenerateShellError for a shell that leaves the box or weighs no grid point."""
-    if not _fits_box(grid, j):
+    """Values of the dyadic shell chi_j on the grid points, at x or -x, and the one rule
+    of which shells a measurement admits: DegenerateShellError for a 2^j beyond
+    box_length/4, decided in log2, where 2^j cannot overflow, or no grid point weighed."""
+    if not j <= math.log2(grid.box_length / 4.0):
         raise DegenerateShellError(f"shell 2^{j} exceeds box_length/4 = {grid.box_length / 4:.3g}")
     if sign not in ("+", "-"):
         raise ValueError(f"unknown sign {sign!r}")
@@ -207,15 +203,14 @@ def weighted_shell_sup(f: Field | ComplexField,
                        shells: Iterable[float]) -> dict[float, dict[str, float]]:
     """Per-shell, per-sign weighted sup norms sup_x |chi_j^{+-}(x) f(x)|.
 
-    Shells whose support [2^{j-1}, 2^{j+1}] does not fit in the half-box are
-    absent from the result (not reported as zero); a shell that weighs no grid
-    point raises DegenerateShellError.
+    A shell that ``spatial_cutoff_values`` refuses, one whose support
+    [2^{j-1}, 2^{j+1}] does not fit in the half-box or that weighs no grid
+    point, raises DegenerateShellError.
     """
     a = np.abs(np.asarray(f.samples))
     return {
         float(j): {sign: weighted_sup(shell_weight(f.grid, j, sign), a) for sign in "+-"}
         for j in shells
-        if _fits_box(f.grid, float(j))
     }
 
 

@@ -1,10 +1,22 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bolab
 from bolab.grid import Grid
+
+HERE = Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(items):
+    """A warning that a test here does not declare (``pytest.warns``, a
+    ``filterwarnings`` mark) fails it; the mark goes first, so that the test's
+    own marks take precedence over it."""
+    for item in items:
+        if item.path.is_relative_to(HERE):
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -17,6 +17,7 @@ from bolab.files import read_json_object
 from bolab.grid import Field, Grid
 from bolab.solver import (SolverState, SpongeConfig, dump_snapshot, evolve, ledger_to_csv,
                           soliton)
+from bolab.spectral import spatial_cutoff_values
 
 #: an integer too large for a double, and one of more digits than Python parses
 HUGE, TOO_LONG = str(10**400), "1" + "0" * 5000
@@ -192,7 +193,37 @@ def test_report_prints_na_when_the_lowfreq_series_is_degenerate(tmp_path, capsys
     code = main(["report", "--input", str(tmp_path / "decay_report.json"),
                  "--output-dir", str(tmp_path / "report")])
     assert code == 0
-    assert "low-frequency bound: n/a (only 3 clean shells" in capsys.readouterr().out
+    # the message is fit_decay's, the one home of the four-point minimum
+    assert ("low-frequency bound: n/a (need points at 4 or more distinct parameters, got 3)"
+            in capsys.readouterr().out)
+
+
+def test_report_holds_the_lowfreq_sups_against_the_box_mean_floor(tmp_path, capsys):
+    # on L = 400 the low-pass sups of the outer shells sit at the box mean of the
+    # soliton, mass/L = 2 pi / 400: the FAIL reads as one at the floor
+    assert _measure_decay(tmp_path, "n_points=1024", "box_length=400.0",
+                          "shells=[2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5]") == 0
+    path = str(tmp_path / "decay_report.json")
+    assert main(["report", "--input", path, "--output-dir", str(tmp_path / "report")]) == 0
+    report = DecayReport.from_json(path)
+    floor = report.budgets["mass_over_L"]
+    # every snapshot is clean: the fit takes each shell's largest low-pass sup
+    smallest = min(max(series) for series in report.lowpass_sup.values())
+    check = lowfreq_decay_check(report)
+    assert check.smallest_sup == smallest and not check.passed
+    assert abs(smallest / floor - 1.0) < 0.1
+    assert (f"target -2.000, FAIL (smallest clean low-pass sup {smallest:.3g}, "
+            f"box-mean floor mass/L {floor:.3g})") in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("shell", ["1e6", "-2000", "-3"])
+def test_a_refused_shell_exits_2_with_the_message_of_spatial_cutoff_values(tmp_path, capsys,
+                                                                            shell):
+    # one rule and one message for every refused shell, a configuration error
+    with pytest.raises(ConfigError) as refused:
+        spatial_cutoff_values(Grid(512, 200.0), json.loads(shell), "+")
+    assert _measure_decay(tmp_path, f"shells=[2.5, 3.0, 3.5, {shell}]") == 2
+    assert capsys.readouterr().err == f"configuration error: {refused.value}\n"
 
 
 def test_report_rewrites_the_measure_decay_csv_byte_for_byte(tmp_path):
@@ -221,7 +252,8 @@ MINIMAL_REPORT = {
     "bandsum_sup": {"2.0": [1.0]}, "gauge_sup": {}, "clean": {"2.0": [True]},
     "fits": [{"time": 0.0, "kind": "sup_plus", "slope": -2.0, "intercept": 0.0,
               "r_squared": 1.0, "n_points": 4}],
-    "epsilon_measured": 0.5, "predicted_exponent": 1.75, "budgets": {}, "ledger": [],
+    "epsilon_measured": 0.5, "predicted_exponent": 1.75, "budgets": {"mass_over_L": 0.0},
+    "ledger": [],
 }
 
 
@@ -245,6 +277,7 @@ def test_report_reads_the_minimal_report(tmp_path, capsys):
     (_report_with(sup=[1]), 'field sup must be an object with exactly the keys "+" and "-"'),
     (_report_with(epsilon_measured="a"), "field epsilon_measured must be a positive number"),
     (_report_with(fits=[{"time": None}]), "field fits must be a list of objects with the keys"),
+    (_report_with(budgets={}), "field budgets must be an object with a number mass_over_L"),
     (_report_with(times=[0.0, 1.0]),
      "the sup series of sign + must map exactly the shells [2.0] to one number per time (2)"),
     (_report_with(sup={"+": {}, "-": {"2.0": [1.0]}}),
@@ -434,8 +467,8 @@ def test_threads_flag_is_gone(capsys):
      "error: shell 2^3 weighs no grid point (dx = 512)"),
     ("verify-normal-form", "commutator=1", "unknown config key 'commutator'"),
     ("verify-normal-form", "bands=2", "bands must be a non-empty list"),
-    ("verify-normal-form", "threshold=\"tight\"", "threshold must be a number"),
-    ("verify-normal-form", "threshold=NaN", "threshold must be a number"),
+    # the cancellation bound is criterion 6's, which no config relaxes
+    ("verify-normal-form", "threshold=1", "unknown config key 'threshold'"),
     ("verify-operators", "n_fields=0", "n_fields must be at least 1"),
     ("verify-operators", "commutator.n_fields=0", "commutator.n_fields must be at least 1"),
     ("verify-normal-form", "trials_per_case=0", "trials_per_case must be at least 1"),
@@ -556,9 +589,9 @@ OUT_OF_DOMAIN_RUN = ("n_points=512", "box_length=200", "t_final=0.01", "dt=0.001
     (["initial.kind=soliton_bump", "initial.bump_width=-1"], "initial.bump_width must be positive"),
     # 2^j overflows, or no grid point lies in the shell (dx = 0.39): no
     # series may come out as all zeros
-    (["shells=[2.5, 3.0, 3.5, 1e6]"], "shells: the largest, 2^1000000.0, exceeds box_length/4"),
-    (["shells=[2.5, 3.0, 3.5, -2000]"], "shells [-2000] weigh no grid point"),
-    (["shells=[-3, 2.5, 3.0, 3.5]"], "shells [-3] weigh no grid point"),
+    (["shells=[2.5, 3.0, 3.5, 1e6]"], "shell 2^1000000.0 exceeds box_length/4 = 50"),
+    (["shells=[2.5, 3.0, 3.5, -2000]"], "shell 2^-2000 weighs no grid point (dx = 0.391)"),
+    (["shells=[-3, 2.5, 3.0, 3.5]"], "shell 2^-3 weighs no grid point (dx = 0.391)"),
     # chi_k^+ keeps no grid mode (Nyquist 8.04, or 2.01 at n = 128)
     (["gauge.enabled=true", "gauge.bands=[0, 5000]"], "gauge.bands [5000] keep no grid mode"),
     (["gauge.enabled=true", "gauge.bands=[-5000]"], "gauge.bands [-5000] keep no grid mode"),
@@ -897,11 +930,11 @@ def test_measure_decay_nan_report_exits_3_and_keeps_previous_files(tmp_path, mon
 
 
 def test_manifest_with_nan_is_refused(tmp_path):
-    path = write_manifest(str(tmp_path), "evolve", {"dt": 0.1}, [], {})
-    before = open(path, "rb").read()
+    write_manifest(str(tmp_path), "evolve", {"dt": 0.1}, [], {})
+    before = (tmp_path / "manifest.json").read_bytes()
     with pytest.raises(AcceptanceFailure):
         write_manifest(str(tmp_path), "evolve", {"dt": float("nan")}, [], {})
-    assert open(path, "rb").read() == before
+    assert (tmp_path / "manifest.json").read_bytes() == before
     assert os.listdir(tmp_path) == ["manifest.json"]
 
 

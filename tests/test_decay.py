@@ -91,7 +91,8 @@ def test_config_rejects_oversized_shells():
 
 def test_readme_config_block_is_the_experiment_defaults():
     # the README's "Config format" schema is the one `evolve` and `measure-decay` merge over
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
     block = readme.split("### Config format", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     assert json.loads(block) == EXPERIMENT_DEFAULTS
 
@@ -284,7 +285,8 @@ def test_report_json_csv_round_trip(tmp_path):
     assert back.times == rep.times
     assert back.sup == rep.sup
     assert back.fits == rep.fits
-    header = open(cpath).readline().strip()
+    with open(cpath) as fh:
+        header = fh.readline().strip()
     assert header == "time,quantity,sign,shell,value"
 
 
@@ -322,13 +324,10 @@ def test_report_with_nan_is_refused_and_previous_file_kept(tmp_path):
 
 
 def test_report_bitwise_reproducibility(tmp_path):
-    paths = []
-    for i in range(2):
-        rep = run(_small_config())
-        p = os.path.join(tmp_path, f"rep{i}.json")
-        rep.to_json(p)
-        paths.append(p)
-    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    paths = [tmp_path / f"rep{i}.json" for i in range(2)]
+    for path in paths:
+        run(_small_config()).to_json(str(path))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_gauge_band_measurement():

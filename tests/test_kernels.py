@@ -357,6 +357,6 @@ def test_sweep_rows_and_csv(tmp_path):
     rows += sweep([replace(spec, j=j) for j in (2.0, 3.0)], nx=3, ny=3)
     path = str(tmp_path / "rows.csv")
     rows_to_csv(rows, path)
-    lines = open(path).read().strip().split("\n")
+    lines = (tmp_path / "rows.csv").read_text().strip().split("\n")
     assert lines[0] == "variant,j,k,a,ell,t,sup,quad_flag"
     assert len(lines) == 5

@@ -5,7 +5,7 @@ from bolab.errors import BolabError
 from bolab.grid import ComplexField, Field, Grid
 from bolab.kernels import fit_decay
 from bolab.normal_form import gauge_polynomial, phi_coeffs, transform, transformed_residual
-from bolab.pseudoproduct import BandKernel, assemble_B, nf_generator_terms
+from bolab.pseudoproduct import BandKernel, _gauge_projections, assemble_B, nf_generator_terms
 from bolab.solver import SolverState, evolve, soliton
 from bolab.spectral import (coeffs_of, derivative, hilbert, lp_project, lp_values, multiply,
                             weighted_shell_sup)
@@ -16,7 +16,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::bolab.errors.AliasingWarning")
 
 def rhs_terms(u, k, order, ll_factor=100.0):
     """The four nonlinear terms of the transformed equation (``Bundle.terms``)."""
-    return transform(u, BandKernel(u.grid, k, order, ll_factor)).terms(u)
+    return transform(u, BandKernel(u.grid, k, order, ll_factor)).terms(u)[0]
 
 
 def phi_equation_residual(snapshots):
@@ -331,7 +331,7 @@ def test_residual_report_csv(tmp_path, grid_small, rng):
     rep = transformed_residual([(s.t, s.w) for s in snaps], 2.0, 2)
     path = str(tmp_path / "residuals.csv")
     residual_reports_to_csv([rep], path)
-    lines = open(path).read().strip().split("\n")
+    lines = (tmp_path / "residuals.csv").read_text().strip().split("\n")
     # the README's "Residual CSV" columns
     assert lines[0] == ("k,N,dt,L,residual_inf,budget_dt2,budget_massL,budget_alias,"
                         "residual_box_exact,term_scale")
@@ -394,7 +394,7 @@ def test_right_side_matches_the_field_by_field_terms(rng, n, box, k, order, fact
     u = Field(grid, random_band_limited(grid, rng, 0.25).samples + mean)
     reference, ref_delta = _right_side_field_by_field(u, k, order, factor)
     bundle = transform(u, BandKernel(u.grid, k, order, factor))
-    terms = bundle.terms(u)
+    terms, u_ll = bundle.terms(u)
     rhs, delta, term_scale = bundle.right_side(u)
     scale = max(np.max(np.abs(t)) for t in (*reference.values(), ref_delta))
     assert terms.keys() == reference.keys()
@@ -406,7 +406,8 @@ def test_right_side_matches_the_field_by_field_terms(rng, n, box, k, order, fact
     assert np.max(np.abs(delta - ref_delta)) <= 1e-13 * scale
     assert abs(term_scale - max(np.max(np.abs(t)) for t in reference.values())) <= 1e-13 * scale
     if factor < 100.0:
-        assert np.max(np.abs(bundle.phi_ll)) > 0.0 and np.max(np.abs(bundle.u_ll)) > 0.0
+        assert np.array_equal(u_ll, _gauge_projections(bundle.kernel, bundle.c)[1])
+        assert np.max(np.abs(bundle.phi_ll)) > 0.0 and np.max(np.abs(u_ll)) > 0.0
 
 
 @pytest.mark.parametrize("n_snapshots", [3, 5])

@@ -530,7 +530,7 @@ def test_ledger_csv(tmp_path):
     snaps = evolve(st, 0.1, snapshot_stride=5)
     path = os.path.join(tmp_path, "ledger.csv")
     ledger_to_csv(snaps[-1].ledger, path)
-    lines = open(path).read().strip().split("\n")
+    lines = (tmp_path / "ledger.csv").read_text().strip().split("\n")
     assert lines[0] == "t,mass,l2,hamiltonian"
     assert len(lines) == len(snaps[-1].ledger) + 1
 
