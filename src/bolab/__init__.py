@@ -7,9 +7,10 @@ frequency-lattice operators and the normal-form correction B_k
 (pseudoproduct), time evolution (solver), the approximate-gauge
 transformation and its residual verifier (normal_form), localized propagator
 kernels (kernels), the decay-measurement harness (decay), and the random
-fields, verification measurements and dense oracles shared by the tests and
-the verify commands (testing).  The command-line front end (cli) imports
-them, and no module imports it.
+fields and verification measurements shared by the tests and the verify
+commands (testing).  The command-line front end (cli) imports them, and no
+module imports it.  The oracles that only the tests evaluate are not part of
+the package: they live in ``tests/oracles.py``.
 """
 
 __version__ = "0.1.0"

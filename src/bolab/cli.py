@@ -325,13 +325,14 @@ def _check_normal_form(config: dict) -> None:
 
 def _check_kernels(config: dict) -> None:
     _check_counts(config, "schro_points")
-    # each sweep is fitted against its parameter, at four or more points
-    # (kernels.fit_decay's rule) no two of which may share it (measure-decay's
-    # rule for its shells); checked here, before any quadrature
+    # each sweep is fitted against its parameter, at FIT_MIN_POINTS or more points
+    # no two of which may share it (measure-decay's rule for its shells); checked
+    # here, before any quadrature
+    least = kernels.FIT_MIN_POINTS
     for sweep, key in (("t_sweep", "times"), ("j_sweep", "shells"), ("right_sweep", "times")):
         values = config[sweep][key]
-        if len(values) < 4:
-            raise ConfigError(f"{sweep}.{key} must hold 4 or more entries, got {values!r}")
+        if len(values) < least:
+            raise ConfigError(f"{sweep}.{key} must hold {least} or more entries, got {values!r}")
         check_distinct(f"{sweep}.{key}", values)
     # the t-sweep is fitted against log2 t
     if min(config["t_sweep"]["times"]) <= 0:

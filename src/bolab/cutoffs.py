@@ -17,13 +17,11 @@ difference:
     le(j, y)      = base_le(2^-j y)                   (one for y <= 2^j)
     shell(j, y)   = le(j, y) - le(j-1, y)             (supported on [2^{j-1}, 2^{j+1}])
 
-with their derivatives ``le_deriv`` and ``shell_deriv`` in y.  The symmetric
-(both-sign) members ``le_abs`` and ``shell_abs`` evaluate the half-line
-member at |y|; a negative-half cutoff is the half-line member evaluated at
--y.  The very-low-pass member of the gauge transformation is
-``ll(k, N, y, factor)`` = le(k - factor*N, |y|), the factor set by the
-caller (the tested property is support separation from the 2^k band, which
-callers assert).
+The symmetric (both-sign) members ``le_abs`` and ``shell_abs`` evaluate the
+half-line member at |y|; a negative-half cutoff is the half-line member
+evaluated at -y.  The very-low pass chi_{<<k} of the gauge transformation is
+the member le_abs(k - factor*N, y), the factor set by the caller (the tested
+property is support separation from the 2^k band, which callers assert).
 
 Indices may be any real number: members are continuous functions of 2^-j y,
 vectorized over y, also where 2^j is not a normal double (``le`` then takes
@@ -49,12 +47,6 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bump_deriv(t: np.ndarray) -> np.ndarray:
-    """d/dt exp(-1/t) = exp(-1/t)/t^2 on t > 0."""
-    t = np.asarray(t, dtype=float)
-    return np.divide(_bump(t), t**2, out=np.zeros_like(t), where=t > 0)
-
-
 def smoothstep(t: np.ndarray) -> np.ndarray:
     """Monotone C-infinity ramp: 0 for t <= 0, 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
@@ -63,22 +55,11 @@ def smoothstep(t: np.ndarray) -> np.ndarray:
     return a / np.maximum(a + b, _TINY)
 
 
-def smoothstep_deriv(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    a = _bump(t)
-    b = _bump(1.0 - t)
-    ap = _bump_deriv(t)
-    bp = _bump_deriv(1.0 - t)
-    s = np.maximum(a + b, _TINY)
-    return (ap * b + a * bp) / s**2
-
-
 def _scaled(j: float, y: np.ndarray) -> np.ndarray:
     """2^-j y for a normal 2^j, with y first clamped to [-2^(j+2), 2^(j+2)]: below
-    and above that range ``le`` is exactly 1 and 0 and ``le_deriv`` 0, so the clamp
-    changes no value and keeps the quotient finite (no overflow warning) where 2^j is
-    tiny.  The bound is a Python float, which is inf, with no warning, where 2^(j+2)
-    overflows."""
+    and above that range ``le`` is exactly 1 and 0, so the clamp changes no value
+    and keeps the quotient finite (no overflow warning) where 2^j is tiny.  The
+    bound is a Python float, which is inf, with no warning, where 2^(j+2) overflows."""
     scale = 2.0 ** float(j)
     return np.maximum(np.minimum(y, 4.0 * scale), -4.0 * scale) / scale
 
@@ -92,20 +73,9 @@ def le(j: float, y) -> np.ndarray:
     return smoothstep(2.0 - _scaled(j, y))
 
 
-def le_deriv(j: float, y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if not -1022 <= j < 1024:
-        return np.zeros_like(y)
-    return -smoothstep_deriv(2.0 - _scaled(j, y)) / 2.0**j
-
-
 def shell(j: float, y) -> np.ndarray:
     """chi^+_j = chi^+_{<=j} - chi^+_{<=j-1}, supported on [2^{j-1}, 2^{j+1}]."""
     return le(j, y) - le(j - 1, y)
-
-
-def shell_deriv(j: float, y) -> np.ndarray:
-    return le_deriv(j, y) - le_deriv(j - 1, y)
 
 
 def shell_holds(j: float, points: np.ndarray) -> bool:
@@ -128,8 +98,3 @@ def le_abs(j: float, y) -> np.ndarray:
 
 def shell_abs(j: float, y) -> np.ndarray:
     return shell(j, np.abs(np.asarray(y, dtype=float)))
-
-
-def ll(k: float, order: int, y, factor: float) -> np.ndarray:
-    """Very-low-pass chi_{<< k} = chi_{<= k - factor*order}(|y|)."""
-    return le_abs(k - factor * order, y)

@@ -28,7 +28,7 @@ from .errors import ConfigError, DegenerateSeriesError
 from .files import (atomic_write_text, check_distinct, check_distinct_integers, is_number,
                     json_text, merge_config, read_json_object, write_csv)
 from .grid import Field, Grid
-from .kernels import FitResult, fit_decay
+from .kernels import FitResult, fit_decay, low_frequency_index
 from .normal_form import Bundle
 from .pseudoproduct import LL_FACTOR, BandKernel
 from .solver import SolverState, SpongeConfig, load_snapshot, soliton, stream
@@ -331,7 +331,7 @@ class SnapshotTables:
             self.weights[sign] = np.zeros((len(self.shells), hi - lo))
             for row, (s, values) in zip(self.weights[sign], supports):
                 row[s.start - lo:s.stop - lo] = values
-        self.k0 = {j: -(1.0 - config.epsilon_assumed) / 2.0 * j for j in self.shells}
+        self.k0 = {j: low_frequency_index(j, config.epsilon_assumed) for j in self.shells}
         k_min, k_max = lp_partition_bounds(grid)
         # a shell sums only the bands k > k0(j): the bands no shell sums are not inverted
         self.band_ks = [k for k in range(k_min + 1, k_max + 1) if k > min(self.k0.values())]
@@ -388,7 +388,8 @@ class SnapshotTables:
         ``normal_form.Bundle``).  Each series is one ``_sups``: the field's of its
         magnitude per sign, the low-pass rows' of theirs, the band sums' of each shell's
         total of the bands above k0(j), and each gauge band's of |v|; every sup is the
-        same float as ``weighted_sup``'s of the same row."""
+        same float as the maximum of the shell's weights times the row on its support
+        alone."""
         values = [sup for sign in "+-"
                   for sup in self._sups(sign, np.abs(w.samples[self.windows[sign]],
                                                      out=self._row[sign]))]

@@ -71,6 +71,14 @@ _BLOCK = 2**18
 #: largest |j|, |k| and |ell| of a kernel: every scale a spec forms, up to
 #: 4^k and 2^(ell + 10), is then a finite double
 INDEX_MAX = 500.0
+#: the fewest distinct parameters that ``fit_decay`` fits
+FIT_MIN_POINTS = 4
+
+
+def low_frequency_index(j: float, epsilon: float) -> float:
+    """k0(j) = -(1 - epsilon)/2 * j, the band below which the low-frequency
+    pieces of shell j lie (``KernelSpec.k0``, the decay harness's low-pass)."""
+    return -(1.0 - epsilon) / 2.0 * j
 
 
 @dataclass
@@ -124,7 +132,7 @@ class KernelSpec:
 
     @property
     def k0(self) -> float:
-        return -(1.0 - self.epsilon) / 2.0 * self.j
+        return low_frequency_index(self.j, self.epsilon)
 
     def time_threshold(self) -> float:
         if self.variant not in RIGHT_VARIANTS:
@@ -330,8 +338,9 @@ def fit_decay(pairs: Sequence[tuple[float, float]]) -> FitResult:
     sweeps).  Requires positive values at four or more distinct parameters."""
     params = np.array([p for p, _ in pairs], dtype=float)
     distinct = len(set(params.tolist()))
-    if distinct < 4:
-        raise DegenerateSeriesError(f"need points at 4 or more distinct parameters, got {distinct}")
+    if distinct < FIT_MIN_POINTS:
+        raise DegenerateSeriesError(
+            f"need points at {FIT_MIN_POINTS} or more distinct parameters, got {distinct}")
     values = np.array([v for _, v in pairs], dtype=float)
     if np.any(values <= 0.0):
         raise DegenerateSeriesError("all sup values must be positive for a log fit")

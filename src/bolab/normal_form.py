@@ -171,8 +171,8 @@ def phi_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
     """Coefficients c / (i xi) of the mean-removed antiderivative phi of the u on
     ``grid`` whose coefficients are c, with no transform: zero at xi = 0, which
     removes the mean, and at the unpaired Nyquist mode.
-    ``bolab.testing.antiderivative_mean_removed``, a round trip through samples,
-    is its oracle."""
+    The tests' ``oracles.antiderivative_mean_removed``, a round trip through
+    samples, is its oracle."""
     xi = grid.xi
     out = np.divide(c, 1j * xi, out=np.zeros_like(c), where=xi != 0)
     out[0] = 0.0  # Nyquist

@@ -13,10 +13,10 @@ pointwise products of B_k outputs and projections of u
 (``normal_form.Bundle.terms``); their inputs are expected below 1/4 of
 Nyquist, and ``check_dealias_margin`` warns otherwise.
 
-The closed-form branch symbols of the quadratic cancellation live in
-``bolab.testing`` (``nf_branch_symbol``): with ``bilinear_apply`` they are
-the dense oracle of ``assemble_B``, which evaluates no symbol table.  The
-input half-line projections keep eta = 0 off the lattice, the
+The closed-form branch symbols of the quadratic cancellation live with the
+tests (``nf_branch_symbol`` in ``tests/oracles.py``): with ``bilinear_apply``
+they are the dense oracle of ``assemble_B``, which evaluates no symbol
+table.  The input half-line projections keep eta = 0 off the lattice, the
 ll * chi(xi) / (2 eta) pieces of the branch symbols cancel, and what is left
 is the half kernel
 
@@ -305,8 +305,8 @@ def assemble_B(
     B_k(f, f) takes one transform and one half kernel.  The output is kept
     on xi > 0 inside the 2^k band broadened by the width of the gauge
     low-pass, and scaled by ``NF_NORMALIZATION``.
-    ``bilinear_apply`` of ``bolab.testing.nf_branch_symbol``'s branches is
-    the dense oracle it matches to roundoff.
+    ``bilinear_apply`` of the tests' closed-form branch symbols
+    (``oracles.nf_branch_symbol``) is the dense oracle it matches to roundoff.
     """
     grid = require_same_grid(f, g)
     fc = coeffs_of(np.asarray(f.samples), grid)

@@ -116,21 +116,6 @@ def conserved(state: SolverState) -> tuple[float, float, float]:
     return mass, l2, energy
 
 
-def rhs(state: SolverState) -> Field:
-    """Full right-hand side w_t in the state's frame (diagnostic form).
-
-    The quadratic term, present when ``state.nonlinear``, is dealiased by the
-    2/3 rule; the sponge contributes -sigma(x) w when enabled, with or without
-    the quadratic term.
-    """
-    grid = state.w.grid
-    theta = _half_spectrum(linear_symbol(grid, state.drift()))
-    v = np.fft.rfft(state.w.samples)
-    out = _nonlinearity(grid, state.sponge.profile(grid), state.nonlinear)(v, np.empty_like(v))
-    out += 1j * theta * v
-    return Field(grid, np.fft.irfft(out, grid.n_points))
-
-
 def _half_spectrum(a: np.ndarray) -> np.ndarray:
     """A math-order multiplier on the rfft entries m = 0 .. n/2 (FFT order)."""
     return np.fft.ifftshift(a)[: a.size // 2 + 1]

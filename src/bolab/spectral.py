@@ -1,5 +1,5 @@
-"""Fourier transforms, multipliers, Hilbert transform, dyadic projections,
-spatial shell cutoffs and weighted measurements on the periodic grid.
+"""Fourier transforms, multipliers, Hilbert transform, dyadic projections and
+spatial shell cutoffs on the periodic grid.
 
 Discrete transform pair (math-ordered coefficients, symmetric normalization),
 ``coeffs_of`` and ``samples_of`` on plain arrays:
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -175,7 +175,7 @@ def lp_partition_bounds(grid: Grid) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# spatial cutoffs and weighted measurements
+# spatial cutoffs
 # ---------------------------------------------------------------------------
 
 
@@ -199,21 +199,6 @@ def spatial_cutoff(f: Field | ComplexField, j: float, sign: str) -> Field | Comp
     return type(f)(f.grid, spatial_cutoff_values(f.grid, j, sign) * np.asarray(f.samples))
 
 
-def weighted_shell_sup(f: Field | ComplexField,
-                       shells: Iterable[float]) -> dict[float, dict[str, float]]:
-    """Per-shell, per-sign weighted sup norms sup_x |chi_j^{+-}(x) f(x)|.
-
-    A shell that ``spatial_cutoff_values`` refuses, one whose support
-    [2^{j-1}, 2^{j+1}] does not fit in the half-box or that weighs no grid
-    point, raises DegenerateShellError.
-    """
-    a = np.abs(np.asarray(f.samples))
-    return {
-        float(j): {sign: weighted_sup(shell_weight(f.grid, j, sign), a) for sign in "+-"}
-        for j in shells
-    }
-
-
 def shell_weight(grid: Grid, j: float, sign: str) -> tuple[slice, np.ndarray]:
     """``spatial_cutoff_values`` on its support: (s, values), the weight being zero off
     the slice s."""
@@ -221,12 +206,6 @@ def shell_weight(grid: Grid, j: float, sign: str) -> tuple[slice, np.ndarray]:
     nz = np.flatnonzero(w)
     s = slice(nz[0], nz[-1] + 1)
     return s, w[s].copy()
-
-
-def weighted_sup(weight: tuple[slice, np.ndarray], a: np.ndarray) -> float:
-    """sup_x weight(x) a(x) for a >= 0 and a ``shell_weight`` (s, values)."""
-    s, values = weight
-    return float(np.max(values * a[s]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
-"""Deterministic random-field builders, the verification measurements
-shared by the test suite and the CLI verification commands, and the
-field-by-field oracles of the normal form: the mean-removed antiderivative
-and the half-line projection of a field, and the dense branch symbols of
-``pseudoproduct.assemble_B``.
+"""Deterministic random-field builders and the verification measurements
+shared by the test suite and the CLI verification commands.  The oracles
+that only the tests evaluate live beside them, in ``tests/oracles.py``.
 
 All generators work in frequency space so fields are exactly band-limited,
 mean-zero and Nyquist-free (the conventions every projector assumes), with
@@ -18,7 +16,7 @@ from . import cutoffs
 from .errors import ConfigError, KernelDomainError
 from .grid import ComplexField, Field, Grid
 from .kernels import KernelSpec, fit_decay, phase_integral, sweep
-from .pseudoproduct import LL_FACTOR, QUARTIC_MARGIN, BilinearSymbol, verify_nf_cancellation
+from .pseudoproduct import QUARTIC_MARGIN, verify_nf_cancellation
 from .spectral import (apply_multiplier, coeffs_of, derivative, hilbert, lp_partition_bounds,
                        lp_project, samples_of, spatial_cutoff)
 
@@ -30,14 +28,9 @@ def random_band_limited(
     grid: Grid,
     rng: np.random.Generator,
     band_fraction: float = 0.5,
-    decay: float = 0.0,
 ) -> Field:
     """Real mean-zero field with spectrum supported in 0 < |xi| <= fraction * Nyquist.
-
-    ``decay`` multiplies each coefficient by exp(-decay * |xi|), producing
-    smoother fields with soliton-like spectral tails when positive.  A band
-    that holds no grid mode raises ConfigError.
-    """
+    A band that holds no grid mode raises ConfigError."""
     n = grid.n_points
     coeffs = np.zeros(n, dtype=complex)
     limit = band_fraction * grid.nyquist
@@ -48,8 +41,6 @@ def random_band_limited(
         raise ConfigError(f"no grid mode lies in 0 < |xi| <= {band_fraction} * Nyquist: "
                           f"dxi = {grid.dxi:.3g}, Nyquist {grid.nyquist:.3g}")
     vals = (rng.normal(size=half.shape) + 1j * rng.normal(size=half.shape)) * live
-    if decay > 0.0:
-        vals = vals * np.exp(-decay * xi_half)
     center = n // 2
     coeffs[center + half] = vals
     coeffs[center - half] = np.conj(vals)
@@ -188,110 +179,3 @@ def kernel_exponents(
         "schro_reduction_max_diff": _sup(v1 - v2),
     }
     return t_rows + j_rows + r_rows, exponents
-
-
-# ---------------------------------------------------------------------------
-# the field-by-field oracles of the normal form
-# ---------------------------------------------------------------------------
-
-
-def antiderivative_mean_removed(u: Field) -> tuple[Field, float]:
-    """Mean-removed spectral antiderivative, by a round trip through samples.
-
-    Returns (phi, mass) with d/dx phi = u - mean(u), mean(phi) = 0 and
-    mass = integral of u over the box.  The sign matches the convention that
-    phi increases where u > mean(u).  ``normal_form.phi_coeffs`` forms the
-    coefficients of phi directly from those of u.
-    """
-    grid = u.grid
-    c = coeffs_of(u.samples, grid)
-    out = np.zeros_like(c)
-    nz = np.abs(grid.xi) > 0
-    out[nz] = c[nz] / (1j * grid.xi[nz])
-    out[0] = 0.0  # Nyquist
-    phi = samples_of(out, grid)
-    mass = float(grid.dx * np.sum(u.samples))
-    return Field(grid, phi.real), mass
-
-
-def half_project(f: Field | ComplexField, sign: str) -> ComplexField:
-    """P^+ / P^- of a field, Nyquist zeroed; the normal form applies them to
-    coefficients as the masks ``BandKernel.plus`` and ``minus``."""
-    mask = np.sign(f.grid.xi) == (1 if sign == "+" else -1)
-    mask[0] = False  # the unpaired Nyquist mode
-    return apply_multiplier(lambda xi: mask, f)
-
-
-#: sign patterns (xi, xi - eta, eta) of the nonzero branches; the other five
-#: (two negative input frequencies, or a negative output) vanish
-BRANCHES = ("+++", "++-", "+-+")
-
-_MVT_SWITCH = 1e-8  # relative to the band scale 2^k
-
-
-def _diff_quotient(k: float, a, b, den) -> np.ndarray:
-    """(chi_k^+(a) - chi_k^+(b)) / (2 den), removable singularity at den = 0
-    evaluated as the derivative value chi_k^+'(a) / 2."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    den = np.asarray(den, dtype=float)
-    small = np.abs(den) < _MVT_SWITCH * 2.0**k
-    safe = np.where(small, 1.0, den)
-    value = (cutoffs.shell(k, a) - cutoffs.shell(k, b)) / (2.0 * safe)
-    return np.where(small, 0.5 * cutoffs.shell_deriv(k, a), value)
-
-
-def _complement_ratio(k: float, order: int, factor: float, den) -> np.ndarray:
-    """(1 - chi_{<< k}(den)) / (2 den); the numerator vanishes identically near 0."""
-    den = np.asarray(den, dtype=float)
-    numer = 1.0 - cutoffs.ll(k, order, den, factor)
-    small = np.abs(den) < 1e-300
-    return np.where(small, 0.0, numer / (2.0 * np.where(small, 1.0, den)))
-
-
-def nf_branch_symbol(k: float, order: int, branch: str,
-                     ll_factor: float = LL_FACTOR) -> BilinearSymbol:
-    """Closed-form symbol of one nonzero branch of the quadratic normal-form
-    correction; with ``pseudoproduct.bilinear_apply`` the dense O(n^2) oracle
-    of ``assemble_B``.
-
-    ``branch`` is the sign pattern (e1 e2 e3) of (xi, xi-eta, eta), one of
-    ``BRANCHES``.  The xi-support is the 2^k band broadened by the gauge
-    low-pass width.
-    """
-    if branch not in BRANCHES:
-        raise ValueError(f"invalid branch tag {branch!r}")
-    pad = 2.0 ** (k - ll_factor * order + 1)
-    xi_support = (2.0 ** (k - 1) - pad, 2.0 ** (k + 1) + pad)
-
-    if branch == "+++":
-
-        def fn(xi, eta):
-            xi = np.asarray(xi, dtype=float)
-            eta = np.asarray(eta, dtype=float)
-            shell = cutoffs.shell(k, xi)
-            return (
-                cutoffs.ll(k, order, eta, ll_factor) * _diff_quotient(k, xi, xi - eta, eta)
-                + shell * _complement_ratio(k, order, ll_factor, eta)
-                + cutoffs.ll(k, order, xi - eta, ll_factor) * _diff_quotient(k, xi, eta, xi - eta)
-                + shell * _complement_ratio(k, order, ll_factor, xi - eta)
-            )
-
-    elif branch == "++-":
-
-        def fn(xi, eta):
-            xi = np.asarray(xi, dtype=float)
-            eta = np.asarray(eta, dtype=float)
-            return (cutoffs.shell(k, xi) * _complement_ratio(k, order, ll_factor, eta)
-                    + cutoffs.ll(k, order, eta, ll_factor) * _diff_quotient(k, xi, xi - eta, eta))
-
-    else:  # "+-+" by the reflection eta -> xi - eta of "++-"
-
-        ppm = nf_branch_symbol(k, order, "++-", ll_factor)
-
-        def fn(xi, eta):
-            xi = np.asarray(xi, dtype=float)
-            eta = np.asarray(eta, dtype=float)
-            return ppm.fn(xi, xi - eta)
-
-    return BilinearSymbol(fn=fn, xi_support=xi_support)

@@ -18,8 +18,8 @@ from bolab.kernels import fit_decay
 from bolab.normal_form import transformed_residual
 from bolab.pseudoproduct import SQRT_2PI, BilinearSymbol, bilinear_apply, leibnitz_check
 from bolab.solver import SolverState, evolve, soliton
-from bolab.spectral import hilbert, weighted_shell_sup
-from bolab.decay import ExperimentConfig, bootstrap_predict, run
+from bolab.spectral import hilbert
+from bolab.decay import ExperimentConfig, SnapshotTables, bootstrap_predict, run
 from bolab.testing import (
     commutator_constants,
     kernel_exponents,
@@ -34,6 +34,13 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 SHELLS = [2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5]
+
+
+def _shell_tables(grid: Grid, shells: list) -> SnapshotTables:
+    """measure-decay's snapshot measurement on ``grid`` and ``shells``: the first two
+    blocks of its ``measure`` are the weighted sups sup |chi_j^+ w| and sup |chi_j^- w|."""
+    return SnapshotTables(ExperimentConfig(n_points=grid.n_points, box_length=grid.box_length,
+                                           shells=shells))
 
 
 def _report(number: int, name: str, passed: bool, detail: str, timing: str = "") -> None:
@@ -92,9 +99,11 @@ def test_criterion_02_hilbert_closed_form():
     window = np.abs(g.x) <= g.box_length / 100.0
     err_window = float(np.max(err[window]))
     err_box = float(np.max(err))
-    hs = hilbert(soliton(1.0, 0.0, g))
-    sups = weighted_shell_sup(hs, [3.0, 3.5, 4.0, 4.5, 5.0, 5.5])
-    fit = fit_decay([(j, max(v["+"], v["-"])) for j, v in sups.items()])
+    tables = _shell_tables(g, [3.0, 3.5, 4.0, 4.5, 5.0, 5.5])
+    sups = tables.measure(hilbert(soliton(1.0, 0.0, g)))
+    count = len(tables.shells)
+    fit = fit_decay([(j, max(plus, minus)) for j, plus, minus
+                     in zip(tables.shells, sups[:count], sups[count:2 * count])])
     ok = err_window <= 1e-4 and err_box <= 2.5 / g.box_length and abs(fit.slope + 1.0) <= 0.15
     _report(
         2,
@@ -286,10 +295,11 @@ def test_criterion_09_solver_fidelity(soliton_run):
 
 def test_criterion_10_sharp_soliton_decay(soliton_run):
     _, snaps = soliton_run
+    tables = _shell_tables(snaps[0].w.grid, SHELLS)
     slopes = []
     for snap in snaps:
-        sups = weighted_shell_sup(snap.w, SHELLS)
-        fit = fit_decay([(j, v["+"]) for j, v in sups.items()])
+        sups = tables.measure(snap.w)
+        fit = fit_decay(list(zip(tables.shells, sups[:len(SHELLS)])))
         slopes.append(-fit.slope)
     ok = all(abs(e - 2.0) <= 0.1 for e in slopes)
     _report(

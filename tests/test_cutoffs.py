@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 
 from bolab import cutoffs
-from bolab.cutoffs import smoothstep, smoothstep_deriv
+from bolab.cutoffs import smoothstep
 from bolab.grid import Grid
 from bolab.spectral import lp_values
+from oracles import le_deriv, shell_deriv, smoothstep_deriv
 
 
 def test_smoothstep_endpoints():
@@ -54,21 +55,18 @@ def test_partition_of_unity_pointwise():
     assert np.max(np.abs(total[inside] - 1.0)) < 1e-12
 
 
-def test_ll_matches_literal_definition():
+def test_very_low_pass_vanishes_well_below_its_band():
+    # chi_{<<k} = chi_{<= k - factor * order} is separated from the 2^k band
     y = np.linspace(-3.0, 3.0, 101)
-    k, order = 5.0, 2
-    assert np.array_equal(
-        cutoffs.ll(k, order, y, factor=100.0), cutoffs.le_abs(k - 200.0, y)
-    )
-    # support separation: vanishes well below the band
-    assert np.all(cutoffs.ll(k, order, y, factor=3.0)[np.abs(y) >= 2.0 ** (k - 5)] == 0.0)
+    k, order, factor = 5.0, 2, 3.0
+    assert np.all(cutoffs.le_abs(k - factor * order, y)[np.abs(y) >= 2.0 ** (k - 5)] == 0.0)
 
 
 def test_shell_derivative_matches_finite_difference():
     y = np.linspace(3.0, 17.0, 400)
     h = 1e-6
     fd = (cutoffs.shell(3.0, y + h) - cutoffs.shell(3.0, y - h)) / (2 * h)
-    an = cutoffs.shell_deriv(3.0, y)
+    an = shell_deriv(3.0, y)
     assert np.max(np.abs(fd - an)) < 1e-5
 
 
@@ -85,7 +83,7 @@ def test_indices_whose_dyadic_scale_is_normal_keep_the_formula_bit_for_bit():
         y = np.linspace(-1.0, 3.0, 101) * 2.0 ** (j - 1)
         t = 2.0 - y / 2.0**j
         assert np.array_equal(cutoffs.le(j, y), smoothstep(t))
-        assert np.array_equal(cutoffs.le_deriv(j, y), -smoothstep_deriv(t) / 2.0**j)
+        assert np.array_equal(le_deriv(j, y), -smoothstep_deriv(t) / 2.0**j)
 
 
 def test_tiny_normal_dyadic_scales_divide_without_overflow():
@@ -99,12 +97,12 @@ def test_tiny_normal_dyadic_scales_divide_without_overflow():
             tiny = 2.0 ** j
             assert cutoffs.le(j, 32.0) == 0.0
             assert np.array_equal(cutoffs.le(j, y), [1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
-            assert np.array_equal(cutoffs.le_deriv(j, y), np.zeros(7))
+            assert np.array_equal(le_deriv(j, y), np.zeros(7))
             # inside the clamp the formula is kept bit for bit
             inside = np.linspace(-4.0, 4.0, 81) * tiny
             t = 2.0 - inside / tiny
             assert np.array_equal(cutoffs.le(j, inside), smoothstep(t))
-            assert np.array_equal(cutoffs.le_deriv(j, inside), -smoothstep_deriv(t) / tiny)
+            assert np.array_equal(le_deriv(j, inside), -smoothstep_deriv(t) / tiny)
         # where 2^(j+2) overflows the clamp is infinite and changes nothing
         assert np.array_equal(cutoffs.le(1023.5, [1e308, -1e308]),
                               smoothstep(2.0 - np.array([1e308, -1e308]) / 2.0**1023.5))
@@ -118,11 +116,11 @@ def test_indices_whose_dyadic_scale_under_or_overflows():
         warnings.simplefilter("error")
         for j in (-1023.0, -1075.0, -4e6):
             assert np.array_equal(cutoffs.le(j, y), [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-            assert np.array_equal(cutoffs.le_deriv(j, y), np.zeros(6))
+            assert np.array_equal(le_deriv(j, y), np.zeros(6))
             assert cutoffs.le_abs(j, 0.0) == 1.0
         for j in (1024.0, 1100.0, 4e6):
             assert np.array_equal(cutoffs.le(j, y), np.ones(6))
-            assert np.array_equal(cutoffs.le_deriv(j, y), np.zeros(6))
+            assert np.array_equal(le_deriv(j, y), np.zeros(6))
             assert np.array_equal(cutoffs.shell(j, y), np.zeros(6))
         # the low-pass multiplier keeps the zero mode at any depth
         grid = Grid(256, 400.0)

@@ -34,9 +34,9 @@ from bolab.spectral import (
     lp_values,
     samples_of,
     spatial_cutoff_values,
-    weighted_shell_sup,
 )
-from bolab.testing import antiderivative_mean_removed, random_band_limited
+from bolab.testing import random_band_limited
+from oracles import antiderivative_mean_removed, weighted_shell_sup
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,7 @@ def test_fit_rejects_degenerate_series():
 def test_fit_soliton_shell_sups():
     from bolab.grid import Grid
     from bolab.solver import soliton
-    from bolab.spectral import weighted_shell_sup
+    from oracles import weighted_shell_sup
 
     g = Grid(4096, 400.0)
     s = soliton(1.0, 0.0, g)

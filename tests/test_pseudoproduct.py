@@ -25,7 +25,8 @@ from bolab.pseudoproduct import (
 )
 from bolab.solver import soliton
 from bolab.spectral import coeffs_of, derivative, lp_project, multiply
-from bolab.testing import BRANCHES, half_project, nf_branch_symbol, random_band_limited
+from bolab.testing import random_band_limited
+from oracles import BRANCHES, half_project, nf_branch_symbol, shell_deriv
 
 ONE = BilinearSymbol(fn=lambda xi, eta: np.ones(np.broadcast(xi, eta).shape))
 
@@ -47,7 +48,7 @@ def test_band_symbol_matches_projection_composition(grid_medium, rng):
     # b(xi, eta) = chi_k(xi) chi_{<<k}(eta) realizes P_k(f * P_{<<k} g)
     k, order, factor = 3.0, 1, 3.0
     sym = BilinearSymbol(
-        fn=lambda xi, eta: cutoffs.shell_abs(k, xi) * cutoffs.ll(k, order, eta, factor)
+        fn=lambda xi, eta: cutoffs.shell_abs(k, xi) * cutoffs.le_abs(k - factor * order, eta)
     )
     f = random_band_limited(grid_medium, rng, 0.25)
     g = random_band_limited(grid_medium, rng, 0.25)
@@ -121,8 +122,8 @@ def _ratio_form_ppp(k, order, factor, xi, eta):
     (valid off the removable lines)."""
     num = (
         cutoffs.shell(k, xi) * xi
-        - cutoffs.shell(k, xi - eta) * cutoffs.ll(k, order, eta, factor) * (xi - eta)
-        - cutoffs.shell(k, eta) * cutoffs.ll(k, order, xi - eta, factor) * eta
+        - cutoffs.shell(k, xi - eta) * cutoffs.le_abs(k - factor * order, eta) * (xi - eta)
+        - cutoffs.shell(k, eta) * cutoffs.le_abs(k - factor * order, xi - eta) * eta
     )
     return num / (2.0 * (xi - eta) * eta)
 
@@ -153,7 +154,7 @@ def test_difference_quotient_removable_singularity():
     sym = nf_branch_symbol(k, 2, "++-", ll_factor=3.0)
     xi = 5.0
     near = complex(sym(np.array(xi), np.array(1e-12)))
-    expected = 0.5 * float(cutoffs.shell_deriv(k, np.array(xi)))
+    expected = 0.5 * float(shell_deriv(k, np.array(xi)))
     assert abs(near - expected) < 1e-6 * max(1.0, abs(expected))
     # and approaches it continuously from lattice-scale offsets
     small = complex(sym(np.array(xi), np.array(1e-5)))
@@ -199,7 +200,7 @@ def test_symbol_equation_pointwise():
         return 0.5 * (np.abs(z) - z)
 
     def chi_ll(z):
-        return cutoffs.ll(k, order, z, factor)
+        return cutoffs.le_abs(k - factor * order, z)
 
     def chikp(z):
         return cutoffs.shell(k, z)

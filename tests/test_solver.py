@@ -20,13 +20,13 @@ from bolab.solver import (
     ledger_to_csv,
     linear_symbol,
     load_snapshot,
-    rhs,
     soliton,
     step,
     stream,
 )
 from bolab.spectral import coeffs_of, derivative, hilbert, samples_of
 from bolab.testing import random_band_limited
+from oracles import rhs
 
 
 def shift(f, offset):

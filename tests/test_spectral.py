@@ -25,10 +25,10 @@ from bolab.spectral import (
     shell_weight,
     spatial_cutoff_values,
     warn_band_edge,
-    weighted_shell_sup,
 )
 from bolab.kernels import fit_decay
-from bolab.testing import antiderivative_mean_removed, random_band_limited
+from bolab.testing import random_band_limited
+from oracles import antiderivative_mean_removed, weighted_shell_sup
 
 # ---------------------------------------------------------------------------
 # transforms

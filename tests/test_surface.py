@@ -1,7 +1,6 @@
 """Lints of the surface of ``src/bolab`` against its callers: ``src/bolab``
-itself, ``perfbench/*.py`` and ``tests/test_acceptance.py``.  ``testing.py``,
-which holds the shared test helpers and oracles, is linted apart, with every
-test module as a caller.
+itself, ``perfbench/*.py`` and ``tests/test_acceptance.py``.  What only the
+unit tests call belongs with them, in ``tests/oracles.py``.
 
 * Every top-level function and class, and every method of a top-level class
   (dunder methods aside, which Python calls), has a caller: a name or
@@ -22,12 +21,13 @@ test module as a caller.
   ``multiprocessing``, or calls or imports ``os.fork``, ``os.pipe``,
   ``os.kill`` or ``os.waitpid``.
 
-The first three checks are name-level.  Any reference or call of the same name counts,
-so they cannot see a function whose name is also used for something else,
-such as a function kept as a documented oracle: ``solver.rhs``, the oracle
-of ``solver.step``, passes through the local ``rhs`` of
-``normal_form.Bundle.right_side``.  Nor can the second see a default that
-every caller only forwards unchanged: a ``cutoffs`` parameter threaded from
+* The package ships no test code: no module imports ``tests``, ``oracles``
+  or ``conftest``.
+
+The first three checks are name-level.  Any reference or call of the same
+name counts, so they cannot see a function whose name is also used for
+something else.  Nor can the second see a default that every caller only
+forwards unchanged: a ``cutoffs`` parameter threaded from
 ``normal_form.transform`` down to ``spectral.lp_values`` would pass, since
 each call in the chain passes it on, though no outermost caller sets it.
 """
@@ -39,8 +39,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "bolab").glob("*.py"))
 CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
-CHECKED = [path for path in SOURCES if path.name != "testing.py"]
-TESTING = [path for path in SOURCES if path.name == "testing.py"]
 #: the callers that may omit a default: every test, not only the acceptance run
 ALL_CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
@@ -79,7 +77,7 @@ def _unreferenced(checked, callers) -> list[str]:
 
 
 def test_every_top_level_name_and_method_has_a_caller():
-    assert _unreferenced(CHECKED, CALLERS) == []
+    assert _unreferenced(SOURCES, CALLERS) == []
 
 
 def _defaulted_parameters(tree: ast.AST):
@@ -151,18 +149,11 @@ def _always_passed(checked, callers) -> list[str]:
 
 
 def test_every_defaulted_parameter_is_passed_by_some_call():
-    assert _never_passed(CHECKED, CALLERS) == []
+    assert _never_passed(SOURCES, CALLERS) == []
 
 
 def test_every_defaulted_parameter_is_omitted_by_some_call():
-    assert _always_passed(CHECKED, ALL_CALLERS) == []
-
-
-def test_testing_helpers_pass_every_lint_with_every_test_module_as_a_caller():
-    # the helpers serve the tests, so every test module counts as a caller
-    assert _unreferenced(TESTING, ALL_CALLERS) == []
-    assert _never_passed(TESTING, ALL_CALLERS) == []
-    assert _always_passed(TESTING, ALL_CALLERS) == []
+    assert _always_passed(SOURCES, ALL_CALLERS) == []
 
 
 def _imports(path: Path) -> set:
@@ -233,3 +224,31 @@ def _process_machinery(path: Path) -> list[str]:
 def test_the_package_runs_in_one_process():
     found = [hit for path in SOURCES for hit in _process_machinery(path)]
     assert found == []
+
+
+TEST_MODULES = {"tests", "oracles", "conftest"}
+
+
+def _test_imports(path: Path) -> list[str]:
+    """Each import of a module of TEST_MODULES in the module ``path``, as
+    ``file:line name``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {name}" for name in names
+                  if name.split(".")[0] in TEST_MODULES]
+    return found
+
+
+def test_the_package_imports_no_test_module(tmp_path):
+    scratch = tmp_path / "scratch.py"
+    scratch.write_text("import numpy, oracles\nfrom tests.oracles import rhs\n"
+                       "from conftest import HERE\nfrom .grid import Grid\n")
+    assert _test_imports(scratch) == ["scratch.py:1 oracles", "scratch.py:2 tests.oracles",
+                                      "scratch.py:3 conftest"]
+    assert [hit for path in SOURCES for hit in _test_imports(path)] == []
