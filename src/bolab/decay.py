@@ -142,20 +142,6 @@ def bootstrap_predict(epsilon: float) -> float:
     return min(1.0 + 1.5 * epsilon, 2.0)
 
 
-def bootstrap_iteration_count(epsilon: float) -> int:
-    """Number of bootstrap passes until the exponent reaches 2 starting from
-    1 + epsilon; terminates because each pass multiplies the excess over 1 by
-    1.5, and an excess that rounds to 0 raises in ``bootstrap_predict``."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    count = 0
-    exponent = 1.0 + epsilon
-    while exponent < 2.0:
-        exponent = bootstrap_predict(exponent - 1.0)
-        count += 1
-    return count
-
-
 def measure_epsilon(fit: dict | None) -> float:
     """Excess over 1 of a ``sup_plus`` fit row's decay exponent, clamped to [0.05, 1];
     0.05 without a row (fewer than four positive shells)."""

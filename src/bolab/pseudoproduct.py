@@ -7,16 +7,18 @@ A bilinear pseudoproduct with symbol b acts through
 
 with dxi = 2*pi/L the lattice measure (so b == 1 reproduces sqrt(2 pi) f g
 exactly for band-limited inputs).  Frequencies outside the grid range are
-treated as zero (no circular wrap).  ``bilinear_apply`` is the dense O(n^2)
-lattice sum.  The cubic and quartic terms of the transformed equation are
-pointwise products of B_k outputs and projections of u
-(``normal_form.Bundle.terms``); their inputs are expected below 1/4 of
-Nyquist, and ``check_dealias_margin`` warns otherwise.
+treated as zero (no circular wrap).  The package evaluates pseudoproducts
+only as the paraproducts of B_k, each one linear convolution
+(``_lattice_conv``); the dense O(n^2) lattice sum of a symbol,
+``bilinear_apply``, is their oracle in ``tests/oracles.py``.  The cubic and
+quartic terms of the transformed equation are pointwise products of B_k
+outputs and projections of u (``normal_form.Bundle.terms``); their inputs
+are expected below 1/4 of Nyquist, and ``check_dealias_margin`` warns
+otherwise.
 
 The closed-form branch symbols of the quadratic cancellation live with the
-tests (``nf_branch_symbol`` in ``tests/oracles.py``): with ``bilinear_apply``
-they are the dense oracle of ``assemble_B``, which evaluates no symbol
-table.  The input half-line projections keep eta = 0 off the lattice, the
+tests (``nf_branch_symbol`` in ``tests/oracles.py``): with the dense sum
+they are the oracle of ``assemble_B``, which evaluates no symbol table.  The input half-line projections keep eta = 0 off the lattice, the
 ll * chi(xi) / (2 eta) pieces of the branch symbols cancel, and what is left
 is the half kernel
 
@@ -54,7 +56,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -64,7 +65,6 @@ from .errors import AliasingWarning, BolabError
 from .grid import ComplexField, Field, Grid
 from .spectral import (
     coeffs_of,
-    derivative,
     derivative_values,
     lp_values,
     multiply,
@@ -87,68 +87,6 @@ LL_FACTOR = 100.0
 #: dealiasing margin of the quartic terms of the transformed equation, as a
 #: fraction of the Nyquist frequency
 QUARTIC_MARGIN = 0.25
-
-
-# ---------------------------------------------------------------------------
-# symbol containers
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BilinearSymbol:
-    """Symbol b(xi, eta), with ``xi_support`` a closed interval (lo, hi)
-    outside of which it vanishes, or None for no restriction."""
-
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    xi_support: tuple[float, float] | None = None
-
-    def __call__(self, xi, eta) -> np.ndarray:
-        return np.asarray(self.fn(xi, eta), dtype=complex)
-
-
-def _indices_in(grid: Grid, support: tuple[float, float] | None) -> np.ndarray:
-    if support is None:
-        return np.arange(grid.n_points)
-    lo, hi = support
-    return np.nonzero((grid.xi >= lo) & (grid.xi <= hi))[0]
-
-
-# ---------------------------------------------------------------------------
-# lattice applications
-# ---------------------------------------------------------------------------
-
-
-def bilinear_apply(sym: BilinearSymbol, f: Field | ComplexField,
-                   g: Field | ComplexField) -> ComplexField:
-    """Apply a bilinear pseudoproduct by the direct O(n^2) lattice sum, over
-    the output frequencies in the symbol's ``xi_support``.  Frequencies
-    falling outside the grid contribute zero (zero-extension, not wrap-around).
-    """
-    grid = require_same_grid(f, g)
-    fc = coeffs_of(np.asarray(f.samples), grid)
-    gc = coeffs_of(np.asarray(g.samples), grid)
-    rows = _indices_in(grid, sym.xi_support)
-    # drop eta columns with no spectral content; keeps the sum deterministic
-    cols = np.flatnonzero(np.abs(gc) > 0.0)
-    out = np.zeros(grid.n_points, dtype=complex)
-    if len(rows) and len(cols):
-        values = sym(grid.xi[rows][:, None], grid.xi[cols][None, :])
-        shift = rows[:, None] - cols[None, :] + grid.n_points // 2
-        valid = (shift >= 0) & (shift < grid.n_points)
-        fv = np.where(valid, fc[np.clip(shift, 0, grid.n_points - 1)], 0.0)
-        out[rows] = (values * fv) @ gc[cols] * grid.dxi
-    return ComplexField(grid, samples_of(out, grid))
-
-
-def leibnitz_check(
-    sym: BilinearSymbol, f: Field | ComplexField, g: Field | ComplexField
-) -> float:
-    """Sup norm of d/dx B(f,g) - B(f',g) - B(f,g'); an exact lattice identity."""
-    lhs = derivative(bilinear_apply(sym, f, g))
-    rhs = bilinear_apply(sym, derivative(f), g).samples + bilinear_apply(
-        sym, f, derivative(g)
-    ).samples
-    return float(np.max(np.abs(lhs.samples - rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +243,9 @@ def assemble_B(
     B_k(f, f) takes one transform and one half kernel.  The output is kept
     on xi > 0 inside the 2^k band broadened by the width of the gauge
     low-pass, and scaled by ``NF_NORMALIZATION``.
-    ``bilinear_apply`` of the tests' closed-form branch symbols
-    (``oracles.nf_branch_symbol``) is the dense oracle it matches to roundoff.
+    The tests' dense lattice sum (``oracles.bilinear_apply``) of their
+    closed-form branch symbols (``oracles.nf_branch_symbol``) is the oracle
+    it matches to roundoff.
     """
     grid = require_same_grid(f, g)
     fc = coeffs_of(np.asarray(f.samples), grid)

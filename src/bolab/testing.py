@@ -1,6 +1,7 @@
 """Deterministic random-field builders and the verification measurements
-shared by the test suite and the CLI verification commands.  The oracles
-that only the tests evaluate live beside them, in ``tests/oracles.py``.
+shared by the acceptance tests and the CLI verification commands, each
+measuring with the code that the commands run.  The oracles that only the
+tests evaluate live beside them, in ``tests/oracles.py``.
 
 All generators work in frequency space so fields are exactly band-limited,
 mean-zero and Nyquist-free (the conventions every projector assumes), with
@@ -16,9 +17,9 @@ from . import cutoffs
 from .errors import ConfigError, KernelDomainError
 from .grid import ComplexField, Field, Grid
 from .kernels import KernelSpec, fit_decay, phase_integral, sweep
-from .pseudoproduct import QUARTIC_MARGIN, verify_nf_cancellation
-from .spectral import (apply_multiplier, coeffs_of, derivative, hilbert, lp_partition_bounds,
-                       lp_project, samples_of, spatial_cutoff)
+from .pseudoproduct import QUARTIC_MARGIN, SQRT_2PI, BandKernel, verify_nf_cancellation
+from .spectral import (apply_multiplier, coeffs_of, derivative, derivative_values, hilbert,
+                       lp_partition_bounds, lp_project, samples_of, spatial_cutoff)
 
 #: dyadic shells j of the Hilbert commutator constants
 COMMUTATOR_SHELLS = range(3, 9)
@@ -30,7 +31,8 @@ def random_band_limited(
     band_fraction: float = 0.5,
 ) -> Field:
     """Real mean-zero field with spectrum supported in 0 < |xi| <= fraction * Nyquist.
-    A band that holds no grid mode raises ConfigError."""
+    A band that holds no grid mode, or a box so large or so small that the
+    field's L2 norm underflows to 0 or overflows, raises ConfigError."""
     n = grid.n_points
     coeffs = np.zeros(n, dtype=complex)
     limit = band_fraction * grid.nyquist
@@ -44,7 +46,12 @@ def random_band_limited(
     center = n // 2
     coeffs[center + half] = vals
     coeffs[center - half] = np.conj(vals)
-    return Field(grid, samples_of(coeffs, grid).real)
+    field = Field(grid, samples_of(coeffs, grid).real)
+    norm = field.l2_norm()
+    if not 0.0 < norm < np.inf:
+        raise ConfigError(f"a random field on {grid!r} has L2 norm {norm:.3g}: the box is "
+                          "out of double precision's range")
+    return field
 
 
 #: support radius and number of the Gaussian bumps of ``random_compact_bump``
@@ -93,6 +100,32 @@ def operator_identity_errors(grid: Grid, rng: np.random.Generator, n_fields: int
         }
         for name, value in errors.items():
             worst[name] = max(worst[name], value)
+    return worst
+
+
+def convolution_identity_errors(grid: Grid, rng: np.random.Generator, n_pairs: int) -> dict:
+    """Worst relative errors over ``n_pairs`` pairs (f, g) of random fields,
+    band-limited to 1/4 of Nyquist, of two exact lattice identities of the
+    normal form's one lattice convolution, the paraproduct
+    p(f, g) = conv(P+f, Pg / (2 xi)) of ``BandKernel.paraproduct``: the product
+    identity p = sqrt(2 pi) a b, a and b the samples of P+f and Pg / (2 xi),
+    relative to the sup of the right side, and the Leibniz rule
+    d/dx p(f, g) = p(f', g) + p(f, g'), relative to sup f * sup g.  The
+    paraproduct's masks are the grid's, so any band's kernel serves."""
+    kernel = BandKernel(grid, 0.0, 1)
+    d1 = derivative_values(grid, 1)
+    worst = {"product": 0.0, "leibnitz": 0.0}
+    for _ in range(n_pairs):
+        f = random_band_limited(grid, rng, 0.25)
+        g = random_band_limited(grid, rng, 0.25)
+        fc, gc = coeffs_of(f.samples, grid), coeffs_of(g.samples, grid)
+        p = kernel.paraproduct(fc, gc)
+        target = (SQRT_2PI * samples_of(kernel.plus * fc, grid)
+                  * samples_of(kernel.inv2xi * gc, grid))
+        rule = d1 * p - kernel.paraproduct(d1 * fc, gc) - kernel.paraproduct(fc, d1 * gc)
+        worst["product"] = max(worst["product"], _sup(samples_of(p, grid) - target) / _sup(target))
+        worst["leibnitz"] = max(worst["leibnitz"],
+                                _sup(samples_of(rule, grid)) / (f.sup_norm() * g.sup_norm()))
     return worst
 
 

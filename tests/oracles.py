@@ -1,14 +1,17 @@
 """The test oracles of the package's fast paths: formulas that only the tests
 evaluate, each written apart from the code it checks.
 
+* the dense O(n^2) frequency-lattice sum of a bilinear symbol
+  (``bilinear_apply``) and its Leibniz rule, the reference of the
+  pseudoproduct identities that the package's one lattice convolution
+  (``pseudoproduct._lattice_conv``) meets;
 * the derivatives of the cutoff family (``le_deriv``, ``shell_deriv``), which
   only the removable singularity of the branch symbols needs;
 * the mean-removed antiderivative and the half-line projections of a field,
   by round trips through samples: the oracles of ``normal_form.phi_coeffs``
   and of the masks ``BandKernel.plus`` and ``minus``;
 * the closed-form branch symbols of the quadratic normal form, which with
-  ``pseudoproduct.bilinear_apply`` are the dense O(n^2) oracle of
-  ``pseudoproduct.assemble_B``;
+  ``bilinear_apply`` are the dense oracle of ``pseudoproduct.assemble_B``;
 * the right-hand side of the evolution equation from spectral's public
   operators, the oracle of ``solver.step``;
 * the weighted shell sups of a field, one shell and sign at a time, the
@@ -19,16 +22,74 @@ evaluate, each written apart from the code it checks.
 
 from __future__ import annotations
 
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
 from bolab import cutoffs
-from bolab.grid import ComplexField, Field
-from bolab.pseudoproduct import LL_FACTOR, BilinearSymbol
+from bolab.grid import ComplexField, Field, Grid
+from bolab.pseudoproduct import LL_FACTOR
 from bolab.solver import SolverState
-from bolab.spectral import (apply_multiplier, coeffs_of, derivative, hilbert, samples_of,
-                            shell_weight)
+from bolab.spectral import (apply_multiplier, coeffs_of, derivative, hilbert,
+                            require_same_grid, samples_of, shell_weight)
+
+# ---------------------------------------------------------------------------
+# the dense lattice sum of a bilinear symbol
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class BilinearSymbol:
+    """Symbol b(xi, eta), with ``xi_support`` a closed interval (lo, hi)
+    outside of which it vanishes, or None for no restriction."""
+
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    xi_support: tuple[float, float] | None = None
+
+    def __call__(self, xi, eta) -> np.ndarray:
+        return np.asarray(self.fn(xi, eta), dtype=complex)
+
+
+def _indices_in(grid: Grid, support: tuple[float, float] | None) -> np.ndarray:
+    if support is None:
+        return np.arange(grid.n_points)
+    lo, hi = support
+    return np.nonzero((grid.xi >= lo) & (grid.xi <= hi))[0]
+
+
+def bilinear_apply(sym: BilinearSymbol, f: Field | ComplexField,
+                   g: Field | ComplexField) -> ComplexField:
+    """Apply a bilinear pseudoproduct by the direct O(n^2) lattice sum, over
+    the output frequencies in the symbol's ``xi_support``.  Frequencies
+    falling outside the grid contribute zero (zero-extension, not wrap-around).
+    """
+    grid = require_same_grid(f, g)
+    fc = coeffs_of(np.asarray(f.samples), grid)
+    gc = coeffs_of(np.asarray(g.samples), grid)
+    rows = _indices_in(grid, sym.xi_support)
+    # drop eta columns with no spectral content; keeps the sum deterministic
+    cols = np.flatnonzero(np.abs(gc) > 0.0)
+    out = np.zeros(grid.n_points, dtype=complex)
+    if len(rows) and len(cols):
+        values = sym(grid.xi[rows][:, None], grid.xi[cols][None, :])
+        shift = rows[:, None] - cols[None, :] + grid.n_points // 2
+        valid = (shift >= 0) & (shift < grid.n_points)
+        fv = np.where(valid, fc[np.clip(shift, 0, grid.n_points - 1)], 0.0)
+        out[rows] = (values * fv) @ gc[cols] * grid.dxi
+    return ComplexField(grid, samples_of(out, grid))
+
+
+def leibnitz_check(
+    sym: BilinearSymbol, f: Field | ComplexField, g: Field | ComplexField
+) -> float:
+    """Sup norm of d/dx B(f,g) - B(f',g) - B(f,g'); an exact lattice identity."""
+    lhs = derivative(bilinear_apply(sym, f, g))
+    rhs = bilinear_apply(sym, derivative(f), g).samples + bilinear_apply(
+        sym, f, derivative(g)
+    ).samples
+    return float(np.max(np.abs(lhs.samples - rhs)))
+
 
 # ---------------------------------------------------------------------------
 # derivatives of the cutoff family
@@ -125,8 +186,8 @@ def _complement_ratio(low: float, den) -> np.ndarray:
 def nf_branch_symbol(k: float, order: int, branch: str,
                      ll_factor: float = LL_FACTOR) -> BilinearSymbol:
     """Closed-form symbol of one nonzero branch of the quadratic normal-form
-    correction; with ``pseudoproduct.bilinear_apply`` the dense O(n^2) oracle
-    of ``assemble_B``.
+    correction; with ``bilinear_apply`` the dense O(n^2) oracle of
+    ``assemble_B``.
 
     ``branch`` is the sign pattern (e1 e2 e3) of (xi, xi-eta, eta), one of
     ``BRANCHES``.  The gauge's very-low pass chi_{<<k} is chi_{<= k - ll_factor

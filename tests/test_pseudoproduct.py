@@ -14,19 +14,17 @@ from bolab.pseudoproduct import (
     NF_NORMALIZATION,
     SQRT_2PI,
     BandKernel,
-    BilinearSymbol,
     _lattice_conv,
     assemble_B,
-    bilinear_apply,
     check_dealias_margin,
-    leibnitz_check,
     nf_generator_terms,
     verify_nf_cancellation,
 )
 from bolab.solver import soliton
 from bolab.spectral import coeffs_of, derivative, lp_project, multiply
 from bolab.testing import random_band_limited
-from oracles import BRANCHES, half_project, nf_branch_symbol, shell_deriv
+from oracles import (BRANCHES, BilinearSymbol, bilinear_apply, half_project, leibnitz_check,
+                     nf_branch_symbol, shell_deriv)
 
 ONE = BilinearSymbol(fn=lambda xi, eta: np.ones(np.broadcast(xi, eta).shape))
 

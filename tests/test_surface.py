@@ -1,6 +1,8 @@
 """Lints of the surface of ``src/bolab`` against its callers: ``src/bolab``
-itself, ``perfbench/*.py`` and ``tests/test_acceptance.py``.  What only the
-unit tests call belongs with them, in ``tests/oracles.py``.
+itself and ``perfbench/*.py``, what a command or a benchmark workload runs.
+What only the tests call, the acceptance criteria included, belongs with
+them, in ``tests/oracles.py``: a criterion measures with the code that a
+command runs.
 
 * Every top-level function and class, and every method of a top-level class
   (dunder methods aside, which Python calls), has a caller: a name or
@@ -38,7 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "bolab").glob("*.py"))
-CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+CALLERS = sorted((ROOT / "perfbench").glob("*.py"))
 #: the callers that may omit a default: every test, not only the acceptance run
 ALL_CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
