@@ -165,19 +165,18 @@ def run_verify_normal_form(config: dict, outdir: str, args: argparse.Namespace) 
     grid = Grid(config["n_points"], config["box_length"])
 
     # test fixture: perturb one half of B_k by a relative 1e-3
-    original = pseudoproduct._branches
+    original = pseudoproduct.BandKernel.combine
 
-    def buggy(*branch_args):
-        first, second = original(*branch_args)
-        return 1.001 * first, second
+    def buggy(kernel, first, second):
+        return original(kernel, 1.001 * first, second)
 
     try:
         if args.inject_symbol_bug:
-            pseudoproduct._branches = buggy
+            pseudoproduct.BandKernel.combine = buggy
         cases = testing.nf_cancellation_sweep(grid, rng, config["bands"], config["orders"],
                                               config["trials_per_case"], config["ll_factor"])
     finally:
-        pseudoproduct._branches = original
+        pseudoproduct.BandKernel.combine = original
 
     # a band that misses every mode the fields' products reach has nothing to
     # cancel (its terms are roundoff at most), and fails rather than pass

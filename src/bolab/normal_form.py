@@ -56,9 +56,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
+from typing import Iterator
 
 import numpy as np
 
+from .errors import GridMismatchError
 from .files import write_csv
 from .grid import ComplexField, Field, Grid
 from .pseudoproduct import (LL_FACTOR, QUARTIC_MARGIN, BandKernel, _gauge_projections,
@@ -95,9 +97,10 @@ class Bundle:
     the samples of A = u_k^+ + B_k(u, u) (one inverse transform, of
     chi_k^+ c + b_c), phi_ll and v_k = A E_N(phi_ll).  phi (``phi_coeffs``) is
     formed only when the gauge low-pass keeps a paired mode (``kernel.ll_resolved``);
-    otherwise the low-pass keeps no coefficient of phi, phi_ll = 0 and E_N(0) = 1
-    exactly, so v is A itself: phi_ll is not inverted and E_N not evaluated.  The
-    four literal terms and Delta_box are formed from them and ``_gauge_projections``."""
+    otherwise the low-pass keeps no coefficient of phi, phi_ll is the scalar 0.0,
+    not an array, and E_N(0) = 1 exactly, so v is A itself: phi_ll is not
+    inverted and E_N not evaluated.  The four literal terms and Delta_box are
+    formed from them and ``_gauge_projections``."""
 
     def __init__(self, kernel: BandKernel, c: np.ndarray, shared: np.ndarray):
         grid = kernel.grid
@@ -111,34 +114,37 @@ class Bundle:
             self.phi_ll = samples_of(kernel.low * phi_coeffs(grid, c), grid)
             self.v = self.a * gauge_polynomial(kernel.order, self.phi_ll)
         else:
-            self.phi_ll, self.v = np.zeros_like(self.a), self.a
+            self.phi_ll, self.v = 0.0, self.a
 
-    def terms(self, u: Field | ComplexField) -> tuple[dict[str, ComplexField], np.ndarray]:
+    def terms(self, u: Field | ComplexField) -> Iterator[tuple[str, ComplexField]]:
         """The four nonlinear terms of the transformed equation, assembled
-        exactly as written, for the u whose coefficients are c, and the samples
-        of u_ll, which Delta_box also takes; (H + i) is realized as 2i P^-.
-        Keys: B_rem (quadratic remainder), C_tilde, C (cubic), Q (quartic)."""
-        check_dealias_margin(u, self.c)
+        exactly as written, for the u whose coefficients are c, each yielded
+        as (key, term) once it is formed, so that ``right_side`` folds it in
+        and drops it: C_tilde (cubic), B_rem (quadratic remainder), C (cubic)
+        and Q (quartic).  Last comes ("u_ll", u_ll), which Delta_box also
+        takes.  (H + i) is realized as 2i P^-."""
         grid, kernel = u.grid, self.kernel
+        check_dealias_margin(grid, u.samples, self.c)
         c_usq = coeffs_of(multiply(u, u).samples, grid)
         d1 = derivative_values(grid, 1)
         # B_k is symmetric bit for bit: B(d_usq, u) + B(u, d_usq) = 2 B(d_usq, u);
         # its length-2n transforms set the peak memory, so it comes first
         c_tilde = -2j * samples_of(kernel.apply(d1 * c_usq, self.c), grid)
+        yield "C_tilde", ComplexField(grid, c_tilde)
         usq_ll = samples_of(kernel.low * c_usq, grid)
         u_kp, u_ll, hpi_du_ll, d_u_kp = _gauge_projections(kernel, self.c)
-        b_rem = hpi_du_ll * u_kp + 2j * u_ll * d_u_kp
+        yield "B_rem", ComplexField(grid, hpi_du_ll * u_kp + 2j * u_ll * d_u_kp)
         d_bu = samples_of(d1 * self.b_c, grid)
         bu = self.a - u_kp
-        c_full = c_tilde - usq_ll * u_kp + 2j * u_ll * d_bu + hpi_du_ll * bu
-        q = -usq_ll * bu
-        return {"B_rem": ComplexField(grid, b_rem), "C_tilde": ComplexField(grid, c_tilde),
-                "C": ComplexField(grid, c_full), "Q": ComplexField(grid, q)}, u_ll
+        yield "C", ComplexField(grid, c_tilde - usq_ll * u_kp + 2j * u_ll * d_bu + hpi_du_ll * bu)
+        yield "Q", ComplexField(grid, -usq_ll * bu)
+        yield "u_ll", ComplexField(grid, u_ll)
 
     def right_side(self, u: Field) -> tuple[np.ndarray, np.ndarray, float]:
         """(rhs, Delta_box, scale) at the snapshot u whose coefficients are c:
-        the four literal terms times their gauge factors, the exact
-        periodic-box correction, and the largest sup norm of a single term.
+        the four literal terms times their gauge factors, each folded into rhs
+        as ``terms`` forms it, the exact periodic-box correction, and the
+        largest sup norm of a single term.
 
         Delta_box = mean(u^2) A E_{N-1} - 2i mean(u) A' E_{N-1}
                     + A (u_ll - mean(u))^2 E_{N-2}
@@ -147,16 +153,17 @@ class Bundle:
         third is the second-order gauge-polynomial term beyond the first-order
         expansion (identically zero whenever the low-pass resolves only the mean).
         """
-        terms, u_ll = self.terms(u)
         order = self.kernel.order
         e_nm1 = gauge_polynomial(order - 1, self.phi_ll)
         g_top = (-1j * self.phi_ll) ** order / math.factorial(order)
-        rhs = (
-            -terms["B_rem"].samples * g_top
-            + terms["C_tilde"].samples * g_top
-            + terms["C"].samples * e_nm1
-            + terms["Q"].samples * e_nm1
-        )
+        factors = {"C_tilde": g_top, "B_rem": -g_top, "C": e_nm1, "Q": e_nm1}
+        rhs = scale = 0.0
+        for name, term in self.terms(u):
+            if name == "u_ll":
+                u_ll = term.samples
+            else:
+                scale = max(scale, term.sup_norm())
+                rhs += term.samples * factors[name]
         a = self.a
         ubar = float(np.mean(u.samples))
         mean_sq = float(np.mean(u.samples**2))
@@ -164,7 +171,7 @@ class Bundle:
         da = samples_of(derivative_values(u.grid, 1) * (self.kernel.chi * self.c + self.b_c),
                         u.grid)
         delta = mean_sq * a * e_nm1 - 2j * ubar * da * e_nm1 + a * (u_ll - ubar) ** 2 * e_nm2
-        return rhs, delta, max(term.sup_norm() for term in terms.values())
+        return rhs, delta, scale
 
 
 def phi_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
@@ -215,7 +222,9 @@ def transformed_residual(
     spacing, at least three of them.  The time derivative of v comes from
     centered differences, so the box-exact residual converges at O(dt^2);
     the residual against the literal terms additionally carries the
-    mass/L budget reported alongside.
+    mass/L budget reported alongside.  Snapshots that are too few, not
+    uniformly spaced, all at one time or hold a non-finite sample raise
+    ValueError, and snapshots on two grids GridMismatchError.
     """
     if len(snapshots) < 3:
         raise ValueError("need at least three snapshots")
@@ -224,7 +233,14 @@ def transformed_residual(
     dt = float(dts[0])
     if not np.allclose(dts, dt, rtol=1e-8, atol=1e-12):
         raise ValueError("snapshots must be uniformly spaced in time")
+    if dt == 0.0:
+        raise ValueError(f"snapshots must advance in time, but all are at t = {times[0]}")
     grid = snapshots[0][1].grid
+    for t, u in snapshots:
+        if u.grid != grid:
+            raise GridMismatchError(f"the snapshot at t = {t} is on {u.grid}, the first on {grid}")
+        if not np.all(np.isfinite(u.samples)):
+            raise ValueError(f"the snapshot at t = {t} holds a non-finite sample")
     kernel = BandKernel(grid, k, order, ll_factor)
 
     vs, sides = [], []
@@ -236,18 +252,18 @@ def transformed_residual(
             rhs, delta, term_scale = bundle.right_side(u)
             sides.append((rhs, delta))
             scale = max(scale, term_scale)
-            budget_alias = max(
-                budget_alias,
-                spectral_tail_mass(u, QUARTIC_MARGIN, bundle.c) * (1.0 + u.sup_norm()),
-            )
+            tail = float(spectral_tail_mass(grid, QUARTIC_MARGIN, bundle.c))
+            budget_alias = max(budget_alias, tail * (1.0 + u.sup_norm()))
         del bundle  # one snapshot's bundle at a time
     worst_literal = worst_exact = budget_mass = 0.0
     for i, (rhs, delta) in enumerate(sides, start=1):
         lhs = 1j * (vs[i + 1] - vs[i - 1]) / (2.0 * dt) - derivative(
             ComplexField(grid, vs[i]), 2
         ).samples
-        worst_literal = max(worst_literal, float(np.max(np.abs(lhs - rhs))))
-        worst_exact = max(worst_exact, float(np.max(np.abs(lhs - rhs - delta))))
+        lhs -= rhs
+        worst_literal = max(worst_literal, float(np.max(np.abs(lhs))))
+        lhs -= delta
+        worst_exact = max(worst_exact, float(np.max(np.abs(lhs))))
         budget_mass = max(budget_mass, float(np.max(np.abs(delta))))
 
     budget_dt2 = 0.0

@@ -67,7 +67,6 @@ from .spectral import (
     coeffs_of,
     derivative_values,
     lp_values,
-    multiply,
     require_same_grid,
     samples_of,
     spectral_tail_mass,
@@ -95,28 +94,30 @@ QUARTIC_MARGIN = 0.25
 
 
 def _lattice_conv(a_mask: np.ndarray, fc: np.ndarray, b_mask: np.ndarray, gc: np.ndarray,
-                  grid: Grid, rows: Callable[[], np.ndarray]) -> np.ndarray:
+                  grid: Grid, work: np.ndarray) -> np.ndarray:
     """sum_eta a(xi - eta) b(eta) * dxi on the grid frequencies, for the pieces
-    a = a_mask * fc and b = b_mask * gc.
+    a = a_mask * fc and b = b_mask * gc, along the last axis: of one field, or
+    of each field of a stack.
 
-    The pieces are formed in place in the first n entries of ``rows()``, two
-    complex rows of length 2n (``BandKernel._rows``), whose other n entries
-    are zeroed, so the convolution is a linear one and frequencies outside
-    the grid range are zero (the lattice's zero extension, no circular wrap):
-    three transforms in place, of which the n entries of the inverse from
-    n/2 on, times dxi, are the grid's.
+    The pieces are formed in place in the first n entries of the two arrays
+    of ``work`` (``BandKernel._rows``), each shaped like fc but with rows of
+    length 2n, whose other n entries are zeroed, so the convolution is a
+    linear one and frequencies outside the grid range are zero (the
+    lattice's zero extension, no circular wrap): three transforms in place,
+    of which the n entries of the inverse from n/2 on, times dxi, are the
+    grid's.
     """
     n = grid.n_points
-    fa, fb = rows()
-    np.multiply(a_mask, fc, out=fa[:n])
-    fa[n:] = 0.0
-    np.multiply(b_mask, gc, out=fb[:n])
-    fb[n:] = 0.0
+    fa, fb = work
+    np.multiply(a_mask, fc, out=fa[..., :n])
+    fa[..., n:] = 0.0
+    np.multiply(b_mask, gc, out=fb[..., :n])
+    fb[..., n:] = 0.0
     np.fft.fft(fa, out=fa)
     np.fft.fft(fb, out=fb)
     fa *= fb
     np.fft.ifft(fa, out=fa)
-    return fa[n // 2:n // 2 + n] * grid.dxi
+    return fa[..., n // 2:n // 2 + n] * grid.dxi
 
 
 def _check_separation(order: int, ll_factor: float) -> None:
@@ -149,9 +150,12 @@ class BandKernel:
     takes no transform.  The first paraproduct uses no table of the band, so
     the bands of one grid can share it (``paraproduct``).
 
-    The kernel holds the workspace of its paraproducts' transforms, two
-    complex rows of length 2n allocated on first use and kept while the
-    kernel lives: every caller (``SnapshotTables``, ``transformed_residual``,
+    Every table acts on the last axis, so a kernel serves one field or a
+    stack of fields (``nf_generator_terms``) alike.  The kernel holds the
+    workspace of its paraproducts' transforms, two complex arrays shaped like
+    its input but with rows of length 2n: allocated on first use, kept while
+    the kernel lives and made anew only for an input of another shape.  Every
+    caller (``SnapshotTables``, ``transformed_residual``,
     ``nf_generator_terms``, ``assemble_B``) runs its transforms in it.  A
     kernel handed a shared paraproduct holds none unless ``ll_resolved``."""
 
@@ -175,11 +179,13 @@ class BandKernel:
         self.outside = (grid.xi <= 0) | (grid.xi < lo) | (grid.xi > hi)
         self._work = np.empty((2, 0), dtype=complex)
 
-    def _rows(self) -> np.ndarray:
-        """The two complex rows of length 2n of the paraproducts' transforms,
-        allocated on first use and held as long as the kernel."""
-        if not self._work.size:
-            self._work = np.empty((2, 2 * self.grid.n_points), dtype=complex)
+    def _rows(self, shape: tuple) -> np.ndarray:
+        """The workspace of the paraproducts' transforms for inputs of ``shape``:
+        two complex arrays of that shape with rows of length 2n, held as long as
+        the kernel, or until an input of another shape replaces them."""
+        work_shape = (2, *shape[:-1], 2 * self.grid.n_points)
+        if self._work.shape != work_shape:
+            self._work = np.empty(work_shape, dtype=complex)
         return self._work
 
     def half(self, fc: np.ndarray, gc: np.ndarray, shared: np.ndarray | None = None) -> np.ndarray:
@@ -191,7 +197,8 @@ class BandKernel:
             shared = self.paraproduct(fc, gc)
         out = self.chi * shared
         if self.ll_resolved:
-            out -= _lattice_conv(self.chi, fc, self.low, self.inv2xi * gc, self.grid, self._rows)
+            out -= _lattice_conv(self.chi, fc, self.low, self.inv2xi * gc, self.grid,
+                                 self._rows(fc.shape))
         return out
 
     def paraproduct(self, fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
@@ -200,30 +207,32 @@ class BandKernel:
         fc = gc = c one serves B_k(u, u) in every band of the grid (see
         ``apply``).  Its masked inputs are formed in the kernel's workspace, so
         a steady call allocates no length-2n array."""
-        return _lattice_conv(self.plus, fc, self.inv2xi, gc, self.grid, self._rows)
+        return _lattice_conv(self.plus, fc, self.inv2xi, gc, self.grid, self._rows(fc.shape))
 
     def apply(self, fc: np.ndarray, gc: np.ndarray, shared: np.ndarray | None = None) -> np.ndarray:
         """Coefficients of B_k(f, g) from the coefficients of f and g: the sum
-        of the branches, masked to the output band and normalized.  For
-        ``gc is fc``, ``shared`` may pass in ``paraproduct(fc, fc)``, which the
-        bands of one snapshot share; the result is the same bit for bit."""
+        of its two halves, half(P+f, Pg) and half(P+g, Pf), masked to the
+        output band and normalized (``combine``).  For ``gc is fc`` the two
+        halves are equal and the one is computed once, and ``shared`` may pass
+        in ``paraproduct(fc, fc)``, which the bands of one snapshot share; the
+        result is the same bit for bit."""
         if shared is not None and gc is not fc:
             raise ValueError("a shared paraproduct serves only B_k(u, u)")
-        first, second = _branches(self, fc, gc, shared)
+        first = self.half(fc, gc, shared)
+        return self.combine(first, first if gc is fc else self.half(gc, fc))
+
+    def combine(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """Coefficients of B_k(f, g) from its halves half(P+f, Pg) and
+        half(P+g, Pf), in that order: their sum, which is the sum of the three
+        nonzero branches, masked to the output band and normalized.  A caller
+        that forms both B_k(f, g) and B_k(g, f) forms the two halves once and
+        passes them in both orders; verify-normal-form's
+        ``--inject-symbol-bug`` perturbs the first half here, so that each
+        order sees it."""
         out = first + second
-        out[self.outside] = 0.0
+        out[..., self.outside] = 0.0
         out *= NF_NORMALIZATION
         return out
-
-
-def _branches(kernel: BandKernel, fc: np.ndarray, gc: np.ndarray,
-              shared: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of half(P+f, Pg) and half(P+g, Pf), whose sum is the sum
-    of the three nonzero branches of B_k(f, g) before the output mask and the
-    normalization.  For ``gc is fc`` the two halves are equal and the one is
-    computed once, from ``shared`` when it is given."""
-    first = kernel.half(fc, gc, shared)
-    return first, first if gc is fc else kernel.half(gc, fc)
 
 
 def assemble_B(
@@ -258,18 +267,19 @@ def assemble_B(
 # ---------------------------------------------------------------------------
 
 
-def check_dealias_margin(u: Field | ComplexField, c: np.ndarray) -> None:
-    """Warn when the spectrum of u, whose coefficients are ``c``, carries mass
-    beyond QUARTIC_MARGIN * Nyquist."""
-    tail = spectral_tail_mass(u, QUARTIC_MARGIN, c)
-    scale = max(np.max(np.abs(np.asarray(u.samples))), 1e-300)
-    if tail > 1e-12 * scale:
-        warnings.warn(
-            f"spectral tail beyond {QUARTIC_MARGIN:.2f}*Nyquist has mass {tail:.2e}; "
-            "multilinear lattice sums may alias",
-            AliasingWarning,
-            stacklevel=3,
-        )
+def check_dealias_margin(grid: Grid, samples: np.ndarray, c: np.ndarray) -> None:
+    """Warn, once for each field of ``samples`` (one field, or a stack) whose
+    coefficients ``c`` carry mass beyond QUARTIC_MARGIN * Nyquist."""
+    tails = spectral_tail_mass(grid, QUARTIC_MARGIN, c)
+    scales = np.maximum(np.max(np.abs(samples), axis=-1), 1e-300)
+    for tail, scale in zip(np.ravel(tails), np.ravel(scales)):
+        if tail > 1e-12 * scale:
+            warnings.warn(
+                f"spectral tail beyond {QUARTIC_MARGIN:.2f}*Nyquist has mass {tail:.2e}; "
+                "multilinear lattice sums may alias",
+                AliasingWarning,
+                stacklevel=3,
+            )
 
 
 def _gauge_projections(kernel: BandKernel, c: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -285,53 +295,65 @@ def _gauge_projections(kernel: BandKernel, c: np.ndarray) -> tuple[np.ndarray, .
 
 
 def nf_generator_terms(
-    u: Field | ComplexField,
+    u: Field | ComplexField | list,
     k: float,
     order: int,
     ll_factor: float = LL_FACTOR,
-) -> dict[str, ComplexField]:
-    """The six terms of the quadratic generator whose sum must vanish.
+) -> dict[str, np.ndarray]:
+    """The samples of the six terms of the quadratic generator whose sum must
+    vanish, for the field u, or one row per field for a list u of fields on
+    one grid, which go through as one stack in one ``BandKernel``.
 
     (H + i) is realized as 2i P^- (identical off the mean, which every term
     kills through an x-derivative).  u and u^2 are transformed once each;
     every projection and derivative is a multiplier on their coefficients,
-    the three B_k terms share one ``BandKernel``, and each term is inverted
-    once.  The terms agree with the field-by-field formula to 1e-13 times
-    the largest term.
+    the three B_k terms share the kernel, the two half kernels of b_left
+    serve b_right too, and each term is inverted once.  Each field is checked
+    for aliasing once and warned of the band edge once at each of its two
+    P_k^+, as when it goes alone.  The terms agree with the field-by-field
+    formula to 1e-13 times the largest term.
     """
-    grid = u.grid
-    c = coeffs_of(np.asarray(u.samples), grid)
-    check_dealias_margin(u, c)
+    if isinstance(u, (Field, ComplexField)):
+        grid, samples = u.grid, np.asarray(u.samples)
+    else:
+        grid, samples = require_same_grid(*u), np.array([field.samples for field in u])
     kernel = BandKernel(grid, k, order, ll_factor)
+    c = coeffs_of(samples, grid)
+    check_dealias_margin(grid, samples, c)
+    # per field, the P_k^+ of u_k^+ and the P_k^+ of the transport term
+    for _ in range(2 * (samples.size // grid.n_points)):
+        warn_band_edge(grid, k)
     d1 = derivative_values(grid, 1)
-    warn_band_edge(grid, k)  # the P_k^+ of u_k^+
     u_kp, u_ll, hpi_du_ll, d_u_kp = _gauge_projections(kernel, c)
     c_hpi = 2j * kernel.minus * derivative_values(grid, 2) * c
     c_du = d1 * c
-    c_usq = coeffs_of(multiply(u, u).samples, grid)
-    warn_band_edge(grid, k)  # the P_k^+ of the transport term
-    terms = {
+    c_usq = coeffs_of(samples * samples, grid)
+    # both orders, each from the two halves formed once: B_k(f, g) = B_k(g, f)
+    # holds only while both halves are right, and the cancellation must see
+    # either one fail, in either order
+    left, right = kernel.half(c_hpi, c), kernel.half(c, c_hpi)
+    return {
         "transport": -1j * samples_of(kernel.chi * d1 * c_usq, grid),
         "gauge_hilbert": hpi_du_ll * u_kp,
         "gauge_derivative": 2j * u_ll * d_u_kp,
-        # both orders, not twice one: B_k(f, g) = B_k(g, f) holds only while its
-        # two half kernels are right, and the cancellation must see either one fail
-        "b_left": 1j * samples_of(kernel.apply(c_hpi, c), grid),
-        "b_right": 1j * samples_of(kernel.apply(c, c_hpi), grid),
+        "b_left": 1j * samples_of(kernel.combine(left, right), grid),
+        "b_right": 1j * samples_of(kernel.combine(right, left), grid),
         "b_derivative": -2.0 * samples_of(kernel.apply(c_du, c_du), grid),
     }
-    return {name: ComplexField(grid, samples) for name, samples in terms.items()}
 
 
 def verify_nf_cancellation(
-    u: Field | ComplexField,
+    u: Field | ComplexField | list,
     k: float,
     order: int,
     ll_factor: float = LL_FACTOR,
-) -> tuple[float, float]:
-    """(residual, scale): the sup norm of the assembled quadratic generator,
-    zero when the branch symbols solve the cancellation equation, and the
-    largest sup norm of a single generator term, its reference scale."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(residual, scale) of the field u, or of each field of a list u, as
+    ``nf_generator_terms`` takes them: the sup norm of the assembled quadratic
+    generator, zero when the branch symbols solve the cancellation equation,
+    and the largest sup norm of a single generator term, its reference
+    scale."""
     terms = nf_generator_terms(u, k, order, ll_factor)
-    total = sum(t.samples for t in terms.values())
-    return float(np.max(np.abs(total))), max(t.sup_norm() for t in terms.values())
+    total = sum(terms.values())
+    sups = [np.max(np.abs(term), axis=-1) for term in terms.values()]
+    return np.max(np.abs(total), axis=-1), np.max(sups, axis=0)

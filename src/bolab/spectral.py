@@ -40,29 +40,32 @@ from .grid import ComplexField, Field, Grid
 
 
 def coeffs_of(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    """Raw samples -> math-ordered coefficients (internal fast path).
+    """Raw samples -> math-ordered coefficients (internal fast path), along the
+    last axis, so that a stack of fields takes one call.
 
     For the even n of every grid, fftshift is the swap of the two halves."""
     a = np.fft.fft(samples)
     h = grid.n_points // 2
-    c = np.concatenate((a[h:], a[:h]))
+    c = np.concatenate((a[..., h:], a[..., :h]), axis=-1)
     c *= grid.dx / np.sqrt(2.0 * np.pi)
     c *= grid._phase
     return c
 
 
 def fft_ordered(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """ifftshift(coeffs * grid._phase) in a new complex array: math order to
-    FFT order, the swap of the two halves for the even n of every grid."""
+    """ifftshift(coeffs * grid._phase) in a new complex array, along the last
+    axis: math order to FFT order, the swap of the two halves for the even n of
+    every grid."""
     h = grid.n_points // 2
     out = np.empty(coeffs.shape, dtype=complex)
-    np.multiply(coeffs[h:], grid._phase[h:], out=out[:h])
-    np.multiply(coeffs[:h], grid._phase[:h], out=out[h:])
+    np.multiply(coeffs[..., h:], grid._phase[h:], out=out[..., :h])
+    np.multiply(coeffs[..., :h], grid._phase[:h], out=out[..., h:])
     return out
 
 
 def samples_of(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Math-ordered coefficients -> raw samples (internal fast path)."""
+    """Math-ordered coefficients -> raw samples (internal fast path), along the
+    last axis."""
     a = fft_ordered(coeffs, grid)
     np.fft.ifft(a, out=a)
     a *= np.sqrt(2.0 * np.pi) / grid.dx
@@ -227,9 +230,9 @@ def multiply(f: Field | ComplexField, g: Field | ComplexField) -> ComplexField:
     return ComplexField(f.grid, np.asarray(f.samples) * np.asarray(g.samples))
 
 
-def spectral_tail_mass(f: Field | ComplexField, fraction: float, c: np.ndarray) -> float:
-    """dxi * sum of |coefficients| c of f beyond fraction * Nyquist (aliasing
-    proxy)."""
-    grid = f.grid
+def spectral_tail_mass(grid: Grid, fraction: float, c: np.ndarray) -> np.ndarray:
+    """dxi * sum of |coefficients| c beyond fraction * Nyquist (aliasing proxy):
+    one value for each field of c, the coefficients of one field or of a stack
+    on ``grid``."""
     tail = np.abs(grid.xi) > fraction * grid.nyquist
-    return float(grid.dxi * np.sum(np.abs(c[tail])))
+    return grid.dxi * np.sum(np.abs(c[..., tail]), axis=-1)

@@ -148,18 +148,29 @@ def commutator_constants(grid: Grid, rng: np.random.Generator, n_fields: int) ->
     return consts
 
 
+#: fields of one (k, N) case of ``nf_cancellation_sweep`` that go through the
+#: generator as one stack: the 5 trials per case of verify-normal-form's defaults,
+#: and a cap, so that the memory of a sweep does not grow with its trials
+SWEEP_BLOCK = 8
+
+
 def nf_cancellation_sweep(
     grid: Grid, rng: np.random.Generator, bands: list, orders: list, trials: int, ll_factor: float
 ) -> list[tuple]:
     """``(k, N, trial, residual, scale)`` of the normal-form cancellation for
     ``trials`` random fields per band k and order N, each band-limited to
-    QUARTIC_MARGIN * Nyquist, so that their products stop at twice that."""
+    QUARTIC_MARGIN * Nyquist, so that their products stop at twice that.  The
+    fields are drawn in order, and each case's go through the generator in
+    stacks of at most SWEEP_BLOCK, each in one ``BandKernel``."""
     rows = []
     for k in bands:
         for order in orders:
-            for trial in range(trials):
-                u = random_band_limited(grid, rng, QUARTIC_MARGIN)
-                rows.append((k, order, trial, *verify_nf_cancellation(u, k, order, ll_factor)))
+            for start in range(0, trials, SWEEP_BLOCK):
+                fields = [random_band_limited(grid, rng, QUARTIC_MARGIN)
+                          for _ in range(min(SWEEP_BLOCK, trials - start))]
+                residual, scale = verify_nf_cancellation(fields, k, order, ll_factor)
+                rows += [(k, order, trial, *pair) for trial, pair in
+                         enumerate(zip(residual.tolist(), scale.tolist()), start=start)]
     return rows
 
 

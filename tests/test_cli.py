@@ -91,6 +91,17 @@ def test_verify_normal_form_pass_and_manifest(tmp_path):
     assert "normal_form_residuals.csv" in manifest["outputs"]
 
 
+def test_verify_normal_form_counts_each_fields_band_edge_warnings(tmp_path, capsys):
+    # 2^(6+1) reaches the default grid's Nyquist (128): each of band 6's 2 x 5
+    # fields warns once at each of its two P_k^+, though the fields of a case
+    # go through the generator as one stack
+    out = tmp_path / "edge"
+    assert main(["verify-normal-form", "--output-dir", str(out),
+                 "--override", "bands=[5,6]"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == {"BandEdgeWarning": 20}
+    assert "warnings: 20 BandEdgeWarning" in capsys.readouterr().err
+
+
 def test_verify_normal_form_fault_injection_exits_3(tmp_path, capsys):
     code = main([
         "verify-normal-form", "--output-dir", str(tmp_path / "bug"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bolab.errors import BolabError
+from bolab.errors import BolabError, GridMismatchError
 from bolab.grid import ComplexField, Field, Grid
 from bolab.kernels import fit_decay
 from bolab.normal_form import gauge_polynomial, phi_coeffs, transform, transformed_residual
@@ -17,7 +17,9 @@ pytestmark = pytest.mark.filterwarnings("ignore::bolab.errors.AliasingWarning")
 
 def rhs_terms(u, k, order, ll_factor=100.0):
     """The four nonlinear terms of the transformed equation (``Bundle.terms``)."""
-    return transform(u, BandKernel(u.grid, k, order, ll_factor)).terms(u)[0]
+    terms = dict(transform(u, BandKernel(u.grid, k, order, ll_factor)).terms(u))
+    del terms["u_ll"]
+    return terms
 
 
 def phi_equation_residual(snapshots):
@@ -272,6 +274,29 @@ def test_residual_needs_three_uniform_snapshots(grid_small, rng):
         transformed_residual([(0.0, u), (1.0, u), (2.5, u)], 2.0, 2)
 
 
+def test_residual_refuses_snapshots_all_at_one_time(grid_small, rng):
+    # dt = 0 would report residuals of 0 that pass criterion 7's inequalities
+    u = random_band_limited(grid_small, rng, 0.2)
+    with pytest.raises(ValueError, match="must advance in time, but all are at t = 0.0"):
+        transformed_residual([(0.0, u), (0.0, u), (0.0, u)], 2.0, 2)
+
+
+def test_residual_refuses_a_non_finite_sample(grid_small, rng):
+    # max(0.0, nan) is 0.0: a NaN sample would report all zeros, which pass
+    u = random_band_limited(grid_small, rng, 0.2)
+    bad = Field(grid_small, u.samples.copy())
+    bad.samples[7] = np.nan
+    with pytest.raises(ValueError, match="snapshot at t = 0.002 holds a non-finite sample"):
+        transformed_residual([(0.0, u), (1e-3, u), (2e-3, bad)], 2.0, 2)
+
+
+def test_residual_refuses_snapshots_on_two_grids(grid_small, grid_medium, rng):
+    u = random_band_limited(grid_small, rng, 0.2)
+    w = random_band_limited(grid_medium, rng, 0.2)
+    with pytest.raises(GridMismatchError, match=r"snapshot at t = 0.001 is on Grid\(n_points=512"):
+        transformed_residual([(0.0, u), (1e-3, w), (2e-3, u)], 2.0, 2)
+
+
 def test_residual_zero_field(grid_small):
     z = Field(grid_small, np.zeros(grid_small.n_points))
     rep = transformed_residual([(0.0, z), (1e-3, z), (2e-3, z)], 2.0, 2)
@@ -397,7 +422,8 @@ def test_right_side_matches_the_field_by_field_terms(rng, n, box, k, order, fact
     u = Field(grid, random_band_limited(grid, rng, 0.25).samples + mean)
     reference, ref_delta = _right_side_field_by_field(u, k, order, factor)
     bundle = transform(u, BandKernel(u.grid, k, order, factor))
-    terms, u_ll = bundle.terms(u)
+    terms = dict(bundle.terms(u))
+    u_ll = terms.pop("u_ll").samples
     rhs, delta, term_scale = bundle.right_side(u)
     scale = max(np.max(np.abs(t)) for t in (*reference.values(), ref_delta))
     assert terms.keys() == reference.keys()

@@ -7,11 +7,12 @@ import pytest
 from bolab import cutoffs
 from bolab.cli import NORMAL_FORM_DEFAULTS
 from bolab.decay import EXPERIMENT_DEFAULTS
-from bolab.errors import BandEdgeWarning, GridMismatchError
+from bolab.errors import AliasingWarning, BandEdgeWarning, GridMismatchError
 from bolab.grid import ComplexField, Field, Grid
 from bolab.kernels import fit_decay
 from bolab.pseudoproduct import (
     NF_NORMALIZATION,
+    QUARTIC_MARGIN,
     SQRT_2PI,
     BandKernel,
     _lattice_conv,
@@ -21,8 +22,9 @@ from bolab.pseudoproduct import (
     verify_nf_cancellation,
 )
 from bolab.solver import soliton
-from bolab.spectral import coeffs_of, derivative, lp_project, multiply
-from bolab.testing import random_band_limited
+from bolab.spectral import (coeffs_of, derivative, derivative_values, lp_project, multiply,
+                            samples_of)
+from bolab.testing import SWEEP_BLOCK, nf_cancellation_sweep, random_band_limited
 from oracles import (BRANCHES, BilinearSymbol, bilinear_apply, half_project, leibnitz_check,
                      nf_branch_symbol, shell_deriv)
 
@@ -243,7 +245,7 @@ def test_cancellation_single_positive_mode(grid_medium):
     mode = ComplexField(g, np.exp(1j * g.xi[m + g.n_points // 2] * g.x))
     terms = nf_generator_terms(mode, k, 2)
     for name, term in terms.items():
-        assert term.sup_norm() < 1e-11, name
+        assert np.max(np.abs(term)) < 1e-11, name
 
 
 def test_assemble_B_output_support(grid_medium, rng):
@@ -310,13 +312,13 @@ def test_assemble_B_diagonal_one_half_equals_two_halves(grid_medium, rng):
 
 
 def _new_rows(n):
-    return lambda: np.empty((2, 2 * n), dtype=complex)
+    return np.empty((2, 2 * n), dtype=complex)
 
 
-def _conv(a, b, grid, rows=None):
+def _conv(a, b, grid, work=None):
     """``_lattice_conv`` of a and b under unit masks, which leave them bit for bit."""
     ones = np.ones(grid.n_points)
-    return _lattice_conv(ones, a, ones, b, grid, rows or _new_rows(grid.n_points))
+    return _lattice_conv(ones, a, ones, b, grid, _new_rows(grid.n_points) if work is None else work)
 
 
 @pytest.mark.parametrize("n", [256, 1000, 4096])
@@ -329,7 +331,7 @@ def test_lattice_conv_equals_the_2n_convolution_bitwise(rng, n):
     assert np.array_equal(_conv(a, b, grid), expected)
     # in held rows left full of other values, which it must overwrite
     held = np.full((2, 2 * n), np.nan, dtype=complex)
-    assert np.array_equal(_conv(a, b, grid, lambda: held), expected)
+    assert np.array_equal(_conv(a, b, grid, held), expected)
     # the masks multiply the inputs, formed in the workspace
     mask = rng.uniform(size=n)
     padded = np.fft.ifft(np.fft.fft(mask * a, 2 * n) * np.fft.fft(b, 2 * n))
@@ -369,21 +371,30 @@ def test_second_paraproduct_runs_on_no_shipped_config_and_at_length_2n_where_it_
     assert kernel._work.shape == (2, 2048)
 
 
-def test_cancellation_takes_half_the_2n_transforms(fft_lengths, rng):
+def test_cancellation_convolves_each_half_once(fft_lengths, rng):
     # the second paraproduct of every half kernel is empty when chi_{<<k}
-    # resolves only xi = 0: 5 paraproducts of 3 transforms each (30 before)
+    # resolves only xi = 0, and b_left's two half kernels serve b_right: 3
+    # paraproducts of 3 transforms each (15 when b_right convolved its own, 30
+    # with the second paraproducts), for one field or a stack of five alike
     grid = Grid(1024, 8.0 * np.pi)
     u = random_band_limited(grid, rng, 0.25)
     fft_lengths.clear()
     verify_nf_cancellation(u, 2.0, 4)
-    assert fft_lengths.count(2048) == 15
+    assert fft_lengths.count(2048) == 9
+    fft_lengths.clear()
+    verify_nf_cancellation([random_band_limited(grid, rng, 0.25) for _ in range(5)], 2.0, 4)
+    assert fft_lengths.count(2048) == 9
 
 
-def test_cancellation_transforms_u_once_and_builds_one_kernel(fft_lengths, rng, monkeypatch):
-    # at most 10 grid-length transforms: u and u^2 forward, then one inverse
-    # each for u_ll, u_k^+ and the six terms (29 field by field, which
-    # transforms u seven times and i d^2u/dx^2 twice), and one BandKernel for
-    # the three B_k terms
+@pytest.mark.parametrize("trials, stacks_per_case", [(5, 1), (SWEEP_BLOCK + 3, 2)])
+def test_sweep_transforms_each_stack_once_and_builds_one_kernel_per_stack(
+        fft_lengths, rng, monkeypatch, trials, stacks_per_case):
+    # per stack of fields 10 grid-length transforms: u and u^2 forward, then
+    # one inverse each for the four gauge projections and the four terms that
+    # are not pointwise products (29 per field field by field, which
+    # transforms u seven times and i d^2u/dx^2 twice), besides the one that
+    # draws each field; and one BandKernel per stack, so one per (k, N) case
+    # at verify-normal-form's 5 trials
     built = []
     init = BandKernel.__init__
 
@@ -393,12 +404,72 @@ def test_cancellation_transforms_u_once_and_builds_one_kernel(fft_lengths, rng, 
 
     monkeypatch.setattr(BandKernel, "__init__", counted)
     grid = Grid(1024, 8.0 * np.pi)
-    u = random_band_limited(grid, rng, 0.25)
     fft_lengths.clear()
-    verify_nf_cancellation(u, 2.0, 4)
-    assert fft_lengths.count(1024) <= 10
-    assert fft_lengths.count(2048) == 15
-    assert len(built) == 1
+    rows = nf_cancellation_sweep(grid, rng, [1.0, 2.0], [2, 4], trials, 100.0)
+    cases = [(grid, k, order, 100.0) for k in (1.0, 2.0) for order in (2, 4)]
+    assert len(rows) == len(cases) * trials
+    assert built == [case for case in cases for _ in range(stacks_per_case)]
+    stacks = stacks_per_case * len(cases)
+    assert fft_lengths.count(1024) == 10 * stacks + len(rows)
+    assert fft_lengths.count(2048) == 9 * stacks
+
+
+@pytest.mark.filterwarnings("ignore::bolab.errors.BandEdgeWarning")
+def test_sweep_in_stacks_equals_the_sweep_field_by_field():
+    # each field drawn in turn, and alone through the generator in its own
+    # kernel, gives the same row bit for bit
+    grid = Grid(1024, 8.0 * np.pi)
+    bands, orders, trials = [0.0, 2.0, 4.0], [2, 4], SWEEP_BLOCK + 3
+    rows = nf_cancellation_sweep(grid, np.random.default_rng(7), bands, orders, trials, 100.0)
+    draw = np.random.default_rng(7)
+    alone = [(k, order, trial,
+              *map(float, verify_nf_cancellation(random_band_limited(grid, draw, QUARTIC_MARGIN),
+                                                 k, order)))
+             for k in bands for order in orders for trial in range(trials)]
+    assert rows == alone
+
+
+def test_stacks_transform_and_apply_as_their_rows(rng):
+    # a (5, n) stack through coeffs_of, samples_of and BandKernel.apply equals
+    # its rows one by one bit for bit, also when one kernel takes a stack, then
+    # one field, then a stack again, each in a workspace of its own shape
+    grid = Grid(1024, 8.0 * np.pi)
+    stack = np.array([random_band_limited(grid, rng, 0.25).samples for _ in range(5)])
+    c = coeffs_of(stack, grid)
+    assert all(np.array_equal(c[i], coeffs_of(row, grid)) for i, row in enumerate(stack))
+    back = samples_of(c, grid)
+    assert all(np.array_equal(back[i], samples_of(row, grid)) for i, row in enumerate(c))
+    g = 2j * derivative_values(grid, 2) * c
+    for k, order, factor in [(2.0, 4, 100.0), (1.0, 2, 1.0)]:
+        kernel = BandKernel(grid, k, order, factor)
+        rows = [BandKernel(grid, k, order, factor).apply(c[i], g[i]) for i in range(5)]
+        assert np.max(np.abs(rows)) > 0.0
+        for shape, take in [((2, 5, 2048), slice(None)), ((2, 2048), 3), ((2, 2, 2048), slice(1, 3))]:
+            out = kernel.apply(c[take], g[take])
+            assert np.array_equal(out, np.array(rows)[take]) and kernel._work.shape == shape
+
+
+@pytest.mark.filterwarnings("ignore::bolab.errors.BandEdgeWarning")
+def test_generator_b_left_equals_b_right_bitwise(rng):
+    # B_k(f, g) = B_k(g, f) bit for bit, with each half convolved once
+    grid = Grid(1024, 8.0 * np.pi)
+    fields = [random_band_limited(grid, rng, 0.25) for _ in range(3)]
+    for k in (0.0, 2.0, 4.0):
+        for factor in (100.0, 3.0, 1.0):
+            terms = nf_generator_terms(fields, k, 4, factor)
+            assert terms["b_left"].shape == (3, 1024) and np.max(np.abs(terms["b_left"])) > 0.0
+            assert np.array_equal(terms["b_left"], terms["b_right"])
+
+
+def test_generator_warns_each_field_of_a_stack(rng):
+    # one AliasingWarning check per field and one BandEdgeWarning per field at
+    # each of its two P_k^+, as when each field goes alone
+    grid = Grid(512, 16 * np.pi)
+    fields = [random_band_limited(grid, rng, 0.9) for _ in range(3)]
+    fields.append(random_band_limited(grid, rng, 0.25))
+    _, caught = _terms_and_warnings(nf_generator_terms, fields, 4.0, 2)
+    assert caught.count(AliasingWarning) == 3 and caught.count(BandEdgeWarning) == 8
+    assert len(caught) == 11
 
 
 def _generator_terms_field_by_field(u, k, order, ll_factor):
@@ -406,7 +477,7 @@ def _generator_terms_field_by_field(u, k, order, ll_factor):
     derivative or ``assemble_B`` per piece: the reference that
     ``nf_generator_terms`` matches to roundoff."""
     grid = u.grid
-    check_dealias_margin(u, coeffs_of(np.asarray(u.samples), grid))
+    check_dealias_margin(grid, np.asarray(u.samples), coeffs_of(np.asarray(u.samples), grid))
     u_ll = lp_project(u, k - ll_factor * order, "leq")
     u_kp = lp_project(u, k, "plus")
     du = derivative(u)
@@ -448,7 +519,7 @@ def test_generator_terms_match_the_field_by_field_terms(
     assert terms.keys() == reference.keys()
     scale = max(np.max(np.abs(term)) for term in reference.values())
     for name, ref in reference.items():
-        assert np.max(np.abs(terms[name].samples - ref)) <= 1e-13 * scale, name
+        assert np.max(np.abs(terms[name] - ref)) <= 1e-13 * scale, name
     assert all(np.max(np.abs(reference[name])) > 0.0
                for name in ("transport", "b_left", "b_right", "b_derivative"))
     assert caught == expected and caught.count(BandEdgeWarning) == band_edge
