@@ -302,7 +302,7 @@ class SnapshotTables:
     magnitude row per sign (the field's, then each gauge band's |v|), the magnitudes of
     the band rows and one row per shell (the low-pass rows', then the band totals) on the
     + window (every projection is weighted only there), and the weighted products of
-    either sign; the first gauge band's kernel holds the length-2n workspace of the
+    either sign; the first gauge band's kernel holds the workspace of the
     shared paraproduct."""
 
     def __init__(self, config: ExperimentConfig):

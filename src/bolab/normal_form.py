@@ -64,7 +64,7 @@ from .errors import GridMismatchError
 from .files import write_csv
 from .grid import ComplexField, Field, Grid
 from .pseudoproduct import (LL_FACTOR, QUARTIC_MARGIN, BandKernel, _gauge_projections,
-                            check_dealias_margin)
+                            _low_passed, check_dealias_margin)
 from .spectral import (
     coeffs_of,
     derivative,
@@ -100,7 +100,7 @@ class Bundle:
     otherwise the low-pass keeps no coefficient of phi, phi_ll is the scalar 0.0,
     not an array, and E_N(0) = 1 exactly, so v is A itself: phi_ll is not
     inverted and E_N not evaluated.  The four literal terms and Delta_box are
-    formed from them and ``_gauge_projections``."""
+    formed from them, ``_gauge_projections`` and ``_low_passed`` of u^2."""
 
     def __init__(self, kernel: BandKernel, c: np.ndarray, shared: np.ndarray):
         grid = kernel.grid
@@ -128,10 +128,10 @@ class Bundle:
         c_usq = coeffs_of(multiply(u, u).samples, grid)
         d1 = derivative_values(grid, 1)
         # B_k is symmetric bit for bit: B(d_usq, u) + B(u, d_usq) = 2 B(d_usq, u);
-        # its length-2n transforms set the peak memory, so it comes first
+        # its transforms set the peak memory, so it comes first
         c_tilde = -2j * samples_of(kernel.apply(d1 * c_usq, self.c), grid)
         yield "C_tilde", ComplexField(grid, c_tilde)
-        usq_ll = samples_of(kernel.low * c_usq, grid)
+        usq_ll = _low_passed(kernel, c_usq)
         u_kp, u_ll, hpi_du_ll, d_u_kp = _gauge_projections(kernel, self.c)
         yield "B_rem", ComplexField(grid, hpi_du_ll * u_kp + 2j * u_ll * d_u_kp)
         d_bu = samples_of(d1 * self.b_c, grid)

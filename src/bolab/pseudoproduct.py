@@ -8,17 +8,17 @@ A bilinear pseudoproduct with symbol b acts through
 with dxi = 2*pi/L the lattice measure (so b == 1 reproduces sqrt(2 pi) f g
 exactly for band-limited inputs).  Frequencies outside the grid range are
 treated as zero (no circular wrap).  The package evaluates pseudoproducts
-only as the paraproducts of B_k, each one linear convolution
-(``_lattice_conv``); the dense O(n^2) lattice sum of a symbol,
-``bilinear_apply``, is their oracle in ``tests/oracles.py``.  The cubic and
-quartic terms of the transformed equation are pointwise products of B_k
-outputs and projections of u (``normal_form.Bundle.terms``); their inputs
-are expected below 1/4 of Nyquist, and ``check_dealias_margin`` warns
-otherwise.
+only as the paraproducts of B_k (``_lattice_conv``); the dense O(n^2)
+lattice sum of a symbol, ``bilinear_apply``, is their oracle in
+``tests/oracles.py``.  The cubic and quartic terms of the transformed
+equation are pointwise products of B_k outputs and projections of u
+(``normal_form.Bundle.terms``); their inputs are expected below 1/4 of
+Nyquist, and ``check_dealias_margin`` warns otherwise.
 
 The closed-form branch symbols of the quadratic cancellation live with the
 tests (``nf_branch_symbol`` in ``tests/oracles.py``): with the dense sum
-they are the oracle of ``assemble_B``, which evaluates no symbol table.  The input half-line projections keep eta = 0 off the lattice, the
+they are the oracle of ``assemble_B``, which evaluates no symbol table.  The
+input half-line projections keep eta = 0 off the lattice, the
 ll * chi(xi) / (2 eta) pieces of the branch symbols cancel, and what is left
 is the half kernel
 
@@ -33,23 +33,21 @@ paraproducts
 
     half(a, b) = chi * conv(a, b / (2 xi)) - conv(chi * a, ll * b / (2 xi)).
 
-Both are one routine, ``_lattice_conv``: it forms the two masked inputs in
-the kernel's workspace and convolves them linearly, zero-padded to length
-2n, which reproduces the zero extension of the lattice sum exactly.  The
-second convolves chi_k^+ a against ll b / (2 xi), and is not made, with no
-transform, when ll resolves only xi = 0, as on every shipped grid; 1 / (2 xi)
-is taken as 0 at xi = 0 and at the Nyquist mode.  The first does not depend
-on k (its masks are grid-only), so the gauge bands of one snapshot share it
-(``BandKernel.paraproduct``).  The assembled operator carries the overall
-normalization -1/sqrt(2 pi) forced by the symmetric transform convention
-(pointwise products carry 1/sqrt(2 pi) relative to pseudoproduct symbols).
+Both are one routine, ``_lattice_conv``, a circular convolution at the
+grid's length n of masked inputs formed in the kernel's workspace.  Their
+first factor, P+f or chi_k^+ a, vanishes for xi <= 0, so the wrap folds only
+frequencies beyond Nyquist onto xi < 0, which every caller discards: on
+xi >= 0 it is the zero extension's lattice sum to roundoff.  The second is
+not made, with no transform, when ll resolves only xi = 0, as on every
+shipped grid; 1 / (2 xi) is taken as 0 at xi = 0 and at the Nyquist mode.
+The first does not depend on k (its masks are grid-only), so the gauge bands
+of one snapshot share it (``BandKernel.paraproduct``).  The assembled
+operator carries the overall normalization -1/sqrt(2 pi) forced by the
+symmetric transform convention (pointwise products carry 1/sqrt(2 pi)
+relative to pseudoproduct symbols).
 
 With these, the quadratic generator assembled in ``nf_generator_terms`` sums
-to zero at roundoff level, which is the decisive acceptance oracle.  It works
-on Fourier coefficients: its three B_k terms share one ``BandKernel``, which
-returns coefficients, every projection and derivative is a multiplier, and
-each term is inverted once.  The terms agree with the field-by-field formula
-(the tests' reference) to 1e-13 times the largest term.
+to zero at roundoff level, which is the decisive acceptance oracle.
 """
 
 from __future__ import annotations
@@ -95,29 +93,25 @@ QUARTIC_MARGIN = 0.25
 
 def _lattice_conv(a_mask: np.ndarray, fc: np.ndarray, b_mask: np.ndarray, gc: np.ndarray,
                   grid: Grid, work: np.ndarray) -> np.ndarray:
-    """sum_eta a(xi - eta) b(eta) * dxi on the grid frequencies, for the pieces
-    a = a_mask * fc and b = b_mask * gc, along the last axis: of one field, or
-    of each field of a stack.
+    """sum_eta a(xi - eta) b(eta) * dxi at the grid frequencies xi >= 0, for
+    a = a_mask * fc, which must vanish for xi <= 0, and b = b_mask * gc, along
+    the last axis: of one field, or of each field of a stack.
 
-    The pieces are formed in place in the first n entries of the two arrays
-    of ``work`` (``BandKernel._rows``), each shaped like fc but with rows of
-    length 2n, whose other n entries are zeroed, so the convolution is a
-    linear one and frequencies outside the grid range are zero (the
-    lattice's zero extension, no circular wrap): three transforms in place,
-    of which the n entries of the inverse from n/2 on, times dxi, are the
-    grid's.
-    """
-    n = grid.n_points
+    The pieces are formed in the two arrays of ``work`` (``BandKernel._rows``),
+    shaped like fc, b in FFT order, so that the circular convolution of length
+    n lands in math order: three transforms in place.  The fold rule: the
+    linear convolution lives on (-n/2, n) dxi, and the wrap folds only its
+    part on [n/2, n) dxi onto xi < 0, which every caller discards."""
+    h = grid.n_points // 2
     fa, fb = work
-    np.multiply(a_mask, fc, out=fa[..., :n])
-    fa[..., n:] = 0.0
-    np.multiply(b_mask, gc, out=fb[..., :n])
-    fb[..., n:] = 0.0
+    np.multiply(a_mask, fc, out=fa)
+    np.multiply(b_mask[h:], gc[..., h:], out=fb[..., :h])
+    np.multiply(b_mask[:h], gc[..., :h], out=fb[..., h:])
     np.fft.fft(fa, out=fa)
     np.fft.fft(fb, out=fb)
     fa *= fb
     np.fft.ifft(fa, out=fa)
-    return fa[..., n // 2:n // 2 + n] * grid.dxi
+    return fa * grid.dxi
 
 
 def _check_separation(order: int, ll_factor: float) -> None:
@@ -144,20 +138,17 @@ class BandKernel:
     complex array as 1+0j or 0j, as a 0/1 float table does, so the products
     are the same bit for bit.
 
-    Both paraproducts are one ``_lattice_conv`` of masked inputs at length
-    2n.  ``ll_resolved`` says whether ll / (2 xi) keeps a mode; when it does
-    not, as on every shipped grid, ``half`` makes no second paraproduct and
-    takes no transform.  The first paraproduct uses no table of the band, so
+    Both paraproducts are one ``_lattice_conv`` at length n, exact on xi >= 0,
+    where ``chi`` and ``outside`` keep them.  ``ll_resolved`` says whether
+    ll / (2 xi) keeps a mode; when it does not, as on every shipped grid,
+    ``half`` makes no second paraproduct and ll keeps only the mean
+    (``_low_passed``).  The first paraproduct uses no table of the band, so
     the bands of one grid can share it (``paraproduct``).
 
-    Every table acts on the last axis, so a kernel serves one field or a
-    stack of fields (``nf_generator_terms``) alike.  The kernel holds the
-    workspace of its paraproducts' transforms, two complex arrays shaped like
-    its input but with rows of length 2n: allocated on first use, kept while
-    the kernel lives and made anew only for an input of another shape.  Every
-    caller (``SnapshotTables``, ``transformed_residual``,
-    ``nf_generator_terms``, ``assemble_B``) runs its transforms in it.  A
-    kernel handed a shared paraproduct holds none unless ``ll_resolved``."""
+    Every table acts on the last axis, so a kernel serves one field or a stack
+    of fields alike.  It holds the workspace of its paraproducts' transforms,
+    two complex arrays shaped like its input, made on first use and anew only
+    for an input of another shape; every caller runs its transforms in it."""
 
     def __init__(self, grid: Grid, k: float, order: int, ll_factor: float = LL_FACTOR):
         _check_separation(order, ll_factor)
@@ -181,11 +172,10 @@ class BandKernel:
 
     def _rows(self, shape: tuple) -> np.ndarray:
         """The workspace of the paraproducts' transforms for inputs of ``shape``:
-        two complex arrays of that shape with rows of length 2n, held as long as
-        the kernel, or until an input of another shape replaces them."""
-        work_shape = (2, *shape[:-1], 2 * self.grid.n_points)
-        if self._work.shape != work_shape:
-            self._work = np.empty(work_shape, dtype=complex)
+        two complex arrays of that shape, held as long as the kernel, or until an
+        input of another shape replaces them."""
+        if self._work.shape != (2, *shape):
+            self._work = np.empty((2, *shape), dtype=complex)
         return self._work
 
     def half(self, fc: np.ndarray, gc: np.ndarray, shared: np.ndarray | None = None) -> np.ndarray:
@@ -202,11 +192,11 @@ class BandKernel:
         return out
 
     def paraproduct(self, fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
-        """conv(P+f, Pg / (2 xi)) from the coefficients fc and gc of f and g: the
-        first paraproduct of ``half``, built from grid-only masks, so for
-        fc = gc = c one serves B_k(u, u) in every band of the grid (see
-        ``apply``).  Its masked inputs are formed in the kernel's workspace, so
-        a steady call allocates no length-2n array."""
+        """conv(P+f, Pg / (2 xi)) on xi >= 0 (``_lattice_conv``), from the
+        coefficients fc and gc of f and g: the first paraproduct of ``half``,
+        built from grid-only masks, so for fc = gc = c one serves B_k(u, u) in
+        every band of the grid (see ``apply``); a steady call allocates only its
+        output."""
         return _lattice_conv(self.plus, fc, self.inv2xi, gc, self.grid, self._rows(fc.shape))
 
     def apply(self, fc: np.ndarray, gc: np.ndarray, shared: np.ndarray | None = None) -> np.ndarray:
@@ -221,14 +211,11 @@ class BandKernel:
         first = self.half(fc, gc, shared)
         return self.combine(first, first if gc is fc else self.half(gc, fc))
 
-    def combine(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        """Coefficients of B_k(f, g) from its halves half(P+f, Pg) and
-        half(P+g, Pf), in that order: their sum, which is the sum of the three
-        nonzero branches, masked to the output band and normalized.  A caller
-        that forms both B_k(f, g) and B_k(g, f) forms the two halves once and
-        passes them in both orders; verify-normal-form's
-        ``--inject-symbol-bug`` perturbs the first half here, so that each
-        order sees it."""
+    def combine(self, first: np.ndarray, second: np.ndarray | float) -> np.ndarray:
+        """Coefficients of B_k(f, g) from its halves half(P+f, Pg) and half(P+g, Pf),
+        in that order: their sum, which is the sum of the three nonzero branches,
+        masked to the output band and normalized.  A half known to vanish may be
+        0.0 (``nf_generator_terms``); ``--inject-symbol-bug`` perturbs the first."""
         out = first + second
         out[..., self.outside] = 0.0
         out *= NF_NORMALIZATION
@@ -246,7 +233,7 @@ def assemble_B(
     and O(n) memory.
 
     Sums the three nonzero branches, computed as two half kernels of
-    separated paraproducts: Fourier multipliers around length-2n linear
+    separated paraproducts: Fourier multipliers around length-n circular
     convolutions of the half-line projected inputs, the second not made when
     the gauge low-pass resolves only xi = 0 (see the module docstring).
     B_k(f, f) takes one transform and one half kernel.  The output is kept
@@ -282,16 +269,28 @@ def check_dealias_margin(grid: Grid, samples: np.ndarray, c: np.ndarray) -> None
             )
 
 
+def _low_passed(kernel: BandKernel, c: np.ndarray) -> np.ndarray:
+    """Samples of the gauge low-pass of the u whose coefficients are c.  Unless
+    ``kernel.ll_resolved`` it keeps only xi = 0: then each field's constant
+    low(0) c(0) sqrt(2 pi) / L, with no transform, broadcast to the shape of c."""
+    if kernel.ll_resolved:
+        return samples_of(kernel.low * c, kernel.grid)
+    h = kernel.grid.n_points // 2
+    mean = kernel.low[h] * c[..., h:h + 1] * (SQRT_2PI / kernel.grid.box_length)
+    return np.broadcast_to(mean, c.shape)
+
+
 def _gauge_projections(kernel: BandKernel, c: np.ndarray) -> tuple[np.ndarray, ...]:
     """Samples of u_k^+, u_ll, 2i P^- d/dx u_ll and d/dx u_k^+ in the band of ``kernel``,
-    u having the coefficients c: the projections that the gauge terms of
-    ``nf_generator_terms`` and ``normal_form.Bundle.terms`` multiply, each one inverse
-    transform of a multiplier on c (chi and the gauge low-pass; see ``BandKernel``)."""
+    u having the coefficients c, which the gauge terms of ``nf_generator_terms`` and
+    ``normal_form.Bundle.terms`` multiply: each one inverse transform of a multiplier
+    on c, but a mean-only u_ll (``_low_passed``), whose 2i P^- d/dx u_ll is 0.0."""
     grid = kernel.grid
     d1 = derivative_values(grid, 1)
-    hpi_du_ll = 2j * samples_of(kernel.minus * d1 * kernel.low * c, grid)
+    hpi_du_ll = (2j * samples_of(kernel.minus * d1 * kernel.low * c, grid)
+                 if kernel.ll_resolved else 0.0)
     d_u_kp = samples_of(d1 * kernel.chi * c, grid)
-    return samples_of(kernel.chi * c, grid), samples_of(kernel.low * c, grid), hpi_du_ll, d_u_kp
+    return samples_of(kernel.chi * c, grid), _low_passed(kernel, c), hpi_du_ll, d_u_kp
 
 
 def nf_generator_terms(
@@ -307,8 +306,8 @@ def nf_generator_terms(
     (H + i) is realized as 2i P^- (identical off the mean, which every term
     kills through an x-derivative).  u and u^2 are transformed once each;
     every projection and derivative is a multiplier on their coefficients,
-    the three B_k terms share the kernel, the two half kernels of b_left
-    serve b_right too, and each term is inverted once.  Each field is checked
+    the three B_k terms share the kernel, b_left and b_right are one B_k of
+    one nonzero half, and each term is inverted once.  Each field is checked
     for aliasing once and warned of the band edge once at each of its two
     P_k^+, as when it goes alone.  The terms agree with the field-by-field
     formula to 1e-13 times the largest term.
@@ -328,16 +327,15 @@ def nf_generator_terms(
     c_hpi = 2j * kernel.minus * derivative_values(grid, 2) * c
     c_du = d1 * c
     c_usq = coeffs_of(samples * samples, grid)
-    # both orders, each from the two halves formed once: B_k(f, g) = B_k(g, f)
-    # holds only while both halves are right, and the cancellation must see
-    # either one fail, in either order
-    left, right = kernel.half(c_hpi, c), kernel.half(c, c_hpi)
+    # P^+ c_hpi = 0, so half(c_hpi, c) is identically 0 and B_k(c_hpi, u) and
+    # B_k(u, c_hpi) are one sum, half(c, c_hpi), formed and inverted once
+    b = 1j * samples_of(kernel.combine(kernel.half(c, c_hpi), 0.0), grid)
     return {
         "transport": -1j * samples_of(kernel.chi * d1 * c_usq, grid),
         "gauge_hilbert": hpi_du_ll * u_kp,
         "gauge_derivative": 2j * u_ll * d_u_kp,
-        "b_left": 1j * samples_of(kernel.combine(left, right), grid),
-        "b_right": 1j * samples_of(kernel.combine(right, left), grid),
+        "b_left": b,
+        "b_right": b,
         "b_derivative": -2.0 * samples_of(kernel.apply(c_du, c_du), grid),
     }
 

@@ -29,29 +29,30 @@ def random_band_limited(
     grid: Grid,
     rng: np.random.Generator,
     band_fraction: float = 0.5,
-) -> Field:
-    """Real mean-zero field with spectrum supported in 0 < |xi| <= fraction * Nyquist.
-    A band that holds no grid mode, or a box so large or so small that the
-    field's L2 norm underflows to 0 or overflows, raises ConfigError."""
+    rows: int | None = None,
+) -> Field | list[Field]:
+    """Real mean-zero field with spectrum supported in 0 < |xi| <= fraction * Nyquist,
+    or a list of ``rows`` such fields, drawn in turn from ``rng`` as one at a time
+    would be and inverted as one stack.  A band that holds no grid mode, or a box
+    so large or so small that a field's L2 norm underflows to 0 or overflows,
+    raises ConfigError."""
     n = grid.n_points
-    coeffs = np.zeros(n, dtype=complex)
-    limit = band_fraction * grid.nyquist
     half = np.arange(1, n // 2)  # positive modes, Nyquist excluded
-    xi_half = 2.0 * np.pi * half / grid.box_length
-    live = xi_half <= limit
+    live = 2.0 * np.pi * half / grid.box_length <= band_fraction * grid.nyquist
     if not live.any():
         raise ConfigError(f"no grid mode lies in 0 < |xi| <= {band_fraction} * Nyquist: "
                           f"dxi = {grid.dxi:.3g}, Nyquist {grid.nyquist:.3g}")
-    vals = (rng.normal(size=half.shape) + 1j * rng.normal(size=half.shape)) * live
-    center = n // 2
-    coeffs[center + half] = vals
-    coeffs[center - half] = np.conj(vals)
-    field = Field(grid, samples_of(coeffs, grid).real)
-    norm = field.l2_norm()
-    if not 0.0 < norm < np.inf:
-        raise ConfigError(f"a random field on {grid!r} has L2 norm {norm:.3g}: the box is "
-                          "out of double precision's range")
-    return field
+    draws = rng.normal(size=(1 if rows is None else rows, 2, half.size))
+    vals = (draws[:, 0] + 1j * draws[:, 1]) * live
+    coeffs = np.zeros((len(vals), n), dtype=complex)
+    coeffs[:, n // 2 + half] = vals
+    coeffs[:, n // 2 - half] = np.conj(vals)
+    fields = [Field(grid, samples) for samples in samples_of(coeffs, grid).real]
+    for norm in map(Field.l2_norm, fields):
+        if not 0.0 < norm < np.inf:
+            raise ConfigError(f"a random field on {grid!r} has L2 norm {norm:.3g}: the box "
+                              "is out of double precision's range")
+    return fields[0] if rows is None else fields
 
 
 #: support radius and number of the Gaussian bumps of ``random_compact_bump``
@@ -110,14 +111,15 @@ def convolution_identity_errors(grid: Grid, rng: np.random.Generator, n_pairs: i
     p(f, g) = conv(P+f, Pg / (2 xi)) of ``BandKernel.paraproduct``: the product
     identity p = sqrt(2 pi) a b, a and b the samples of P+f and Pg / (2 xi),
     relative to the sup of the right side, and the Leibniz rule
-    d/dx p(f, g) = p(f', g) + p(f, g'), relative to sup f * sup g.  The
-    paraproduct's masks are the grid's, so any band's kernel serves."""
+    d/dx p(f, g) = p(f', g) + p(f, g'), relative to sup f * sup g.  p is a
+    circular convolution of length n, exact on xi >= 0 only, but the band limit
+    keeps its support below Nyquist, so both identities hold at every frequency.
+    The paraproduct's masks are the grid's, so any band's kernel serves."""
     kernel = BandKernel(grid, 0.0, 1)
     d1 = derivative_values(grid, 1)
     worst = {"product": 0.0, "leibnitz": 0.0}
     for _ in range(n_pairs):
-        f = random_band_limited(grid, rng, 0.25)
-        g = random_band_limited(grid, rng, 0.25)
+        f, g = random_band_limited(grid, rng, 0.25, 2)
         fc, gc = coeffs_of(f.samples, grid), coeffs_of(g.samples, grid)
         p = kernel.paraproduct(fc, gc)
         target = (SQRT_2PI * samples_of(kernel.plus * fc, grid)
@@ -160,14 +162,14 @@ def nf_cancellation_sweep(
     """``(k, N, trial, residual, scale)`` of the normal-form cancellation for
     ``trials`` random fields per band k and order N, each band-limited to
     QUARTIC_MARGIN * Nyquist, so that their products stop at twice that.  The
-    fields are drawn in order, and each case's go through the generator in
-    stacks of at most SWEEP_BLOCK, each in one ``BandKernel``."""
+    fields are drawn in order, each case's in stacks of at most SWEEP_BLOCK,
+    each stack in one inverse transform and one ``BandKernel``."""
     rows = []
     for k in bands:
         for order in orders:
             for start in range(0, trials, SWEEP_BLOCK):
-                fields = [random_band_limited(grid, rng, QUARTIC_MARGIN)
-                          for _ in range(min(SWEEP_BLOCK, trials - start))]
+                fields = random_band_limited(grid, rng, QUARTIC_MARGIN,
+                                             min(SWEEP_BLOCK, trials - start))
                 residual, scale = verify_nf_cancellation(fields, k, order, ll_factor)
                 rows += [(k, order, trial, *pair) for trial, pair in
                          enumerate(zip(residual.tolist(), scale.tolist()), start=start)]

@@ -73,3 +73,20 @@ def fft_lengths(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+@pytest.fixture
+def lattice_convs(monkeypatch):
+    """The workspace passed to each ``pseudoproduct._lattice_conv`` call made in the
+    test: one per paraproduct, each of three transforms."""
+    from bolab import pseudoproduct
+
+    calls = []
+    original = pseudoproduct._lattice_conv
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(pseudoproduct, "_lattice_conv", counted)
+    return calls

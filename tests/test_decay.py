@@ -473,39 +473,38 @@ def test_gauge_bands_sharing_the_paraproduct_match_fresh_transform():
                 assert gauge_sups[k][j] == rep.gauge_sup[f"{k}"][f"{j}"][i] == expected
 
 
-def test_gauge_snapshot_takes_one_paraproduct_of_length_2n(fft_lengths):
-    # n = 4096, two gauge bands: 3 transforms of length 2n per snapshot (12
-    # when each band made both of its paraproducts), and 7 of length n: one
+def test_gauge_snapshot_takes_one_paraproduct(fft_lengths, lattice_convs):
+    # n = 4096, two gauge bands: one paraproduct of 3 transforms per snapshot
+    # (4 paraproducts when each band made both of its own), and 7 more: one
     # forward transform, 2 irfft blocks of the 7 low-pass rows, 2 ifft blocks
     # of the 8 band rows and one inverse per gauge band (14 with a second
     # forward transform of the centered field, the round trip of phi and
-    # three inverses per gauge band)
+    # three inverses per gauge band), all of length n
     gauge = {"enabled": True, "order": 4, "ll_factor": 100.0, "bands": [0, 1]}
     cfg = _small_config(n_points=4096, gauge=gauge)
     tables = SnapshotTables(cfg)
     w = _soliton_bump(cfg)
     fft_lengths.clear()
     tables.measure(w)
-    assert fft_lengths.count(8192) == 3
-    assert fft_lengths.count(4096) <= 7
+    assert len(lattice_convs) == 1
+    assert fft_lengths == [4096] * len(fft_lengths) and len(fft_lengths) <= 3 + 7
 
 
-def test_steady_gauge_snapshot_allocates_no_length_2n_array(fft_lengths):
-    # the shared paraproduct forms its inputs and runs its 3 length-2n transforms
-    # in the first gauge kernel's workspace, allocated by the first call and held:
-    # one length-2n workspace per run, since the second band's own paraproduct
-    # is empty at ll_factor 100
+def test_steady_gauge_snapshot_convolves_in_its_held_workspace(lattice_convs):
+    # the shared paraproduct forms its inputs and runs its 3 transforms in the
+    # first gauge kernel's workspace, allocated by the first call and held:
+    # one workspace of two length-n rows per run, since the second band's own
+    # paraproduct is empty at ll_factor 100
     gauge = {"enabled": True, "order": 4, "ll_factor": 100.0, "bands": [0, 1]}
     cfg = _small_config(n_points=4096, gauge=gauge)
     tables = SnapshotTables(cfg)
     w = _soliton_bump(cfg)
     first = tables.measure(w)
     workspace = tables.gauge[0]._work
-    assert [kernel._work.shape for kernel in tables.gauge.values()] == [(2, 8192), (2, 0)]
-    fft_lengths.clear()
+    assert [kernel._work.shape for kernel in tables.gauge.values()] == [(2, 4096), (2, 0)]
+    lattice_convs.clear()
     assert tables.measure(w) == first
-    assert fft_lengths.count(8192) == 3
-    assert all(out for length, out in zip(fft_lengths, fft_lengths.out) if length == 8192)
+    assert len(lattice_convs) == 1 and lattice_convs[0] is workspace
     assert tables.gauge[0]._work is workspace
 
 

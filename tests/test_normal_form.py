@@ -467,16 +467,20 @@ def test_residual_builds_and_applies_one_kernel_per_snapshot(monkeypatch, n_snap
     assert len(applies) == 2 * n_snapshots - 2
 
 
-def test_residual_forms_its_terms_from_coefficients(fft_lengths):
+def test_residual_forms_its_terms_from_coefficients(fft_lengths, lattice_convs):
     # per snapshot 2 grid-length transforms for the bundle (u and A; phi_ll
-    # is zero), and per interior snapshot 9 more for the terms and Delta_box
-    # and 2 for d^2 v/dx^2: 69 over 7 snapshots (92 when the bundle also
-    # inverted u_k^+, B and phi_ll and round-tripped phi, 132 when every
-    # derivative and projection was a round trip on samples)
+    # is zero), and per interior snapshot 6 more for the terms and Delta_box
+    # (u_ll and the low-pass of u^2 are means, and P^- of the derivative of
+    # u_ll is 0) and 2 for d^2 v/dx^2: 54 over 7 snapshots (69 when the
+    # means were inverted, 92 when the bundle also inverted u_k^+, B and
+    # phi_ll and round-tripped phi, 132 when every derivative and projection
+    # was a round trip on samples); besides, one paraproduct per snapshot and
+    # two per interior snapshot, each of 3 transforms of the same length
     g = Grid(1024, 400.0)
     dt = 1e-3
     snaps = evolve(SolverState(w=soliton(1.0, 0.0, g), frame="lab", dt=dt), 6 * dt,
                    snapshot_stride=1, record_ledger=False)
     fft_lengths.clear()
     transformed_residual([(s.t, s.w) for s in snaps], 1.0, 4, 3.0)
-    assert fft_lengths.count(1024) <= 69
+    assert len(lattice_convs) == 17
+    assert fft_lengths == [1024] * (54 + 3 * 17)

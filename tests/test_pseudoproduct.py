@@ -15,6 +15,7 @@ from bolab.pseudoproduct import (
     QUARTIC_MARGIN,
     SQRT_2PI,
     BandKernel,
+    _gauge_projections,
     _lattice_conv,
     assemble_B,
     check_dealias_margin,
@@ -311,8 +312,8 @@ def test_assemble_B_diagonal_one_half_equals_two_halves(grid_medium, rng):
         assert np.max(np.abs(one)) > 0.0
 
 
-def _new_rows(n):
-    return np.empty((2, 2 * n), dtype=complex)
+def _new_rows(shape):
+    return np.empty((2, *np.atleast_1d(shape)), dtype=complex)
 
 
 def _conv(a, b, grid, work=None):
@@ -321,22 +322,72 @@ def _conv(a, b, grid, work=None):
     return _lattice_conv(ones, a, ones, b, grid, _new_rows(grid.n_points) if work is None else work)
 
 
+def _circular(a, b, grid):
+    """The circular convolution of length n of a and b, b in FFT order, times dxi."""
+    return np.fft.ifft(np.fft.fft(a) * np.fft.fft(np.fft.ifftshift(b, axes=-1))) * grid.dxi
+
+
+def _linear(a, b, grid):
+    """The zero-extended lattice sum of a and b on the grid frequencies: their
+    linear convolution, zero-padded to length 2n, times dxi."""
+    n = grid.n_points
+    padded = np.fft.ifft(np.fft.fft(a, 2 * n) * np.fft.fft(b, 2 * n))
+    return padded[..., n // 2:n // 2 + n] * grid.dxi
+
+
 @pytest.mark.parametrize("n", [256, 1000, 4096])
-def test_lattice_conv_equals_the_2n_convolution_bitwise(rng, n):
+def test_lattice_conv_is_the_circular_convolution_of_length_n_bitwise(rng, n):
     grid = Grid(n, 100.0)
     a = rng.normal(size=n) + 1j * rng.normal(size=n)
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
-    padded = np.fft.ifft(np.fft.fft(a, 2 * n) * np.fft.fft(b, 2 * n))
-    expected = padded[n // 2 : n // 2 + n] * grid.dxi
+    expected = _circular(a, b, grid)
     assert np.array_equal(_conv(a, b, grid), expected)
     # in held rows left full of other values, which it must overwrite
-    held = np.full((2, 2 * n), np.nan, dtype=complex)
+    held = np.full((2, n), np.nan, dtype=complex)
     assert np.array_equal(_conv(a, b, grid, held), expected)
     # the masks multiply the inputs, formed in the workspace
     mask = rng.uniform(size=n)
-    padded = np.fft.ifft(np.fft.fft(mask * a, 2 * n) * np.fft.fft(b, 2 * n))
     masked = _lattice_conv(mask, a, np.ones(n), b, grid, _new_rows(n))
-    assert np.array_equal(masked, padded[n // 2 : n // 2 + n] * grid.dxi)
+    assert np.array_equal(masked, _circular(mask * a, b, grid))
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 16384])
+def test_lattice_conv_of_a_one_sided_factor_is_the_linear_convolution_on_xi_positive(rng, n):
+    # the fold rule on full-spectrum inputs, where the wrap is largest: with a
+    # zero for xi <= 0, the length-n wrap lands only on xi < 0, for one field
+    # and for a stack alike
+    grid = Grid(n, 100.0)
+    positive = grid.xi > 0
+    for shape in [(n,), (3, n)]:
+        a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * positive
+        b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        conv = _lattice_conv(positive, a, np.ones(n), b, grid, _new_rows(shape))
+        linear = _linear(a, b, grid)
+        scale = np.max(np.abs(linear[..., positive]))
+        assert np.max(np.abs(conv - linear)[..., positive]) <= 1e-14 * scale
+        assert np.max(np.abs(conv - linear)[..., grid.xi < 0]) > 1e-3 * scale
+
+
+def test_resolved_half_kernel_is_its_linear_convolutions_on_xi_positive(rng):
+    # the second paraproduct of a kernel whose gauge low-pass keeps lattice
+    # modes, chi_k^+ a against ll b / (2 xi), and the half kernel, on
+    # full-spectrum inputs; the half, a difference of its paraproducts, is
+    # measured against the larger of them
+    grid = Grid(1024, 2000.0)
+    kernel = BandKernel(grid, 1.0, 2, 1.0)
+    assert kernel.ll_resolved
+    positive = grid.xi > 0
+    fc, gc = (rng.normal(size=(2, 1024)) + 1j * rng.normal(size=(2, 1024)))
+    b = kernel.inv2xi * gc
+    first = _linear(kernel.plus * fc, b, grid)
+    second = _linear(kernel.chi * fc, kernel.low * b, grid)
+    conv = _lattice_conv(kernel.chi, fc, kernel.low, b, grid, _new_rows(1024))
+    scale = np.max(np.abs(second[positive]))
+    assert np.max(np.abs(conv - second)[positive]) <= 1e-14 * scale
+    scale = max(scale, np.max(np.abs(first[positive])))
+    half = kernel.half(fc, gc)
+    assert np.max(np.abs(half - (kernel.chi * first - second))[positive]) <= 1e-14 * scale
+    assert np.max(np.abs(half)) > 1e-3 * scale
 
 
 def _shipped_kernels():
@@ -354,47 +405,69 @@ def _shipped_kernels():
     yield BandKernel(Grid(8192, 400.0), 1.0, 4, 3.0)
 
 
-def test_second_paraproduct_runs_on_no_shipped_config_and_at_length_2n_where_it_does(
+def test_second_paraproduct_runs_on_no_shipped_config_and_at_length_n_where_it_does(
         fft_lengths, rng):
     kernels = list(_shipped_kernels())
     assert len(kernels) == 13
     assert not any(kernel.ll_resolved for kernel in kernels)
     # chi_{<<k} resolves lattice modes: 3 transforms for each paraproduct,
-    # all of length 2n in the kernel's one workspace
+    # all of length n in the kernel's one workspace
     grid = Grid(1024, 2000.0)
     kernel = BandKernel(grid, 1.0, 2, 1.0)
     assert kernel.ll_resolved
     c = coeffs_of(random_band_limited(grid, rng, 0.25).samples, grid)
     fft_lengths.clear()
     kernel.apply(c, c)
-    assert fft_lengths == [2048] * 6 and all(fft_lengths.out)
-    assert kernel._work.shape == (2, 2048)
+    assert fft_lengths == [1024] * 6 and all(fft_lengths.out)
+    assert kernel._work.shape == (2, 1024)
 
 
-def test_cancellation_convolves_each_half_once(fft_lengths, rng):
-    # the second paraproduct of every half kernel is empty when chi_{<<k}
-    # resolves only xi = 0, and b_left's two half kernels serve b_right: 3
-    # paraproducts of 3 transforms each (15 when b_right convolved its own, 30
-    # with the second paraproducts), for one field or a stack of five alike
+def test_cancellation_convolves_its_one_nonzero_half_once(fft_lengths, lattice_convs, rng):
+    # half(c_hpi, c) is identically 0 and is not made, the second paraproduct of
+    # every half kernel is empty when chi_{<<k} resolves only xi = 0, and the one
+    # nonzero half serves b_left and b_right: 2 paraproducts of 3 transforms
+    # each, besides 7 grid-length transforms, for one field or a stack of five
     grid = Grid(1024, 8.0 * np.pi)
-    u = random_band_limited(grid, rng, 0.25)
-    fft_lengths.clear()
-    verify_nf_cancellation(u, 2.0, 4)
-    assert fft_lengths.count(2048) == 9
-    fft_lengths.clear()
-    verify_nf_cancellation([random_band_limited(grid, rng, 0.25) for _ in range(5)], 2.0, 4)
-    assert fft_lengths.count(2048) == 9
+    for u in (random_band_limited(grid, rng, 0.25), random_band_limited(grid, rng, 0.25, 5)):
+        fft_lengths.clear()
+        lattice_convs.clear()
+        verify_nf_cancellation(u, 2.0, 4)
+        assert len(lattice_convs) == 2
+        assert fft_lengths == [1024] * 13
+
+
+def test_zero_half_and_mean_only_projections_are_known_without_a_transform(rng):
+    # half(c_hpi, c) is exactly 0, since P+ c_hpi = 0; and a gauge low-pass
+    # that keeps only xi = 0 gives the mean-only u_ll of each field, without a
+    # transform, and 2i P^- d/dx u_ll = 0
+    grid = Grid(1024, 8.0 * np.pi)
+    u = np.array([random_band_limited(grid, rng, 0.25).samples + mean for mean in (0.3, -1.2)])
+    c = coeffs_of(u, grid)
+    kernel = BandKernel(grid, 2.0, 4)
+    c_hpi = 2j * kernel.minus * derivative_values(grid, 2) * c
+    for k, order, factor, resolved in [(2.0, 4, 100.0, False), (1.0, 2, 1.0, True)]:
+        band = BandKernel(grid, k, order, factor)
+        assert band.ll_resolved == resolved
+        assert np.array_equal(band.half(c_hpi, c), np.zeros_like(c))
+    _, u_ll, hpi_du_ll, _ = _gauge_projections(kernel, c)
+    transformed = samples_of(kernel.low * c, grid)
+    assert u_ll.shape == u.shape
+    assert np.max(np.abs(u_ll - transformed)) <= 1e-15 * np.max(np.abs(u))
+    assert np.max(np.abs(u_ll[:, 0].real - np.mean(u, axis=-1))) <= 1e-15 * np.max(np.abs(u))
+    assert hpi_du_ll == 0.0
+    assert not np.any(samples_of(kernel.minus * derivative_values(grid, 1) * kernel.low * c, grid))
 
 
 @pytest.mark.parametrize("trials, stacks_per_case", [(5, 1), (SWEEP_BLOCK + 3, 2)])
 def test_sweep_transforms_each_stack_once_and_builds_one_kernel_per_stack(
         fft_lengths, rng, monkeypatch, trials, stacks_per_case):
-    # per stack of fields 10 grid-length transforms: u and u^2 forward, then
-    # one inverse each for the four gauge projections and the four terms that
-    # are not pointwise products (29 per field field by field, which
-    # transforms u seven times and i d^2u/dx^2 twice), besides the one that
-    # draws each field; and one BandKernel per stack, so one per (k, N) case
-    # at verify-normal-form's 5 trials
+    # per stack of fields 14 grid-length transforms: one draws the stack, u
+    # and u^2 go forward, two gauge projections (u_ll is the mean and P^- of
+    # its derivative 0) and three terms that are not pointwise products are
+    # inverted (b_left is b_right), and two paraproducts take 3 each (29
+    # per field field by field, which transforms u seven times and
+    # i d^2u/dx^2 twice, besides 15 of length 2n); and one BandKernel per
+    # stack, so one per (k, N) case at verify-normal-form's 5 trials
     built = []
     init = BandKernel.__init__
 
@@ -410,8 +483,7 @@ def test_sweep_transforms_each_stack_once_and_builds_one_kernel_per_stack(
     assert len(rows) == len(cases) * trials
     assert built == [case for case in cases for _ in range(stacks_per_case)]
     stacks = stacks_per_case * len(cases)
-    assert fft_lengths.count(1024) == 10 * stacks + len(rows)
-    assert fft_lengths.count(2048) == 9 * stacks
+    assert fft_lengths == [1024] * (14 * stacks)
 
 
 @pytest.mark.filterwarnings("ignore::bolab.errors.BandEdgeWarning")
@@ -444,21 +516,27 @@ def test_stacks_transform_and_apply_as_their_rows(rng):
         kernel = BandKernel(grid, k, order, factor)
         rows = [BandKernel(grid, k, order, factor).apply(c[i], g[i]) for i in range(5)]
         assert np.max(np.abs(rows)) > 0.0
-        for shape, take in [((2, 5, 2048), slice(None)), ((2, 2048), 3), ((2, 2, 2048), slice(1, 3))]:
+        for shape, take in [((2, 5, 1024), slice(None)), ((2, 1024), 3), ((2, 2, 1024), slice(1, 3))]:
             out = kernel.apply(c[take], g[take])
             assert np.array_equal(out, np.array(rows)[take]) and kernel._work.shape == shape
 
 
 @pytest.mark.filterwarnings("ignore::bolab.errors.BandEdgeWarning")
 def test_generator_b_left_equals_b_right_bitwise(rng):
-    # B_k(f, g) = B_k(g, f) bit for bit, with each half convolved once
+    # b_left and b_right are one sum, of the one nonzero half, and equal B_k in
+    # either order with both halves convolved, bit for bit
     grid = Grid(1024, 8.0 * np.pi)
     fields = [random_band_limited(grid, rng, 0.25) for _ in range(3)]
+    c = coeffs_of(np.array([u.samples for u in fields]), grid)
     for k in (0.0, 2.0, 4.0):
         for factor in (100.0, 3.0, 1.0):
             terms = nf_generator_terms(fields, k, 4, factor)
             assert terms["b_left"].shape == (3, 1024) and np.max(np.abs(terms["b_left"])) > 0.0
             assert np.array_equal(terms["b_left"], terms["b_right"])
+            kernel = BandKernel(grid, k, 4, factor)
+            c_hpi = 2j * kernel.minus * derivative_values(grid, 2) * c
+            for f, g in ((c_hpi, c), (c, c_hpi)):
+                assert np.array_equal(1j * samples_of(kernel.apply(f, g), grid), terms["b_left"])
 
 
 def test_generator_warns_each_field_of_a_stack(rng):
